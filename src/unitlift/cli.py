@@ -85,6 +85,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than low (else exit 64)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _split_top(text: str, sep: str = ",") -> list[str]:
     """Split on a separator, ignoring separators inside parentheses."""
     parts, depth, start = [], 0, 0
@@ -382,12 +392,12 @@ def _build_parser() -> _Parser:
     corpus = top.add_parser("corpus", help="the verification corpus")
     corpus_sub = corpus.add_subparsers(dest="subcommand", required=True)
     run = corpus_sub.add_parser("run", help="run every criterion")
-    run.add_argument("--max-carrier", type=int, default=None,
+    run.add_argument("--max-carrier", type=_int_at_least(2), default=None,
                      help="restrict the corpus to rings of at most this size")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for the sampled checks (corpus membership and "
                           "exhaustive checks do not depend on it)")
-    run.add_argument("--gl-samples", type=int, default=1000,
+    run.add_argument("--gl-samples", type=_int_at_least(0), default=1000,
                      help="random matrix lifts per (ring, dimension) pair")
     run.add_argument("--fail-on-false", action="store_true")
     run.set_defaults(handler=_cmd_corpus_run, command_name="corpus run")

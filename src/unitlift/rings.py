@@ -10,10 +10,15 @@ index 0 by construction.
 
 For small carriers the operation tables are cached as numpy arrays so that
 bulk scans (unit detection, saturation, congruence solving) can be vectorized.
-The cache is observably transparent: every code path computes the same
-canonical values, and the tests cross-check vectorized paths against plain
-scans.  Cached data is immutable once published, so sharing rings across
-threads is safe.
+Each kind computes its tables arithmetically on the encoding: residues for
+modular rings, digit-wise addition and the companion matrix of f acting on
+digit vectors for polynomial quotients, and factor tables combined digit by
+digit for products.  Quotients of tabulated rings take their tables from the
+parent; only quotients of untabulated rings fill theirs from the scalar
+operations, one call per cell.  The cache is observably transparent: the tests
+check every kind's tables against its scalar operations and the tabulated
+scans against plain ones.  Cached data is immutable once published, so
+sharing rings across threads is safe.
 """
 
 from __future__ import annotations
@@ -45,6 +50,24 @@ from .specs import (
 )
 
 _TABLE_DTYPE = np.int32
+
+
+def _digitwise(radices: Sequence[int], tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The table of an operation acting digit by digit on the little-endian
+    mixed-radix carrier with the given radices, from one table per digit:
+    2-D for a binary operation, 1-D for a unary one."""
+    binary = tables[0].ndim == 2
+    out = np.zeros((1, 1) if binary else 1, dtype=_TABLE_DTYPE)
+    stride = 1
+    for size, table in zip(radices, tables):
+        # index (digit, lower digits) of the carrier with one more digit
+        if binary:
+            out = table[:, None, :, None] * stride + out[None, :, None, :]
+        else:
+            out = table[:, None] * stride + out[None, :]
+        stride *= size
+        out = out.reshape((stride,) * table.ndim)
+    return out
 
 
 class FiniteRing:
@@ -254,6 +277,25 @@ class PolyQuotientRing(FiniteRing):
     def neg(self, a):
         return self.encode(poly_neg(self.decode(a), self.p))
 
+    def _build_tables(self):
+        p, d, n = self.p, self.degree, self.carrier_size
+        r = np.arange(p, dtype=_TABLE_DTYPE)
+        add = _digitwise([p] * d, [(r[:, None] + r[None, :]) % p] * d)
+        neg = _digitwise([p] * d, [(-r) % p] * d)
+        # a*b = sum_k a_k (x^k b): x acts on the coefficient vectors of all b
+        # as the companion matrix of f, and the row of a_k p^k + (lower digits)
+        # is the add-table sum of the row of a_k x^k and the lower digits' row
+        place = p ** np.arange(d)
+        coeffs = (np.arange(n)[:, None] // place) % p
+        companion = np.eye(d, k=-1, dtype=np.int64)
+        companion[:, -1] = [(-c) % p for c in self.modulus[:d]]
+        mul = np.zeros((1, n), dtype=_TABLE_DTYPE)
+        for _ in range(d):
+            monomial_rows = (r[:, None, None] * coeffs % p) @ place
+            mul = add[monomial_rows[:, None, :], mul[None, :, :]].reshape(-1, n)
+            coeffs = coeffs @ companion.T % p
+        return add, mul, neg
+
     def _units_scan(self):
         # g is invertible mod f exactly when gcd(g, f) = 1
         out = set()
@@ -314,22 +356,10 @@ class ProductRing(FiniteRing):
         return self.encode([f.neg(x) for f, x in zip(self.factors, self.decode(a))])
 
     def _build_tables(self):
-        n = self.carrier_size
-        idx = np.arange(n, dtype=np.int64)
-        add = np.zeros((n, n), dtype=np.int64)
-        mul = np.zeros((n, n), dtype=np.int64)
-        neg = np.zeros(n, dtype=np.int64)
-        for f, size, stride in zip(self.factors, self.sizes, self.strides):
-            comp = (idx // stride) % size
-            tabs = f.tables()
-            if tabs is None:  # factor above the table guard; fall back entirely
-                return super()._build_tables()
-            fa, fm, fn = (t.astype(np.int64) for t in tabs)
-            add += fa[comp[:, None], comp[None, :]] * stride
-            mul += fm[comp[:, None], comp[None, :]] * stride
-            neg += fn[comp] * stride
-        return (add.astype(_TABLE_DTYPE), mul.astype(_TABLE_DTYPE),
-                neg.astype(_TABLE_DTYPE))
+        # build_ring gives every factor the product's guards, and no factor is
+        # larger than the product, so every factor is tabulated here
+        factor_tabs = [f.tables() for f in self.factors]
+        return tuple(_digitwise(self.sizes, [t[k] for t in factor_tabs]) for k in range(3))
 
     def _units_scan(self):
         # componentwise: a tuple is invertible iff every component is

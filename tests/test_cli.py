@@ -5,16 +5,24 @@ codes, and the JSON envelope are all exercised exactly as a user sees them.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import unitlift
+
 CLI = [sys.executable, "-m", "unitlift.cli"]
+# the subprocess imports the same unitlift as the tests, installed or not
+_SRC = str(Path(unitlift.__file__).resolve().parent.parent)
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV)
 
 
 def run_json(*args, expect_code=0):
@@ -136,6 +144,20 @@ def test_usage_errors_exit_64():
     assert run_cli("ring", "info").returncode == 64
     assert run_cli("bogus").returncode == 64
     assert run_cli("star", "presented", "Q", "5").returncode == 64
+
+
+def test_corpus_run_rejects_negative_gl_samples():
+    proc = run_cli("corpus", "run", "--gl-samples", "-1")
+    assert proc.returncode == 64
+    assert "--gl-samples" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_corpus_run_rejects_max_carrier_below_two():
+    proc = run_cli("corpus", "run", "--max-carrier", "1")
+    assert proc.returncode == 64
+    assert "--max-carrier" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_guard_errors_exit_65():

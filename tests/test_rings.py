@@ -5,10 +5,14 @@ Oracles:
   - unit counts match a brute-force totient
   - prod(Z/2,Z/3) is isomorphic to Z/6 via a hand-built CRT bijection
   - the tabulated fast paths agree with a ring forced onto the scalar path
+  - every modular, polynomial and product table equals the scalar-op
+    table build
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,8 @@ from hypothesis import strategies as st
 from unitlift.config import Guards
 from unitlift.errors import GuardExceededError
 from unitlift.rings import (
+    FiniteRing,
+    PolyQuotientRing,
     build_ring,
     check_ring_axioms,
     enumerate_ideals,
@@ -23,6 +29,8 @@ from unitlift.rings import (
     ideal_from_elements,
     quotient_ring,
 )
+from unitlift.specs import spec_to_string
+from unitlift.verify import corpus_rings
 
 AXIOM_SPECS = [
     "Z/2",
@@ -207,7 +215,14 @@ def test_build_guard():
 # the table cache must be observably transparent
 
 
-@pytest.mark.parametrize("spec", ["Z/12", "GF(2)[x]/(x^2+x+1)", "prod(Z/2,Z/3)"])
+@pytest.mark.parametrize("spec", [
+    "Z/12",
+    "GF(2)[x]/(x^2+x+1)",
+    "prod(Z/2,Z/3)",
+    "GF(2)[x]/(x^4)",
+    "prod(Z/4,GF(2)[x]/(x^2+x+1))",
+    "quot(GF(2)[x]/(x^5);x^3)",
+])
 def test_scalar_path_matches_tabulated(spec):
     fast = build_ring(spec)
     slow = build_ring(spec, Guards(table_limit=2))
@@ -222,6 +237,45 @@ def test_scalar_path_matches_tabulated(spec):
             assert slow.mul(a, b) == fast.mul(a, b)
     assert (len(enumerate_ideals(slow, slow.guards))
             == len(enumerate_ideals(fast)))
+
+
+CORPUS_POLY_SPECS = [spec_to_string(r.spec) for r in corpus_rings()
+                     if isinstance(r, PolyQuotientRing)]
+EXTRA_POLY_SPECS = [
+    "GF(7)[x]/(x+3)",  # degree-1 modulus
+    # local, field and split moduli for each p, and x^3(x+1)
+    "GF(2)[x]/(x^6)", "GF(2)[x]/(x^3+x+1)", "GF(2)[x]/(x^2+x)",
+    "GF(2)[x]/(x^4+x^3)",
+    "GF(3)[x]/(x^4)", "GF(3)[x]/(x^2+1)", "GF(3)[x]/(x^2+2)",
+    "GF(5)[x]/(x^3)", "GF(5)[x]/(x^2+2)", "GF(5)[x]/(x^2+4)",
+    "GF(11)[x]/(x^2)", "GF(11)[x]/(x^2+1)", "GF(11)[x]/(x^2+8*x+2)",
+]
+OTHER_SPECS = ["Z/12", "Z/64", "prod(Z/2,Z/3)", "prod(Z/4,GF(2)[x]/(x^2+x+1))",
+               "prod(GF(3)[x]/(x^2),Z/2,GF(2)[x]/(x^2))", "prod(Z/6,Z/10)"]
+
+
+@pytest.mark.parametrize(
+    "spec", list(dict.fromkeys(CORPUS_POLY_SPECS + EXTRA_POLY_SPECS + OTHER_SPECS)))
+def test_tables_match_scalar_build(spec):
+    # the reference is the generic build, one scalar-op call per cell
+    ring = build_ring(spec)
+    reference = FiniteRing._build_tables(ring)
+    for table, ref in zip(ring.tables(), reference):
+        assert table.dtype == ref.dtype
+        assert np.array_equal(table, ref)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)[x]/(x^10+x^3+1)", "GF(31)[x]/(x^2+1)"])
+def test_large_polynomial_table_rows_match_scalar_ops(spec):
+    ring = build_ring(spec)
+    n = ring.carrier_size
+    add, mul, neg = ring.tables()
+    assert add.shape == mul.shape == (n, n)
+    assert neg.tolist() == [ring.neg(a) for a in range(n)]
+    rows = [0, 1, ring.p, n - 1] + random.Random(7).sample(range(n), 8)
+    for a in rows:
+        assert add[a].tolist() == [ring.add(a, b) for b in range(n)]
+        assert mul[a].tolist() == [ring.mul(a, b) for b in range(n)]
 
 
 RING_POOL = ["Z/7", "Z/36", "GF(3)[x]/(x^3+2x+1)", "prod(Z/4,Z/25)"]

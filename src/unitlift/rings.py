@@ -8,16 +8,18 @@ little-endian mixed-radix encoding of the factor indices, and quotients use
 ranks of the sorted minimal coset representatives.  The zero element is always
 index 0 by construction.
 
-For small carriers the operation tables are cached as numpy arrays so that
-bulk scans (unit detection, saturation, congruence solving) can be vectorized.
-Each kind computes its tables arithmetically on the encoding: residues for
-modular rings, digit-wise addition and the companion matrix of f acting on
-digit vectors for polynomial quotients, and factor tables combined digit by
-digit for products.  Quotients of tabulated rings take their tables from the
-parent; only quotients of untabulated rings fill theirs from the scalar
-operations, one call per cell.  The cache is observably transparent: the tests
-check every kind's tables against its scalar operations and the tabulated
-scans against plain ones.  Cached data is immutable once published, so
+Besides the scalar operations, every ring has array operations add_many,
+mul_many and neg_many on broadcast int64 index arrays, and every exhaustive
+scan in the library is written against them.  A ring whose carrier is within
+the table guard caches its operation tables as numpy arrays and gathers from
+them.  Above the guard each kind computes on its encoding: residues for
+modular rings, digit vectors with x acting as the companion matrix of f for
+polynomial quotients, the factors' operations recombined by mixed radix for
+products, and the parent's operations on coset representatives for
+quotients.  Quadratic scans run in row blocks whose temporaries stay under
+BLOCK_WORDS int64 words, counting every digit a cell holds.  The tests check
+the tables and the array operations against the scalar ones, and every scan
+against a plain-Python oracle.  Cached data is immutable once published, so
 sharing rings across threads is safe.
 """
 
@@ -40,7 +42,6 @@ from .specs import (
     parse_ring_spec,
     poly_add,
     poly_degree,
-    poly_gcd,
     poly_mod,
     poly_mul,
     poly_neg,
@@ -50,6 +51,46 @@ from .specs import (
 )
 
 _TABLE_DTYPE = np.int32
+
+# int64 words that one temporary of a blocked scan may hold (1 MiB): a block
+# of cells costs cells * op_width words, so polynomial rings take fewer cells
+BLOCK_WORDS = 1 << 17
+
+
+def member_mask(ring: "FiniteRing", elements: Iterable[int]) -> np.ndarray:
+    """Boolean membership vector of a subset of the carrier."""
+    mask = np.zeros(ring.carrier_size, dtype=bool)
+    mask[np.fromiter(elements, dtype=np.int64)] = True
+    return mask
+
+
+def first_hits(ring: "FiniteRing", rows, cols, hit) -> np.ndarray:
+    """For each row, the first column, in the given order, at which hit is
+    true, or -1 where there is none.
+
+    hit(r, c) takes index arrays of shapes (k, 1) and (1, m) and returns a
+    (k, m) boolean array.  Columns are taken in windows of doubling width
+    and a row drops out once it has its column, so rows answered early cost
+    little; each call of hit stays within the ring's block budget.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    found = np.full(len(rows), -1, dtype=np.int64)
+    todo = np.arange(len(rows))
+    lo, width = 0, 8
+    widest = max(1, BLOCK_WORDS // ring.op_width)
+    while todo.size and lo < len(cols):
+        window = cols[lo:lo + width]
+        step = ring.block_rows(len(window))
+        for start in range(0, todo.size, step):
+            part = todo[start:start + step]
+            hits = hit(rows[part, None], window[None, :])
+            got = hits.any(axis=1)
+            found[part[got]] = window[hits[got].argmax(axis=1)]
+        todo = todo[found[todo] < 0]
+        lo += width
+        width = min(2 * width, widest)
+    return found
 
 
 def _digitwise(radices: Sequence[int], tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -72,6 +113,9 @@ def _digitwise(radices: Sequence[int], tables: Sequence[np.ndarray]) -> np.ndarr
 
 class FiniteRing:
     """Base class for finite commutative rings on index carriers."""
+
+    # int64 words per cell that the kind's array arithmetic holds at once
+    _width = 1
 
     def __init__(self, spec: RingSpec, carrier_size: int, zero: int, one: int,
                  guards: Guards = DEFAULT_GUARDS):
@@ -118,6 +162,49 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.carrier_size)
 
+    # ----- array operations ---------------------------------------------
+
+    def add_many(self, a, b) -> np.ndarray:
+        """a + b elementwise on broadcast index arrays."""
+        tabs = self.tables()
+        if tabs is not None:
+            return tabs[0][a, b]
+        return self._add_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+
+    def mul_many(self, a, b) -> np.ndarray:
+        """a * b elementwise on broadcast index arrays."""
+        tabs = self.tables()
+        if tabs is not None:
+            return tabs[1][a, b]
+        return self._mul_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+
+    def neg_many(self, a) -> np.ndarray:
+        """-a elementwise on an index array."""
+        tabs = self.tables()
+        if tabs is not None:
+            return tabs[2][a]
+        return self._neg_arrays(np.asarray(a, dtype=np.int64))
+
+    # the kind's arithmetic on int64 index arrays, overridden per kind
+    def _add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _neg_arrays(self, a: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def op_width(self) -> int:
+        """int64 words per cell that add_many/mul_many/neg_many hold at once."""
+        return 1 if self.carrier_size <= self.guards.table_limit else self._width
+
+    def block_rows(self, ncols: int) -> int:
+        """Rows per block of a scan over ncols columns, so that each
+        temporary of the array operations stays within BLOCK_WORDS."""
+        return max(1, BLOCK_WORDS // (max(1, ncols) * self.op_width))
+
     # ----- cached numpy operation tables -------------------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -132,51 +219,52 @@ class FiniteRing:
 
     def _build_tables(self):
         n = self.carrier_size
+        idx = np.arange(n)
         add = np.empty((n, n), dtype=_TABLE_DTYPE)
         mul = np.empty((n, n), dtype=_TABLE_DTYPE)
-        for a in range(n):
-            for b in range(a, n):
-                add[a, b] = add[b, a] = self.add(a, b)
-                mul[a, b] = mul[b, a] = self.mul(a, b)
-        neg = np.array([self.neg(a) for a in range(n)], dtype=_TABLE_DTYPE)
-        return add, mul, neg
+        step = max(1, BLOCK_WORDS // (n * self._width))
+        for lo in range(0, n, step):
+            rows = idx[lo:lo + step, None]
+            add[lo:lo + step] = self._add_arrays(rows, idx)
+            mul[lo:lo + step] = self._mul_arrays(rows, idx)
+        return add, mul, self._neg_arrays(idx).astype(_TABLE_DTYPE)
 
     # ----- units --------------------------------------------------------
 
     def units(self) -> frozenset[int]:
-        """The unit group, found by inverse scan (vectorized when tabulated)."""
+        """The unit group."""
         if self._units is None:
-            tabs = self.tables()
-            if tabs is not None:
-                rows, cols = np.nonzero(tabs[1] == self.one)
-                for r, c in zip(rows.tolist(), cols.tolist()):
-                    self._inverses.setdefault(r, c)
-                self._units = frozenset(np.unique(rows).tolist())
-            else:
-                self._units = self._units_scan()
+            self._units = self._find_units()
         return self._units
 
-    def _units_scan(self) -> frozenset[int]:
-        found = set()
-        for a in self.elements():
-            for b in self.elements():
-                if self.mul(a, b) == self.one:
-                    found.add(a)
-                    self._inverses.setdefault(a, b)
-                    break
-        return frozenset(found)
+    def _find_units(self) -> frozenset[int]:
+        # units lift along R -> R/N for the nilradical N (1 + N consists of
+        # units), so only a reduced ring needs the quadratic scan
+        from .spectrum import nilpotent_elements
+
+        nil = nilpotent_elements(self)
+        if len(nil) > 1:
+            reduced, proj = quotient_ring(self, ideal_from_elements(self, nil))
+            image = member_mask(reduced, reduced.units())
+            return frozenset(np.flatnonzero(image[reduced._qmap]).tolist())
+        # a is a unit when some b has a*b = 1; the scan records that b
+        idx = np.arange(self.carrier_size)
+        inverse = first_hits(self, idx, idx,
+                             lambda a, b: self.mul_many(a, b) == self.one)
+        units = np.flatnonzero(inverse >= 0)
+        self._inverses.update(zip(units.tolist(), inverse[units].tolist()))
+        return frozenset(units.tolist())
 
     def is_unit(self, a: int) -> bool:
         return a in self.units()
 
     def inverse(self, a: int) -> int:
-        if a in self._inverses:
-            return self._inverses[a]
-        for b in self.elements():
-            if self.mul(a, b) == self.one:
-                self._inverses[a] = b
-                return b
-        raise ValueError(f"{self.render(a)} is not a unit of {self}")
+        if a not in self._inverses:
+            hits = np.flatnonzero(self.mul_many(a, np.arange(self.carrier_size)) == self.one)
+            if not hits.size:
+                raise ValueError(f"{self.render(a)} is not a unit of {self}")
+            self._inverses[a] = int(hits[0])
+        return self._inverses[a]
 
     # ----- rendering and element literals -------------------------------
 
@@ -212,18 +300,19 @@ class ModularRing(FiniteRing):
     def neg(self, a):
         return (-a) % self.n
 
-    def _build_tables(self):
-        r = np.arange(self.n, dtype=np.int64)
-        add = ((r[:, None] + r[None, :]) % self.n).astype(_TABLE_DTYPE)
-        mul = ((r[:, None] * r[None, :]) % self.n).astype(_TABLE_DTYPE)
-        neg = ((-r) % self.n).astype(_TABLE_DTYPE)
-        return add, mul, neg
+    def _add_arrays(self, a, b):
+        return (a + b) % self.n
 
-    def _units_scan(self):
-        out = frozenset(a for a in range(self.n) if math.gcd(a, self.n) == 1)
-        for a in out:
-            self._inverses.setdefault(a, pow(a, -1, self.n))
-        return out
+    def _mul_arrays(self, a, b):
+        return a * b % self.n
+
+    def _neg_arrays(self, a):
+        return -a % self.n
+
+    def _find_units(self):
+        # inverses come from pow() on demand
+        idx = np.arange(self.n)
+        return frozenset(np.flatnonzero(np.gcd(idx, self.n) == 1).tolist())
 
     def inverse(self, a):
         if a not in self._inverses:
@@ -251,6 +340,12 @@ class PolyQuotientRing(FiniteRing):
         self.p = spec.p
         self.modulus = spec.modulus
         self.degree = poly_degree(spec.modulus)
+        self._width = self.degree
+        self._place = spec.p ** np.arange(self.degree, dtype=np.int64)
+        # multiplying a digit vector by x: shift up, then fold the top digit
+        # back with the coefficients of x^d = -(f - x^d)
+        self._fold = np.array([(-c) % spec.p for c in spec.modulus[:self.degree]],
+                              dtype=np.int64)
         size = spec.p ** self.degree
         super().__init__(spec, size, 0, 1, guards)
 
@@ -277,6 +372,36 @@ class PolyQuotientRing(FiniteRing):
     def neg(self, a):
         return self.encode(poly_neg(self.decode(a), self.p))
 
+    def _digits(self, a):
+        return a[..., None] // self._place % self.p
+
+    def _encode_digits(self, digits):
+        return digits % self.p @ self._place
+
+    def _times_x(self, digits):
+        out = np.empty_like(digits)
+        out[..., 0] = 0
+        out[..., 1:] = digits[..., :-1]
+        out += digits[..., -1:] * self._fold
+        return out % self.p
+
+    def _add_arrays(self, a, b):
+        return self._encode_digits(self._digits(a) + self._digits(b))
+
+    def _mul_arrays(self, a, b):
+        # a*b = sum_k a_k (x^k b); x^k b is stepped on the digits of b alone,
+        # so a scan of rows against columns pays it once per column
+        shifted = self._digits(b)
+        acc = None
+        for k in range(self.degree):
+            term = (a // self._place[k] % self.p)[..., None] * shifted
+            acc = term if acc is None else np.add(acc, term, out=acc)
+            shifted = self._times_x(shifted)
+        return self._encode_digits(acc)
+
+    def _neg_arrays(self, a):
+        return self._encode_digits(-self._digits(a))
+
     def _build_tables(self):
         p, d, n = self.p, self.degree, self.carrier_size
         r = np.arange(p, dtype=_TABLE_DTYPE)
@@ -295,14 +420,6 @@ class PolyQuotientRing(FiniteRing):
             mul = add[monomial_rows[:, None, :], mul[None, :, :]].reshape(-1, n)
             coeffs = coeffs @ companion.T % p
         return add, mul, neg
-
-    def _units_scan(self):
-        # g is invertible mod f exactly when gcd(g, f) = 1
-        out = set()
-        for a in self.elements():
-            if poly_gcd(self.decode(a), self.modulus, self.p) == (1,):
-                out.add(a)
-        return frozenset(out)
 
     def render(self, a):
         return poly_to_string(self.decode(a))
@@ -355,23 +472,38 @@ class ProductRing(FiniteRing):
     def neg(self, a):
         return self.encode([f.neg(x) for f, x in zip(self.factors, self.decode(a))])
 
+    @property
+    def _width(self):
+        return max(f.op_width for f in self.factors) + 2
+
+    def _componentwise(self, op, *args):
+        out = 0
+        for f, size, stride in zip(self.factors, self.sizes, self.strides):
+            out = out + getattr(f, op)(*(x // stride % size for x in args)) * stride
+        return out
+
+    def _add_arrays(self, a, b):
+        return self._componentwise("add_many", a, b)
+
+    def _mul_arrays(self, a, b):
+        return self._componentwise("mul_many", a, b)
+
+    def _neg_arrays(self, a):
+        return self._componentwise("neg_many", a)
+
     def _build_tables(self):
         # build_ring gives every factor the product's guards, and no factor is
         # larger than the product, so every factor is tabulated here
         factor_tabs = [f.tables() for f in self.factors]
         return tuple(_digitwise(self.sizes, [t[k] for t in factor_tabs]) for k in range(3))
 
-    def _units_scan(self):
+    def _find_units(self):
         # componentwise: a tuple is invertible iff every component is
-        out = {self.one}
+        out = np.zeros(1, dtype=np.int64)
         for f, stride in zip(self.factors, self.strides):
-            new = set()
-            base_one = f.one * stride
-            for partial in out:
-                for u in f.units():
-                    new.add(partial - base_one + u * stride)
-            out = new
-        return frozenset(out)
+            comps = np.array(sorted(f.units()), dtype=np.int64)
+            out = (out[:, None] + comps * stride).ravel()
+        return frozenset(out.tolist())
 
     def render(self, a):
         parts = [str(f.render(c)) for f, c in zip(self.factors, self.decode(a))]
@@ -389,17 +521,28 @@ class ProductRing(FiniteRing):
 class QuotientRing(FiniteRing):
     """R/I on ranks of the sorted minimal coset representatives."""
 
-    def __init__(self, spec: QuotientSpec, parent: FiniteRing, reps: Sequence[int],
-                 qmap: Sequence[int], guards: Guards,
-                 tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+    def __init__(self, spec: QuotientSpec, parent: FiniteRing, reps: np.ndarray,
+                 qmap: np.ndarray, guards: Guards):
         self.parent = parent
-        self.reps = list(reps)
-        self.qmap = list(qmap)
-        super().__init__(spec, len(self.reps), qmap[parent.zero], qmap[parent.one], guards)
-        if tables is not None:
-            self._tables = tables
-            for t in self._tables:
-                t.setflags(write=False)
+        self._reps = reps
+        self._qmap = qmap
+        self.reps = reps.tolist()
+        self.qmap = qmap.tolist()
+        super().__init__(spec, len(self.reps), self.qmap[parent.zero],
+                         self.qmap[parent.one], guards)
+
+    @property
+    def _width(self):
+        return self.parent.op_width
+
+    def _add_arrays(self, a, b):
+        return self._qmap[self.parent.add_many(self._reps[a], self._reps[b])]
+
+    def _mul_arrays(self, a, b):
+        return self._qmap[self.parent.mul_many(self._reps[a], self._reps[b])]
+
+    def _neg_arrays(self, a):
+        return self._qmap[self.parent.neg_many(self._reps[a])]
 
     def add(self, a, b):
         if self._tables is not None:
@@ -499,20 +642,26 @@ class Ideal:
         return f"<Ideal ({gens}) of {spec_to_string(self.ring.spec)}, {len(self)} elements>"
 
 
-def _principal(ring: FiniteRing, x: int) -> frozenset[int]:
+def _as_set(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def principal(ring: FiniteRing, x: int) -> frozenset[int]:
     """The principal ideal R*x; already closed under addition."""
-    tabs = ring.tables()
-    if tabs is not None:
-        return frozenset(np.unique(tabs[1][:, x]).tolist())
-    return frozenset(ring.mul(r, x) for r in ring.elements())
+    hit = np.zeros(ring.carrier_size, dtype=bool)
+    hit[ring.mul_many(np.arange(ring.carrier_size), x)] = True
+    return _as_set(hit)
 
 
-def _sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
-    la, lb = sorted(a), sorted(b)
-    tabs = ring.tables()
-    if tabs is not None:
-        return frozenset(np.unique(tabs[0][np.ix_(la, lb)]).tolist())
-    return frozenset(ring.add(x, y) for x in la for y in lb)
+def sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
+    """{x + y : x in a, y in b}."""
+    la = np.fromiter(a, dtype=np.int64)
+    lb = np.fromiter(b, dtype=np.int64)
+    hit = np.zeros(ring.carrier_size, dtype=bool)
+    step = ring.block_rows(len(lb))
+    for lo in range(0, len(la), step):
+        hit[ring.add_many(la[lo:lo + step, None], lb)] = True
+    return _as_set(hit)
 
 
 def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
@@ -527,11 +676,11 @@ def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
             raise ValueError(f"generator {g} outside the carrier")
     span = frozenset((ring.zero,))
     for g in gens:
-        span = _sumset(ring, span, _principal(ring, g))
-    if _sumset(ring, span, span) != span:
+        span = sumset(ring, span, principal(ring, g))
+    if sumset(ring, span, span) != span:
         raise InternalDefectError("ideal closure is not additively closed")
     for g in sorted(span)[:: max(1, len(span) // 8)]:
-        if not _principal(ring, g) <= span:
+        if not principal(ring, g) <= span:
             raise InternalDefectError("ideal closure is not multiplicatively closed")
     return Ideal(ring, gens, span)
 
@@ -543,7 +692,7 @@ def _minimal_generators(ring: FiniteRing, elements: frozenset[int]) -> tuple[int
     while span != elements:
         g = min(elements - span)
         gens.append(g)
-        span = _sumset(ring, span, _principal(ring, g))
+        span = sumset(ring, span, principal(ring, g))
     return tuple(gens)
 
 
@@ -566,7 +715,17 @@ def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ide
             f"{guards.ideal_enum_limit}")
     if "ideals" in ring._cache:
         return ring._cache["ideals"]
-    principals = {_principal(ring, x) for x in ring.elements()}
+    n = ring.carrier_size
+    idx = np.arange(n)
+    # rows x*R as bit masks, deduplicated before any becomes a set
+    distinct = {}
+    step = ring.block_rows(n)
+    for lo in range(0, n, step):
+        hit = np.zeros((len(idx[lo:lo + step]), n), dtype=bool)
+        np.put_along_axis(hit, ring.mul_many(idx[lo:lo + step, None], idx), True, axis=1)
+        for row in np.packbits(hit, axis=1):
+            distinct.setdefault(row.tobytes(), row)
+    principals = {_as_set(np.unpackbits(row)[:n]) for row in distinct.values()}
     known: set[frozenset[int]] = set(principals)
     queue = list(principals)
     while queue:
@@ -574,7 +733,7 @@ def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ide
         for p in principals:
             if p <= current:
                 continue
-            bigger = _sumset(ring, current, p)
+            bigger = sumset(ring, current, p)
             if bigger not in known:
                 known.add(bigger)
                 queue.append(bigger)
@@ -634,37 +793,26 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
     if key in ring._cache:
         return ring._cache[key]
 
-    n = ring.carrier_size
-    elems = sorted(ideal.elements)
-    tabs = ring.tables()
-    if tabs is not None:
-        cosets = tabs[0][:, elems]
-        rep = cosets.min(axis=1)
-        reps = np.unique(rep)
-        qmap = np.searchsorted(reps, rep)
-        sub_add = tabs[0][np.ix_(reps, reps)]
-        sub_mul = tabs[1][np.ix_(reps, reps)]
-        q_add = qmap[sub_add].astype(_TABLE_DTYPE)
-        q_mul = qmap[sub_mul].astype(_TABLE_DTYPE)
-        q_neg = qmap[tabs[2][reps]].astype(_TABLE_DTYPE)
-        reps_list = reps.tolist()
-        qmap_list = qmap.tolist()
-        qtables = (q_add, q_mul, q_neg)
-    else:
-        rep = [-1] * n
-        for r in range(n):
-            if rep[r] == -1:
-                for i in elems:
-                    rep[ring.add(r, i)] = r
-        reps_list = [r for r in range(n) if rep[r] == r]
-        index_of = {r: k for k, r in enumerate(reps_list)}
-        qmap_list = [index_of[rep[r]] for r in range(n)]
-        qtables = None
+    # every coset a + I is labelled with its minimum, taking whole cosets of
+    # the smallest unlabelled elements a block at a time
+    elems = np.fromiter(ideal.elements, dtype=np.int64)
+    rep = np.full(ring.carrier_size, -1, dtype=np.int64)
+    step = ring.block_rows(len(elems))
+    while True:
+        todo = np.flatnonzero(rep < 0)[:step]
+        if not todo.size:
+            break
+        cosets = ring.add_many(todo[:, None], elems)
+        rep[cosets] = np.broadcast_to(cosets.min(axis=1, keepdims=True), cosets.shape)
+    reps = np.flatnonzero(rep == np.arange(ring.carrier_size))
+    qmap = np.searchsorted(reps, rep)
 
     gens = ideal.generators if ideal.generators else (ring.zero,)
     spec = QuotientSpec(ring.spec, tuple(ring.element_expr(g) for g in gens))
-    quotient = QuotientRing(spec, ring, reps_list, qmap_list, ring.guards, qtables)
-    hom = SurjectiveHom(ring, quotient, qmap_list, ideal)
+    quotient = QuotientRing(spec, ring, reps, qmap, ring.guards)
+    # tabulate now, so the scalar operations read the tables as well
+    quotient.tables()
+    hom = SurjectiveHom(ring, quotient, quotient.qmap, ideal)
     ring._cache[key] = (quotient, hom)
     return quotient, hom
 

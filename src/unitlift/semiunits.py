@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalDefectError
-from .rings import FiniteRing, Ideal, PresentedRing, ideal_from_elements
+from .rings import (
+    FiniteRing,
+    Ideal,
+    PresentedRing,
+    first_hits,
+    ideal_from_elements,
+    member_mask,
+)
 from .spectrum import jacobson_radical, maximal_ideals, radical_quotient
 
 
@@ -45,17 +52,23 @@ def is_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> bool:
     return True
 
 
-def _semi_inverse_mask(ring: FiniteRing, r: int) -> np.ndarray | None:
-    tabs = ring.tables()
-    if tabs is None:
-        return None
-    rad = jacobson_radical(ring)
-    member = np.zeros(ring.carrier_size, dtype=bool)
-    member[sorted(rad.elements)] = True
-    add, mul, neg = tabs
-    one_minus = add[ring.one, neg]  # vector: 1 - x for each x
-    # r*(1 - s*r) over all s
-    return member[mul[r, one_minus[mul[:, r]]]]
+def _radical_mask(ring: FiniteRing) -> np.ndarray:
+    if "radical_mask" not in ring._cache:
+        ring._cache["radical_mask"] = member_mask(ring, jacobson_radical(ring).elements)
+    return ring._cache["radical_mask"]
+
+
+def _semi_inverse_mask(ring: FiniteRing, r, s) -> np.ndarray:
+    """r*(1 - s*r) in the radical, on broadcast index arrays r and s."""
+    # r*(1 - s*r) = r - s*r^2: one product per cell
+    r_squared = ring.mul_many(r, r)
+    return _radical_mask(ring)[ring.add_many(r, ring.neg_many(ring.mul_many(s, r_squared)))]
+
+
+def _semi_inverse_found(ring: FiniteRing, rs) -> np.ndarray:
+    """Whether each r of rs has a semi-inverse, scanning s in carrier order."""
+    every = np.arange(ring.carrier_size)
+    return first_hits(ring, rs, every, lambda r, s: _semi_inverse_mask(ring, r, s)) >= 0
 
 
 def semi_inverses(ring: FiniteRing, r: int) -> frozenset[int]:
@@ -63,13 +76,8 @@ def semi_inverses(ring: FiniteRing, r: int) -> frozenset[int]:
     rad = jacobson_radical(ring)
     if r in rad:
         raise ValueError(f"{ring.render(r)} is radical (rho 0), not a semi-unit")
-    mask = _semi_inverse_mask(ring, r)
-    if mask is not None:
-        out = frozenset(np.nonzero(mask)[0].tolist())
-    else:
-        out = frozenset(
-            s for s in ring.elements()
-            if ring.mul(r, ring.sub(ring.one, ring.mul(s, r))) in rad)
+    mask = _semi_inverse_mask(ring, r, np.arange(ring.carrier_size))
+    out = frozenset(np.flatnonzero(mask).tolist())
     if not out:
         raise ValueError(f"{ring.render(r)} has no semi-inverse")
     return out
@@ -89,20 +97,7 @@ def rho(ring, r) -> Rho:
         if ring.is_unit(r):
             return Rho.ONE
         return Rho.INFINITE
-    rad = jacobson_radical(ring)
-    if r in rad:
-        return Rho.ZERO
-    mask = _semi_inverse_mask(ring, r)
-    if mask is not None:
-        found = bool(mask.any())
-    else:
-        found = any(ring.mul(r, ring.sub(ring.one, ring.mul(s, r))) in rad
-                    for s in ring.elements())
-    if not found:
-        # impossible on a finite commutative ring; see is_semifield
-        raise InternalDefectError(
-            f"element {ring.render(r)} of a finite ring has no semi-inverse")
-    return Rho.ONE
+    return _rho_values(ring, np.array([r]))[0]
 
 
 def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
@@ -117,13 +112,11 @@ def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
     q = ring.one
     for s in cand:
         q = ring.mul(q, ring.sub(ring.one, ring.mul(s, r)))
-    collapsed = None
-    for s in ring.elements():
-        if ring.sub(ring.one, ring.mul(s, r)) == q:
-            collapsed = s
-            break
-    if collapsed is None:
+    every = np.arange(ring.carrier_size)
+    hits = np.flatnonzero(ring.add_many(ring.one, ring.neg_many(ring.mul_many(every, r))) == q)
+    if not hits.size:
         raise InternalDefectError("product of 1 - s*r terms is not of that form")
+    collapsed = int(hits[0])
     if not is_semi_inverse_set(ring, r, (collapsed,)):
         raise InternalDefectError("collapsed singleton is not a semi-inverse set")
     return collapsed
@@ -131,18 +124,10 @@ def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
 
 def colon_into_radical(ring: FiniteRing, r: int) -> Ideal:
     """The ideal of a with a*r in the radical; stable under squaring r."""
-    rad = jacobson_radical(ring)
-    tabs = ring.tables()
-    if tabs is not None:
-        member = np.zeros(ring.carrier_size, dtype=bool)
-        member[sorted(rad.elements)] = True
-        col = frozenset(np.nonzero(member[tabs[1][:, r]])[0].tolist())
-        col2 = frozenset(
-            np.nonzero(member[tabs[1][:, ring.mul(r, r)]])[0].tolist())
-    else:
-        col = frozenset(a for a in ring.elements() if ring.mul(a, r) in rad)
-        col2 = frozenset(a for a in ring.elements()
-                         if ring.mul(a, ring.mul(r, r)) in rad)
+    member = _radical_mask(ring)
+    every = np.arange(ring.carrier_size)
+    col = frozenset(np.flatnonzero(member[ring.mul_many(every, r)]).tolist())
+    col2 = frozenset(np.flatnonzero(member[ring.mul_many(every, ring.mul(r, r))]).tolist())
     if col != col2:
         raise InternalDefectError("colon ideal changed when squaring r")
     return ideal_from_elements(ring, col)
@@ -211,13 +196,10 @@ def semi_unit_decomposition(ring: FiniteRing, r: int) -> SemiUnitDecomposition:
 
 def is_von_neumann_regular(ring: FiniteRing) -> bool:
     """Every a factors as a*x*a for some x."""
-    tabs = ring.tables()
-    if tabs is not None:
-        mul = tabs[1]
-        return all(bool(np.any(mul[mul[a], a] == a)) for a in ring.elements())
-    return all(
-        any(ring.mul(ring.mul(a, x), a) == a for x in ring.elements())
-        for a in ring.elements())
+    every = np.arange(ring.carrier_size)
+    found = first_hits(ring, every, every,
+                       lambda a, x: ring.mul_many(ring.mul_many(a, a), x) == a)
+    return bool(np.all(found >= 0))
 
 
 def is_semifield(ring) -> bool:
@@ -230,21 +212,8 @@ def is_semifield(ring) -> bool:
     """
     if isinstance(ring, PresentedRing):
         return False
-    rad = jacobson_radical(ring)
-    direct = True
-    for r in ring.elements():
-        if r in rad:
-            continue
-        mask = _semi_inverse_mask(ring, r)
-        if mask is not None:
-            found = bool(mask.any())
-        else:
-            found = any(
-                ring.mul(r, ring.sub(ring.one, ring.mul(s, r))) in rad
-                for s in ring.elements())
-        if not found:
-            direct = False
-            break
+    outside = np.flatnonzero(~_radical_mask(ring))
+    direct = bool(np.all(_semi_inverse_found(ring, outside)))
     reduced, _ = radical_quotient(ring)
     structural = is_von_neumann_regular(reduced)
     if direct != structural:
@@ -256,4 +225,15 @@ def is_semifield(ring) -> bool:
 
 def rho_table(ring: FiniteRing) -> list[Rho]:
     """rho for every element, in carrier order."""
-    return [rho(ring, r) for r in ring.elements()]
+    return _rho_values(ring, np.arange(ring.carrier_size))
+
+
+def _rho_values(ring: FiniteRing, rs: np.ndarray) -> list[Rho]:
+    radical = _radical_mask(ring)[rs]
+    found = _semi_inverse_found(ring, rs[~radical])
+    if not found.all():
+        # impossible on a finite commutative ring; see is_semifield
+        r = int(rs[~radical][~found][0])
+        raise InternalDefectError(
+            f"element {ring.render(r)} of a finite ring has no semi-inverse")
+    return [Rho.ZERO if z else Rho.ONE for z in radical.tolist()]

@@ -20,44 +20,35 @@ from .rings import (
     FiniteRing,
     Ideal,
     SurjectiveHom,
+    first_hits,
     ideal_from_elements,
+    member_mask,
     quotient_ring,
 )
 from .specs import ModularSpec
 
 
 def nilpotent_elements(ring: FiniteRing) -> frozenset[int]:
-    """All nilpotents, by repeated squaring.
+    """All nilpotents, by repeated squaring of every element at once.
 
-    ceil(log2 n) + 2 squarings are enough: the chain of principal ideals
-    (r) >= (r^2) >= (r^4) >= ... halves in size at every strict step, and once
-    it stabilizes a nilpotent has already reached zero.
+    ceil(log2 n) + 2 squarings are an upper bound: the chain of principal
+    ideals (r) >= (r^2) >= (r^4) >= ... halves in size at every strict step,
+    and once it stabilizes a nilpotent has already reached zero.  The
+    squaring stops early once it leaves every element unchanged.
     """
     n = ring.carrier_size
-    steps = max(1, n - 1).bit_length() + 2
-    tabs = ring.tables()
-    if tabs is not None:
-        v = np.arange(n)
-        mul = tabs[1]
-        for _ in range(steps):
-            v = mul[v, v]
-        return frozenset(np.nonzero(v == ring.zero)[0].tolist())
-    out = set()
-    for r in ring.elements():
-        x = r
-        for _ in range(steps):
-            x = ring.mul(x, x)
-        if x == ring.zero:
-            out.add(r)
-    return frozenset(out)
+    v = np.arange(n)
+    for _ in range(max(1, n - 1).bit_length() + 2):
+        squared = ring.mul_many(v, v)
+        if np.array_equal(squared, v):
+            break
+        v = squared
+    return frozenset(np.flatnonzero(v == ring.zero).tolist())
 
 
 def idempotents(ring: FiniteRing) -> frozenset[int]:
-    tabs = ring.tables()
-    if tabs is not None:
-        idx = np.arange(ring.carrier_size)
-        return frozenset(np.nonzero(tabs[1][idx, idx] == idx)[0].tolist())
-    return frozenset(e for e in ring.elements() if ring.mul(e, e) == e)
+    idx = np.arange(ring.carrier_size)
+    return frozenset(np.flatnonzero(ring.mul_many(idx, idx) == idx).tolist())
 
 
 def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, SurjectiveHom]:
@@ -93,14 +84,20 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
         return ring._cache["maximal_ideals"]
     nil = nilpotent_elements(ring)
     reduced, proj = quotient_ring(ring, ideal_from_elements(ring, nil))
-    idem = sorted(idempotents(reduced))
-    atoms = [e for e in idem
-             if e != reduced.zero
-             and all(reduced.mul(e, f) in (reduced.zero, e) for f in idem)]
+    idem = np.array(sorted(idempotents(reduced)))
+
+    def below(e, f):  # e*f is neither 0 nor e, so e is not an atom
+        ef = reduced.mul_many(e, f)
+        return (ef != reduced.zero) & (ef != e)
+
+    atoms = [int(e) for e, b in zip(idem, first_hits(reduced, idem, idem, below))
+             if e != reduced.zero and b < 0]
+    every = np.arange(reduced.carrier_size)
+    qmap = np.asarray(proj.mapping)
     ideals = []
     for e in atoms:
-        annihilator = {s for s in reduced.elements() if reduced.mul(s, e) == reduced.zero}
-        pulled = frozenset(a for a in ring.elements() if proj(a) in annihilator)
+        annihilator = reduced.mul_many(every, e) == reduced.zero
+        pulled = frozenset(np.flatnonzero(annihilator[qmap]).tolist())
         ideal = ideal_from_elements(ring, pulled)
         field, _ = quotient_ring(ring, ideal)
         if len(field.units()) != field.carrier_size - 1:
@@ -157,13 +154,9 @@ def _comaximal_pair(ring: FiniteRing, a, b) -> bool:
     cached = ring._cache.get(key)
     if cached is not None:
         return cached
-    tabs = ring.tables()
-    if tabs is not None:
-        sums = tabs[0][np.ix_(sorted(a.elements), sorted(b.elements))]
-        ok = bool(np.any(sums == ring.one))
-    else:
-        ok = any(ring.add(x, y) == ring.one
-                 for x in a.elements for y in b.elements)
+    # a + b contains 1 exactly when 1 - x lies in b for some x in a
+    one_minus = ring.add_many(ring.one, ring.neg_many(np.fromiter(a.elements, dtype=np.int64)))
+    ok = bool(member_mask(ring, b.elements)[one_minus].any())
     ring._cache[key] = ok
     ring._cache[("comaximal", b.elements, a.elements)] = ok
     return ok
@@ -208,22 +201,15 @@ def crt_solve(ring: FiniteRing, system: CongruenceSystem | list, method: str = "
 
 
 def _crt_scan(ring: FiniteRing, system: CongruenceSystem) -> int:
-    tabs = ring.tables()
-    if tabs is not None:
-        ok = np.ones(ring.carrier_size, dtype=bool)
-        for ideal, t in system.constraints:
-            member = np.zeros(ring.carrier_size, dtype=bool)
-            member[sorted(ideal.elements)] = True
-            # a - t in I, vectorized over a
-            ok &= member[tabs[0][:, ring.neg(t)]]
-        hits = np.nonzero(ok)[0]
-        if len(hits) == 0:
-            raise InternalDefectError("no solution despite comaximal ideals")
-        return int(hits[0])
-    for a in ring.elements():
-        if all(ring.sub(a, t) in ideal for ideal, t in system.constraints):
-            return a
-    raise InternalDefectError("no solution despite comaximal ideals")
+    every = np.arange(ring.carrier_size)
+    ok = np.ones(ring.carrier_size, dtype=bool)
+    for ideal, t in system.constraints:
+        # a - t in I, over every a
+        ok &= member_mask(ring, ideal.elements)[ring.add_many(every, ring.neg_many(t))]
+    hits = np.flatnonzero(ok)
+    if len(hits) == 0:
+        raise InternalDefectError("no solution despite comaximal ideals")
+    return int(hits[0])
 
 
 def _crt_modular(ring: FiniteRing, system: CongruenceSystem) -> int:

@@ -29,7 +29,10 @@ from .rings import (
     PresentedRing,
     ProductRing,
     enumerate_ideals,
+    first_hits,
+    member_mask,
     quotient_ring,
+    sumset,
 )
 from .spectrum import CongruenceSystem, crt_solve, maximal_ideals, radical_quotient
 
@@ -46,17 +49,12 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
             raise ValueError(f"subset member {x} outside the carrier")
     if not w:
         return w
-    tabs = ring.tables()
-    if tabs is not None:
-        member = np.zeros(ring.carrier_size, dtype=bool)
-        member[sorted(w)] = True
-        hit = member[tabs[1]].any(axis=0)
-        return frozenset(np.nonzero(hit)[0].tolist())
-    out = set()
-    for r in ring.elements():
-        if any(ring.mul(s, r) in w for s in ring.elements()):
-            out.add(r)
-    return frozenset(out)
+    member = member_mask(ring, w)
+    # members need no scan: s = 1 carries them into the subset
+    rest = np.flatnonzero(~member)
+    found = first_hits(ring, rest, np.arange(ring.carrier_size),
+                       lambda r, s: member[ring.mul_many(r, s)])
+    return w | frozenset(rest[found >= 0].tolist())
 
 
 class StarMethod(enum.Enum):
@@ -90,16 +88,11 @@ class StarReport:
 
 
 def _units_plus_ideal(ring: FiniteRing, ideal: Ideal) -> frozenset[int]:
-    tabs = ring.tables()
-    us = sorted(ring.units())
-    elems = sorted(ideal.elements)
-    if tabs is not None:
-        return frozenset(np.unique(tabs[0][np.ix_(us, elems)]).tolist())
-    return frozenset(ring.add(u, i) for u in us for i in elems)
+    return sumset(ring, ring.units(), ideal.elements)
 
 
 def _one_plus_ideal(ring: FiniteRing, ideal: Ideal) -> frozenset[int]:
-    return frozenset(ring.add(ring.one, i) for i in ideal.elements)
+    return sumset(ring, (ring.one,), ideal.elements)
 
 
 def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
@@ -134,26 +127,19 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
         return StarCheck(method, False, min(sat.symmetric_difference(w)))
 
     # WITNESS: everything invertible mod I is congruent mod I to a unit
-    tabs = ring.tables()
-    if tabs is not None:
-        member = np.zeros(ring.carrier_size, dtype=bool)
-        member[sorted(ideal.elements)] = True
-        add, mul, neg = tabs
-        one_minus = add[ring.one, neg]
-        cond = member[one_minus[mul]]  # cond[a, b]: 1 - a*b in I
-        has_partner = cond.any(axis=1)
-        unit_cols = sorted(ring.units())
-        has_unit = cond[:, unit_cols].any(axis=1)
-        bad = np.nonzero(has_partner & ~has_unit)[0]
-        if len(bad) == 0:
-            return StarCheck(method, True, None)
-        return StarCheck(method, False, int(bad[0]))
-    for a in ring.elements():
-        if any(ring.sub(ring.one, ring.mul(a, b)) in ideal for b in ring.elements()):
-            if not any(ring.sub(ring.one, ring.mul(a, u)) in ideal
-                       for u in ring.units()):
-                return StarCheck(method, False, a)
-    return StarCheck(method, True, None)
+    every = np.arange(ring.carrier_size)
+    member = member_mask(ring, ideal.elements)
+    one_minus = ring.add_many(ring.one, ring.neg_many(every))
+
+    def partner(a, b):  # 1 - a*b in I
+        return member[one_minus[ring.mul_many(a, b)]]
+
+    units = np.array(sorted(ring.units()))
+    rest = every[first_hits(ring, every, units, partner) < 0]
+    bad = rest[first_hits(ring, rest, every, partner) >= 0]
+    if len(bad) == 0:
+        return StarCheck(method, True, None)
+    return StarCheck(method, False, int(bad[0]))
 
 
 def star_report(ring: FiniteRing, ideal: Ideal) -> StarReport:

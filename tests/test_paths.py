@@ -3,17 +3,193 @@
 Oracles:
   - a corpus run with tables refused everywhere gives the same stable
     report as one with the default guards
+  - add_many/mul_many/neg_many agree with the scalar operations
+  - every scan agrees with the plain-Python loops in scalar_oracle, on every
+    corpus ring of at most 64 elements, tabulated and untabulated
 """
 
 import json
+import random
+import tracemalloc
 
+import numpy as np
+import pytest
+
+import scalar_oracle as oracle
 from unitlift.config import Guards
-from unitlift.verify import report_to_dict, run_corpus
+from unitlift.rings import (
+    build_ring,
+    enumerate_ideals,
+    ideal_closure,
+    principal,
+    quotient_ring,
+    sumset,
+)
+from unitlift.semiunits import (
+    colon_into_radical,
+    is_semifield,
+    is_von_neumann_regular,
+    rho_table,
+    semi_inverses,
+)
+from unitlift.specs import spec_to_string
+from unitlift.spectrum import (
+    _comaximal_pair,
+    idempotents,
+    jacobson_radical,
+    nilpotent_elements,
+    radical_quotient,
+)
+from unitlift.star import StarMethod, _units_plus_ideal, saturate, star_check
+from unitlift.verify import corpus_rings, report_to_dict, run_corpus
+
+UNTABULATED = Guards(table_limit=2)
 
 
 def test_untabulated_corpus_report_matches_default():
     def report(guards):
-        run = run_corpus(max_carrier=32, gl_samples=50, guards=guards)
+        run = run_corpus(max_carrier=64, gl_samples=50, guards=guards)
         return json.dumps(report_to_dict(run), sort_keys=True)
 
     assert report(Guards(table_limit=1)) == report(Guards())
+
+
+# ---------------------------------------------------------------------------
+# the array operations
+
+
+@pytest.mark.parametrize("spec", [
+    "Z/2048",
+    "GF(2)[x]/(x^11)",
+    "prod(Z/33,Z/35)",
+    "quot(Z/4096;2048)",
+    "prod(GF(2)[x]/(x^5),Z/33)",
+    "GF(13)[x]/(x^3+x+1)",
+])
+def test_array_ops_match_scalar_ops(spec):
+    ring = build_ring(spec)
+    assert ring.tables() is None
+    rng = random.Random(spec)
+    n = ring.carrier_size
+    a = np.array([rng.randrange(n) for _ in range(400)] + [0, 1, n - 1])
+    b = np.array([rng.randrange(n) for _ in range(400)] + [n - 1, 0, 1])
+    assert ring.add_many(a, b).tolist() == [ring.add(x, y) for x, y in zip(a, b)]
+    assert ring.mul_many(a, b).tolist() == [ring.mul(x, y) for x, y in zip(a, b)]
+    assert ring.neg_many(a).tolist() == [ring.neg(x) for x in a]
+    # a block of rows against columns broadcasts to the same cells
+    rows, cols = a[:7, None], b[None, :50]
+    assert np.array_equal(ring.mul_many(rows, cols),
+                          [[ring.mul(x, y) for y in b[:50]] for x in a[:7]])
+    assert np.array_equal(ring.add_many(rows, cols),
+                          [[ring.add(x, y) for y in b[:50]] for x in a[:7]])
+
+
+def test_quotient_of_untabulated_parent_tabulates_from_parent():
+    ring = build_ring("quot(GF(2)[x]/(x^11);x^9)")
+    parent = ring.parent
+    assert parent.tables() is None
+    add, mul, neg = ring.tables()
+    n = ring.carrier_size
+    assert add.shape == mul.shape == (n, n)
+    reps, qmap = ring.reps, ring.qmap
+    # the generic double loop, through the parent's scalar operations
+    assert neg.tolist() == [qmap[parent.neg(reps[a])] for a in range(n)]
+    for a in [0, 1, n - 1] + random.Random(9).sample(range(n), 9):
+        assert add[a].tolist() == [qmap[parent.add(reps[a], reps[b])] for b in range(n)]
+        assert mul[a].tolist() == [qmap[parent.mul(reps[a], reps[b])] for b in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# every scan against the plain-Python oracle
+
+SMALL_SPECS = [spec_to_string(r.spec) for r in corpus_rings(max_carrier=64)]
+
+
+def _sample(items, k, seed):
+    items = list(items)
+    return items if len(items) <= k else random.Random(seed).sample(items, k)
+
+
+@pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_scans_match_oracle(spec, table_limit):
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    assert (ring.tables() is None) == (ring.carrier_size > table_limit)
+
+    units, inverses = oracle.units_and_inverses(ring)
+    assert ring.units() == units
+    assert {u: ring.inverse(u) for u in units} == inverses
+    nil = oracle.nilpotents(ring)
+    assert nilpotent_elements(ring) == nil
+    assert idempotents(ring) == oracle.idempotents(ring)
+    for x in ring.elements():
+        assert principal(ring, x) == oracle.principal(ring, x)
+    assert sumset(ring, units, nil) == oracle.sumset(ring, units, nil)
+
+    rad = jacobson_radical(ring).elements
+    ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
+    for ideal in _sample(ideals, 4, spec):
+        quotient, hom = quotient_ring(ring, ideal)
+        assert (quotient.reps, hom.mapping) == oracle.quotient_reps(ring, ideal.elements)
+        sat_input = _units_plus_ideal(ring, ideal)
+        assert sat_input == oracle.sumset(ring, units, ideal.elements)
+        assert saturate(ring, sat_input) == oracle.saturate(ring, sat_input)
+        check = star_check(ring, ideal, StarMethod.WITNESS)
+        assert check.witness == oracle.witness(ring, ideal.elements, units)
+    for subset in ({ring.one}, rad, set(_sample(ring.elements(), 5, spec))):
+        assert saturate(ring, subset) == oracle.saturate(ring, subset)
+
+    for r in ring.elements():
+        assert colon_into_radical(ring, r).elements == oracle.colon(ring, r, rad)
+        if r not in rad:
+            assert semi_inverses(ring, r) == oracle.semi_inverses(ring, r, rad)
+    assert [v.value for v in rho_table(ring)] == [
+        0 if r in rad else 1 for r in ring.elements()]
+    reduced, _ = radical_quotient(ring)
+    assert is_von_neumann_regular(ring) == oracle.is_von_neumann_regular(ring)
+    assert is_von_neumann_regular(reduced) == oracle.is_von_neumann_regular(reduced)
+    assert is_semifield(ring)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
+                                  "GF(3)[x]/(x^2)"])
+def test_von_neumann_regularity_fails_with_a_radical(spec):
+    # the corpus rings above are often regular; these have nilpotents
+    ring = build_ring(spec, UNTABULATED)
+    assert is_von_neumann_regular(ring) is False
+    assert oracle.is_von_neumann_regular(ring) is False
+
+
+@pytest.mark.parametrize("spec", [spec_to_string(r.spec)
+                                  for r in corpus_rings(max_carrier=32)])
+def test_comaximal_pairs_match_pair_scan(spec):
+    ring = build_ring(spec)
+    ideals = enumerate_ideals(ring)
+    for a in ideals:
+        for b in ideals:
+            assert _comaximal_pair(ring, a, b) == oracle.comaximal(
+                ring, a.elements, b.elements)
+
+
+@pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()]
+                         + ["Z/4096", "GF(2)[x]/(x^11)"])
+def test_nilpotents_stop_early_with_the_fixed_step_answer(spec):
+    ring = build_ring(spec)
+    assert nilpotent_elements(ring) == oracle.nilpotents(ring)
+
+
+def test_quadratic_scans_stay_within_memory_budget():
+    # 2048 elements of 11 digits: one unblocked n x n x 11 temporary would
+    # be 369 MB
+    ring = build_ring("GF(2)[x]/(x^11)")
+    ideal = ideal_closure(ring, [ring.parse_element("x^3")])
+    w = _units_plus_ideal(ring, ideal)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        saturate(ring, w)
+        star_check(ring, ideal, StarMethod.WITNESS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

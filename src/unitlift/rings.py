@@ -69,16 +69,17 @@ def first_hits(ring: "FiniteRing", rows, cols, hit) -> np.ndarray:
     true, or -1 where there is none.
 
     hit(r, c) takes index arrays of shapes (k, 1) and (1, m) and returns a
-    (k, m) boolean array.  Columns are taken in windows of doubling width
-    and a row drops out once it has its column, so rows answered early cost
-    little; each call of hit stays within the ring's block budget.
+    (k, m) boolean array.  Columns are taken in windows of doubling width,
+    the first one block wide for all rows, and a row drops out once it has
+    its column, so rows answered early cost little; each call of hit stays
+    within the ring's block budget.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     found = np.full(len(rows), -1, dtype=np.int64)
     todo = np.arange(len(rows))
-    lo, width = 0, 8
     widest = max(1, BLOCK_WORDS // ring.op_width)
+    lo, width = 0, max(8, widest // max(1, len(rows)))
     while todo.size and lo < len(cols):
         window = cols[lo:lo + width]
         step = ring.block_rows(len(window))
@@ -721,8 +722,9 @@ def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ide
     distinct = {}
     step = ring.block_rows(n)
     for lo in range(0, n, step):
-        hit = np.zeros((len(idx[lo:lo + step]), n), dtype=bool)
-        np.put_along_axis(hit, ring.mul_many(idx[lo:lo + step, None], idx), True, axis=1)
+        rows = idx[lo:lo + step, None]
+        hit = np.zeros((len(rows), n), dtype=bool)
+        np.put_along_axis(hit, ring.mul_many(rows, idx), True, axis=1)
         for row in np.packbits(hit, axis=1):
             distinct.setdefault(row.tobytes(), row)
     principals = {_as_set(np.unpackbits(row)[:n]) for row in distinct.values()}

@@ -239,15 +239,17 @@ class FiniteRing:
         return self._units
 
     def _find_units(self) -> frozenset[int]:
-        # units lift along R -> R/N for the nilradical N (1 + N consists of
-        # units), so only a reduced ring needs the quadratic scan
+        # a tabulated ring scans its table.  Above the guard, units lift along
+        # R -> R/N for the nilradical N (1 + N consists of units), so only a
+        # reduced ring pays for the quadratic scan.
         from .spectrum import nilpotent_elements
 
-        nil = nilpotent_elements(self)
-        if len(nil) > 1:
-            reduced, proj = quotient_ring(self, ideal_from_elements(self, nil))
-            image = member_mask(reduced, reduced.units())
-            return frozenset(np.flatnonzero(image[reduced._qmap]).tolist())
+        if self.tables() is None:
+            nil = nilpotent_elements(self)
+            if len(nil) > 1:
+                reduced, _ = quotient_ring(self, ideal_from_elements(self, nil))
+                image = member_mask(reduced, reduced.units())
+                return frozenset(np.flatnonzero(image[reduced._qmap]).tolist())
         # a is a unit when some b has a*b = 1; the scan records that b
         idx = np.arange(self.carrier_size)
         inverse = first_hits(self, idx, idx,

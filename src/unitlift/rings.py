@@ -477,6 +477,7 @@ class ProductRing(FiniteRing):
 
     @property
     def _width(self):
+        # a factor's operation runs beside two decoded component arrays
         return max(f.op_width for f in self.factors) + 2
 
     def _componentwise(self, op, *args):
@@ -656,15 +657,18 @@ def principal(ring: FiniteRing, x: int) -> frozenset[int]:
     return _as_set(hit)
 
 
-def sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
-    """{x + y : x in a, y in b}."""
-    la = np.fromiter(a, dtype=np.int64)
-    lb = np.fromiter(b, dtype=np.int64)
+def _sum_mask(ring: FiniteRing, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     hit = np.zeros(ring.carrier_size, dtype=bool)
     step = ring.block_rows(len(lb))
     for lo in range(0, len(la), step):
         hit[ring.add_many(la[lo:lo + step, None], lb)] = True
-    return _as_set(hit)
+    return hit
+
+
+def sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
+    """{x + y : x in a, y in b}."""
+    return _as_set(_sum_mask(ring, np.fromiter(a, dtype=np.int64),
+                             np.fromiter(b, dtype=np.int64)))
 
 
 def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
@@ -720,28 +724,31 @@ def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ide
         return ring._cache["ideals"]
     n = ring.carrier_size
     idx = np.arange(n)
-    # rows x*R as bit masks, deduplicated before any becomes a set
-    distinct = {}
+    # ideals are membership masks, keyed by their packed bits; the principal
+    # ideals x*R come a block of rows at a time
+    known: dict[bytes, np.ndarray] = {}
     step = ring.block_rows(n)
     for lo in range(0, n, step):
         rows = idx[lo:lo + step, None]
         hit = np.zeros((len(rows), n), dtype=bool)
         np.put_along_axis(hit, ring.mul_many(rows, idx), True, axis=1)
-        for row in np.packbits(hit, axis=1):
-            distinct.setdefault(row.tobytes(), row)
-    principals = {_as_set(np.unpackbits(row)[:n]) for row in distinct.values()}
-    known: set[frozenset[int]] = set(principals)
-    queue = list(principals)
+        for row, key in zip(hit, np.packbits(hit, axis=1)):
+            known.setdefault(key.tobytes(), row.copy())
+    principals = [np.flatnonzero(p) for p in known.values()]
+    queue = list(known.values())
     while queue:
         current = queue.pop()
+        elements = np.flatnonzero(current)
         for p in principals:
-            if p <= current:
+            if current[p].all():
                 continue
-            bigger = sumset(ring, current, p)
-            if bigger not in known:
-                known.add(bigger)
+            bigger = _sum_mask(ring, elements, p)
+            key = np.packbits(bigger).tobytes()
+            if key not in known:
+                known[key] = bigger
                 queue.append(bigger)
-    ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
+    ordered = sorted((_as_set(m) for m in known.values()),
+                     key=lambda s: (len(s), tuple(sorted(s))))
     out = [Ideal(ring, _minimal_generators(ring, s), s) for s in ordered]
     ring._cache["ideals"] = out
     return out

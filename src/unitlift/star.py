@@ -134,7 +134,9 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
     def partner(a, b):  # 1 - a*b in I
         return member[one_minus[ring.mul_many(a, b)]]
 
-    units = np.array(sorted(ring.units()))
+    # a with a unit partner is congruent to a unit; of the rest, any a with
+    # some partner is invertible mod I and congruent to no unit
+    units = np.fromiter(ring.units(), dtype=np.int64)
     rest = every[first_hits(ring, every, units, partner) < 0]
     bad = rest[first_hits(ring, rest, every, partner) >= 0]
     if len(bad) == 0:

@@ -43,9 +43,6 @@ from unitlift.spectrum import (
 from unitlift.star import StarMethod, _units_plus_ideal, saturate, star_check
 from unitlift.verify import corpus_rings, report_to_dict, run_corpus
 
-UNTABULATED = Guards(table_limit=2)
-
-
 def test_untabulated_corpus_report_matches_default():
     def report(guards):
         run = run_corpus(max_carrier=64, gl_samples=50, guards=guards)
@@ -155,7 +152,7 @@ def test_scans_match_oracle(spec, table_limit):
                                   "GF(3)[x]/(x^2)"])
 def test_von_neumann_regularity_fails_with_a_radical(spec):
     # the corpus rings above are often regular; these have nilpotents
-    ring = build_ring(spec, UNTABULATED)
+    ring = build_ring(spec, Guards(table_limit=2))
     assert is_von_neumann_regular(ring) is False
     assert oracle.is_von_neumann_regular(ring) is False
 

@@ -530,6 +530,8 @@ class QuotientRing(FiniteRing):
         self.parent = parent
         self._reps = reps
         self._qmap = qmap
+        for a in (reps, qmap):
+            a.setflags(write=False)
         self.reps = reps.tolist()
         self.qmap = qmap.tolist()
         super().__init__(spec, len(self.reps), self.qmap[parent.zero],

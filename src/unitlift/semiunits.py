@@ -54,7 +54,9 @@ def is_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> bool:
 
 def _radical_mask(ring: FiniteRing) -> np.ndarray:
     if "radical_mask" not in ring._cache:
-        ring._cache["radical_mask"] = member_mask(ring, jacobson_radical(ring).elements)
+        mask = member_mask(ring, jacobson_radical(ring).elements)
+        mask.setflags(write=False)
+        ring._cache["radical_mask"] = mask
     return ring._cache["radical_mask"]
 
 

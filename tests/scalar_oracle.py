@@ -1,32 +1,83 @@
-"""Plain-Python reference scans, one scalar ring operation at a time.
+"""Plain-Python reference arithmetic and scans, one element at a time.
 
-The library runs every exhaustive scan on array operations; these loops
-compute the same answers straight from the definitions, using nothing but
-ring.add, ring.mul and ring.neg.  They are slow on purpose and serve only as
-test oracles.
+The library has one arithmetic per ring kind, on index arrays: its scalar
+add/mul/neg are single cells of it.  The add, mul and neg here are a second,
+independent arithmetic written from each kind's definition: residues for
+Z/n, coefficient tuples reduced mod f for GF(p)[x]/(f), factor by factor for
+products, and the parent's operation on coset representatives for quotients.
+They read only the element encodings (decode/encode, reps/qmap) of a ring,
+never its operations, tables or array arithmetic.  The scans below compute
+their answers straight from the definitions with this arithmetic.  All of it
+is slow on purpose and serves only as a test oracle.
 """
 
 import numpy as np
 
+from unitlift.rings import ModularRing, PolyQuotientRing, ProductRing, QuotientRing
+from unitlift.specs import poly_add, poly_mod, poly_mul, poly_neg
+
+
+def add(ring, a, b):
+    if isinstance(ring, ModularRing):
+        return (a + b) % ring.n
+    if isinstance(ring, PolyQuotientRing):
+        return ring.encode(poly_add(ring.decode(a), ring.decode(b), ring.p))
+    if isinstance(ring, ProductRing):
+        return ring.encode([add(f, x, y) for f, x, y
+                            in zip(ring.factors, ring.decode(a), ring.decode(b))])
+    if isinstance(ring, QuotientRing):
+        return ring.qmap[add(ring.parent, ring.reps[a], ring.reps[b])]
+    raise TypeError(f"no reference arithmetic for {ring!r}")
+
+
+def mul(ring, a, b):
+    if isinstance(ring, ModularRing):
+        return (a * b) % ring.n
+    if isinstance(ring, PolyQuotientRing):
+        prod = poly_mul(ring.decode(a), ring.decode(b), ring.p)
+        return ring.encode(poly_mod(prod, ring.modulus, ring.p))
+    if isinstance(ring, ProductRing):
+        return ring.encode([mul(f, x, y) for f, x, y
+                            in zip(ring.factors, ring.decode(a), ring.decode(b))])
+    if isinstance(ring, QuotientRing):
+        return ring.qmap[mul(ring.parent, ring.reps[a], ring.reps[b])]
+    raise TypeError(f"no reference arithmetic for {ring!r}")
+
+
+def neg(ring, a):
+    if isinstance(ring, ModularRing):
+        return (-a) % ring.n
+    if isinstance(ring, PolyQuotientRing):
+        return ring.encode(poly_neg(ring.decode(a), ring.p))
+    if isinstance(ring, ProductRing):
+        return ring.encode([neg(f, x) for f, x in zip(ring.factors, ring.decode(a))])
+    if isinstance(ring, QuotientRing):
+        return ring.qmap[neg(ring.parent, ring.reps[a])]
+    raise TypeError(f"no reference arithmetic for {ring!r}")
+
+
+def sub(ring, a, b):
+    return add(ring, a, neg(ring, b))
+
 
 def tables(ring):
-    """(add, mul, neg) tables filled one scalar call per cell."""
+    """(add, mul, neg) tables filled one reference call per cell."""
     n = ring.carrier_size
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
+    add_t = np.empty((n, n), dtype=np.int32)
+    mul_t = np.empty((n, n), dtype=np.int32)
     for a in range(n):
         for b in range(a, n):
-            add[a, b] = add[b, a] = ring.add(a, b)
-            mul[a, b] = mul[b, a] = ring.mul(a, b)
-    neg = np.array([ring.neg(a) for a in range(n)], dtype=np.int32)
-    return add, mul, neg
+            add_t[a, b] = add_t[b, a] = add(ring, a, b)
+            mul_t[a, b] = mul_t[b, a] = mul(ring, a, b)
+    neg_t = np.array([neg(ring, a) for a in range(n)], dtype=np.int32)
+    return add_t, mul_t, neg_t
 
 
 def units_and_inverses(ring):
     inverses = {}
     for a in ring.elements():
         for b in ring.elements():
-            if ring.mul(a, b) == ring.one:
+            if mul(ring, a, b) == ring.one:
                 inverses[a] = b
                 break
     return frozenset(inverses), inverses
@@ -39,22 +90,22 @@ def nilpotents(ring):
     for r in ring.elements():
         x = r
         for _ in range(steps):
-            x = ring.mul(x, x)
+            x = mul(ring, x, x)
         if x == ring.zero:
             out.add(r)
     return frozenset(out)
 
 
 def idempotents(ring):
-    return frozenset(e for e in ring.elements() if ring.mul(e, e) == e)
+    return frozenset(e for e in ring.elements() if mul(ring, e, e) == e)
 
 
 def principal(ring, x):
-    return frozenset(ring.mul(r, x) for r in ring.elements())
+    return frozenset(mul(ring, r, x) for r in ring.elements())
 
 
 def sumset(ring, a, b):
-    return frozenset(ring.add(x, y) for x in a for y in b)
+    return frozenset(add(ring, x, y) for x in a for y in b)
 
 
 def quotient_reps(ring, ideal_elements):
@@ -64,7 +115,7 @@ def quotient_reps(ring, ideal_elements):
     for r in range(n):
         if rep[r] == -1:
             for i in ideal_elements:
-                rep[ring.add(r, i)] = r
+                rep[add(ring, r, i)] = r
     reps = [r for r in range(n) if rep[r] == r]
     index_of = {r: k for k, r in enumerate(reps)}
     return reps, [index_of[rep[r]] for r in range(n)]
@@ -75,20 +126,20 @@ def saturate(ring, subset):
     if not w:
         return w
     return frozenset(r for r in ring.elements()
-                     if any(ring.mul(s, r) in w for s in ring.elements()))
+                     if any(mul(ring, s, r) in w for s in ring.elements()))
 
 
 def comaximal(ring, a, b):
     """Brute pair scan: does x + y = 1 for some x in a, y in b?"""
-    return any(ring.add(x, y) == ring.one for x in a for y in b)
+    return any(add(ring, x, y) == ring.one for x in a for y in b)
 
 
 def witness(ring, ideal_elements, units):
     """The first a invertible mod I but congruent to no unit, or None."""
     for a in ring.elements():
-        if any(ring.sub(ring.one, ring.mul(a, b)) in ideal_elements
+        if any(sub(ring, ring.one, mul(ring, a, b)) in ideal_elements
                for b in ring.elements()):
-            if not any(ring.sub(ring.one, ring.mul(a, u)) in ideal_elements
+            if not any(sub(ring, ring.one, mul(ring, a, u)) in ideal_elements
                        for u in units):
                 return a
     return None
@@ -96,13 +147,13 @@ def witness(ring, ideal_elements, units):
 
 def semi_inverses(ring, r, radical):
     return frozenset(s for s in ring.elements()
-                     if ring.mul(r, ring.sub(ring.one, ring.mul(s, r))) in radical)
+                     if mul(ring, r, sub(ring, ring.one, mul(ring, s, r))) in radical)
 
 
 def colon(ring, r, radical):
-    return frozenset(a for a in ring.elements() if ring.mul(a, r) in radical)
+    return frozenset(a for a in ring.elements() if mul(ring, a, r) in radical)
 
 
 def is_von_neumann_regular(ring):
-    return all(any(ring.mul(ring.mul(a, x), a) == a for x in ring.elements())
+    return all(any(mul(ring, mul(ring, a, x), a) == a for x in ring.elements())
                for a in ring.elements())

@@ -7,6 +7,7 @@ by scanning the carrier.
 
 import pytest
 
+import scalar_oracle as oracle
 from unitlift.rings import build_ring, enumerate_ideals, ideal_closure
 from unitlift.spectrum import (
     CongruenceSystem,
@@ -37,7 +38,7 @@ def _brute_nilpotents(ring):
             if x == ring.zero:
                 out.add(a)
                 break
-            x = ring.mul(x, a)
+            x = oracle.mul(ring, x, a)
     return frozenset(out)
 
 
@@ -65,7 +66,7 @@ def test_z12_landmarks():
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_idempotents_by_definition(spec):
     ring = build_ring(spec)
-    brute = frozenset(a for a in ring.elements() if ring.mul(a, a) == a)
+    brute = frozenset(a for a in ring.elements() if oracle.mul(ring, a, a) == a)
     assert idempotents(ring) == brute
 
 
@@ -133,7 +134,7 @@ def test_crt_methods_agree(n):
     modular = crt_solve(ring, system, method="modular")
     assert scan == modular
     for ideal, target in system.constraints:
-        assert ring.sub(scan, target) in ideal
+        assert oracle.sub(ring, scan, target) in ideal
 
 
 def test_crt_accepts_plain_pair_list():

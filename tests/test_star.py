@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle as oracle
 from unitlift.rings import (
     INTEGERS,
     build_ring,
@@ -141,7 +142,7 @@ def test_adjustment_landmark():
     adjusted = product_fields_adjust(ring, ideal, a, a)
     assert adjusted == ring.encode((1, 1))
     assert adjusted in ring.units()
-    assert ring.sub(adjusted, a) in ideal
+    assert oracle.sub(ring, adjusted, a) in ideal
 
 
 def test_adjustment_covers_all_valid_pairs():
@@ -149,11 +150,11 @@ def test_adjustment_covers_all_valid_pairs():
     for ideal in enumerate_ideals(ring):
         for a in ring.elements():
             for b in ring.elements():
-                if ring.sub(ring.one, ring.mul(a, b)) not in ideal:
+                if oracle.sub(ring, ring.one, oracle.mul(ring, a, b)) not in ideal:
                     continue
                 adjusted = product_fields_adjust(ring, ideal, a, b)
                 assert adjusted in ring.units()
-                assert ring.sub(adjusted, a) in ideal
+                assert oracle.sub(ring, adjusted, a) in ideal
 
 
 def test_adjustment_input_errors():

@@ -40,11 +40,8 @@ from .specs import (
     RingSpec,
     parse_element_text,
     parse_ring_spec,
-    poly_add,
     poly_degree,
     poly_mod,
-    poly_mul,
-    poly_neg,
     poly_to_string,
     poly_trim,
     spec_to_string,
@@ -135,15 +132,15 @@ class FiniteRing:
         self._inverses: dict[int, int] = {}
         self._cache: dict = {}
 
-    # scalar operations, overridden per kind
+    # scalar operations: one cell of the array operations
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.add_many(a, b))
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.mul_many(a, b))
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        return int(self.neg_many(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -294,15 +291,6 @@ class ModularRing(FiniteRing):
         super().__init__(spec, spec.n, 0, 1 % spec.n, guards)
         self.n = spec.n
 
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
     def _add_arrays(self, a, b):
         return (a + b) % self.n
 
@@ -364,16 +352,6 @@ class PolyQuotientRing(FiniteRing):
         for c in reversed(poly_trim(coeffs)):
             out = out * self.p + c
         return out
-
-    def add(self, a, b):
-        return self.encode(poly_add(self.decode(a), self.decode(b), self.p))
-
-    def mul(self, a, b):
-        prod = poly_mul(self.decode(a), self.decode(b), self.p)
-        return self.encode(poly_mod(prod, self.modulus, self.p))
-
-    def neg(self, a):
-        return self.encode(poly_neg(self.decode(a), self.p))
 
     def _digits(self, a):
         return a[..., None] // self._place % self.p
@@ -464,17 +442,6 @@ class ProductRing(FiniteRing):
             out += c * stride
         return out
 
-    def add(self, a, b):
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([f.add(x, y) for f, x, y in zip(self.factors, da, db)])
-
-    def mul(self, a, b):
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([f.mul(x, y) for f, x, y in zip(self.factors, da, db)])
-
-    def neg(self, a):
-        return self.encode([f.neg(x) for f, x in zip(self.factors, self.decode(a))])
-
     @property
     def _width(self):
         # a factor's operation runs beside two decoded component arrays
@@ -549,21 +516,6 @@ class QuotientRing(FiniteRing):
 
     def _neg_arrays(self, a):
         return self._qmap[self.parent.neg_many(self._reps[a])]
-
-    def add(self, a, b):
-        if self._tables is not None:
-            return int(self._tables[0][a, b])
-        return self.qmap[self.parent.add(self.reps[a], self.reps[b])]
-
-    def mul(self, a, b):
-        if self._tables is not None:
-            return int(self._tables[1][a, b])
-        return self.qmap[self.parent.mul(self.reps[a], self.reps[b])]
-
-    def neg(self, a):
-        if self._tables is not None:
-            return int(self._tables[2][a])
-        return self.qmap[self.parent.neg(self.reps[a])]
 
     def render(self, a):
         return self.parent.render(self.reps[a])
@@ -823,8 +775,6 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
     gens = ideal.generators if ideal.generators else (ring.zero,)
     spec = QuotientSpec(ring.spec, tuple(ring.element_expr(g) for g in gens))
     quotient = QuotientRing(spec, ring, reps, qmap, ring.guards)
-    # tabulate now, so the scalar operations read the tables as well
-    quotient.tables()
     hom = SurjectiveHom(ring, quotient, quotient.qmap, ideal)
     ring._cache[key] = (quotient, hom)
     return quotient, hom

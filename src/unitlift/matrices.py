@@ -25,11 +25,13 @@ from .spectrum import jacobson_radical
 
 
 class Matrix:
-    """Immutable n x n matrix with entries given as ring element indices."""
+    """Immutable n x n matrix with entries given as ring element indices,
+    admitted under the given guards, or the ring's own by default."""
 
     __slots__ = ("ring", "entries", "n")
 
-    def __init__(self, ring: FiniteRing, rows, guards: Guards = DEFAULT_GUARDS):
+    def __init__(self, ring: FiniteRing, rows, guards: Guards | None = None):
+        guards = guards or ring.guards
         entries = tuple(tuple(row) for row in rows)
         n = len(entries)
         if n < 1 or n > guards.matrix_dim_limit:
@@ -46,7 +48,7 @@ class Matrix:
         self.n = n
 
     @staticmethod
-    def identity(ring: FiniteRing, n: int, guards: Guards = DEFAULT_GUARDS) -> "Matrix":
+    def identity(ring: FiniteRing, n: int, guards: Guards | None = None) -> "Matrix":
         return Matrix(ring, [[ring.one if i == j else ring.zero
                               for j in range(n)] for i in range(n)], guards)
 

@@ -130,6 +130,19 @@ def test_matrix_constructor_guards():
         Matrix(ring, [[0] * 4 for _ in range(4)])
 
 
+def test_matrix_results_keep_the_ring_guards():
+    ring = build_ring("Z/5", Guards(matrix_dim_limit=4))
+    ident = Matrix.identity(ring, 4)
+    upper = Matrix(ring, [[1, 2, 0, 3], [0, 1, 4, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    assert ident @ ident == ident
+    assert det(upper) == 1
+    assert det(upper @ upper) == 1
+    inv = matrix_inverse(upper)
+    assert upper @ inv == ident
+    assert matrix_inverse(ident) == ident
+    assert (upper + ident).n == 4
+
+
 def test_matrix_space_guard():
     with pytest.raises(GuardExceededError):
         MatrixSpace(build_ring("Z/17"), 2)

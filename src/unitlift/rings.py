@@ -8,19 +8,20 @@ little-endian mixed-radix encoding of the factor indices, and quotients use
 ranks of the sorted minimal coset representatives.  The zero element is always
 index 0 by construction.
 
-Besides the scalar operations, every ring has array operations add_many,
-mul_many and neg_many on broadcast int64 index arrays, and every exhaustive
-scan in the library is written against them.  A ring whose carrier is within
-the table guard caches its operation tables as numpy arrays and gathers from
-them.  Above the guard each kind computes on its encoding: residues for
-modular rings, digit vectors with x acting as the companion matrix of f for
-polynomial quotients, the factors' operations recombined by mixed radix for
-products, and the parent's operations on coset representatives for
-quotients.  Quadratic scans run in row blocks whose temporaries stay under
-BLOCK_WORDS int64 words, counting every digit a cell holds.  The tests check
-the tables and the array operations against the scalar ones, and every scan
-against a plain-Python oracle.  Cached data is immutable once published, so
-sharing rings across threads is safe.
+Each ring kind has one arithmetic: the array operations add_many, mul_many
+and neg_many on broadcast int64 index arrays.  The scalar add, mul and neg
+are single cells of them, and every exhaustive scan in the library is
+written against them.  A ring whose carrier is within the table guard caches
+its operation tables as numpy arrays and gathers from them.  Above the guard
+each kind computes on its encoding: residues for modular rings, digit
+vectors with x acting as the companion matrix of f for polynomial quotients,
+the factors' operations recombined by mixed radix for products, and the
+parent's operations on coset representatives for quotients.  Quadratic scans
+run in row blocks whose temporaries stay under BLOCK_WORDS int64 words,
+counting every digit a cell holds.  The tests check the tables, the array
+operations and every scan against a plain-Python oracle with its own
+arithmetic.  Cached data is immutable once published, so sharing rings
+across threads is safe.
 """
 
 from __future__ import annotations

@@ -664,29 +664,41 @@ def ideal_from_elements(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
     return Ideal(ring, _minimal_generators(ring, elems), elems)
 
 
-def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ideal]:
-    """Every ideal of the ring, ordered by (size, sorted elements).
+def primitive_idempotents(ring: FiniteRing) -> list[int]:
+    """The atoms of the idempotent lattice, ascending: the nonzero
+    idempotents e with e*f equal to 0 or e for every idempotent f.
+
+    Distinct atoms are orthogonal and they sum to one, so the ring is the
+    product of the local rings eR.
+    """
+    idx = np.arange(ring.carrier_size)
+    idem = np.flatnonzero(ring.mul_many(idx, idx) == idx)
+
+    def below(e, f):  # e*f is neither 0 nor e, so e is not an atom
+        ef = ring.mul_many(e, f)
+        return (ef != ring.zero) & (ef != e)
+
+    return [int(e) for e, b in zip(idem, first_hits(ring, idem, idem, below))
+            if e != ring.zero and b < 0]
+
+
+def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
+    """Membership masks of the ideals of R inside the factor eR whose
+    sorted elements are members.
 
     Breadth-first augmentation: each known ideal is summed with each
-    principal ideal not already inside it, deduplicating by element set.
+    principal ideal x*R, x in eR, not already inside it, deduplicating by
+    element set.  Since x = x*e, x*R is x times eR.
     """
-    guards = guards or ring.guards
-    if ring.carrier_size > guards.ideal_enum_limit:
-        raise GuardExceededError(
-            f"carrier {ring.carrier_size} exceeds the ideal enumeration guard "
-            f"{guards.ideal_enum_limit}")
-    if "ideals" in ring._cache:
-        return ring._cache["ideals"]
     n = ring.carrier_size
-    idx = np.arange(n)
     # ideals are membership masks, keyed by their packed bits; the principal
-    # ideals x*R come a block of rows at a time
+    # ideals come a block of rows at a time
     known: dict[bytes, np.ndarray] = {}
-    step = ring.block_rows(n)
-    for lo in range(0, n, step):
-        rows = idx[lo:lo + step, None]
+    step = ring.block_rows(len(members))
+    for lo in range(0, len(members), step):
+        rows = members[lo:lo + step, None]
         hit = np.zeros((len(rows), n), dtype=bool)
-        np.put_along_axis(hit, ring.mul_many(rows, idx), True, axis=1)
+        np.put_along_axis(hit, ring.mul_many(rows, members), True, axis=1)
         for row, key in zip(hit, np.packbits(hit, axis=1)):
             known.setdefault(key.tobytes(), row.copy())
     principals = [np.flatnonzero(p) for p in known.values()]
@@ -702,7 +714,43 @@ def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ide
             if key not in known:
                 known[key] = bigger
                 queue.append(bigger)
-    ordered = sorted((_as_set(m) for m in known.values()),
+    return np.array(list(known.values()))
+
+
+def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ideal]:
+    """Every ideal of the ring, ordered by (size, sorted elements).
+
+    The ring is the product of the local rings eR, e running over its
+    primitive idempotents, so its ideals are the sums I_1 + ... + I_k of one
+    ideal I_j of each factor e_jR, and x lies in such a sum exactly when
+    e_j*x lies in I_j for every j.  Each factor's lattice comes from a
+    breadth-first search over its principal ideals; a local ring is its own
+    single factor.  The atoms are certified to sum to one and the factor
+    sizes to multiply to the carrier size.
+    """
+    guards = guards or ring.guards
+    if ring.carrier_size > guards.ideal_enum_limit:
+        raise GuardExceededError(
+            f"carrier {ring.carrier_size} exceeds the ideal enumeration guard "
+            f"{guards.ideal_enum_limit}")
+    if "ideals" in ring._cache:
+        return ring._cache["ideals"]
+    n = ring.carrier_size
+    idx = np.arange(n)
+    atoms = primitive_idempotents(ring)
+    projections = [ring.mul_many(idx, e) for e in atoms]
+    factors = [np.unique(x) for x in projections]
+    total = ring.zero
+    for e in atoms:
+        total = ring.add(total, e)
+    if total != ring.one or math.prod(len(f) for f in factors) != n:
+        raise InternalDefectError("primitive idempotents do not split the ring")
+    # row i of lattice is the mask of one sum of factor ideals
+    lattice = np.ones((1, n), dtype=bool)
+    for proj, members in zip(projections, factors):
+        local = _factor_lattice(ring, members)[:, proj]
+        lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
+    ordered = sorted((_as_set(m) for m in lattice),
                      key=lambda s: (len(s), tuple(sorted(s))))
     out = [Ideal(ring, _minimal_generators(ring, s), s) for s in ordered]
     ring._cache["ideals"] = out
@@ -770,6 +818,9 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
             break
         cosets = ring.add_many(todo[:, None], elems)
         rep[cosets] = np.broadcast_to(cosets.min(axis=1, keepdims=True), cosets.shape)
+        # a + 0 = a puts a in its own coset; without that the loop never ends
+        if (rep[todo] < 0).any():
+            raise InternalDefectError("an element is missing from its own coset")
     reps = np.flatnonzero(rep == np.arange(ring.carrier_size))
     qmap = np.searchsorted(reps, rep)
 

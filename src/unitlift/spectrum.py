@@ -20,9 +20,9 @@ from .rings import (
     FiniteRing,
     Ideal,
     SurjectiveHom,
-    first_hits,
     ideal_from_elements,
     member_mask,
+    primitive_idempotents,
     quotient_ring,
 )
 from .specs import ModularSpec
@@ -84,14 +84,7 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
         return ring._cache["maximal_ideals"]
     nil = nilpotent_elements(ring)
     reduced, proj = quotient_ring(ring, ideal_from_elements(ring, nil))
-    idem = np.array(sorted(idempotents(reduced)))
-
-    def below(e, f):  # e*f is neither 0 nor e, so e is not an atom
-        ef = reduced.mul_many(e, f)
-        return (ef != reduced.zero) & (ef != e)
-
-    atoms = [int(e) for e, b in zip(idem, first_hits(reduced, idem, idem, below))
-             if e != reduced.zero and b < 0]
+    atoms = primitive_idempotents(reduced)
     every = np.arange(reduced.carrier_size)
     qmap = np.asarray(proj.mapping)
     ideals = []

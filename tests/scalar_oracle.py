@@ -157,3 +157,39 @@ def colon(ring, r, radical):
 def is_von_neumann_regular(ring):
     return all(any(mul(ring, mul(ring, a, x), a) == a for x in ring.elements())
                for a in ring.elements())
+
+
+def ideals(ring):
+    """Every ideal as (elements, greedy generators), ordered by (size, sorted
+    elements): the principal ideals closed under sums breadth-first, on
+    tables filled by the reference arithmetic.  The generators are picked
+    smallest-first, each the least element outside the span of the earlier
+    ones."""
+    add_t, mul_t, _ = (t.tolist() for t in tables(ring))
+    elems = ring.elements()
+
+    def span_sum(a, b):
+        return frozenset(add_t[x][y] for x in a for y in b)
+
+    def principal_of(x):
+        return frozenset(mul_t[x][r] for r in elems)
+
+    principals = {principal_of(x) for x in elems}
+    found = set(principals)
+    queue = list(found)
+    while queue:
+        current = queue.pop()
+        for p in principals:
+            if not p <= current:
+                bigger = span_sum(current, p)
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
+    out = []
+    for elements in sorted(found, key=lambda s: (len(s), sorted(s))):
+        span, gens = frozenset((ring.zero,)), []
+        while span != elements:
+            gens.append(min(elements - span))
+            span = span_sum(span, principal_of(gens[-1]))
+        out.append((elements, tuple(gens)))
+    return out

@@ -70,6 +70,13 @@ def test_ring_ideals_z12():
     assert all(i["isProper"] or not i["isMaximal"] for i in result["ideals"])
 
 
+def test_ring_ideals_of_a_product_of_ten_fields():
+    # the lattice of a product is the product of the factors' lattices
+    result = run_json("ring", "ideals",
+                      "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)")["result"]
+    assert result["count"] == len(result["ideals"]) == 2 ** 10
+
+
 def test_rho_table_z12():
     result = run_json("rho", "table", "Z/12")["result"]
     assert result["counts"] == {"0": 2, "1": 10, "inf": 0}

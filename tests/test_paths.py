@@ -7,6 +7,9 @@ Oracles:
     scalar_oracle
   - every scan agrees with the plain-Python loops in scalar_oracle, on every
     corpus ring of at most 64 elements, tabulated and untabulated
+  - the ideal lattice, its order and its generators agree with a
+    breadth-first search on the reference arithmetic, on every corpus ring
+    of at most 32 elements and on products of several local factors
 """
 
 import json
@@ -171,6 +174,20 @@ def test_comaximal_pairs_match_pair_scan(spec):
         for b in ideals:
             assert _comaximal_pair(ring, a, b) == oracle.comaximal(
                 ring, a.elements, b.elements)
+
+
+# products of several local factors, so the lattice is combined from theirs
+SPLIT_SPECS = ["prod(Z/4,Z/9)", "Z/360", "GF(2)[x]/(x^7+x^6)",
+               "prod(Z/4,GF(2)[x]/(x^3),Z/9)", "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)"]
+
+
+@pytest.mark.parametrize("spec", [spec_to_string(r.spec)
+                                  for r in corpus_rings(max_carrier=32)] + SPLIT_SPECS)
+def test_ideal_lattice_matches_oracle(spec):
+    expected = oracle.ideals(build_ring(spec))
+    for guards in (Guards(), Guards(table_limit=2)):
+        ring = build_ring(spec, guards)
+        assert [(i.elements, i.generators) for i in enumerate_ideals(ring)] == expected
 
 
 @pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()]

@@ -4,13 +4,15 @@ Oracles:
   - units of Z/n are exactly {a : gcd(a, n) = 1}
   - unit counts match a brute-force totient
   - prod(Z/2,Z/3) is isomorphic to Z/6 via a hand-built CRT bijection
-  - the tabulated fast paths agree with a ring forced onto the scalar path
+  - the tabulated fast paths agree with a ring forced onto the scalar path,
+    down to the ideal lattice
   - every modular, polynomial and product table equals the table built one
     cell at a time from the reference arithmetic in scalar_oracle
 """
 
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from hypothesis import strategies as st
 
 import scalar_oracle as oracle
 from unitlift.config import Guards
-from unitlift.errors import GuardExceededError
+from unitlift.errors import GuardExceededError, InternalDefectError
 from unitlift.rings import (
+    Ideal,
+    ModularRing,
     PolyQuotientRing,
     build_ring,
     check_ring_axioms,
@@ -29,7 +33,7 @@ from unitlift.rings import (
     ideal_from_elements,
     quotient_ring,
 )
-from unitlift.specs import spec_to_string
+from unitlift.specs import ModularSpec, spec_to_string
 from unitlift.verify import corpus_rings
 
 AXIOM_SPECS = [
@@ -153,6 +157,31 @@ def test_preimage_buckets_have_kernel_size():
         assert {hom(a) for a in hom.preimages(t)} == {t}
 
 
+class _BrokenAddition(ModularRing):
+    """Z/n whose sums are never zero, so 0 + 0 != 0."""
+
+    def _add_arrays(self, a, b):
+        return np.maximum((a + b) % self.n, 1)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("quotient_ring did not finish")
+
+
+@pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
+def test_quotient_of_broken_arithmetic_raises(table_limit):
+    # the coset of 0 never contains 0, so labelling the cosets cannot finish
+    ring = _BrokenAddition(ModularSpec(12), Guards(table_limit=table_limit))
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InternalDefectError):
+            quotient_ring(ring, Ideal(ring, (), frozenset({0})))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_quot_spec_builds_the_quotient():
     ring = build_ring("quot(Z/12;4)")
     assert ring.carrier_size == 4
@@ -189,6 +218,7 @@ def test_z12_ideal_lattice():
 
 def test_product_ideal_count_multiplies():
     assert len(enumerate_ideals(build_ring("prod(Z/4,Z/9)"))) == 9
+    assert len(enumerate_ideals(build_ring("prod(Z/8,Z/8,Z/8,Z/2)"))) == 4 * 4 * 4 * 2
     # x^2+x = x(x+1), so the quotient splits into GF(2) x GF(2)
     assert len(enumerate_ideals(build_ring("GF(2)[x]/(x^2+x)"))) == 4
 
@@ -235,8 +265,8 @@ def test_scalar_path_matches_tabulated(spec):
         for b in range(n):
             assert slow.add(a, b) == fast.add(a, b)
             assert slow.mul(a, b) == fast.mul(a, b)
-    assert (len(enumerate_ideals(slow, slow.guards))
-            == len(enumerate_ideals(fast)))
+    assert ([i.elements for i in enumerate_ideals(slow, slow.guards)]
+            == [i.elements for i in enumerate_ideals(fast)])
 
 
 CORPUS_POLY_SPECS = [spec_to_string(r.spec) for r in corpus_rings()

@@ -14,14 +14,15 @@ are single cells of them, and every exhaustive scan in the library is
 written against them.  A ring whose carrier is within the table guard caches
 its operation tables as numpy arrays and gathers from them.  Above the guard
 each kind computes on its encoding: residues for modular rings, digit
-vectors with x acting as the companion matrix of f for polynomial quotients,
-the factors' operations recombined by mixed radix for products, and the
-parent's operations on coset representatives for quotients.  Quadratic scans
-run in row blocks whose temporaries stay under BLOCK_WORDS int64 words,
-counting every digit a cell holds.  The tests check the tables, the array
-operations and every scan against a plain-Python oracle with its own
-arithmetic.  Cached data is immutable once published, so sharing rings
-across threads is safe.
+vectors with x acting as the companion matrix of f for polynomial quotients
+over odd p, the index itself as the coefficient bit vector for GF(2)
+quotients (add is XOR, mul shifts and XORs), the factors' operations
+recombined by mixed radix for products, and the parent's operations on
+coset representatives for quotients.  Quadratic scans run in row blocks
+whose temporaries stay under BLOCK_WORDS int64 words, counting every digit
+a cell holds.  The tests check the tables, the array operations and every
+scan against a plain-Python oracle with its own arithmetic.  Cached data is
+immutable once published, so sharing rings across threads is safe.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .specs import (
 _TABLE_DTYPE = np.int32
 
 # int64 words that one temporary of a blocked scan may hold (1 MiB): a block
-# of cells costs cells * op_width words, so polynomial rings take fewer cells
+# of cells costs cells * op_width words, so digit-vector rings take fewer cells
 BLOCK_WORDS = 1 << 17
 
 
@@ -415,6 +416,35 @@ class PolyQuotientRing(FiniteRing):
         return self.encode(poly_mod(expr, self.modulus, self.p))
 
 
+class BinaryPolyQuotientRing(PolyQuotientRing):
+    """GF(2)[x]/(f), computing on the index itself: its base-2 digits are the
+    coefficient bits, so add is XOR, neg is the identity and mul takes d
+    shift-and-XOR steps on one int64 word per cell."""
+
+    def __init__(self, spec: PolyQuotSpec, guards: Guards = DEFAULT_GUARDS):
+        super().__init__(spec, guards)
+        self._width = 1
+        # x^d as a bit, to clear, plus its reduction f - x^d, to add back
+        self._overflow = (1 << self.degree) | int(self._fold @ self._place)
+
+    def _add_arrays(self, a, b):
+        return a ^ b
+
+    def _mul_arrays(self, a, b):
+        # a*b = sum_k a_k (x^k b), with x^k b stepped on b alone; a mask of
+        # -bit (all ones or zero) selects without branching
+        d = self.degree
+        acc = -(a & 1) & b
+        for k in range(1, d):
+            b = b << 1
+            b ^= -((b >> d) & 1) & self._overflow
+            acc ^= -((a >> k) & 1) & b
+        return acc
+
+    def _neg_arrays(self, a):
+        return a.copy()
+
+
 class ProductRing(FiniteRing):
     """Direct product with little-endian mixed-radix element encoding."""
 
@@ -539,7 +569,8 @@ def build_ring(spec: RingSpec | str, guards: Guards = DEFAULT_GUARDS) -> FiniteR
         if size > guards.carrier_limit:
             raise GuardExceededError(
                 f"carrier {size} exceeds the build guard {guards.carrier_limit}")
-        return PolyQuotientRing(spec, guards)
+        kind = BinaryPolyQuotientRing if spec.p == 2 else PolyQuotientRing
+        return kind(spec, guards)
     if isinstance(spec, ProductSpec):
         factors = [build_ring(f, guards) for f in spec.factors]
         size = 1

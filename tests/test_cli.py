@@ -139,6 +139,16 @@ def test_star_ring_z12():
     assert result["properIdeals"] == 5
 
 
+def test_star_ring_above_the_table_guard():
+    # a finite ring is semilocal, so by the paper's theorem every proper
+    # ideal lifts units; the 2048 elements are past the table guard
+    result = run_json("star", "ring", "GF(2)[x]/(x^11)")["result"]
+    assert result["holds"] is True
+    assert result["properIdeals"] == 11
+    assert [i["size"] for i in result["ideals"]] == [2**k for k in range(11)]
+    assert all(i["holds"] is True for i in result["ideals"])
+
+
 def test_gl_lift():
     result = run_json("gl", "lift", "Z/4", "2", "--matrix", "1,1;0,1")["result"]
     assert result["lift"] == "1,1;0,1"

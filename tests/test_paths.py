@@ -66,6 +66,13 @@ def test_untabulated_corpus_report_matches_default():
     "quot(Z/4096;2048)",
     "prod(GF(2)[x]/(x^5),Z/33)",
     "GF(13)[x]/(x^3+x+1)",
+    # GF(2) moduli whose low part is nonzero, so x^d folds back into the
+    # bit vector, up to the top of the carrier guard; and the odd-p digit
+    # path at the guard top
+    "GF(2)[x]/(x^11+x^2+1)",
+    "GF(2)[x]/(x^12+x^3+1)",
+    "GF(2)[x]/(x^16+x^5+x^3+x^2+1)",
+    "GF(3)[x]/(x^10)",
 ])
 def test_array_ops_match_scalar_ops(spec):
     ring = build_ring(spec)
@@ -85,6 +92,11 @@ def test_array_ops_match_scalar_ops(spec):
                           [[oracle.mul(ring, x, y) for y in b[:50]] for x in a[:7]])
     assert np.array_equal(ring.add_many(rows, cols),
                           [[oracle.add(ring, x, y) for y in b[:50]] for x in a[:7]])
+    # a scalar op on plain ints is one 0-d cell and returns a plain int
+    for x, y in zip(a[:40], b[:40]):
+        got = ring.add(x, y), ring.mul(x, y), ring.neg(x)
+        assert [type(v) for v in got] == [int] * 3
+        assert got == (oracle.add(ring, x, y), oracle.mul(ring, x, y), oracle.neg(ring, x))
 
 
 def test_quotient_of_untabulated_parent_tabulates_from_parent():
@@ -198,17 +210,19 @@ def test_nilpotents_stop_early_with_the_fixed_step_answer(spec):
 
 
 def test_quadratic_scans_stay_within_memory_budget():
-    # 2048 elements of 11 digits: one unblocked n x n x 11 temporary would
-    # be 369 MB
-    ring = build_ring("GF(2)[x]/(x^11)")
-    ideal = ideal_closure(ring, [ring.parse_element("x^3")])
-    w = _units_plus_ideal(ring, ideal)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        saturate(ring, w)
-        star_check(ring, ideal, StarMethod.WITNESS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # one unblocked n x n temporary of GF(2)[x]/(x^11), one bit-vector word
+    # per cell, would be 34 MB; GF(3)[x]/(x^7) computes on 7 digits per
+    # cell, so one unblocked n x n x 7 temporary would be 268 MB
+    for spec in ("GF(2)[x]/(x^11)", "GF(3)[x]/(x^7)"):
+        ring = build_ring(spec)
+        ideal = ideal_closure(ring, [ring.parse_element("x^3")])
+        w = _units_plus_ideal(ring, ideal)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            saturate(ring, w)
+            star_check(ring, ideal, StarMethod.WITNESS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, spec

@@ -158,7 +158,7 @@ def _cmd_ring_info(args):
     }
     if ring.carrier_size <= 64:
         result["units"] = [ring.render(u) for u in sorted(ring.units())]
-        result["rad"] = [ring.render(r) for r in sorted(rad.elements)]
+        result["rad"] = [ring.render(r) for r in rad]
         result["idempotents"] = [ring.render(e) for e in sorted(idem)]
     return spec_to_string(ring.spec), result, EX_OK
 
@@ -166,12 +166,12 @@ def _cmd_ring_info(args):
 def _cmd_ring_ideals(args):
     ring = build_ring(args.spec)
     ideals = enumerate_ideals(ring)
-    maximal = {m.elements for m in maximal_ideals(ring).ideals}
+    maximal = set(maximal_ideals(ring).ideals)
     items = [
         {
             **_ideal_json(ring, ideal),
             "isProper": ideal.is_proper(),
-            "isMaximal": ideal.elements in maximal,
+            "isMaximal": ideal in maximal,
         }
         for ideal in ideals
     ]

@@ -2,8 +2,9 @@
 
 Every scan in this library is finite and exact, so the only thing standing
 between a query and a multi-hour run is carrier size.  The limits below are
-configuration values, passed explicitly where needed; the defaults keep the
-bundled verification corpus comfortably under two minutes.
+configuration values: build_ring takes them, and every computation on the
+ring reads the ring's own; the defaults keep the bundled verification
+corpus comfortably under two minutes.
 """
 
 from dataclasses import dataclass

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import DEFAULT_GUARDS, Guards
 from .errors import GuardExceededError, InternalDefectError
 from .rings import FiniteRing, SurjectiveHom
 from .spectrum import jacobson_radical
@@ -26,17 +25,16 @@ from .spectrum import jacobson_radical
 
 class Matrix:
     """Immutable n x n matrix with entries given as ring element indices,
-    admitted under the given guards, or the ring's own by default."""
+    admitted under its ring's guards."""
 
     __slots__ = ("ring", "entries", "n")
 
-    def __init__(self, ring: FiniteRing, rows, guards: Guards | None = None):
-        guards = guards or ring.guards
+    def __init__(self, ring: FiniteRing, rows):
+        limit = ring.guards.matrix_dim_limit
         entries = tuple(tuple(row) for row in rows)
         n = len(entries)
-        if n < 1 or n > guards.matrix_dim_limit:
-            raise ValueError(
-                f"dimension {n} outside 1..{guards.matrix_dim_limit}")
+        if n < 1 or n > limit:
+            raise ValueError(f"dimension {n} outside 1..{limit}")
         for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
@@ -48,9 +46,9 @@ class Matrix:
         self.n = n
 
     @staticmethod
-    def identity(ring: FiniteRing, n: int, guards: Guards | None = None) -> "Matrix":
+    def identity(ring: FiniteRing, n: int) -> "Matrix":
         return Matrix(ring, [[ring.one if i == j else ring.zero
-                              for j in range(n)] for i in range(n)], guards)
+                              for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.ring is self.ring
@@ -160,7 +158,7 @@ def gl_lift(hom: SurjectiveHom, matrix: Matrix, choose=None) -> Matrix:
     if matrix.ring is not target:
         raise ValueError("matrix is not over the hom's target")
     rad = jacobson_radical(source)
-    if not hom.kernel.elements <= rad.elements:
+    if (hom.kernel.mask & ~rad.mask).any():
         raise ValueError("kernel is not contained in the radical")
     d = det(matrix)
     if not target.is_unit(d):
@@ -185,28 +183,26 @@ def gl_lift(hom: SurjectiveHom, matrix: Matrix, choose=None) -> Matrix:
 
 
 class MatrixSpace:
-    """All n x n matrices over a ring, enumerable under a size guard."""
+    """All n x n matrices over a ring, enumerable under its ring's
+    matrix-space guard."""
 
-    def __init__(self, ring: FiniteRing, n: int, guards: Guards = DEFAULT_GUARDS):
+    def __init__(self, ring: FiniteRing, n: int):
         self.ring = ring
         self.n = n
-        self.guards = guards
         size = ring.carrier_size ** (n * n)
-        if size > guards.matrix_space_limit:
+        if size > ring.guards.matrix_space_limit:
             raise GuardExceededError(
                 f"matrix space of size {size} exceeds the guard "
-                f"{guards.matrix_space_limit}")
+                f"{ring.guards.matrix_space_limit}")
         self.size = size
 
     def __iter__(self):
         n = self.n
         for flat in itertools.product(self.ring.elements(), repeat=n * n):
-            yield Matrix(self.ring,
-                         [flat[i * n:(i + 1) * n] for i in range(n)],
-                         self.guards)
+            yield Matrix(self.ring, [flat[i * n:(i + 1) * n] for i in range(n)])
 
     def identity(self) -> Matrix:
-        return Matrix.identity(self.ring, self.n, self.guards)
+        return Matrix.identity(self.ring, self.n)
 
 
 def two_sided_saturate(space: MatrixSpace, subset) -> frozenset[Matrix]:

@@ -20,8 +20,11 @@ quotients (add is XOR, mul shifts and XORs), the factors' operations
 recombined by mixed radix for products, and the parent's operations on
 coset representatives for quotients.  Quadratic scans run in row blocks
 whose temporaries stay under BLOCK_WORDS int64 words, counting every digit
-a cell holds.  The tests check the tables, the array operations and every
-scan against a plain-Python oracle with its own arithmetic.  Cached data is
+a cell holds.  An ideal is its read-only boolean membership mask over the
+carrier, and the masks of principal ideals are cached per ring, so sums,
+closures and generators are mask operations.  The tests check the tables,
+the array operations and every scan against a plain-Python oracle with its
+own arithmetic.  Cached data is
 immutable once published, so sharing rings across threads is safe.
 """
 
@@ -57,9 +60,16 @@ BLOCK_WORDS = 1 << 17
 
 
 def member_mask(ring: "FiniteRing", elements: Iterable[int]) -> np.ndarray:
-    """Boolean membership vector of a subset of the carrier."""
+    """Boolean membership vector of a subset of the carrier; an Ideal's is
+    its own read-only mask."""
+    if isinstance(elements, Ideal):
+        return elements.mask
+    elems = np.fromiter(elements, dtype=np.int64)
+    outside = elems[(elems < 0) | (elems >= ring.carrier_size)]
+    if outside.size:
+        raise ValueError(f"element {outside[0]} outside the carrier")
     mask = np.zeros(ring.carrier_size, dtype=bool)
-    mask[np.fromiter(elements, dtype=np.int64)] = True
+    mask[elems] = True
     return mask
 
 
@@ -596,36 +606,47 @@ def build_ring(spec: RingSpec | str, guards: Guards = DEFAULT_GUARDS) -> FiniteR
 
 
 class Ideal:
-    """An ideal of a finite ring, carried as its full element set."""
+    """An ideal of a finite ring, carried as its read-only membership mask.
 
-    __slots__ = ("ring", "generators", "elements")
+    ``key`` packs the mask into bytes once, for hashing and as a cache key;
+    ``elements`` is a frozenset view, built on first use.
+    """
 
-    def __init__(self, ring: FiniteRing, generators: Iterable[int], elements: frozenset[int]):
+    __slots__ = ("ring", "generators", "mask", "key", "_elements")
+
+    def __init__(self, ring: FiniteRing, generators: Iterable[int], mask):
+        mask = np.array(mask, dtype=bool)
+        mask.setflags(write=False)
         self.ring = ring
         self.generators = tuple(generators)
-        self.elements = elements
+        self.mask = mask
+        self.key = np.packbits(mask).tobytes()
+        self._elements: frozenset[int] | None = None
+
+    @property
+    def elements(self) -> frozenset[int]:
+        if self._elements is None:
+            self._elements = _as_set(self.mask)
+        return self._elements
 
     def __contains__(self, a: int) -> bool:
-        return a in self.elements
+        return 0 <= a < len(self.mask) and bool(self.mask[a])
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return int(np.count_nonzero(self.mask))
 
     def __iter__(self):
-        return iter(sorted(self.elements))
+        return iter(np.flatnonzero(self.mask).tolist())
 
     def is_proper(self) -> bool:
-        return self.ring.one not in self.elements
-
-    def is_zero(self) -> bool:
-        return self.elements == frozenset((self.ring.zero,))
+        return not self.mask[self.ring.one]
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and other.ring is self.ring
-                and other.elements == self.elements)
+                and other.key == self.key)
 
     def __hash__(self):
-        return hash((id(self.ring), self.elements))
+        return hash((id(self.ring), self.key))
 
     def __repr__(self):
         gens = ",".join(str(self.ring.render(g)) for g in self.generators)
@@ -636,14 +657,21 @@ def _as_set(mask: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
-def principal(ring: FiniteRing, x: int) -> frozenset[int]:
-    """The principal ideal R*x; already closed under addition."""
-    hit = np.zeros(ring.carrier_size, dtype=bool)
-    hit[ring.mul_many(np.arange(ring.carrier_size), x)] = True
-    return _as_set(hit)
+def principal(ring: FiniteRing, x: int) -> np.ndarray:
+    """Read-only membership mask of the principal ideal R*x, which is already
+    closed under addition; cached per ring."""
+    key = ("principal", int(x))
+    if key not in ring._cache:
+        hit = np.zeros(ring.carrier_size, dtype=bool)
+        hit[ring.mul_many(np.arange(ring.carrier_size), x)] = True
+        hit.setflags(write=False)
+        ring._cache[key] = hit
+    return ring._cache[key]
 
 
-def _sum_mask(ring: FiniteRing, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of {x + y : x in a, y in b}, for masks a and b."""
+    la, lb = np.flatnonzero(a), np.flatnonzero(b)
     hit = np.zeros(ring.carrier_size, dtype=bool)
     step = ring.block_rows(len(lb))
     for lo in range(0, len(la), step):
@@ -653,8 +681,7 @@ def _sum_mask(ring: FiniteRing, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
 
 def sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
     """{x + y : x in a, y in b}."""
-    return _as_set(_sum_mask(ring, np.fromiter(a, dtype=np.int64),
-                             np.fromiter(b, dtype=np.int64)))
+    return _as_set(_sum_mask(ring, member_mask(ring, a), member_mask(ring, b)))
 
 
 def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
@@ -667,32 +694,34 @@ def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     for g in gens:
         if not 0 <= g < ring.carrier_size:
             raise ValueError(f"generator {g} outside the carrier")
-    span = frozenset((ring.zero,))
+    span = principal(ring, ring.zero)
     for g in gens:
-        span = sumset(ring, span, principal(ring, g))
-    if sumset(ring, span, span) != span:
+        span = _sum_mask(ring, span, principal(ring, g))
+    if not np.array_equal(_sum_mask(ring, span, span), span):
         raise InternalDefectError("ideal closure is not additively closed")
-    for g in sorted(span)[:: max(1, len(span) // 8)]:
-        if not principal(ring, g) <= span:
+    elements = np.flatnonzero(span)
+    for g in elements[:: max(1, len(elements) // 8)]:
+        if (principal(ring, g) & ~span).any():
             raise InternalDefectError("ideal closure is not multiplicatively closed")
     return Ideal(ring, gens, span)
 
 
-def _minimal_generators(ring: FiniteRing, elements: frozenset[int]) -> tuple[int, ...]:
-    """Greedy small generating set for a known ideal element set."""
-    span = frozenset((ring.zero,))
-    gens: list[int] = []
-    while span != elements:
-        g = min(elements - span)
-        gens.append(g)
-        span = sumset(ring, span, principal(ring, g))
-    return tuple(gens)
+def ideal_from_mask(ring: FiniteRing, mask: np.ndarray) -> Ideal:
+    """Wrap a membership mask that should be an ideal, with greedy generators:
+    each the least member outside the span of the earlier ones.  Raises
+    ValueError when they span more than the mask, which is then no ideal."""
+    span, gens = principal(ring, ring.zero), []
+    while (rest := mask & ~span).any():
+        gens.append(int(rest.argmax()))
+        span = _sum_mask(ring, span, principal(ring, gens[-1]))
+    if not np.array_equal(span, mask):
+        raise ValueError("the elements are not an ideal")
+    return Ideal(ring, gens, mask)
 
 
 def ideal_from_elements(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
-    """Wrap a set already known to be an ideal, with greedy generators."""
-    elems = frozenset(elements)
-    return Ideal(ring, _minimal_generators(ring, elems), elems)
+    """Wrap a set that should be an ideal, with greedy generators."""
+    return ideal_from_mask(ring, member_mask(ring, elements))
 
 
 def primitive_idempotents(ring: FiniteRing) -> list[int]:
@@ -732,15 +761,14 @@ def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
         np.put_along_axis(hit, ring.mul_many(rows, members), True, axis=1)
         for row, key in zip(hit, np.packbits(hit, axis=1)):
             known.setdefault(key.tobytes(), row.copy())
-    principals = [np.flatnonzero(p) for p in known.values()]
-    queue = list(known.values())
+    principals = list(known.values())
+    queue = list(principals)
     while queue:
         current = queue.pop()
-        elements = np.flatnonzero(current)
         for p in principals:
-            if current[p].all():
+            if not (p & ~current).any():
                 continue
-            bigger = _sum_mask(ring, elements, p)
+            bigger = _sum_mask(ring, current, p)
             key = np.packbits(bigger).tobytes()
             if key not in known:
                 known[key] = bigger
@@ -748,7 +776,7 @@ def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
     return np.array(list(known.values()))
 
 
-def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ideal]:
+def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every ideal of the ring, ordered by (size, sorted elements).
 
     The ring is the product of the local rings eR, e running over its
@@ -759,11 +787,10 @@ def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ide
     single factor.  The atoms are certified to sum to one and the factor
     sizes to multiply to the carrier size.
     """
-    guards = guards or ring.guards
-    if ring.carrier_size > guards.ideal_enum_limit:
+    if ring.carrier_size > ring.guards.ideal_enum_limit:
         raise GuardExceededError(
             f"carrier {ring.carrier_size} exceeds the ideal enumeration guard "
-            f"{guards.ideal_enum_limit}")
+            f"{ring.guards.ideal_enum_limit}")
     if "ideals" in ring._cache:
         return ring._cache["ideals"]
     n = ring.carrier_size
@@ -781,9 +808,10 @@ def enumerate_ideals(ring: FiniteRing, guards: Guards | None = None) -> list[Ide
     for proj, members in zip(projections, factors):
         local = _factor_lattice(ring, members)[:, proj]
         lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
-    ordered = sorted((_as_set(m) for m in lattice),
-                     key=lambda s: (len(s), tuple(sorted(s))))
-    out = [Ideal(ring, _minimal_generators(ring, s), s) for s in ordered]
+    out = [ideal_from_mask(ring, m) for m in lattice]
+    # among equal sizes, the packed bits descend as the sorted elements ascend
+    out.sort(key=lambda i: i.key, reverse=True)
+    out.sort(key=len)
     ring._cache["ideals"] = out
     return out
 
@@ -834,13 +862,13 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
         raise ValueError("ideal belongs to a different ring")
     if not ideal.is_proper():
         raise ValueError("cannot quotient by an improper ideal")
-    key = ("quotient", ideal.elements)
+    key = ("quotient", ideal.key)
     if key in ring._cache:
         return ring._cache[key]
 
     # every coset a + I is labelled with its minimum, taking whole cosets of
     # the smallest unlabelled elements a block at a time
-    elems = np.fromiter(ideal.elements, dtype=np.int64)
+    elems = np.flatnonzero(ideal.mask)
     rep = np.full(ring.carrier_size, -1, dtype=np.int64)
     step = ring.block_rows(len(elems))
     while True:

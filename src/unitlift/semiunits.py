@@ -26,8 +26,7 @@ from .rings import (
     Ideal,
     PresentedRing,
     first_hits,
-    ideal_from_elements,
-    member_mask,
+    ideal_from_mask,
 )
 from .spectrum import jacobson_radical, maximal_ideals, radical_quotient
 
@@ -52,19 +51,12 @@ def is_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> bool:
     return True
 
 
-def _radical_mask(ring: FiniteRing) -> np.ndarray:
-    if "radical_mask" not in ring._cache:
-        mask = member_mask(ring, jacobson_radical(ring).elements)
-        mask.setflags(write=False)
-        ring._cache["radical_mask"] = mask
-    return ring._cache["radical_mask"]
-
-
 def _semi_inverse_mask(ring: FiniteRing, r, s) -> np.ndarray:
     """r*(1 - s*r) in the radical, on broadcast index arrays r and s."""
     # r*(1 - s*r) = r - s*r^2: one product per cell
     r_squared = ring.mul_many(r, r)
-    return _radical_mask(ring)[ring.add_many(r, ring.neg_many(ring.mul_many(s, r_squared)))]
+    radical = jacobson_radical(ring).mask
+    return radical[ring.add_many(r, ring.neg_many(ring.mul_many(s, r_squared)))]
 
 
 def _semi_inverse_found(ring: FiniteRing, rs) -> np.ndarray:
@@ -126,13 +118,12 @@ def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
 
 def colon_into_radical(ring: FiniteRing, r: int) -> Ideal:
     """The ideal of a with a*r in the radical; stable under squaring r."""
-    member = _radical_mask(ring)
+    member = jacobson_radical(ring).mask
     every = np.arange(ring.carrier_size)
-    col = frozenset(np.flatnonzero(member[ring.mul_many(every, r)]).tolist())
-    col2 = frozenset(np.flatnonzero(member[ring.mul_many(every, ring.mul(r, r))]).tolist())
-    if col != col2:
+    col = member[ring.mul_many(every, r)]
+    if not np.array_equal(col, member[ring.mul_many(every, ring.mul(r, r))]):
         raise InternalDefectError("colon ideal changed when squaring r")
-    return ideal_from_elements(ring, col)
+    return ideal_from_mask(ring, col)
 
 
 @dataclass(frozen=True)
@@ -214,7 +205,7 @@ def is_semifield(ring) -> bool:
     """
     if isinstance(ring, PresentedRing):
         return False
-    outside = np.flatnonzero(~_radical_mask(ring))
+    outside = np.flatnonzero(~jacobson_radical(ring).mask)
     direct = bool(np.all(_semi_inverse_found(ring, outside)))
     reduced, _ = radical_quotient(ring)
     structural = is_von_neumann_regular(reduced)
@@ -231,7 +222,7 @@ def rho_table(ring: FiniteRing) -> list[Rho]:
 
 
 def _rho_values(ring: FiniteRing, rs: np.ndarray) -> list[Rho]:
-    radical = _radical_mask(ring)[rs]
+    radical = jacobson_radical(ring).mask[rs]
     found = _semi_inverse_found(ring, rs[~radical])
     if not found.all():
         # impossible on a finite commutative ring; see is_semifield

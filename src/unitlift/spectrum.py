@@ -21,11 +21,10 @@ from .rings import (
     Ideal,
     SurjectiveHom,
     ideal_from_elements,
-    member_mask,
+    ideal_from_mask,
     primitive_idempotents,
     quotient_ring,
 )
-from .specs import ModularSpec
 
 
 def nilpotent_elements(ring: FiniteRing) -> frozenset[int]:
@@ -90,8 +89,7 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
     ideals = []
     for e in atoms:
         annihilator = reduced.mul_many(every, e) == reduced.zero
-        pulled = frozenset(np.flatnonzero(annihilator[qmap]).tolist())
-        ideal = ideal_from_elements(ring, pulled)
+        ideal = ideal_from_mask(ring, annihilator[qmap])
         field, _ = quotient_ring(ring, ideal)
         if len(field.units()) != field.carrier_size - 1:
             raise InternalDefectError(
@@ -107,15 +105,14 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     nilpotent set (the two agree on finite commutative rings)."""
     if "radical" in ring._cache:
         return ring._cache["radical"]
-    nil = nilpotent_elements(ring)
-    intersection = set(ring.elements())
+    out = ideal_from_elements(ring, nilpotent_elements(ring))
+    intersection = np.ones(ring.carrier_size, dtype=bool)
     for m in maximal_ideals(ring).ideals:
-        intersection &= m.elements
-    if frozenset(intersection) != nil:
+        intersection &= m.mask
+    if not np.array_equal(intersection, out.mask):
         raise InternalDefectError(
             "radical mismatch: intersection of maximal ideals differs from "
             "the nilpotent set")
-    out = ideal_from_elements(ring, nil)
     ring._cache["radical"] = out
     return out
 
@@ -143,15 +140,15 @@ class CongruenceSystem:
 
 def _comaximal_pair(ring: FiniteRing, a, b) -> bool:
     # cached per ring: unit lifting re-solves systems over the same ideals
-    key = ("comaximal", a.elements, b.elements)
+    key = ("comaximal", a.key, b.key)
     cached = ring._cache.get(key)
     if cached is not None:
         return cached
     # a + b contains 1 exactly when 1 - x lies in b for some x in a
-    one_minus = ring.add_many(ring.one, ring.neg_many(np.fromiter(a.elements, dtype=np.int64)))
-    ok = bool(member_mask(ring, b.elements)[one_minus].any())
+    one_minus = ring.add_many(ring.one, ring.neg_many(np.flatnonzero(a.mask)))
+    ok = bool(b.mask[one_minus].any())
     ring._cache[key] = ok
-    ring._cache[("comaximal", b.elements, a.elements)] = ok
+    ring._cache[("comaximal", b.key, a.key)] = ok
     return ok
 
 
@@ -164,13 +161,9 @@ def _check_comaximal(ring: FiniteRing, system: CongruenceSystem):
                     f"ideals {i} and {j} are not comaximal; no solution is promised")
 
 
-def crt_solve(ring: FiniteRing, system: CongruenceSystem | list, method: str = "auto") -> int:
-    """Smallest element satisfying every congruence.
-
-    The default is an exhaustive carrier scan (corpus carriers are small);
-    for Z/n a modular fast path computes the same minimal solution from
-    integer CRT.  Both paths agree element-for-element.
-    """
+def crt_solve(ring: FiniteRing, system: CongruenceSystem | list) -> int:
+    """Smallest element satisfying every congruence, by one scan of the
+    carrier; the solution is checked against every congruence."""
     if not isinstance(system, CongruenceSystem):
         system = CongruenceSystem.of(system)
     for ideal, t in system.constraints:
@@ -179,14 +172,7 @@ def crt_solve(ring: FiniteRing, system: CongruenceSystem | list, method: str = "
         if not 0 <= t < ring.carrier_size:
             raise ValueError(f"target {t} outside the carrier")
     _check_comaximal(ring, system)
-    if method not in ("auto", "scan", "modular"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "modular" or (method == "auto" and isinstance(ring.spec, ModularSpec)):
-        if not isinstance(ring.spec, ModularSpec):
-            raise ValueError("modular fast path needs a Z/n ring")
-        sol = _crt_modular(ring, system)
-    else:
-        sol = _crt_scan(ring, system)
+    sol = _crt_scan(ring, system)
     for ideal, t in system.constraints:
         if ring.sub(sol, t) not in ideal:
             raise InternalDefectError("crt solution fails a congruence")
@@ -198,22 +184,9 @@ def _crt_scan(ring: FiniteRing, system: CongruenceSystem) -> int:
     ok = np.ones(ring.carrier_size, dtype=bool)
     for ideal, t in system.constraints:
         # a - t in I, over every a
-        ok &= member_mask(ring, ideal.elements)[ring.add_many(every, ring.neg_many(t))]
+        ok &= ideal.mask[ring.add_many(every, ring.neg_many(t))]
     hits = np.flatnonzero(ok)
     if len(hits) == 0:
         raise InternalDefectError("no solution despite comaximal ideals")
     return int(hits[0])
 
-
-def _crt_modular(ring: FiniteRing, system: CongruenceSystem) -> int:
-    n = ring.carrier_size
-    # every ideal of Z/n is dZ/n with d = n/|I|
-    x, modulus = 0, 1
-    for ideal, t in system.constraints:
-        d = n // len(ideal.elements)
-        if d == 1:
-            continue
-        inv = pow(modulus % d, -1, d)
-        x = x + modulus * ((t - x) * inv % d)
-        modulus *= d
-    return x % modulus if modulus > 1 else 0

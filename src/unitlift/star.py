@@ -30,6 +30,7 @@ from .rings import (
     ProductRing,
     enumerate_ideals,
     first_hits,
+    ideal_from_elements,
     member_mask,
     quotient_ring,
     sumset,
@@ -44,12 +45,9 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
     idempotence follow); the saturation of {1} is exactly the unit group.
     """
     w = frozenset(subset)
-    for x in w:
-        if not 0 <= x < ring.carrier_size:
-            raise ValueError(f"subset member {x} outside the carrier")
+    member = member_mask(ring, w)
     if not w:
         return w
-    member = member_mask(ring, w)
     # members need no scan: s = 1 carries them into the subset
     rest = np.flatnonzero(~member)
     found = first_hits(ring, rest, np.arange(ring.carrier_size),
@@ -88,11 +86,11 @@ class StarReport:
 
 
 def _units_plus_ideal(ring: FiniteRing, ideal: Ideal) -> frozenset[int]:
-    return sumset(ring, ring.units(), ideal.elements)
+    return sumset(ring, ring.units(), ideal)
 
 
 def _one_plus_ideal(ring: FiniteRing, ideal: Ideal) -> frozenset[int]:
-    return sumset(ring, (ring.one,), ideal.elements)
+    return sumset(ring, (ring.one,), ideal)
 
 
 def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
@@ -128,7 +126,7 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
 
     # WITNESS: everything invertible mod I is congruent mod I to a unit
     every = np.arange(ring.carrier_size)
-    member = member_mask(ring, ideal.elements)
+    member = ideal.mask
     one_minus = ring.add_many(ring.one, ring.neg_many(every))
 
     def partner(a, b):  # 1 - a*b in I
@@ -162,11 +160,11 @@ class RingStarReport:
     entries: tuple[tuple[Ideal, StarCheck], ...]
 
 
-def ring_has_star(ring: FiniteRing, guards: Guards | None = None) -> RingStarReport:
+def ring_has_star(ring: FiniteRing) -> RingStarReport:
     """Direct check over every proper ideal, in canonical enumeration order."""
     entries = []
     overall = True
-    for ideal in enumerate_ideals(ring, guards):
+    for ideal in enumerate_ideals(ring):
         if not ideal.is_proper():
             continue
         check = star_check(ring, ideal, StarMethod.DIRECT)
@@ -191,7 +189,7 @@ def crt_unit_lift(ring: FiniteRing, ideal: Ideal, v: int) -> int:
         raise ValueError(f"{quotient.render(v)} is not a unit of the quotient")
     r = hom.preimage(v)
     exceptional = [m for m in maximal_ideals(ring).ideals
-                   if not ideal.elements <= m.elements]
+                   if (ideal.mask & ~m.mask).any()]
     target = ring.sub(ring.one, r)
     system = CongruenceSystem.of(
         [(ideal, ring.zero)] + [(m, target) for m in exceptional])
@@ -253,12 +251,9 @@ def reduce_mod_rad_equiv(ring: FiniteRing, ideal: Ideal) -> RadicalReductionRepo
     """
     direct = star_check(ring, ideal, StarMethod.DIRECT).holds
     reduced, proj = radical_quotient(ring)
-    image = frozenset(proj(x) for x in ideal.elements)
-    if reduced.one in image:
+    reduced_ideal = ideal_from_elements(reduced, (proj(x) for x in ideal))
+    if not reduced_ideal.is_proper():
         return RadicalReductionReport(direct, True, True)
-    from .rings import ideal_from_elements
-
-    reduced_ideal = ideal_from_elements(reduced, image)
     reduced_verdict = star_check(reduced, reduced_ideal, StarMethod.DIRECT).holds
     if direct != reduced_verdict:
         raise InternalDefectError(

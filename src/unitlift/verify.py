@@ -145,8 +145,8 @@ def _result(key, title, checks, failures, info=None, defects=0) -> CriterionResu
                            defects)
 
 
-def _proper_ideals(ring, guards):
-    return [i for i in enumerate_ideals(ring, guards) if i.is_proper()]
+def _proper_ideals(ring):
+    return [i for i in enumerate_ideals(ring) if i.is_proper()]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def criterion_star_agreement(rings, ctx: RunContext) -> CriterionResult:
     for ring in rings:
         name = spec_to_string(ring.spec)
         try:
-            for ideal in _proper_ideals(ring, ctx.guards):
+            for ideal in _proper_ideals(ring):
                 report = star_report(ring, ideal)
                 checks += 1
                 if not report.holds:
@@ -176,7 +176,7 @@ def criterion_star_agreement(rings, ctx: RunContext) -> CriterionResult:
 def criterion_rings_lift_units(rings, ctx: RunContext) -> CriterionResult:
     checks, failures = 0, []
     for ring in rings:
-        report = ring_has_star(ring, ctx.guards)
+        report = ring_has_star(ring)
         checks += len(report.entries)
         if not report.holds:
             bad = [i for i, c in report.entries if not c.holds]
@@ -251,7 +251,7 @@ def criterion_radical_reduction(rings, ctx: RunContext) -> CriterionResult:
             continue
         name = spec_to_string(ring.spec)
         try:
-            for ideal in _proper_ideals(ring, ctx.guards):
+            for ideal in _proper_ideals(ring):
                 report = reduce_mod_rad_equiv(ring, ideal)
                 checks += 1
                 if report.verdict != report.reduced_verdict or report.degenerate:
@@ -379,7 +379,7 @@ def criterion_unit_lifting(rings, ctx: RunContext) -> CriterionResult:
             continue
         name = spec_to_string(ring.spec)
         try:
-            for ideal in _proper_ideals(ring, ctx.guards):
+            for ideal in _proper_ideals(ring):
                 quotient, hom = quotient_ring(ring, ideal)
                 for v in sorted(quotient.units()):
                     lifted = crt_unit_lift(ring, ideal, v)
@@ -411,7 +411,7 @@ def criterion_field_product_adjustment(rings, ctx: RunContext) -> CriterionResul
         eligible += 1
         name = spec_to_string(ring.spec)
         try:
-            for ideal in _proper_ideals(ring, ctx.guards):
+            for ideal in _proper_ideals(ring):
                 for a in ring.elements():
                     for b in ring.elements():
                         if ring.sub(ring.one, ring.mul(a, b)) not in ideal:
@@ -439,7 +439,7 @@ def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
     four = build_ring("Z/4", ctx.guards)
     ideal = ideal_closure(four, [2])
     target, hom = quotient_ring(four, ideal)
-    space = MatrixSpace(target, 2, ctx.guards)
+    space = MatrixSpace(target, 2)
     invertible = [m for m in space if target.is_unit(det(m))]
     if len(invertible) != 6:
         failures.append(f"expected 6 invertible 2x2 matrices over the "
@@ -450,7 +450,7 @@ def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
         flat = [c for row in entry_preimages for c in row]
         for combo in itertools.product(*flat):
             rows = [combo[0:2], combo[2:4]]
-            lifted = Matrix(four, rows, ctx.guards)
+            lifted = Matrix(four, rows)
             checks += 1
             if not four.is_unit(det(lifted)):
                 failures.append(f"non-invertible lift {lifted.render()} of "
@@ -466,7 +466,7 @@ def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
             while done < ctx.gl_samples:
                 rows = [[rng.randrange(quotient.carrier_size)
                          for _ in range(dim)] for _ in range(dim)]
-                matrix = Matrix(quotient, rows, ctx.guards)
+                matrix = Matrix(quotient, rows)
                 if not quotient.is_unit(det(matrix)):
                     continue
                 try:
@@ -487,7 +487,7 @@ def criterion_dedekind(rings, ctx: RunContext) -> CriterionResult:
     checks, failures = 0, []
     for spec in ("Z/2", "Z/3"):
         ring = build_ring(spec, ctx.guards)
-        space = MatrixSpace(ring, 2, ctx.guards)
+        space = MatrixSpace(ring, 2)
         checks += space.size ** 2
         if not dedekind_finite_check(space):
             failures.append(f"one-sided inverse over {spec} is not two-sided")
@@ -522,7 +522,7 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
             failures.append(f"{name}: saturating {{1}} missed the unit group")
     # two-sided variant over 2x2 matrices mod 2
     two = build_ring("Z/2", ctx.guards)
-    space = MatrixSpace(two, 2, ctx.guards)
+    space = MatrixSpace(two, 2)
     members = list(space)
     ident = space.identity()
     invertible = frozenset(m for m in members if matrix_inverse(m) is not None)

@@ -134,6 +134,14 @@ def comaximal(ring, a, b):
     return any(add(ring, x, y) == ring.one for x in a for y in b)
 
 
+def crt(ring, constraints):
+    """The least a with a - t in I for every (elements of I, t), or None."""
+    for a in ring.elements():
+        if all(sub(ring, a, t) in elements for elements, t in constraints):
+            return a
+    return None
+
+
 def witness(ring, ideal_elements, units):
     """The first a invertible mod I but congruent to no unit, or None."""
     for a in ring.elements():

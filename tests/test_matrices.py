@@ -146,9 +146,15 @@ def test_matrix_results_keep_the_ring_guards():
 def test_matrix_space_guard():
     with pytest.raises(GuardExceededError):
         MatrixSpace(build_ring("Z/17"), 2)
-    space = MatrixSpace(build_ring("Z/17"), 2,
-                        Guards(matrix_space_limit=17 ** 4))
+    space = MatrixSpace(build_ring("Z/17", Guards(matrix_space_limit=17 ** 4)), 2)
     assert space.size == 17 ** 4
+
+
+def test_matrix_space_keeps_the_ring_guards():
+    ring = build_ring("Z/2", Guards(matrix_dim_limit=4))
+    space = MatrixSpace(ring, 4)
+    assert space.identity() == Matrix.identity(ring, 4)
+    assert next(iter(space)).n == 4
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_scans_match_oracle(spec, table_limit):
     assert nilpotent_elements(ring) == nil
     assert idempotents(ring) == oracle.idempotents(ring)
     for x in ring.elements():
-        assert principal(ring, x) == oracle.principal(ring, x)
+        assert set(np.flatnonzero(principal(ring, x)).tolist()) == oracle.principal(ring, x)
     assert sumset(ring, units, nil) == oracle.sumset(ring, units, nil)
 
     rad = jacobson_radical(ring).elements

@@ -10,6 +10,7 @@ Oracles:
     cell at a time from the reference arithmetic in scalar_oracle
 """
 
+import contextlib
 import math
 import random
 import signal
@@ -31,9 +32,11 @@ from unitlift.rings import (
     enumerate_ideals,
     ideal_closure,
     ideal_from_elements,
+    principal,
     quotient_ring,
 )
 from unitlift.specs import ModularSpec, spec_to_string
+from unitlift.star import ring_has_star
 from unitlift.verify import corpus_rings
 
 AXIOM_SPECS = [
@@ -165,21 +168,26 @@ class _BrokenAddition(ModularRing):
 
 
 def _raise_timeout(signum, frame):
-    raise TimeoutError("quotient_ring did not finish")
+    raise TimeoutError("the call did not finish")
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
 def test_quotient_of_broken_arithmetic_raises(table_limit):
     # the coset of 0 never contains 0, so labelling the cosets cannot finish
     ring = _BrokenAddition(ModularSpec(12), Guards(table_limit=table_limit))
-    previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.alarm(10)
-    try:
-        with pytest.raises(InternalDefectError):
-            quotient_ring(ring, Ideal(ring, (), frozenset({0})))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with _time_limit(10), pytest.raises(InternalDefectError):
+        quotient_ring(ring, Ideal(ring, (), np.arange(12) == 0))
 
 
 def test_quot_spec_builds_the_quotient():
@@ -227,13 +235,57 @@ def test_ideal_from_elements_checks_closure():
     ring = build_ring("Z/12")
     good = ideal_from_elements(ring, {0, 4, 8})
     assert good.is_proper()
-    with pytest.raises(ValueError):
-        ideal_from_elements(ring, {0, 4})
+    for bad in ({0, 4}, {4, 8}):
+        with _time_limit(10), pytest.raises(ValueError, match="not an ideal"):
+            ideal_from_elements(ring, bad)
+
+
+@pytest.mark.parametrize("elements", [{0, 4, -4}, {0, 12}, {-1}])
+def test_ideal_from_elements_rejects_elements_outside_the_carrier(elements):
+    # such an element never enters the greedy span, which then never ends
+    with _time_limit(10), pytest.raises(ValueError, match="outside the carrier"):
+        ideal_from_elements(build_ring("Z/12"), elements)
+
+
+def test_ideal_membership_reads_the_mask():
+    ring = build_ring("Z/12")
+    whole = ideal_closure(ring, [1])
+    assert len(whole) == 12 and list(whole) == list(range(12))
+    # -1 must not wrap around to the last index
+    assert -1 not in whole and 12 not in whole
+    three = ideal_closure(ring, [9])
+    assert three == ideal_closure(ring, [3]) and hash(three) == hash(ideal_closure(ring, [3]))
+    assert [x for x in range(-12, 24) if x in three] == list(three) == [0, 3, 6, 9]
+    assert not three.mask.flags.writeable
+
+
+def test_principal_mask_is_cached_and_read_only():
+    ring = build_ring("Z/12")
+    mask = principal(ring, 8)
+    assert principal(ring, 8) is mask
+    assert not mask.flags.writeable
+    assert np.flatnonzero(mask).tolist() == [0, 4, 8]
+
+
+@pytest.mark.parametrize("spec", ["prod(Z/8,Z/8,Z/8,Z/2)",
+                                  "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)"])
+def test_generators_close_to_their_ideal(spec):
+    # the lattice oracle cannot reach rings of this size
+    ring = build_ring(spec)
+    for ideal in enumerate_ideals(ring):
+        closed = ideal_closure(ring, ideal.generators)
+        assert closed == ideal and hash(closed) == hash(ideal)
+        assert closed.elements == ideal.elements
 
 
 def test_ideal_enumeration_guard():
     with pytest.raises(GuardExceededError):
         enumerate_ideals(build_ring("Z/8192"))
+    low = build_ring("Z/16", Guards(ideal_enum_limit=8))
+    with pytest.raises(GuardExceededError):
+        enumerate_ideals(low)
+    with pytest.raises(GuardExceededError):
+        ring_has_star(low)
 
 
 def test_build_guard():
@@ -265,7 +317,7 @@ def test_scalar_path_matches_tabulated(spec):
         for b in range(n):
             assert slow.add(a, b) == fast.add(a, b)
             assert slow.mul(a, b) == fast.mul(a, b)
-    assert ([i.elements for i in enumerate_ideals(slow, slow.guards)]
+    assert ([i.elements for i in enumerate_ideals(slow)]
             == [i.elements for i in enumerate_ideals(fast)])
 
 

@@ -1,49 +1,70 @@
 """Square matrices over a finite commutative ring, and unit lifting for them.
 
-The determinant is computed by cofactor expansion, which is valid over any
-commutative ring.  A matrix is invertible exactly when its determinant is a
-unit; the inverse comes from the adjugate and is certified by checking both
-products against the identity.  When a surjection has kernel inside the
-radical, invertibility of a matrix over the target already forces every
-entrywise lift to be invertible, because the determinant of any lift reduces
-to the (unit) determinant of the target matrix.
+Matrices are (..., n, n) int64 index arrays computed on the ring's array
+operations.  The determinant is the Leibniz sum over the n! signed
+permutations, valid over any commutative ring; n is capped by the ring's
+matrix_dim_limit guard.  A matrix is invertible exactly when its determinant
+is a unit; the inverse is det^-1 times the adjugate, one batched determinant
+of the n^2 minors, certified by checking both products against the identity.
+When a surjection has kernel inside the radical, invertibility of a matrix
+over the target already forces every entrywise lift to be invertible,
+because the determinant of any lift reduces to the (unit) determinant of the
+target matrix.
 
 Matrix rings are not commutative, but they are Dedekind-finite: X*Y = 1
 forces Y*X = 1.  The two-sided saturation scan and the exhaustive Dedekind
-check below verify this on small matrix spaces.
+check below verify this on small matrix spaces, in blocks of index pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import GuardExceededError, InternalDefectError
-from .rings import FiniteRing, SurjectiveHom
+from .rings import FiniteRing, SurjectiveHom, first_hits
 from .spectrum import jacobson_radical
 
 
 class Matrix:
-    """Immutable n x n matrix with entries given as ring element indices,
-    admitted under its ring's guards."""
+    """Immutable n x n matrix of ring element indices, admitted under its
+    ring's guards: a read-only (n, n) int64 ``array`` whose bytes ``key``
+    serve equality and hashing; ``entries`` is a tuple view built on first use."""
 
-    __slots__ = ("ring", "entries", "n")
+    __slots__ = ("ring", "array", "key", "n", "_entries")
 
     def __init__(self, ring: FiniteRing, rows):
-        limit = ring.guards.matrix_dim_limit
-        entries = tuple(tuple(row) for row in rows)
-        n = len(entries)
-        if n < 1 or n > limit:
-            raise ValueError(f"dimension {n} outside 1..{limit}")
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for a in row:
-                if not 0 <= a < ring.carrier_size:
-                    raise ValueError(f"entry {a} outside the carrier")
-        self.ring = ring
-        self.entries = entries
-        self.n = n
+        rows = [list(row) for row in rows]
+        n = len(rows)
+        if not 1 <= n <= ring.guards.matrix_dim_limit:
+            raise ValueError(f"dimension {n} outside 1..{ring.guards.matrix_dim_limit}")
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        for a in itertools.chain.from_iterable(rows):
+            if not isinstance(a, (int, np.integer)):
+                raise ValueError(f"entry {a!r} is not an integer")
+            if not 0 <= a < ring.carrier_size:
+                raise ValueError(f"entry {a} outside the carrier")
+        self._store(ring, rows)
+
+    @classmethod
+    def _of(cls, ring: FiniteRing, array) -> "Matrix":
+        """The matrix of an (n, n) index array already known to be valid."""
+        return cls.__new__(cls)._store(ring, array)
+
+    def _store(self, ring, array):
+        self.ring, self.array = ring, np.array(array, dtype=np.int64)
+        self.array.setflags(write=False)
+        self.key, self.n, self._entries = self.array.tobytes(), len(self.array), None
+        return self
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(map(tuple, self.array.tolist()))
+        return self._entries
 
     @staticmethod
     def identity(ring: FiniteRing, n: int) -> "Matrix":
@@ -52,31 +73,18 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.ring is self.ring
-                and other.entries == self.entries)
+                and other.key == self.key)
 
     def __hash__(self):
-        return hash((id(self.ring), self.entries))
+        return hash((id(self.ring), self.key))
 
     def __add__(self, other):
         self._compatible(other)
-        R = self.ring
-        return Matrix(R, [[R.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
+        return Matrix._of(self.ring, self.ring.add_many(self.array, other.array))
 
     def __matmul__(self, other):
         self._compatible(other)
-        R = self.ring
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = R.zero
-                for k in range(n):
-                    acc = R.add(acc, R.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(R, out)
+        return Matrix._of(self.ring, _matmul(self.ring, self.array, other.array))
 
     def _compatible(self, other):
         if not isinstance(other, Matrix) or other.ring is not self.ring \
@@ -91,40 +99,49 @@ class Matrix:
         return f"<Matrix [{self.render()}] over {self.ring!r}>"
 
 
-def _minor(rows, i, j):
-    return [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+def _matmul(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # terms[k, ..., i, j] = a[..., i, k] * b[..., k, j], summed over k
+    terms = ring.mul_many(np.moveaxis(a, -1, 0)[..., :, None],
+                          np.moveaxis(b, -2, 0)[..., None, :])
+    return functools.reduce(ring.add_many, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! permutations of range(n) as columns, and which of them are odd."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    odd = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2)) % 2 == 1
+    for shared in (perms, odd):
+        shared.setflags(write=False)
+    return perms.T, odd
+
+
+def _det(ring: FiniteRing, a: np.ndarray) -> np.ndarray:
+    """Sum over the permutations p of +-a[0, p(0)] * ... * a[n-1, p(n-1)]."""
+    n = a.shape[-1]
+    perms, odd = _permutations(n)
+    # factors[i, ..., p] = a[..., i, p(i)]
+    factors = np.moveaxis(a[..., np.arange(n)[:, None], perms], -2, 0)
+    terms = functools.reduce(ring.mul_many, factors)
+    terms = np.where(odd, ring.neg_many(terms), terms)
+    return functools.reduce(ring.add_many, np.moveaxis(terms, -1, 0))
 
 
 def det(matrix: Matrix) -> int:
-    """Cofactor expansion along the first row."""
-    R = matrix.ring
-
-    def expand(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        acc = R.zero
-        for j, a in enumerate(rows[0]):
-            term = R.mul(a, expand(_minor(rows, 0, j)))
-            acc = R.add(acc, term if j % 2 == 0 else R.neg(term))
-        return acc
-
-    return expand([list(row) for row in matrix.entries])
+    """The Leibniz permutation sum."""
+    return int(_det(matrix.ring, matrix.array))
 
 
 def adjugate(matrix: Matrix) -> Matrix:
-    R = matrix.ring
-    n = matrix.n
-    rows = [list(row) for row in matrix.entries]
+    R, n = matrix.ring, matrix.n
     if n == 1:
         return Matrix(R, [[R.one]])
-    out = [[R.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = det(Matrix(R, _minor(rows, i, j))) if n > 1 else R.one
-            if (i + j) % 2 == 1:
-                cof = R.neg(cof)
-            out[j][i] = cof  # transpose
-    return Matrix(R, out)
+    # minors[i, j] drops row i and column j of the matrix
+    keep = np.array([[k for k in range(n) if k != i] for i in range(n)])
+    minors = matrix.array[keep[:, None, :, None], keep[None, :, None, :]]
+    cofactors = _det(R, minors)
+    odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+    return Matrix._of(R, np.where(odd, R.neg_many(cofactors), cofactors).T)
 
 
 def matrix_inverse(matrix: Matrix) -> Matrix | None:
@@ -137,13 +154,12 @@ def matrix_inverse(matrix: Matrix) -> Matrix | None:
     d = det(matrix)
     if not R.is_unit(d):
         return None
-    dinv = R.inverse(d)
-    adj = adjugate(matrix)
-    inv = Matrix(R, [[R.mul(dinv, a) for a in row] for row in adj.entries])
-    ident = Matrix.identity(R, matrix.n)
-    if matrix @ inv != ident or inv @ matrix != ident:
+    a = matrix.array
+    inv = R.mul_many(R.inverse(d), adjugate(matrix).array)
+    if not (_matmul(R, np.stack([a, inv]), np.stack([inv, a]))
+            == np.where(np.eye(matrix.n, dtype=bool), R.one, R.zero)).all():
         raise InternalDefectError("adjugate inverse failed its certificate")
-    return inv
+    return Matrix._of(R, inv)
 
 
 def gl_lift(hom: SurjectiveHom, matrix: Matrix, choose=None) -> Matrix:
@@ -157,24 +173,17 @@ def gl_lift(hom: SurjectiveHom, matrix: Matrix, choose=None) -> Matrix:
     source, target = hom.source, hom.target
     if matrix.ring is not target:
         raise ValueError("matrix is not over the hom's target")
-    rad = jacobson_radical(source)
-    if (hom.kernel.mask & ~rad.mask).any():
+    if (hom.kernel.mask & ~jacobson_radical(source).mask).any():
         raise ValueError("kernel is not contained in the radical")
-    d = det(matrix)
-    if not target.is_unit(d):
+    if not target.is_unit(det(matrix)):
         raise ValueError("matrix is not invertible over the target")
-    if choose is None:
-        choose = lambda i, j, candidates: candidates[0]
-    rows = []
-    for i, row in enumerate(matrix.entries):
-        rows.append([choose(i, j, hom.preimages(a)) for j, a in enumerate(row)])
-    lifted = Matrix(source, rows)
+    choose = choose or (lambda i, j, candidates: candidates[0])
+    lifted = Matrix(source, [[choose(i, j, hom.preimages(a)) for j, a in enumerate(row)]
+                             for i, row in enumerate(matrix.entries)])
     if matrix_inverse(lifted) is None:
         raise InternalDefectError("entrywise lift is not invertible")
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            if hom(lifted.entries[i][j]) != matrix.entries[i][j]:
-                raise InternalDefectError("lift does not map back onto the matrix")
+    if not np.array_equal(np.asarray(hom.mapping)[lifted.array], matrix.array):
+        raise InternalDefectError("lift does not map back onto the matrix")
     return lifted
 
 
@@ -183,26 +192,45 @@ def gl_lift(hom: SurjectiveHom, matrix: Matrix, choose=None) -> Matrix:
 
 
 class MatrixSpace:
-    """All n x n matrices over a ring, enumerable under its ring's
-    matrix-space guard."""
+    """All n x n matrices over a ring, enumerable under its ring's guards.
+    Matrix k is k written with n^2 digits in base |R|, most significant
+    first, row by row: the order of itertools.product over the entries."""
 
     def __init__(self, ring: FiniteRing, n: int):
-        self.ring = ring
-        self.n = n
+        if not 1 <= n <= ring.guards.matrix_dim_limit:
+            raise ValueError(f"dimension {n} outside 1..{ring.guards.matrix_dim_limit}")
         size = ring.carrier_size ** (n * n)
         if size > ring.guards.matrix_space_limit:
             raise GuardExceededError(
                 f"matrix space of size {size} exceeds the guard "
                 f"{ring.guards.matrix_space_limit}")
-        self.size = size
+        self.ring, self.n, self.size = ring, n, size
+        self._place = ring.carrier_size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+
+    def _matrices(self, k: np.ndarray) -> np.ndarray:
+        """The (..., n, n) index arrays of the matrices numbered k."""
+        digits = k[..., None] // self._place % self.ring.carrier_size
+        return digits.reshape(k.shape + (self.n, self.n))
+
+    def _number(self, a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[:-2] + (-1,)) @ self._place
 
     def __iter__(self):
-        n = self.n
-        for flat in itertools.product(self.ring.elements(), repeat=n * n):
-            yield Matrix(self.ring, [flat[i * n:(i + 1) * n] for i in range(n)])
+        return (Matrix._of(self.ring, a) for a in self._matrices(np.arange(self.size)))
 
     def identity(self) -> Matrix:
         return Matrix.identity(self.ring, self.n)
+
+    def _first_partners(self, hit) -> np.ndarray:
+        """Per matrix X, the first Y with hit(number of XY, of YX), or -1."""
+        def pairs(x, y):
+            a, b = self._matrices(x), self._matrices(y)
+            return hit(self._number(_matmul(self.ring, a, b)),
+                       self._number(_matmul(self.ring, b, a)))
+
+        # the broadcast product of a pair holds n^3 cells
+        every = np.arange(self.size)
+        return first_hits(self.ring, every, every, pairs, cell_words=self.n ** 3)
 
 
 def two_sided_saturate(space: MatrixSpace, subset) -> frozenset[Matrix]:
@@ -224,22 +252,15 @@ def two_sided_saturate(space: MatrixSpace, subset) -> frozenset[Matrix]:
             raise ValueError("subset member outside the matrix space")
     if not w:
         return w
-    out = set()
-    members = list(space)
-    for x in members:
-        for y in members:
-            if (x @ y) in w and (y @ x) in w:
-                out.add(x)
-                break
-    return frozenset(out)
+    member = np.zeros(space.size, dtype=bool)
+    member[space._number(np.array([m.array for m in w]))] = True
+    found = space._first_partners(lambda xy, yx: member[xy] & member[yx])
+    return frozenset(Matrix._of(space.ring, a)
+                     for a in space._matrices(np.flatnonzero(found >= 0)))
 
 
 def dedekind_finite_check(space: MatrixSpace) -> bool:
     """Exhaustive: every one-sided inverse pair is two-sided."""
-    ident = space.identity()
-    members = list(space)
-    for x in members:
-        for y in members:
-            if (x @ y) == ident and (y @ x) != ident:
-                return False
-    return True
+    one = space._number(space.identity().array)
+    found = space._first_partners(lambda xy, yx: (xy == one) & (yx != one))
+    return bool((found < 0).all())

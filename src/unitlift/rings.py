@@ -30,6 +30,7 @@ immutable once published, so sharing rings across threads is safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -73,7 +74,7 @@ def member_mask(ring: "FiniteRing", elements: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def first_hits(ring: "FiniteRing", rows, cols, hit) -> np.ndarray:
+def first_hits(ring: "FiniteRing", rows, cols, hit, cell_words: int = 1) -> np.ndarray:
     """For each row, the first column, in the given order, at which hit is
     true, or -1 where there is none.
 
@@ -81,17 +82,17 @@ def first_hits(ring: "FiniteRing", rows, cols, hit) -> np.ndarray:
     (k, m) boolean array.  Columns are taken in windows of doubling width,
     the first one block wide for all rows, and a row drops out once it has
     its column, so rows answered early cost little; each call of hit stays
-    within the ring's block budget.
+    within the ring's block budget, given cell_words cells per (row, column).
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     found = np.full(len(rows), -1, dtype=np.int64)
     todo = np.arange(len(rows))
-    widest = max(1, BLOCK_WORDS // ring.op_width)
+    widest = max(1, BLOCK_WORDS // (ring.op_width * cell_words))
     lo, width = 0, max(8, widest // max(1, len(rows)))
     while todo.size and lo < len(cols):
         window = cols[lo:lo + width]
-        step = ring.block_rows(len(window))
+        step = ring.block_rows(len(window) * cell_words)
         for start in range(0, todo.size, step):
             part = todo[start:start + step]
             hits = hit(rows[part, None], window[None, :])
@@ -251,12 +252,12 @@ class FiniteRing:
         # a tabulated ring scans its table.  Above the guard, units lift along
         # R -> R/N for the nilradical N (1 + N consists of units), so only a
         # reduced ring pays for the quadratic scan.
-        from .spectrum import nilpotent_elements
+        from .spectrum import nilradical
 
         if self.tables() is None:
-            nil = nilpotent_elements(self)
+            nil = nilradical(self)
             if len(nil) > 1:
-                reduced, _ = quotient_ring(self, ideal_from_elements(self, nil))
+                reduced, _ = quotient_ring(self, nil)
                 image = member_mask(reduced, reduced.units())
                 return frozenset(np.flatnonzero(image[reduced._qmap]).tolist())
         # a is a unit when some b has a*b = 1; the scan records that b
@@ -798,9 +799,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     atoms = primitive_idempotents(ring)
     projections = [ring.mul_many(idx, e) for e in atoms]
     factors = [np.unique(x) for x in projections]
-    total = ring.zero
-    for e in atoms:
-        total = ring.add(total, e)
+    total = functools.reduce(ring.add, atoms, ring.zero)
     if total != ring.one or math.prod(len(f) for f in factors) != n:
         raise InternalDefectError("primitive idempotents do not split the ring")
     # row i of lattice is the mask of one sum of factor ideals
@@ -984,47 +983,34 @@ def units(ring) -> frozenset:
 def check_ring_axioms(ring: FiniteRing):
     """Exhaustively verify the commutative-ring laws; raises on violation.
 
-    Uses the cached tables when available (gathers keep the n^3 laws fast);
-    otherwise falls back to plain loops, so keep untabulated rings small.
-    """
+    One path on the array operations: a tabulated ring gathers from its
+    tables, a larger one computes on its encoding.  Blocks of columns c hold
+    b + c and b * c for every b, so for each a, (a + b) + c and (a * b) * c
+    are rows of those blocks."""
     n = ring.carrier_size
-    tabs = ring.tables()
+    idx = np.arange(n)
     if ring.one == ring.zero:
         raise InternalDefectError("one equals zero")
-    if tabs is not None:
-        add, mul, neg = tabs
-        idx = np.arange(n)
-        if not np.array_equal(add, add.T):
+    if not np.array_equal(ring.add_many(ring.zero, idx), idx):
+        raise InternalDefectError("zero is not an additive identity")
+    if not np.array_equal(ring.mul_many(ring.one, idx), idx):
+        raise InternalDefectError("one is not a multiplicative identity")
+    if not (ring.add_many(idx, ring.neg_many(idx)) == ring.zero).all():
+        raise InternalDefectError("negation is not an additive inverse")
+    b, step = idx[:, None], ring.block_rows(n)
+    for lo in range(0, n, step):
+        c = idx[lo:lo + step]
+        b_plus_c, b_times_c = ring.add_many(b, c), ring.mul_many(b, c)
+        if not np.array_equal(b_plus_c, ring.add_many(c, b)):
             raise InternalDefectError("addition is not commutative")
-        if not np.array_equal(mul, mul.T):
+        if not np.array_equal(b_times_c, ring.mul_many(c, b)):
             raise InternalDefectError("multiplication is not commutative")
-        if not np.array_equal(add[ring.zero], idx):
-            raise InternalDefectError("zero is not an additive identity")
-        if not np.array_equal(mul[ring.one], idx):
-            raise InternalDefectError("one is not a multiplicative identity")
-        if not np.all(add[idx, neg[idx]] == ring.zero):
-            raise InternalDefectError("negation is not an additive inverse")
         for a in range(n):
-            if not np.array_equal(add[add[a]], add[a][add]):
+            a_plus_b, a_times_b = ring.add_many(a, idx), ring.mul_many(a, idx)
+            if not np.array_equal(b_plus_c[a_plus_b], ring.add_many(a, b_plus_c)):
                 raise InternalDefectError(f"addition not associative at {a}")
-            if not np.array_equal(mul[mul[a]], mul[a][mul]):
+            if not np.array_equal(b_times_c[a_times_b], ring.mul_many(a, b_times_c)):
                 raise InternalDefectError(f"multiplication not associative at {a}")
-            row = mul[a]
-            if not np.array_equal(row[add], add[row[:, None], row[None, :]]):
+            if not np.array_equal(ring.mul_many(a, b_plus_c),
+                                  ring.add_many(a_times_b[:, None], a_times_b[c])):
                 raise InternalDefectError(f"distributivity fails at {a}")
-        return
-    for a in range(n):
-        if ring.add(ring.zero, a) != a or ring.mul(ring.one, a) != a:
-            raise InternalDefectError("identity law fails")
-        if ring.add(a, ring.neg(a)) != ring.zero:
-            raise InternalDefectError("negation law fails")
-        for b in range(n):
-            if ring.add(a, b) != ring.add(b, a) or ring.mul(a, b) != ring.mul(b, a):
-                raise InternalDefectError("commutativity fails")
-            for c in range(n):
-                if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-                    raise InternalDefectError("addition not associative")
-                if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-                    raise InternalDefectError("multiplication not associative")
-                if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-                    raise InternalDefectError("distributivity fails")

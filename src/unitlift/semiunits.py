@@ -16,6 +16,7 @@ claimed property exactly before returning.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,9 @@ class Rho(enum.Enum):
 
 def is_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> bool:
     """Does every maximal ideal contain r or some 1 - s*r with s in the set?"""
-    cand = sorted(set(candidates))
-    for m in maximal_ideals(ring).ideals:
-        if r in m:
-            continue
-        if not any(ring.sub(ring.one, ring.mul(s, r)) in m for s in cand):
-            return False
-    return True
+    cand = np.array(sorted(set(candidates)), dtype=np.int64)
+    one_minus = ring.add_many(ring.one, ring.neg_many(ring.mul_many(cand, r)))
+    return all(r in m or m.mask[one_minus].any() for m in maximal_ideals(ring).ideals)
 
 
 def _semi_inverse_mask(ring: FiniteRing, r, s) -> np.ndarray:
@@ -103,9 +100,8 @@ def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
     cand = sorted(set(candidates))
     if not is_semi_inverse_set(ring, r, cand):
         raise ValueError("candidates are not a semi-inverse set for r")
-    q = ring.one
-    for s in cand:
-        q = ring.mul(q, ring.sub(ring.one, ring.mul(s, r)))
+    q = functools.reduce(ring.mul, (ring.sub(ring.one, ring.mul(s, r)) for s in cand),
+                         ring.one)
     every = np.arange(ring.carrier_size)
     hits = np.flatnonzero(ring.add_many(ring.one, ring.neg_many(ring.mul_many(every, r))) == q)
     if not hits.size:

@@ -45,17 +45,21 @@ def nilpotent_elements(ring: FiniteRing) -> frozenset[int]:
     return frozenset(np.flatnonzero(v == ring.zero).tolist())
 
 
+def nilradical(ring: FiniteRing) -> Ideal:
+    """The ideal of the nilpotent elements; one scan per ring, cached."""
+    if "nilradical" not in ring._cache:
+        ring._cache["nilradical"] = ideal_from_elements(ring, nilpotent_elements(ring))
+    return ring._cache["nilradical"]
+
+
 def idempotents(ring: FiniteRing) -> frozenset[int]:
     idx = np.arange(ring.carrier_size)
     return frozenset(np.flatnonzero(ring.mul_many(idx, idx) == idx).tolist())
 
 
 def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, SurjectiveHom]:
-    """R/rad(R) with its projection; cached on the ring."""
-    if "radical_quotient" not in ring._cache:
-        rad = jacobson_radical(ring)
-        ring._cache["radical_quotient"] = quotient_ring(ring, rad)
-    return ring._cache["radical_quotient"]
+    """R/rad(R) with its projection, cached with the radical."""
+    return quotient_ring(ring, jacobson_radical(ring))
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ class MaximalIdealList:
 def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
     if "maximal_ideals" in ring._cache:
         return ring._cache["maximal_ideals"]
-    nil = nilpotent_elements(ring)
-    reduced, proj = quotient_ring(ring, ideal_from_elements(ring, nil))
+    reduced, proj = quotient_ring(ring, nilradical(ring))
     atoms = primitive_idempotents(reduced)
     every = np.arange(reduced.carrier_size)
     qmap = np.asarray(proj.mapping)
@@ -103,18 +106,14 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Intersection of the maximal ideals, cross-checked against the
     nilpotent set (the two agree on finite commutative rings)."""
-    if "radical" in ring._cache:
-        return ring._cache["radical"]
-    out = ideal_from_elements(ring, nilpotent_elements(ring))
-    intersection = np.ones(ring.carrier_size, dtype=bool)
-    for m in maximal_ideals(ring).ideals:
-        intersection &= m.mask
-    if not np.array_equal(intersection, out.mask):
-        raise InternalDefectError(
-            "radical mismatch: intersection of maximal ideals differs from "
-            "the nilpotent set")
-    ring._cache["radical"] = out
-    return out
+    if "radical" not in ring._cache:
+        masks = [m.mask for m in maximal_ideals(ring).ideals]
+        if not np.array_equal(np.logical_and.reduce(masks), nilradical(ring).mask):
+            raise InternalDefectError(
+                "radical mismatch: intersection of maximal ideals differs from "
+                "the nilpotent set")
+        ring._cache["radical"] = nilradical(ring)
+    return ring._cache["radical"]
 
 
 def is_connected_mod_rad(ring: FiniteRing) -> bool:

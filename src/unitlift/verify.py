@@ -445,12 +445,9 @@ def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
         failures.append(f"expected 6 invertible 2x2 matrices over the "
                         f"two-element field, found {len(invertible)}")
     for matrix in invertible:
-        entry_preimages = [[hom.preimages(a) for a in row]
-                           for row in matrix.entries]
-        flat = [c for row in entry_preimages for c in row]
+        flat = [hom.preimages(a) for row in matrix.entries for a in row]
         for combo in itertools.product(*flat):
-            rows = [combo[0:2], combo[2:4]]
-            lifted = Matrix(four, rows)
+            lifted = Matrix(four, [combo[0:2], combo[2:4]])
             checks += 1
             if not four.is_unit(det(lifted)):
                 failures.append(f"non-invertible lift {lifted.render()} of "
@@ -521,8 +518,7 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
         if saturate(ring, [ring.one]) != ring.units():
             failures.append(f"{name}: saturating {{1}} missed the unit group")
     # two-sided variant over 2x2 matrices mod 2
-    two = build_ring("Z/2", ctx.guards)
-    space = MatrixSpace(two, 2)
+    space = MatrixSpace(build_ring("Z/2", ctx.guards), 2)
     members = list(space)
     ident = space.identity()
     invertible = frozenset(m for m in members if matrix_inverse(m) is not None)

@@ -1,13 +1,17 @@
 """Determinants, inverses, entrywise unit lifting, and the two-sided
 saturation operator on full matrix spaces.
 
-The determinant oracle below is the Leibniz permutation sum, written out
-independently of the library's cofactor expansion.
+The oracles below work one entry at a time on the reference arithmetic of
+scalar_oracle: the Leibniz permutation sum for determinants and cofactors,
+the schoolbook triple loop for products, and plain pair loops over a whole
+matrix space for saturation and Dedekind-finiteness.
 """
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import scalar_oracle as oracle
@@ -23,21 +27,49 @@ from unitlift.matrices import (
     matrix_inverse,
     two_sided_saturate,
 )
-from unitlift.rings import build_ring, ideal_closure, quotient_ring
+from unitlift.rings import ModularRing, build_ring, ideal_closure, quotient_ring
+from unitlift.specs import ModularSpec
 
 
-def _leibniz_det(matrix):
-    ring = matrix.ring
-    n = matrix.n
+def _leibniz(ring, rows):
+    n = len(rows)
     total = ring.zero
     for perm in itertools.permutations(range(n)):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n)
                          if perm[i] > perm[j])
         term = ring.one
         for i in range(n):
-            term = oracle.mul(ring, term, matrix.entries[i][perm[i]])
+            term = oracle.mul(ring, term, rows[i][perm[i]])
         total = oracle.add(ring, total, oracle.neg(ring, term) if inversions % 2 else term)
     return total
+
+
+def _leibniz_det(matrix):
+    return _leibniz(matrix.ring, matrix.entries)
+
+
+def _oracle_matmul(ring, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for k in range(n):
+                acc = oracle.add(ring, acc, oracle.mul(ring, a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _oracle_adjugate(ring, a):
+    n = len(a)
+    if n == 1:
+        return ((ring.one,),)
+    cof = [[_leibniz(ring, [r[:j] + r[j + 1:] for k, r in enumerate(a) if k != i])
+            for j in range(n)] for i in range(n)]
+    return tuple(tuple(cof[i][j] if (i + j) % 2 == 0 else oracle.neg(ring, cof[i][j])
+                       for i in range(n)) for j in range(n))
 
 
 def _random_matrix(ring, n, rng):
@@ -120,6 +152,49 @@ def test_adjugate_identity():
                 assert prod.entries[i][j] == expected
 
 
+# tabulated rings, the same rings computed on their encodings, and rings
+# above the table guard
+ARRAY_PATH_RINGS = [
+    ("Z/6", None), ("GF(2)[x]/(x^2+x+1)", None), ("prod(Z/2,Z/4)", None),
+    ("quot(Z/12;4)", None), ("GF(3)[x]/(x^2)", None),
+    ("Z/6", 2), ("GF(2)[x]/(x^2+x+1)", 2), ("prod(Z/2,Z/4)", 2),
+    ("quot(Z/12;4)", 2), ("GF(3)[x]/(x^2)", 2),
+    ("Z/1089", None), ("GF(2)[x]/(x^11)", None), ("prod(Z/32,Z/33)", None),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spec, table_limit", ARRAY_PATH_RINGS)
+def test_matrix_arithmetic_matches_oracle(spec, table_limit, n):
+    ring = build_ring(spec, Guards(table_limit=table_limit) if table_limit else Guards())
+    assert (ring.tables() is None) == (table_limit is not None or ring.carrier_size > 1024)
+    rng = random.Random(f"{spec}:{n}")
+    ident = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
+                  for i in range(n))
+    for _ in range(12):
+        a = _random_matrix(ring, n, rng)
+        # unitriangular, so invertible
+        b = Matrix(ring, [[ring.one if i == j else
+                           rng.randrange(ring.carrier_size) if i < j else ring.zero
+                           for j in range(n)] for i in range(n)])
+        assert (a @ b).entries == _oracle_matmul(ring, a.entries, b.entries)
+        assert (b @ a).entries == _oracle_matmul(ring, b.entries, a.entries)
+        assert (a + b).entries == tuple(
+            tuple(oracle.add(ring, x, y) for x, y in zip(ra, rb))
+            for ra, rb in zip(a.entries, b.entries))
+        for m in (a, b):
+            d = _leibniz_det(m)
+            assert det(m) == d
+            assert adjugate(m).entries == _oracle_adjugate(ring, m.entries)
+            inv = matrix_inverse(m)
+            d_is_unit = any(oracle.mul(ring, d, x) == ring.one for x in ring.elements())
+            assert (inv is not None) == d_is_unit
+            if inv is not None:
+                assert _oracle_matmul(ring, m.entries, inv.entries) == ident
+                assert _oracle_matmul(ring, inv.entries, m.entries) == ident
+        assert matrix_inverse(b) is not None
+
+
 def test_matrix_constructor_guards():
     ring = build_ring("Z/4")
     with pytest.raises(ValueError):
@@ -128,6 +203,29 @@ def test_matrix_constructor_guards():
         Matrix(ring, [[9, 0], [0, 1]])
     with pytest.raises(ValueError):
         Matrix(ring, [[0] * 4 for _ in range(4)])
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, np.float64(2.0), "1", None])
+def test_matrix_rejects_entries_that_are_not_integers(entry):
+    with pytest.raises(ValueError, match="not an integer"):
+        Matrix(build_ring("Z/6"), [[entry]])
+    with pytest.raises(ValueError, match="not an integer"):
+        Matrix(build_ring("Z/6"), [[1, 0], [entry, 1]])
+
+
+def test_matrix_accepts_integer_entries_of_any_type():
+    ring = build_ring("Z/6")
+    m = Matrix(ring, np.array([[1, 5], [np.int32(2), 3]]))
+    assert m == Matrix(ring, [[1, 5], [2, 3]])
+    assert m.entries == ((1, 5), (2, 3))
+    assert all(type(a) is int for row in m.entries for a in row)
+    assert det(m) == 5
+
+
+@pytest.mark.parametrize("spec, n", [("Z/4", 0), ("Z/4", -1), ("Z/2", 4)])
+def test_matrix_space_rejects_dimensions_the_ring_refuses(spec, n):
+    with pytest.raises(ValueError, match=f"dimension {n} outside 1..3"):
+        MatrixSpace(build_ring(spec), n)
 
 
 def test_matrix_results_keep_the_ring_guards():
@@ -265,3 +363,72 @@ def test_two_sided_saturation_is_not_idempotent():
 def test_dedekind_finiteness():
     assert dedekind_finite_check(MatrixSpace(build_ring("Z/2"), 2))
     assert dedekind_finite_check(MatrixSpace(build_ring("Z/3"), 2))
+
+
+# ---------------------------------------------------------------------------
+# full-space scans against plain pair loops
+
+
+def _space_oracle(spec):
+    """The matrices of M_2 in itertools.product order, and every product
+    X_i X_j as an index into that list, from the reference arithmetic."""
+    ring = build_ring(spec)
+    flat = list(itertools.product(ring.elements(), repeat=4))
+    rows = [(f[0:2], f[2:4]) for f in flat]
+    position = {r: k for k, r in enumerate(rows)}
+    products = [[position[_oracle_matmul(ring, x, y)] for y in rows] for x in rows]
+    return ring, rows, products
+
+
+@pytest.mark.parametrize("spec", ["Z/2", "Z/3"])
+def test_space_scans_match_pair_loops(spec):
+    ring, rows, products = _space_oracle(spec)
+    space = MatrixSpace(ring, 2)
+    members = list(space)
+    assert [m.entries for m in members] == rows
+    size = len(rows)
+    one = rows.index(((ring.one, ring.zero), (ring.zero, ring.one)))
+    assert dedekind_finite_check(space) == all(
+        products[i][j] != one or products[j][i] == one
+        for i in range(size) for j in range(size))
+    rng = random.Random(spec)
+    subsets = [{one}, {rows.index(((1, 1), (0, 1)))}, set(range(size))]
+    subsets += [set(rng.sample(range(size), k)) for k in (1, 2, 3, 5, size // 4)]
+    for w in subsets:
+        expected = {rows[i] for i in range(size)
+                    if any(products[i][j] in w and products[j][i] in w
+                           for j in range(size))}
+        got = two_sided_saturate(space, {members[i] for i in w})
+        assert {m.entries for m in got} == expected
+
+
+@pytest.mark.parametrize("spec, n", [("Z/5", 2), ("Z/2", 3)])
+def test_space_scans_stay_within_memory_budget(spec, n):
+    # unblocked, the pair products of these spaces would hold 3-7 million
+    # cells at once
+    space = MatrixSpace(build_ring(spec), n)
+    tracemalloc.start()
+    try:
+        assert dedekind_finite_check(space)
+        assert two_sided_saturate(space, {space.identity()}) == _gl(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+class _ZeroSquaredIsOne(ModularRing):
+    """Z/2 with 0 * 0 = 1: broken on purpose, so that M_2 over it has the
+    one-sided inverse pair X = [0,0;0,1], Y = [0,0;1,0]."""
+
+    def _mul_arrays(self, a, b):
+        return np.where((a == 0) & (b == 0), 1, a * b % self.n)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_dedekind_check_finds_a_one_sided_inverse(table_limit):
+    ring = _ZeroSquaredIsOne(ModularSpec(2), Guards(table_limit=table_limit))
+    space = MatrixSpace(ring, 2)
+    x, y = Matrix(ring, [[0, 0], [0, 1]]), Matrix(ring, [[0, 0], [1, 0]])
+    assert x @ y == space.identity() != y @ x
+    assert not dedekind_finite_check(space)

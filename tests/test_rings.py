@@ -55,6 +55,46 @@ def test_ring_axioms(spec):
     check_ring_axioms(build_ring(spec))
 
 
+class _NoncommutativeMultiplication(ModularRing):
+    """Z/n with 2 * 3 = 0 but 3 * 2 = 6."""
+
+    def _mul_arrays(self, a, b):
+        return np.where((a == 2) & (b == 3), 0, a * b % self.n)
+
+
+class _NonassociativeAddition(ModularRing):
+    """Z/n with 1 + 1 = 3, still commutative, with 0 and negatives intact."""
+
+    def _add_arrays(self, a, b):
+        return np.where((a == 1) & (b == 1), 3, (a + b) % self.n)
+
+
+class _NondistributiveMultiplication(ModularRing):
+    """The addition of Z/4 with the bitwise AND as multiplication, whose one
+    is 3: commutative and associative, but 1 * (1 + 1) = 0 while
+    1 * 1 + 1 * 1 = 2."""
+
+    def __init__(self, spec, guards):
+        super().__init__(spec, guards)
+        self.one = 3
+
+    def _mul_arrays(self, a, b):
+        return a & b
+
+
+@pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
+@pytest.mark.parametrize("kind, n, law", [
+    (_NoncommutativeMultiplication, 5, "multiplication is not commutative"),
+    (_NonassociativeAddition, 5, "addition not associative at 1"),
+    (_NondistributiveMultiplication, 4, "distributivity fails at 1"),
+])
+def test_ring_axioms_catch_broken_arithmetic(kind, n, law, table_limit):
+    ring = kind(ModularSpec(n), Guards(table_limit=table_limit))
+    assert (ring.tables() is None) == (table_limit == 2)
+    with pytest.raises(InternalDefectError, match=law):
+        check_ring_axioms(ring)
+
+
 # ---------------------------------------------------------------------------
 # units
 

@@ -8,6 +8,7 @@ by scanning the carrier.
 import pytest
 
 import scalar_oracle as oracle
+from unitlift import cli, spectrum
 from unitlift.rings import build_ring, enumerate_ideals, ideal_closure
 from unitlift.spectrum import (
     CongruenceSystem,
@@ -151,3 +152,21 @@ def test_crt_rejects_non_comaximal():
     ])
     with pytest.raises(ValueError, match="comaximal"):
         crt_solve(ring, system)
+
+
+@pytest.mark.parametrize("argv", [
+    # above the table guard, so unit finding reads the nilradical too
+    ["decompose", "GF(11)[x]/(x^3)", "x+2"],
+    ["ring", "info", "prod(Z/9,Z/128)"],
+])
+def test_one_nilpotent_scan_per_query(argv, monkeypatch, capsys):
+    calls = []
+
+    def counted(ring):
+        calls.append(ring)
+        return nilpotent_elements(ring)
+
+    monkeypatch.setattr(spectrum, "nilpotent_elements", counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -99,32 +99,32 @@ class Matrix:
         return f"<Matrix [{self.render()}] over {self.ring!r}>"
 
 
+def _fold(op, x: np.ndarray) -> np.ndarray:
+    """op folded over the last axis of x."""
+    return functools.reduce(op, (x[..., k] for k in range(x.shape[-1])))
+
+
 def _matmul(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # terms[k, ..., i, j] = a[..., i, k] * b[..., k, j], summed over k
-    terms = ring.mul_many(np.moveaxis(a, -1, 0)[..., :, None],
-                          np.moveaxis(b, -2, 0)[..., None, :])
-    return functools.reduce(ring.add_many, terms)
+    # terms[..., i, j, k] = a[..., i, k] * b[..., k, j], summed over k
+    return _fold(ring.add_many, ring.mul_many(a[..., :, None, :],
+                                              np.swapaxes(b, -1, -2)[..., None, :, :]))
 
 
 @functools.lru_cache(maxsize=None)
 def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n! permutations of range(n) as columns, and which of them are odd."""
+    """The n! permutations of range(n) as rows, and which of them are odd."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     odd = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2)) % 2 == 1
     for shared in (perms, odd):
         shared.setflags(write=False)
-    return perms.T, odd
+    return perms, odd
 
 
 def _det(ring: FiniteRing, a: np.ndarray) -> np.ndarray:
     """Sum over the permutations p of +-a[0, p(0)] * ... * a[n-1, p(n-1)]."""
-    n = a.shape[-1]
-    perms, odd = _permutations(n)
-    # factors[i, ..., p] = a[..., i, p(i)]
-    factors = np.moveaxis(a[..., np.arange(n)[:, None], perms], -2, 0)
-    terms = functools.reduce(ring.mul_many, factors)
-    terms = np.where(odd, ring.neg_many(terms), terms)
-    return functools.reduce(ring.add_many, np.moveaxis(terms, -1, 0))
+    perms, odd = _permutations(a.shape[-1])
+    terms = _fold(ring.mul_many, a[..., np.arange(a.shape[-1]), perms])
+    return _fold(ring.add_many, np.where(odd, ring.neg_many(terms), terms))
 
 
 def det(matrix: Matrix) -> int:
@@ -156,7 +156,7 @@ def matrix_inverse(matrix: Matrix) -> Matrix | None:
         return None
     a = matrix.array
     inv = R.mul_many(R.inverse(d), adjugate(matrix).array)
-    if not (_matmul(R, np.stack([a, inv]), np.stack([inv, a]))
+    if not (_matmul(R, np.array([a, inv]), np.array([inv, a]))
             == np.where(np.eye(matrix.n, dtype=bool), R.one, R.zero)).all():
         raise InternalDefectError("adjugate inverse failed its certificate")
     return Matrix._of(R, inv)

@@ -518,7 +518,8 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
         if saturate(ring, [ring.one]) != ring.units():
             failures.append(f"{name}: saturating {{1}} missed the unit group")
     # two-sided variant over 2x2 matrices mod 2
-    space = MatrixSpace(build_ring("Z/2", ctx.guards), 2)
+    two = build_ring("Z/2", ctx.guards)
+    space = MatrixSpace(two, 2)
     members = list(space)
     ident = space.identity()
     invertible = frozenset(m for m in members if matrix_inverse(m) is not None)

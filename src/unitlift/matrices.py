@@ -11,6 +11,11 @@ over the target already forces every entrywise lift to be invertible,
 because the determinant of any lift reduces to the (unit) determinant of the
 target matrix.
 
+Inverses and lift certificates run on a (k, n, n) batch at once: one
+determinant, one adjugate of all k * n^2 minors and both certificate
+products in one matrix product.  matrix_inverse and gl_lift are batches of
+one; the corpus certifies its sampled lifts a whole batch per call.
+
 Matrix rings are not commutative, but they are Dedekind-finite: X*Y = 1
 forces Y*X = 1.  The two-sided saturation scan and the exhaustive Dedekind
 check below verify this on small matrix spaces, in blocks of index pairs.
@@ -43,7 +48,7 @@ class Matrix:
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         for a in itertools.chain.from_iterable(rows):
-            if not isinstance(a, (int, np.integer)):
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
                 raise ValueError(f"entry {a!r} is not an integer")
             if not 0 <= a < ring.carrier_size:
                 raise ValueError(f"entry {a} outside the carrier")
@@ -132,16 +137,37 @@ def det(matrix: Matrix) -> int:
     return int(_det(matrix.ring, matrix.array))
 
 
-def adjugate(matrix: Matrix) -> Matrix:
-    R, n = matrix.ring, matrix.n
+def _adjugate(ring: FiniteRing, a: np.ndarray) -> np.ndarray:
+    """The adjugates of the (..., n, n) batch a: one determinant of all minors."""
+    n = a.shape[-1]
     if n == 1:
-        return Matrix(R, [[R.one]])
-    # minors[i, j] drops row i and column j of the matrix
+        return np.full(a.shape, ring.one, dtype=np.int64)
+    # minors[..., i, j, :, :] drops row i and column j
     keep = np.array([[k for k in range(n) if k != i] for i in range(n)])
-    minors = matrix.array[keep[:, None, :, None], keep[None, :, None, :]]
-    cofactors = _det(R, minors)
+    minors = a[..., keep[:, None, :, None], keep[None, :, None, :]]
+    cofactors = _det(ring, minors)
     odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
-    return Matrix._of(R, np.where(odd, R.neg_many(cofactors), cofactors).T)
+    return np.swapaxes(np.where(odd, ring.neg_many(cofactors), cofactors), -1, -2)
+
+
+def adjugate(matrix: Matrix) -> Matrix:
+    return Matrix._of(matrix.ring, _adjugate(matrix.ring, matrix.array))
+
+
+def _batch_inverse(ring: FiniteRing, a: np.ndarray):
+    """Per matrix of the (k, n, n) batch a: whether det is a unit, the
+    candidate det^-1 * adj, and whether both its products with the matrix
+    are the identity.  The candidate of a non-unit det is zero."""
+    dets = _det(ring, a).tolist()
+    inverse_of = {d: ring.inverse(d) for d in set(dets) if ring.is_unit(d)}
+    unit = np.array([d in inverse_of for d in dets], dtype=bool)
+    det_inverse = np.array([inverse_of.get(d, ring.zero) for d in dets], dtype=np.int64)
+    inv = ring.mul_many(det_inverse[:, None, None], _adjugate(ring, a))
+    products = _matmul(ring, np.concatenate([a, inv]), np.concatenate([inv, a]))
+    n = a.shape[-1]
+    ident = np.where(np.eye(n, dtype=bool), ring.one, ring.zero)
+    certified = (products == ident).reshape(2, len(a), n * n).all(axis=(0, 2))
+    return unit, inv, certified
 
 
 def matrix_inverse(matrix: Matrix) -> Matrix | None:
@@ -150,16 +176,36 @@ def matrix_inverse(matrix: Matrix) -> Matrix | None:
     The candidate det(A)^-1 * adj(A) is certified by checking both products
     against the identity; a failed certificate is a library defect.
     """
-    R = matrix.ring
-    d = det(matrix)
-    if not R.is_unit(d):
+    unit, inv, certified = _batch_inverse(matrix.ring, matrix.array[None])
+    if not unit[0]:
         return None
-    a = matrix.array
-    inv = R.mul_many(R.inverse(d), adjugate(matrix).array)
-    if not (_matmul(R, np.array([a, inv]), np.array([inv, a]))
-            == np.where(np.eye(matrix.n, dtype=bool), R.one, R.zero)).all():
+    if not certified[0]:
         raise InternalDefectError("adjugate inverse failed its certificate")
-    return Matrix._of(R, inv)
+    return Matrix._of(matrix.ring, inv[0])
+
+
+def _lift_defects(hom: SurjectiveHom, targets: np.ndarray,
+                  lifted: np.ndarray) -> list[str | None]:
+    """Per entrywise lift in the (k, n, n) batch ``lifted`` of ``targets``:
+    None when it is certified invertible (det a unit and a certified
+    two-sided inverse) and maps back onto its target, else what is wrong.
+
+    Requires the kernel to sit inside the radical of the source and every
+    target to be invertible (ValueError otherwise); then every lift must
+    pass, so a defect is a library bug.
+    """
+    source, target = hom.source, hom.target
+    if (hom.kernel.mask & ~jacobson_radical(source).mask).any():
+        raise ValueError("kernel is not contained in the radical")
+    if not all(map(target.is_unit, _det(target, targets).tolist())):
+        raise ValueError("matrix is not invertible over the target")
+    unit, _, certified = _batch_inverse(source, lifted)
+    maps_back = (np.asarray(hom.mapping)[lifted] == targets).all(axis=(-2, -1))
+    return ["entrywise lift is not invertible" if not u
+            else "adjugate inverse failed its certificate" if not c
+            else "lift does not map back onto the matrix" if not m
+            else None
+            for u, c, m in zip(unit.tolist(), certified.tolist(), maps_back.tolist())]
 
 
 def gl_lift(hom: SurjectiveHom, matrix: Matrix, choose=None) -> Matrix:
@@ -168,22 +214,25 @@ def gl_lift(hom: SurjectiveHom, matrix: Matrix, choose=None) -> Matrix:
     Requires the kernel to sit inside the radical of the source; then any
     entrywise preimage works, and this is verified (determinant a unit plus
     a certified two-sided inverse) rather than assumed.  ``choose`` picks
-    among each entry's preimages (default: the minimal one).
+    among each entry's preimages (default: the minimal one); a value that is
+    not among them is a ValueError.
     """
-    source, target = hom.source, hom.target
-    if matrix.ring is not target:
+    if matrix.ring is not hom.target:
         raise ValueError("matrix is not over the hom's target")
-    if (hom.kernel.mask & ~jacobson_radical(source).mask).any():
-        raise ValueError("kernel is not contained in the radical")
-    if not target.is_unit(det(matrix)):
-        raise ValueError("matrix is not invertible over the target")
     choose = choose or (lambda i, j, candidates: candidates[0])
-    lifted = Matrix(source, [[choose(i, j, hom.preimages(a)) for j, a in enumerate(row)]
-                             for i, row in enumerate(matrix.entries)])
-    if matrix_inverse(lifted) is None:
-        raise InternalDefectError("entrywise lift is not invertible")
-    if not np.array_equal(np.asarray(hom.mapping)[lifted.array], matrix.array):
-        raise InternalDefectError("lift does not map back onto the matrix")
+
+    def pick(i, j, a):
+        value = choose(i, j, hom.preimages(a))
+        if value not in hom.preimages(a):
+            raise ValueError(f"entry ({i}, {j}): {value!r} is not a preimage "
+                             f"of {hom.target.render(a)}")
+        return value
+
+    lifted = Matrix(hom.source, [[pick(i, j, a) for j, a in enumerate(row)]
+                                 for i, row in enumerate(matrix.entries)])
+    defect = _lift_defects(hom, matrix.array[None], lifted.array[None])[0]
+    if defect is not None:
+        raise InternalDefectError(defect)
     return lifted
 
 

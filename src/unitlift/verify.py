@@ -21,10 +21,12 @@ import json
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import DEFAULT_GUARDS, Guards
 from .errors import InternalDefectError
-from .matrices import Matrix, MatrixSpace, dedekind_finite_check, det, gl_lift, \
-    matrix_inverse, two_sided_saturate
+from .matrices import Matrix, MatrixSpace, _det, _lift_defects, dedekind_finite_check, \
+    det, matrix_inverse, two_sided_saturate
 from .rings import (
     FiniteRing,
     INTEGERS,
@@ -402,6 +404,14 @@ def _is_product_of_small_fields(ring) -> bool:
                     for f in ring.factors))
 
 
+def _adjustment_pairs(ring):
+    """Per proper ideal I, the pairs (a, b) with 1 - ab in I, row-major."""
+    idx = np.arange(ring.carrier_size)
+    grid = ring.add_many(ring.one, ring.neg_many(ring.mul_many(idx[:, None], idx)))
+    for ideal in _proper_ideals(ring):
+        yield ideal, np.argwhere(ideal.mask[grid]).tolist()
+
+
 def criterion_field_product_adjustment(rings, ctx: RunContext) -> CriterionResult:
     checks, failures, defects = 0, [], 0
     eligible = 0
@@ -411,17 +421,12 @@ def criterion_field_product_adjustment(rings, ctx: RunContext) -> CriterionResul
         eligible += 1
         name = spec_to_string(ring.spec)
         try:
-            for ideal in _proper_ideals(ring):
-                for a in ring.elements():
-                    for b in ring.elements():
-                        if ring.sub(ring.one, ring.mul(a, b)) not in ideal:
-                            continue
-                        adjusted = product_fields_adjust(ring, ideal, a, b)
-                        checks += 1
-                        if not ring.is_unit(adjusted) \
-                                or ring.sub(adjusted, a) not in ideal:
-                            failures.append(
-                                f"{name}: bad adjustment for a={ring.render(a)}")
+            for ideal, pairs in _adjustment_pairs(ring):
+                for a, b in pairs:
+                    adjusted = product_fields_adjust(ring, ideal, a, b)
+                    checks += 1
+                    if not ring.is_unit(adjusted) or ring.sub(adjusted, a) not in ideal:
+                        failures.append(f"{name}: bad adjustment for a={ring.render(a)}")
         except InternalDefectError as exc:
             failures.append(f"{name}: defect: {exc}")
             defects += 1
@@ -431,6 +436,24 @@ def criterion_field_product_adjustment(rings, ctx: RunContext) -> CriterionResul
                    "The vanishing-coordinate adjustment produces units in "
                    "products of fields",
                    checks, failures, {"rings": eligible}, defects=defects)
+
+
+def _draw_lifts(rng: random.Random, proj, dim: int, count: int):
+    """count random invertible dim x dim matrices over proj's target, each
+    with a random entrywise lift, as two (count, dim, dim) arrays: the draws
+    of gl_lift(proj, matrix, choose=lambda i, j, c: rng.choice(c)) per matrix."""
+    quotient = proj.target
+    targets, lifts = [], []
+    while len(targets) < count:
+        rows = [[rng.randrange(quotient.carrier_size) for _ in range(dim)]
+                for _ in range(dim)]
+        if not quotient.is_unit(int(_det(quotient, np.array(rows)))):
+            continue
+        targets.append(rows)
+        lifts.append([[rng.choice(proj.preimages(a)) for a in row] for row in rows])
+    shape = (count, dim, dim)
+    return (np.array(targets, dtype=np.int64).reshape(shape),
+            np.array(lifts, dtype=np.int64).reshape(shape))
 
 
 def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
@@ -457,23 +480,14 @@ def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
     for source_spec, gen in (("Z/8", 2), ("Z/9", 3), ("Z/25", 5)):
         source = build_ring(source_spec, ctx.guards)
         kernel = ideal_closure(source, [gen])
-        quotient, proj = quotient_ring(source, kernel)
+        _, proj = quotient_ring(source, kernel)
         for dim in (2, 3):
-            done = 0
-            while done < ctx.gl_samples:
-                rows = [[rng.randrange(quotient.carrier_size)
-                         for _ in range(dim)] for _ in range(dim)]
-                matrix = Matrix(quotient, rows)
-                if not quotient.is_unit(det(matrix)):
-                    continue
-                try:
-                    gl_lift(proj, matrix,
-                            choose=lambda i, j, cands: rng.choice(cands))
-                except InternalDefectError as exc:
-                    failures.append(f"{source_spec} dim {dim}: defect: {exc}")
+            targets, lifts = _draw_lifts(rng, proj, dim, ctx.gl_samples)
+            for defect in _lift_defects(proj, targets, lifts):
+                if defect is not None:
+                    failures.append(f"{source_spec} dim {dim}: defect: {defect}")
                     defects += 1
-                done += 1
-                checks += 1
+            checks += ctx.gl_samples
     return _result("matrix-entrywise-lifts",
                    "Entrywise lifts of invertible matrices stay invertible "
                    "when the kernel is radical",

@@ -4,9 +4,13 @@ saturation operator on full matrix spaces.
 The oracles below work one entry at a time on the reference arithmetic of
 scalar_oracle: the Leibniz permutation sum for determinants and cofactors,
 the schoolbook triple loop for products, and plain pair loops over a whole
-matrix space for saturation and Dedekind-finiteness.
+matrix space for saturation and Dedekind-finiteness.  The batched inverse is
+checked against matrix_inverse one matrix at a time, and the corpus's
+batched lift draws and certificates against gl_lift called once per draw.
 """
 
+import collections
+import functools
 import itertools
 import random
 import tracemalloc
@@ -15,11 +19,14 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from unitlift import matrices
 from unitlift.config import Guards
 from unitlift.errors import GuardExceededError
 from unitlift.matrices import (
     Matrix,
     MatrixSpace,
+    _batch_inverse,
+    _lift_defects,
     adjugate,
     dedekind_finite_check,
     det,
@@ -27,8 +34,10 @@ from unitlift.matrices import (
     matrix_inverse,
     two_sided_saturate,
 )
-from unitlift.rings import ModularRing, build_ring, ideal_closure, quotient_ring
+from unitlift.rings import ModularRing, SurjectiveHom, build_ring, ideal_closure, \
+    quotient_ring
 from unitlift.specs import ModularSpec
+from unitlift.verify import _draw_lifts
 
 
 def _leibniz(ring, rows):
@@ -152,6 +161,79 @@ def test_adjugate_identity():
                 assert prod.entries[i][j] == expected
 
 
+def _check_batch_inverse(ring, matrices):
+    unit, inv, certified = _batch_inverse(ring, np.array([m.array for m in matrices]))
+    assert unit.any() and not unit.all()
+    ident = Matrix.identity(ring, matrices[0].n).entries
+    for m, is_unit, candidate, passed in zip(matrices, unit, inv, certified):
+        expected = matrix_inverse(m)
+        assert is_unit == (expected is not None)
+        if is_unit:
+            assert passed
+            assert candidate.tolist() == [list(row) for row in expected.entries]
+            assert _oracle_matmul(ring, m.entries, expected.entries) == ident
+
+
+@pytest.mark.parametrize("spec", ["Z/2", "Z/4"])
+def test_batch_inverse_matches_matrix_inverse_on_a_whole_space(spec):
+    _check_batch_inverse(build_ring(spec), list(MatrixSpace(build_ring(spec), 2)))
+
+
+def test_batch_inverse_matches_matrix_inverse_on_sampled_3x3():
+    ring = build_ring("Z/25")
+    rng = random.Random(25)
+    _check_batch_inverse(ring, [_random_matrix(ring, 3, rng) for _ in range(200)])
+
+
+class _TwoSquaredIsTwo(ModularRing):
+    """Z/3 with 2 * 2 = 2: broken on purpose, so that the adjugate candidate
+    of some 3x3 matrices inverts them on one side only."""
+
+    def _mul_arrays(self, a, b):
+        return np.where((a == 2) & (b == 2), 2, a * b % self.n)
+
+
+def _scalar_matmul(ring, a, b):
+    # the ring's own scalar operations, one cell at a time
+    n = len(a)
+    return [[functools.reduce(ring.add, (ring.mul(a[i][k], b[k][j]) for k in range(n)))
+             for j in range(n)] for i in range(n)]
+
+
+def test_batch_inverse_certifies_both_products():
+    ring = _TwoSquaredIsTwo(ModularSpec(3))
+    rng = random.Random(3)
+    batch = np.array([[[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+                      for _ in range(1500)])
+    unit, inv, certified = _batch_inverse(ring, batch)
+    ident = np.eye(3, dtype=np.int64).tolist()
+    sides = collections.Counter()
+    for m, candidate, is_unit, passed in zip(batch.tolist(), inv.tolist(), unit, certified):
+        if is_unit:
+            left = _scalar_matmul(ring, m, candidate) == ident
+            right = _scalar_matmul(ring, candidate, m) == ident
+            assert passed == (left and right)
+            sides[left, right] += 1
+    assert sides[True, False] and sides[False, True] and sides[True, True]
+
+
+def test_lift_defects_rank_a_failed_certificate_before_the_map_back(monkeypatch):
+    # the identity hom of the broken ring; its radical is assumed, since the
+    # broken arithmetic has no consistent maximal ideals
+    ring = _TwoSquaredIsTwo(ModularSpec(3))
+    zero = ideal_closure(ring, [0])
+    monkeypatch.setattr(matrices, "jacobson_radical", lambda source: zero)
+    hom = SurjectiveHom(ring, ring, range(3), zero)
+    one_sided = [[[0, 2, 0], [1, 1, 2], [0, 0, 2]], [[0, 2, 1], [2, 0, 2], [0, 0, 2]]]
+    assert not _batch_inverse(ring, np.array(one_sided))[2].any()
+    ident = np.eye(3, dtype=np.int64).tolist()
+    targets = np.array([one_sided[0], one_sided[0], ident])
+    lifted = np.array([one_sided[0], one_sided[1], ident])
+    assert _lift_defects(hom, targets, lifted) == [
+        "adjugate inverse failed its certificate",
+        "adjugate inverse failed its certificate", None]
+
+
 # tabulated rings, the same rings computed on their encodings, and rings
 # above the table guard
 ARRAY_PATH_RINGS = [
@@ -205,7 +287,8 @@ def test_matrix_constructor_guards():
         Matrix(ring, [[0] * 4 for _ in range(4)])
 
 
-@pytest.mark.parametrize("entry", [1.5, 1.0, np.float64(2.0), "1", None])
+@pytest.mark.parametrize("entry", [1.5, 1.0, np.float64(2.0), "1", None, True, False,
+                                   np.True_])
 def test_matrix_rejects_entries_that_are_not_integers(entry):
     with pytest.raises(ValueError, match="not an integer"):
         Matrix(build_ring("Z/6"), [[entry]])
@@ -312,6 +395,80 @@ def test_gl_lift_requires_invertible_matrix():
     quot, hom = quotient_ring(ring, ideal)
     with pytest.raises(ValueError, match="invertible"):
         gl_lift(hom, Matrix(quot, [[1, 1], [1, 1]]))
+
+
+def test_gl_lift_rejects_a_choice_that_is_not_a_preimage():
+    ring = build_ring("Z/4")
+    quot, hom = quotient_ring(ring, ideal_closure(ring, [2]))
+    b = Matrix(quot, [[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match=r"entry \(0, 0\): 0 is not a preimage of 1"):
+        gl_lift(hom, b, choose=lambda i, j, cands: 0)
+    with pytest.raises(ValueError, match=r"entry \(1, 0\): 5 is not a preimage"):
+        gl_lift(hom, b, choose=lambda i, j, cands: 5 if (i, j) == (1, 0) else cands[0])
+
+
+# the corpus's sampled towers R -> R/(g), g generating the radical
+TOWERS = [("Z/8", 2), ("Z/9", 3), ("Z/25", 5)]
+
+
+def _tower(spec, gen):
+    ring = build_ring(spec)
+    return quotient_ring(ring, ideal_closure(ring, [gen]))[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_drawn_lifts_match_per_draw_gl_lift(seed):
+    # the oracle is the per-draw loop that lifts each matrix with gl_lift,
+    # choosing every entry's preimage with the same rng
+    rng = random.Random(f"{seed}:matrix-lifts")
+    oracle_rng = random.Random(f"{seed}:matrix-lifts")
+    for spec, gen in TOWERS:
+        hom = _tower(spec, gen)
+        quot = hom.target
+        for dim in (2, 3):
+            targets, lifts = [], []
+            while len(targets) < 50:
+                rows = [[oracle_rng.randrange(quot.carrier_size) for _ in range(dim)]
+                        for _ in range(dim)]
+                matrix = Matrix(quot, rows)
+                if not quot.is_unit(det(matrix)):
+                    continue
+                lift = gl_lift(hom, matrix,
+                               choose=lambda i, j, cands: oracle_rng.choice(cands))
+                targets.append(rows)
+                lifts.append([list(row) for row in lift.entries])
+            got_targets, got_lifts = _draw_lifts(rng, hom, dim, 50)
+            assert got_targets.tolist() == targets
+            assert got_lifts.tolist() == lifts
+            assert rng.getstate() == oracle_rng.getstate()
+            assert _lift_defects(hom, got_targets, got_lifts) == [None] * 50
+
+
+def test_lift_defects_name_each_broken_lift_in_order():
+    hom = _tower("Z/8", 2)
+    ident, unipotent = [[1, 0], [0, 1]], [[1, 1], [0, 1]]
+    targets = np.array([ident, ident, unipotent, ident, unipotent])
+    lifted = np.array([
+        [[5, 2], [4, 3]],  # a lift moved by kernel elements only
+        [[0, 0], [0, 0]],  # not invertible (and not mapping back either)
+        [[3, 5], [2, 7]],
+        [[1, 1], [0, 1]],  # the identity moved by 1, outside the kernel
+        [[1, 1], [0, 1]],
+    ])
+    assert _lift_defects(hom, targets, lifted) == [
+        None, "entrywise lift is not invertible", None,
+        "lift does not map back onto the matrix", None]
+    empty = np.zeros((0, 2, 2), dtype=np.int64)
+    assert _lift_defects(hom, empty, empty) == []
+
+
+def test_lift_defects_check_the_kernel_and_every_target():
+    hom = _tower("Z/8", 2)
+    targets = np.array([[[1, 0], [0, 1]], [[1, 1], [1, 1]]])
+    with pytest.raises(ValueError, match="not invertible over the target"):
+        _lift_defects(hom, targets, targets)
+    with pytest.raises(ValueError, match="radical"):
+        _lift_defects(_tower("Z/6", 2), targets[:1], targets[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from unitlift.star import (
     star_check,
     star_report,
 )
+from unitlift.specs import spec_to_string
+from unitlift.verify import _adjustment_pairs, _is_product_of_small_fields, corpus_rings
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,26 @@ def test_adjustment_covers_all_valid_pairs():
                 adjusted = product_fields_adjust(ring, ideal, a, b)
                 assert adjusted in ring.units()
                 assert oracle.sub(ring, adjusted, a) in ideal
+
+
+FIELD_PRODUCTS = [spec_to_string(r.spec) for r in corpus_rings()
+                  if _is_product_of_small_fields(r)]
+
+
+def test_corpus_has_eight_products_of_small_fields():
+    assert len(FIELD_PRODUCTS) == 8
+
+
+@pytest.mark.parametrize("spec", FIELD_PRODUCTS)
+def test_adjustment_pairs_match_double_loop(spec):
+    # the pairs the field-product-adjustment criterion visits, in its order
+    ring = build_ring(spec)
+    proper = [i for i in enumerate_ideals(ring) if i.is_proper()]
+    got = list(_adjustment_pairs(ring))
+    assert [ideal for ideal, _ in got] == proper
+    for ideal, pairs in got:
+        assert pairs == [[a, b] for a in ring.elements() for b in ring.elements()
+                         if oracle.sub(ring, ring.one, oracle.mul(ring, a, b)) in ideal]
 
 
 def test_adjustment_input_errors():

@@ -22,9 +22,11 @@ coset representatives for quotients.  Quadratic scans run in row blocks
 whose temporaries stay under BLOCK_WORDS int64 words, counting every digit
 a cell holds.  An ideal is its read-only boolean membership mask over the
 carrier, and the masks of principal ideals are cached per ring, so sums,
-closures and generators are mask operations.  The tests check the tables,
-the array operations and every scan against a plain-Python oracle with its
-own arithmetic.  Cached data is
+closures and generators are mask operations.  A tabulated ring also caches
+the table of its distinct principal ideals, deduplicated from the rows of its
+mul table and certified against its units, so saturation answers once per
+distinct ideal.  The tests check the tables, the array operations and every
+scan against a plain-Python oracle with its own arithmetic.  Cached data is
 immutable once published, so sharing rings across threads is safe.
 """
 
@@ -670,6 +672,52 @@ def principal(ring: FiniteRing, x: int) -> np.ndarray:
     return ring._cache[key]
 
 
+def _distinct_principals(ring: FiniteRing,
+                         members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct principal ideals x*R for x in members, as (masks, row_of):
+    masks is a (k, n) boolean array in order of first appearance and row_of[i]
+    is the row of members[i]*R.
+
+    members must be the carrier or a factor eR; either way x*R is the set of
+    products of x with members (x = x*e).  They come a block of rows at a
+    time and are deduplicated by their packed bits.
+    """
+    rows: dict[bytes, int] = {}
+    masks, row_of = [], []
+    step = ring.block_rows(len(members))
+    for lo in range(0, len(members), step):
+        block = members[lo:lo + step, None]
+        hit = np.zeros((len(block), ring.carrier_size), dtype=bool)
+        np.put_along_axis(hit, ring.mul_many(block, members), True, axis=1)
+        for row, key in zip(hit, np.packbits(hit, axis=1)):
+            k = rows.setdefault(key.tobytes(), len(rows))
+            if k == len(masks):
+                masks.append(row.copy())
+            row_of.append(k)
+    return np.array(masks), np.array(row_of, dtype=np.int64)
+
+
+def _principal_classes(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct principal ideals of a tabulated ring, as (masks,
+    class_of): masks is a read-only (k, n) boolean array of the k distinct
+    ideals r*R, and class_of[r] is the row of r*R.  None above the table
+    guard, where it would cost n^2 cells; cached per ring.
+
+    Certified once, when built: the rows holding one are exactly the units.
+    """
+    if "principal_classes" in ring._cache:
+        return ring._cache["principal_classes"]
+    if ring.tables() is None:
+        return None
+    masks, class_of = _distinct_principals(ring, np.arange(ring.carrier_size))
+    if not np.array_equal(masks[:, ring.one][class_of], member_mask(ring, ring.units())):
+        raise InternalDefectError("the principal ideals holding one are not the units")
+    masks.setflags(write=False)
+    class_of.setflags(write=False)
+    ring._cache["principal_classes"] = masks, class_of
+    return masks, class_of
+
+
 def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of {x + y : x in a, y in b}, for masks a and b."""
     la, lb = np.flatnonzero(a), np.flatnonzero(b)
@@ -751,18 +799,9 @@ def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
     principal ideal x*R, x in eR, not already inside it, deduplicating by
     element set.  Since x = x*e, x*R is x times eR.
     """
-    n = ring.carrier_size
-    # ideals are membership masks, keyed by their packed bits; the principal
-    # ideals come a block of rows at a time
-    known: dict[bytes, np.ndarray] = {}
-    step = ring.block_rows(len(members))
-    for lo in range(0, len(members), step):
-        rows = members[lo:lo + step, None]
-        hit = np.zeros((len(rows), n), dtype=bool)
-        np.put_along_axis(hit, ring.mul_many(rows, members), True, axis=1)
-        for row, key in zip(hit, np.packbits(hit, axis=1)):
-            known.setdefault(key.tobytes(), row.copy())
-    principals = list(known.values())
+    # ideals are membership masks, keyed by their packed bits
+    principals = list(_distinct_principals(ring, members)[0])
+    known = {np.packbits(p).tobytes(): p for p in principals}
     queue = list(principals)
     while queue:
         current = queue.pop()

@@ -28,6 +28,7 @@ from .rings import (
     Ideal,
     PresentedRing,
     ProductRing,
+    _principal_classes,
     enumerate_ideals,
     first_hits,
     ideal_from_elements,
@@ -43,11 +44,20 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
 
     A closure operation (taking s = 1 gives extensivity; monotonicity and
     idempotence follow); the saturation of {1} is exactly the unit group.
+
+    As s runs over R, s*r runs over the principal ideal r*R, so r is in the
+    saturation exactly when r*R meets the subset.  A tabulated ring answers
+    once per distinct principal ideal from its cached table of them; above
+    the table guard, a blocked scan over s stops at each row's first hit.
     """
     w = frozenset(subset)
     member = member_mask(ring, w)
     if not w:
         return w
+    classes = _principal_classes(ring)
+    if classes is not None:
+        masks, class_of = classes
+        return frozenset(np.flatnonzero(masks[:, member].any(axis=1)[class_of]).tolist())
     # members need no scan: s = 1 carries them into the subset
     rest = np.flatnonzero(~member)
     found = first_hits(ring, rest, np.arange(ring.carrier_size),

@@ -7,6 +7,8 @@ Oracles:
     scalar_oracle
   - every scan agrees with the plain-Python loops in scalar_oracle, on every
     corpus ring of at most 64 elements, tabulated and untabulated
+  - saturation from the table of principal ideals agrees with the blocked
+    scan of an untabulated copy, on every corpus ring
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements and on products of several local factors
@@ -22,6 +24,7 @@ import pytest
 import scalar_oracle as oracle
 from unitlift.config import Guards
 from unitlift.rings import (
+    _principal_classes,
     build_ring,
     enumerate_ideals,
     ideal_closure,
@@ -44,7 +47,13 @@ from unitlift.spectrum import (
     nilpotent_elements,
     radical_quotient,
 )
-from unitlift.star import StarMethod, _units_plus_ideal, saturate, star_check
+from unitlift.star import (
+    StarMethod,
+    _one_plus_ideal,
+    _units_plus_ideal,
+    saturate,
+    star_check,
+)
 from unitlift.verify import corpus_rings, report_to_dict, run_corpus
 
 def test_untabulated_corpus_report_matches_default():
@@ -168,6 +177,34 @@ def test_scans_match_oracle(spec, table_limit):
     assert is_semifield(ring)
 
 
+@pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()])
+def test_saturate_from_principal_table_matches_scan(spec):
+    ring = build_ring(spec)
+    scanned = build_ring(spec, Guards(table_limit=1))
+    assert _principal_classes(ring) is not None
+    assert _principal_classes(scanned) is None
+    n = ring.carrier_size
+    subsets = [{ring.one}, jacobson_radical(ring).elements]
+    ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
+    for ideal in _sample(ideals, 4, spec):
+        subsets += [_units_plus_ideal(ring, ideal), _one_plus_ideal(ring, ideal)]
+    rng = random.Random(spec)
+    for _ in range(4):
+        subsets.append(set(rng.sample(range(n), rng.randint(1, min(n, 24)))))
+    for subset in subsets:
+        assert saturate(ring, subset) == saturate(scanned, subset)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_principal_table_rows_are_the_principal_ideals(spec):
+    ring = build_ring(spec)
+    masks, class_of = _principal_classes(ring)
+    for r in ring.elements():
+        assert np.array_equal(masks[class_of[r]], principal(ring, r))
+    assert len({row.tobytes() for row in masks}) == len(masks)
+    assert _principal_classes(build_ring(spec, Guards(table_limit=1))) is None
+
+
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
                                   "GF(3)[x]/(x^2)"])
 def test_von_neumann_regularity_fails_with_a_radical(spec):
@@ -222,6 +259,21 @@ def test_quadratic_scans_stay_within_memory_budget():
             tracemalloc.reset_peak()
             saturate(ring, w)
             star_check(ring, ideal, StarMethod.WITNESS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, spec
+    # on tabulated rings the table of principal ideals is built a block of
+    # mul-table rows at a time; the two int32 tables alone take 8 MiB, so
+    # they are built before tracing starts
+    for spec in ("Z/1024", "prod(" + ",".join(["Z/2"] * 10) + ")"):
+        ring = build_ring(spec)
+        ring.tables()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert _principal_classes(ring) is not None
+            saturate(ring, range(1, ring.carrier_size, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -27,6 +27,7 @@ from unitlift.rings import (
     Ideal,
     ModularRing,
     PolyQuotientRing,
+    _principal_classes,
     build_ring,
     check_ring_axioms,
     enumerate_ideals,
@@ -36,7 +37,7 @@ from unitlift.rings import (
     quotient_ring,
 )
 from unitlift.specs import ModularSpec, spec_to_string
-from unitlift.star import ring_has_star
+from unitlift.star import ring_has_star, saturate
 from unitlift.verify import corpus_rings
 
 AXIOM_SPECS = [
@@ -93,6 +94,24 @@ def test_ring_axioms_catch_broken_arithmetic(kind, n, law, table_limit):
     assert (ring.tables() is None) == (table_limit == 2)
     with pytest.raises(InternalDefectError, match=law):
         check_ring_axioms(ring)
+
+
+class _OneInTwoTimesThree(ModularRing):
+    """Z/n with the one table cell 2 * 3 = 1, so the row of 2 holds one
+    although gcd(2, n) says 2 is no unit."""
+
+    def _mul_arrays(self, a, b):
+        return np.where((a == 2) & (b == 3), 1, a * b % self.n)
+
+
+def test_principal_classes_certify_the_units():
+    ring = _OneInTwoTimesThree(ModularSpec(12), Guards())
+    assert ring.tables()[1][2, 3] == 1
+    assert ring.units() == {1, 5, 7, 11}
+    with pytest.raises(InternalDefectError, match="not the units"):
+        _principal_classes(ring)
+    with pytest.raises(InternalDefectError, match="not the units"):
+        saturate(ring, {ring.one})
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,15 @@ carrier, and the masks of principal ideals are cached per ring, so sums,
 closures and generators are mask operations.  A tabulated ring also caches
 the table of its distinct principal ideals, deduplicated from the rows of its
 mul table and certified against its units, so saturation answers once per
-distinct ideal.  The tests check the tables, the array operations and every
-scan against a plain-Python oracle with its own arithmetic.  Cached data is
-immutable once published, so sharing rings across threads is safe.
+distinct ideal.  Any ring can also label its unit orbits: x*U is labelled
+with its least element, a block of whole orbits at a time, and the labels
+are certified by recomputing each representative's orbit.  Since
+(u*x)R = xR for a unit u, saturation above the table guard scans one
+representative per orbit, and the lattice of a factor eR starts from one
+principal ideal per orbit of eR.  The tests check the tables, the array
+operations and every scan against a plain-Python oracle with its own
+arithmetic.  Cached data is immutable once published, so sharing rings
+across threads is safe.
 """
 
 from __future__ import annotations
@@ -672,27 +678,37 @@ def principal(ring: FiniteRing, x: int) -> np.ndarray:
     return ring._cache[key]
 
 
-def _distinct_principals(ring: FiniteRing,
-                         members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct principal ideals x*R for x in members, as (masks, row_of):
-    masks is a (k, n) boolean array in order of first appearance and row_of[i]
-    is the row of members[i]*R.
+def _row_masks(values: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n) boolean array whose row i marks the entries of values[i]."""
+    hit = np.zeros((len(values), n), dtype=bool)
+    # one flat scatter, each row offset by its start, takes about half the
+    # time of a scatter over two axes
+    hit.ravel()[(values + np.arange(0, hit.size, n)[:, None]).ravel()] = True
+    return hit
 
-    members must be the carrier or a factor eR; either way x*R is the set of
-    products of x with members (x = x*e).  They come a block of rows at a
-    time and are deduplicated by their packed bits.
+
+def _distinct_principals(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct principal ideals x*R of a tabulated ring, as (masks,
+    row_of): masks is a (k, n) boolean array in order of first appearance
+    and row_of[x] is the row of x*R.
+
+    Row x of the mul table is x*R, so the ideals come from slices of the
+    table a block of rows at a time, deduplicated by their packed bits.
     """
+    mul = ring.tables()[1]
+    n = ring.carrier_size
     rows: dict[bytes, int] = {}
     masks, row_of = [], []
-    step = ring.block_rows(len(members))
-    for lo in range(0, len(members), step):
-        block = members[lo:lo + step, None]
-        hit = np.zeros((len(block), ring.carrier_size), dtype=bool)
-        np.put_along_axis(hit, ring.mul_many(block, members), True, axis=1)
-        for row, key in zip(hit, np.packbits(hit, axis=1)):
-            k = rows.setdefault(key.tobytes(), len(rows))
+    step = ring.block_rows(n)
+    for lo in range(0, n, step):
+        hit = _row_masks(mul[lo:lo + step], n)
+        packed = np.packbits(hit, axis=1)
+        # one bytes key per row, without a Python view of each row
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        for i, key in enumerate(keys):
+            k = rows.setdefault(key, len(rows))
             if k == len(masks):
-                masks.append(row.copy())
+                masks.append(hit[i].copy())
             row_of.append(k)
     return np.array(masks), np.array(row_of, dtype=np.int64)
 
@@ -709,13 +725,78 @@ def _principal_classes(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray] | None
         return ring._cache["principal_classes"]
     if ring.tables() is None:
         return None
-    masks, class_of = _distinct_principals(ring, np.arange(ring.carrier_size))
+    masks, class_of = _distinct_principals(ring)
     if not np.array_equal(masks[:, ring.one][class_of], member_mask(ring, ring.units())):
         raise InternalDefectError("the principal ideals holding one are not the units")
     masks.setflags(write=False)
     class_of.setflags(write=False)
     ring._cache["principal_classes"] = masks, class_of
     return masks, class_of
+
+
+def _least_of_orbits(ring: FiniteRing, inside: np.ndarray, orbit_of,
+                     width: int) -> np.ndarray:
+    """label[x] is the least element of the orbit of x, for x in the mask
+    inside, and -1 elsewhere.  orbit_of(xs) maps a (k, 1) index array to the
+    (k, width) array of the orbits of xs, each row holding its own x.
+
+    Whole orbits of the smallest unlabelled elements are labelled a block of
+    rows at a time.
+    """
+    label = np.full(ring.carrier_size, -1, dtype=np.int64)
+    step = ring.block_rows(width)
+    todo = np.flatnonzero(inside)
+    while todo.size:
+        block = todo[:step]
+        orbits = orbit_of(block[:, None])
+        label[orbits] = orbits.min(axis=1, keepdims=True)
+        # without x in its own orbit the loop never ends
+        if (label[block] < 0).any():
+            raise InternalDefectError("an element is missing from its own orbit")
+        todo = todo[step:][label[todo[step:]] < 0]
+    return label
+
+
+def _unit_orbits(ring: FiniteRing,
+                 factor: tuple[int, np.ndarray] | None = None) -> np.ndarray:
+    """Read-only labels of the unit orbits in the carrier, or in the factor
+    eR given as (e, the sorted elements of eR): label[x] is the least
+    element of x*U for x in the subset and -1 elsewhere.  For x in eR,
+    x*U = x*(eU), and eU is the unit group of eR, so a factor's orbits take
+    |eU| products each.  The carrier's labels are cached per ring; a
+    factor's are built once per ideal enumeration, which is cached itself.
+
+    Labelled as quotient_ring labels cosets.  Certified when built: each
+    representative's orbit, recomputed, holds only its own label and has it
+    as its least element, and the orbits cover exactly the subset.
+    """
+    if factor is None and "unit_orbits" in ring._cache:
+        return ring._cache["unit_orbits"]
+    n = ring.carrier_size
+    units = np.fromiter(ring.units(), dtype=np.int64)
+    if factor is None:
+        inside = np.ones(n, dtype=bool)
+    else:
+        e, members = factor
+        inside = np.zeros(n, dtype=bool)
+        inside[members] = True
+        units = np.unique(ring.mul_many(units, e))
+    label = _least_of_orbits(ring, inside, lambda x: ring.mul_many(x, units), len(units))
+    reps = np.flatnonzero(label == np.arange(n))
+    covered = np.zeros(n, dtype=bool)
+    step = ring.block_rows(len(units))
+    for lo in range(0, len(reps), step):
+        rep = reps[lo:lo + step, None]
+        orbits = ring.mul_many(rep, units)
+        if not ((label[orbits] == rep).all() and (orbits.min(axis=1) == rep[:, 0]).all()):
+            raise InternalDefectError("a unit orbit holds a foreign label")
+        covered[orbits] = True
+    if not np.array_equal(covered, inside):
+        raise InternalDefectError("the unit orbits do not cover the subset")
+    label.setflags(write=False)
+    if factor is None:
+        ring._cache["unit_orbits"] = label
+    return label
 
 
 def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -791,16 +872,23 @@ def primitive_idempotents(ring: FiniteRing) -> list[int]:
             if e != ring.zero and b < 0]
 
 
-def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
-    """Membership masks of the ideals of R inside the factor eR whose
-    sorted elements are members.
+def _factor_lattice(ring: FiniteRing, e: int, members: np.ndarray) -> np.ndarray:
+    """Membership masks of the ideals of R inside the factor eR, for a
+    primitive idempotent e; members are the sorted elements of eR.
 
     Breadth-first augmentation: each known ideal is summed with each
     principal ideal x*R, x in eR, not already inside it, deduplicating by
-    element set.  Since x = x*e, x*R is x times eR.
+    element set.  Since x = x*e, x*R is x times eR, and (u*x)R = xR for a
+    unit u, so the principal ideals come from one representative of each
+    unit orbit in eR: orbits times |eR| products, not |eR|^2.
     """
+    n = ring.carrier_size
+    reps = np.flatnonzero(_unit_orbits(ring, (e, members)) == np.arange(n))
     # ideals are membership masks, keyed by their packed bits
-    principals = list(_distinct_principals(ring, members)[0])
+    principals = []
+    step = ring.block_rows(len(members))
+    for lo in range(0, len(reps), step):
+        principals.extend(_row_masks(ring.mul_many(reps[lo:lo + step, None], members), n))
     known = {np.packbits(p).tobytes(): p for p in principals}
     queue = list(principals)
     while queue:
@@ -823,9 +911,10 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     primitive idempotents, so its ideals are the sums I_1 + ... + I_k of one
     ideal I_j of each factor e_jR, and x lies in such a sum exactly when
     e_j*x lies in I_j for every j.  Each factor's lattice comes from a
-    breadth-first search over its principal ideals; a local ring is its own
-    single factor.  The atoms are certified to sum to one and the factor
-    sizes to multiply to the carrier size.
+    breadth-first search over its principal ideals, one per unit orbit of
+    the factor; a local ring is its own single factor.  The atoms are
+    certified to sum to one and the factor sizes to multiply to the carrier
+    size.
     """
     if ring.carrier_size > ring.guards.ideal_enum_limit:
         raise GuardExceededError(
@@ -843,8 +932,8 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
         raise InternalDefectError("primitive idempotents do not split the ring")
     # row i of lattice is the mask of one sum of factor ideals
     lattice = np.ones((1, n), dtype=bool)
-    for proj, members in zip(projections, factors):
-        local = _factor_lattice(ring, members)[:, proj]
+    for e, proj, members in zip(atoms, projections, factors):
+        local = _factor_lattice(ring, e, members)[:, proj]
         lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
     out = [ideal_from_mask(ring, m) for m in lattice]
     # among equal sizes, the packed bits descend as the sorted elements ascend
@@ -904,20 +993,10 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
     if key in ring._cache:
         return ring._cache[key]
 
-    # every coset a + I is labelled with its minimum, taking whole cosets of
-    # the smallest unlabelled elements a block at a time
+    # every coset a + I is labelled with its minimum
     elems = np.flatnonzero(ideal.mask)
-    rep = np.full(ring.carrier_size, -1, dtype=np.int64)
-    step = ring.block_rows(len(elems))
-    while True:
-        todo = np.flatnonzero(rep < 0)[:step]
-        if not todo.size:
-            break
-        cosets = ring.add_many(todo[:, None], elems)
-        rep[cosets] = np.broadcast_to(cosets.min(axis=1, keepdims=True), cosets.shape)
-        # a + 0 = a puts a in its own coset; without that the loop never ends
-        if (rep[todo] < 0).any():
-            raise InternalDefectError("an element is missing from its own coset")
+    rep = _least_of_orbits(ring, np.ones(ring.carrier_size, dtype=bool),
+                           lambda a: ring.add_many(a, elems), len(elems))
     reps = np.flatnonzero(rep == np.arange(ring.carrier_size))
     qmap = np.searchsorted(reps, rep)
 

@@ -29,6 +29,7 @@ from .rings import (
     PresentedRing,
     ProductRing,
     _principal_classes,
+    _unit_orbits,
     enumerate_ideals,
     first_hits,
     ideal_from_elements,
@@ -47,8 +48,12 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
 
     As s runs over R, s*r runs over the principal ideal r*R, so r is in the
     saturation exactly when r*R meets the subset.  A tabulated ring answers
-    once per distinct principal ideal from its cached table of them; above
-    the table guard, a blocked scan over s stops at each row's first hit.
+    once per distinct principal ideal from its cached table of them.  Above
+    the table guard the answer is shared by each unit orbit r*U, since
+    (u*r)R = rR for a unit u: an orbit holding a member is in, and of the
+    other orbits one representative each is scanned over s, the scan
+    stopping at its first hit.  The WITNESS method of star_check uses
+    neither, and still scans every element.
     """
     w = frozenset(subset)
     member = member_mask(ring, w)
@@ -58,11 +63,16 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
     if classes is not None:
         masks, class_of = classes
         return frozenset(np.flatnonzero(masks[:, member].any(axis=1)[class_of]).tolist())
-    # members need no scan: s = 1 carries them into the subset
-    rest = np.flatnonzero(~member)
-    found = first_hits(ring, rest, np.arange(ring.carrier_size),
-                       lambda r, s: member[ring.mul_many(r, s)])
-    return w | frozenset(rest[found >= 0].tolist())
+    every = np.arange(ring.carrier_size)
+    label = _unit_orbits(ring)
+    # an orbit holding a member is in, as a unit carries each of its
+    # elements onto that member
+    met = np.zeros(ring.carrier_size, dtype=bool)
+    met[label[member]] = True
+    rest = np.flatnonzero((label == every) & ~met)
+    found = first_hits(ring, rest, every, lambda r, s: member[ring.mul_many(r, s)])
+    met[rest[found >= 0]] = True
+    return frozenset(np.flatnonzero(met[label]).tolist())
 
 
 class StarMethod(enum.Enum):

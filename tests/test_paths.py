@@ -9,6 +9,11 @@ Oracles:
     corpus ring of at most 64 elements, tabulated and untabulated
   - saturation from the table of principal ideals agrees with the blocked
     scan of an untabulated copy, on every corpus ring
+  - the unit-orbit labels are the least elements of x*U, and two elements
+    share one exactly when they generate the same principal ideal
+  - saturation above the table guard, one orbit representative scanned per
+    orbit, agrees with the definition on orbit representatives and sampled
+    elements
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements and on products of several local factors
@@ -25,9 +30,11 @@ import scalar_oracle as oracle
 from unitlift.config import Guards
 from unitlift.rings import (
     _principal_classes,
+    _unit_orbits,
     build_ring,
     enumerate_ideals,
     ideal_closure,
+    primitive_idempotents,
     principal,
     quotient_ring,
     sumset,
@@ -205,6 +212,51 @@ def test_principal_table_rows_are_the_principal_ideals(spec):
     assert _principal_classes(build_ring(spec, Guards(table_limit=1))) is None
 
 
+@pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_unit_orbits_match_oracle(spec, table_limit):
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    units, _ = oracle.units_and_inverses(ring)
+    label = _unit_orbits(ring).tolist()
+    assert label == [min(oracle.mul(ring, x, u) for u in units) for x in ring.elements()]
+    # in a finite commutative ring xR = yR exactly when y = u*x for a unit
+    # u, so the labels are neither finer nor coarser than the ideals
+    labels_of = {}
+    for x in ring.elements():
+        labels_of.setdefault(oracle.principal(ring, x), set()).add(label[x])
+    assert all(len(labels) == 1 for labels in labels_of.values())
+    assert len(labels_of) == len(set(label))
+    # a factor eR is a union of orbits of R, labelled alike
+    for e in primitive_idempotents(ring):
+        members = np.unique(ring.mul_many(np.arange(ring.carrier_size), e))
+        inside = _unit_orbits(ring, (e, members))
+        assert [inside[x] for x in members] == [label[x] for x in members]
+        assert (np.delete(inside, members) == -1).all()
+
+
+@pytest.mark.parametrize("spec, generator", [
+    ("Z/1089", "33"),
+    ("GF(2)[x]/(x^11)", "x^3"),
+    ("prod(Z/33,Z/35)", "(3,5)"),
+    ("quot(Z/4096;2048)", "8"),
+])
+def test_saturate_by_orbits_matches_definition(spec, generator):
+    ring = build_ring(spec)
+    assert ring.tables() is None
+    n = ring.carrier_size
+    ideal = ideal_closure(ring, [ring.parse_element(generator)])
+    assert ideal.is_proper()
+    subsets = [frozenset({ring.one}), jacobson_radical(ring).elements,
+               _units_plus_ideal(ring, ideal), _one_plus_ideal(ring, ideal)]
+    sats = [saturate(ring, w) for w in subsets]
+    reps = np.flatnonzero(_unit_orbits(ring) == np.arange(n)).tolist()
+    for r in sorted(set(reps) | set(random.Random(spec).sample(range(n), 64))):
+        # r is in sat(W) when some s has s*r in W
+        products = oracle.principal(ring, r)
+        for w, sat in zip(subsets, sats):
+            assert (r in sat) == bool(products & w), (r, len(w))
+
+
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
                                   "GF(3)[x]/(x^2)"])
 def test_von_neumann_regularity_fails_with_a_radical(spec):
@@ -249,10 +301,14 @@ def test_nilpotents_stop_early_with_the_fixed_step_answer(spec):
 def test_quadratic_scans_stay_within_memory_budget():
     # one unblocked n x n temporary of GF(2)[x]/(x^11), one bit-vector word
     # per cell, would be 34 MB; GF(3)[x]/(x^7) computes on 7 digits per
-    # cell, so one unblocked n x n x 7 temporary would be 268 MB
-    for spec in ("GF(2)[x]/(x^11)", "GF(3)[x]/(x^7)"):
+    # cell, so one unblocked n x n x 7 temporary would be 268 MB; and
+    # prod(Z/2 x11) has 2048 unit orbits of one element each, so saturation
+    # labels and scans every element
+    for spec, generator in (("GF(2)[x]/(x^11)", "x^3"), ("GF(3)[x]/(x^7)", "x^3"),
+                            ("prod(" + ",".join(["Z/2"] * 11) + ")",
+                             "(" + ",".join(["1"] + ["0"] * 10) + ")")):
         ring = build_ring(spec)
-        ideal = ideal_closure(ring, [ring.parse_element("x^3")])
+        ideal = ideal_closure(ring, [ring.parse_element(generator)])
         w = _units_plus_ideal(ring, ideal)
         tracemalloc.start()
         try:

@@ -28,6 +28,7 @@ from unitlift.rings import (
     ModularRing,
     PolyQuotientRing,
     _principal_classes,
+    _unit_orbits,
     build_ring,
     check_ring_axioms,
     enumerate_ideals,
@@ -111,6 +112,25 @@ def test_principal_classes_certify_the_units():
     with pytest.raises(InternalDefectError, match="not the units"):
         _principal_classes(ring)
     with pytest.raises(InternalDefectError, match="not the units"):
+        saturate(ring, {ring.one})
+
+
+class _TwoTimesFiveIsThree(ModularRing):
+    """Z/n with the one cell 2 * 5 = 3, so the unit orbit of 2 computed
+    through 5 reaches 3, which is no unit multiple of 2 in Z/12."""
+
+    def _mul_arrays(self, a, b):
+        return np.where((a == 2) & (b == 5), 3, a * b % self.n)
+
+
+def test_unit_orbits_certify_the_labelling():
+    ring = _TwoTimesFiveIsThree(ModularSpec(12), Guards(table_limit=1))
+    assert ring.tables() is None
+    assert ring.mul(2, 5) == 3
+    assert ring.units() == {1, 5, 7, 11}
+    with pytest.raises(InternalDefectError, match="unit orbit"):
+        _unit_orbits(ring)
+    with pytest.raises(InternalDefectError, match="unit orbit"):
         saturate(ring, {ring.one})
 
 

@@ -22,18 +22,17 @@ coset representatives for quotients.  Quadratic scans run in row blocks
 whose temporaries stay under BLOCK_WORDS int64 words, counting every digit
 a cell holds.  An ideal is its read-only boolean membership mask over the
 carrier, and the masks of principal ideals are cached per ring, so sums,
-closures and generators are mask operations.  A tabulated ring also caches
-the table of its distinct principal ideals, deduplicated from the rows of its
-mul table and certified against its units, so saturation answers once per
-distinct ideal.  Any ring can also label its unit orbits: x*U is labelled
-with its least element, a block of whole orbits at a time, and the labels
-are certified by recomputing each representative's orbit.  Since
-(u*x)R = xR for a unit u, saturation above the table guard scans one
-representative per orbit, and the lattice of a factor eR starts from one
-principal ideal per orbit of eR.  The tests check the tables, the array
-operations and every scan against a plain-Python oracle with its own
-arithmetic.  Cached data is immutable once published, so sharing rings
-across threads is safe.
+closures and generators are mask operations.  Any ring can label its unit
+orbits: x*U is labelled with its least element, a block of whole orbits at a
+time, and the labels are certified by recomputing each representative's
+orbit.  Since (u*x)R = xR for a unit u, every ring, within the table guard
+or above it, caches one table of its distinct principal ideals: the packed
+bits of rR for one representative r per orbit, computed on the array
+operations and certified against its units, so saturation answers once per
+distinct ideal.  The lattice of a factor eR starts from one principal ideal
+per orbit of eR.  The tests check the tables, the array operations and
+every scan against a plain-Python oracle with its own arithmetic.  Cached
+data is immutable once published, so sharing rings across threads is safe.
 """
 
 from __future__ import annotations
@@ -68,10 +67,22 @@ _TABLE_DTYPE = np.int32
 BLOCK_WORDS = 1 << 17
 
 
+def check_element(ring: "FiniteRing", a) -> int:
+    """a as a Python int, once it is known to name an element of the
+    carrier; bool and non-integers are refused, as Matrix refuses them."""
+    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+        raise ValueError(f"element {a!r} is not an integer")
+    if not 0 <= a < ring.carrier_size:
+        raise ValueError(f"element {a} outside the carrier")
+    return int(a)
+
+
 def member_mask(ring: "FiniteRing", elements: Iterable[int]) -> np.ndarray:
     """Boolean membership vector of a subset of the carrier; an Ideal's is
-    its own read-only mask."""
+    its own read-only mask, and must be an ideal of this ring."""
     if isinstance(elements, Ideal):
+        if elements.ring is not ring:
+            raise ValueError("ideal belongs to a different ring")
         return elements.mask
     elems = np.fromiter(elements, dtype=np.int64)
     outside = elems[(elems < 0) | (elems >= ring.carrier_size)]
@@ -280,12 +291,16 @@ class FiniteRing:
         return a in self.units()
 
     def inverse(self, a: int) -> int:
+        a = check_element(self, a)
         if a not in self._inverses:
-            hits = np.flatnonzero(self.mul_many(a, np.arange(self.carrier_size)) == self.one)
-            if not hits.size:
-                raise ValueError(f"{self.render(a)} is not a unit of {self}")
-            self._inverses[a] = int(hits[0])
+            self._inverses[a] = self._find_inverse(a)
         return self._inverses[a]
+
+    def _find_inverse(self, a: int) -> int:
+        hits = np.flatnonzero(self.mul_many(a, np.arange(self.carrier_size)) == self.one)
+        if not hits.size:
+            raise ValueError(f"{self.render(a)} is not a unit of {self}")
+        return int(hits[0])
 
     # ----- rendering and element literals -------------------------------
 
@@ -326,12 +341,10 @@ class ModularRing(FiniteRing):
         idx = np.arange(self.n)
         return frozenset(np.flatnonzero(np.gcd(idx, self.n) == 1).tolist())
 
-    def inverse(self, a):
-        if a not in self._inverses:
-            if math.gcd(a, self.n) != 1:
-                raise ValueError(f"{a} is not a unit of {self}")
-            self._inverses[a] = pow(a, -1, self.n)
-        return self._inverses[a]
+    def _find_inverse(self, a):
+        if math.gcd(a, self.n) != 1:
+            raise ValueError(f"{a} is not a unit of {self}")
+        return pow(a, -1, self.n)
 
     def render(self, a):
         return int(a)
@@ -687,51 +700,37 @@ def _row_masks(values: np.ndarray, n: int) -> np.ndarray:
     return hit
 
 
-def _distinct_principals(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct principal ideals x*R of a tabulated ring, as (masks,
-    row_of): masks is a (k, n) boolean array in order of first appearance
-    and row_of[x] is the row of x*R.
+def _principal_classes(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct principal ideals of the ring, as (table, class_of): row
+    i of the read-only uint8 table holds the packed bits (np.packbits) of
+    r*R for the i-th unit-orbit representative r, and class_of[x] is the
+    row of x*R; cached per ring.
 
-    Row x of the mul table is x*R, so the ideals come from slices of the
-    table a block of rows at a time, deduplicated by their packed bits.
-    """
-    mul = ring.tables()[1]
-    n = ring.carrier_size
-    rows: dict[bytes, int] = {}
-    masks, row_of = [], []
-    step = ring.block_rows(n)
-    for lo in range(0, n, step):
-        hit = _row_masks(mul[lo:lo + step], n)
-        packed = np.packbits(hit, axis=1)
-        # one bytes key per row, without a Python view of each row
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        for i, key in enumerate(keys):
-            k = rows.setdefault(key, len(rows))
-            if k == len(masks):
-                masks.append(hit[i].copy())
-            row_of.append(k)
-    return np.array(masks), np.array(row_of, dtype=np.int64)
-
-
-def _principal_classes(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct principal ideals of a tabulated ring, as (masks,
-    class_of): masks is a read-only (k, n) boolean array of the k distinct
-    ideals r*R, and class_of[r] is the row of r*R.  None above the table
-    guard, where it would cost n^2 cells; cached per ring.
-
-    Certified once, when built: the rows holding one are exactly the units.
+    (u*r)R = rR for a unit u, and xR = yR only when y = u*x, so the rows
+    are the distinct principal ideals, one per orbit.  Row r of the products
+    r*s is r*R, computed a block of representatives at a time.  Certified
+    once, when built: the rows holding one are exactly the units.
     """
     if "principal_classes" in ring._cache:
         return ring._cache["principal_classes"]
-    if ring.tables() is None:
-        return None
-    masks, class_of = _distinct_principals(ring)
-    if not np.array_equal(masks[:, ring.one][class_of], member_mask(ring, ring.units())):
+    n = ring.carrier_size
+    every = np.arange(n)
+    label = _unit_orbits(ring)
+    reps = np.flatnonzero(label == every)
+    table = np.empty((len(reps), (n + 7) // 8), dtype=np.uint8)
+    step = ring.block_rows(n)
+    for lo in range(0, len(reps), step):
+        rows = _row_masks(ring.mul_many(reps[lo:lo + step, None], every), n)
+        table[lo:lo + step] = np.packbits(rows, axis=1)
+    class_of = np.searchsorted(reps, label)
+    # packbits puts element x at bit 7 - x % 8 of byte x // 8
+    holds_one = (table[:, ring.one // 8] >> (7 - ring.one % 8)) & 1 == 1
+    if not np.array_equal(holds_one[class_of], member_mask(ring, ring.units())):
         raise InternalDefectError("the principal ideals holding one are not the units")
-    masks.setflags(write=False)
+    table.setflags(write=False)
     class_of.setflags(write=False)
-    ring._cache["principal_classes"] = masks, class_of
-    return masks, class_of
+    ring._cache["principal_classes"] = table, class_of
+    return table, class_of
 
 
 def _least_of_orbits(ring: FiniteRing, inside: np.ndarray, orbit_of,
@@ -763,15 +762,14 @@ def _unit_orbits(ring: FiniteRing,
     eR given as (e, the sorted elements of eR): label[x] is the least
     element of x*U for x in the subset and -1 elsewhere.  For x in eR,
     x*U = x*(eU), and eU is the unit group of eR, so a factor's orbits take
-    |eU| products each.  The carrier's labels are cached per ring; a
-    factor's are built once per ideal enumeration, which is cached itself.
+    |eU| products each.  The carrier's labels are built once per table of
+    principal ideals, and a factor's once per ideal enumeration; both of
+    those are cached.
 
     Labelled as quotient_ring labels cosets.  Certified when built: each
     representative's orbit, recomputed, holds only its own label and has it
     as its least element, and the orbits cover exactly the subset.
     """
-    if factor is None and "unit_orbits" in ring._cache:
-        return ring._cache["unit_orbits"]
     n = ring.carrier_size
     units = np.fromiter(ring.units(), dtype=np.int64)
     if factor is None:
@@ -794,8 +792,6 @@ def _unit_orbits(ring: FiniteRing,
     if not np.array_equal(covered, inside):
         raise InternalDefectError("the unit orbits do not cover the subset")
     label.setflags(write=False)
-    if factor is None:
-        ring._cache["unit_orbits"] = label
     return label
 
 

@@ -26,6 +26,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     PresentedRing,
+    check_element,
     first_hits,
     ideal_from_mask,
 )
@@ -43,7 +44,8 @@ class Rho(enum.Enum):
 
 def is_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> bool:
     """Does every maximal ideal contain r or some 1 - s*r with s in the set?"""
-    cand = np.array(sorted(set(candidates)), dtype=np.int64)
+    r = check_element(ring, r)
+    cand = np.array(sorted({check_element(ring, s) for s in candidates}), dtype=np.int64)
     one_minus = ring.add_many(ring.one, ring.neg_many(ring.mul_many(cand, r)))
     return all(r in m or m.mask[one_minus].any() for m in maximal_ideals(ring).ideals)
 
@@ -64,6 +66,7 @@ def _semi_inverse_found(ring: FiniteRing, rs) -> np.ndarray:
 
 def semi_inverses(ring: FiniteRing, r: int) -> frozenset[int]:
     """All s with r*(1 - s*r) in the radical; errors unless rho(r) = 1."""
+    r = check_element(ring, r)
     rad = jacobson_radical(ring)
     if r in rad:
         raise ValueError(f"{ring.render(r)} is radical (rho 0), not a semi-unit")
@@ -88,7 +91,7 @@ def rho(ring, r) -> Rho:
         if ring.is_unit(r):
             return Rho.ONE
         return Rho.INFINITE
-    return _rho_values(ring, np.array([r]))[0]
+    return _rho_values(ring, np.array([check_element(ring, r)]))[0]
 
 
 def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
@@ -97,7 +100,8 @@ def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
     The product of the 1 - s_i*r has the form 1 - s*r (expand: every non-1
     term carries a factor r), and that s alone already works.
     """
-    cand = sorted(set(candidates))
+    r = check_element(ring, r)
+    cand = sorted({check_element(ring, s) for s in candidates})
     if not is_semi_inverse_set(ring, r, cand):
         raise ValueError("candidates are not a semi-inverse set for r")
     q = functools.reduce(ring.mul, (ring.sub(ring.one, ring.mul(s, r)) for s in cand),
@@ -114,6 +118,7 @@ def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
 
 def colon_into_radical(ring: FiniteRing, r: int) -> Ideal:
     """The ideal of a with a*r in the radical; stable under squaring r."""
+    r = check_element(ring, r)
     member = jacobson_radical(ring).mask
     every = np.arange(ring.carrier_size)
     col = member[ring.mul_many(every, r)]
@@ -152,6 +157,7 @@ def semi_unit_decomposition(ring: FiniteRing, r: int) -> SemiUnitDecomposition:
     lift scans the preimages of u for one that is invertible and fails loudly
     if none is.
     """
+    r = check_element(ring, r)
     rad = jacobson_radical(ring)
     if r in rad:
         raise ValueError(f"{ring.render(r)} is radical (rho 0), not a semi-unit")

@@ -29,7 +29,7 @@ from .rings import (
     PresentedRing,
     ProductRing,
     _principal_classes,
-    _unit_orbits,
+    check_element,
     enumerate_ideals,
     first_hits,
     ideal_from_elements,
@@ -47,32 +47,16 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
     idempotence follow); the saturation of {1} is exactly the unit group.
 
     As s runs over R, s*r runs over the principal ideal r*R, so r is in the
-    saturation exactly when r*R meets the subset.  A tabulated ring answers
-    once per distinct principal ideal from its cached table of them.  Above
-    the table guard the answer is shared by each unit orbit r*U, since
-    (u*r)R = rR for a unit u: an orbit holding a member is in, and of the
-    other orbits one representative each is scanned over s, the scan
-    stopping at its first hit.  The WITNESS method of star_check uses
-    neither, and still scans every element.
+    saturation exactly when r*R meets the subset.  Every ring answers from
+    its cached table of principal ideals, one packed row per unit orbit r*U,
+    since (u*r)R = rR for a unit u: one AND of the packed subset against
+    each row.  The WITNESS method of star_check uses no table, and still
+    scans every element.
     """
-    w = frozenset(subset)
-    member = member_mask(ring, w)
-    if not w:
-        return w
-    classes = _principal_classes(ring)
-    if classes is not None:
-        masks, class_of = classes
-        return frozenset(np.flatnonzero(masks[:, member].any(axis=1)[class_of]).tolist())
-    every = np.arange(ring.carrier_size)
-    label = _unit_orbits(ring)
-    # an orbit holding a member is in, as a unit carries each of its
-    # elements onto that member
-    met = np.zeros(ring.carrier_size, dtype=bool)
-    met[label[member]] = True
-    rest = np.flatnonzero((label == every) & ~met)
-    found = first_hits(ring, rest, every, lambda r, s: member[ring.mul_many(r, s)])
-    met[rest[found >= 0]] = True
-    return frozenset(np.flatnonzero(met[label]).tolist())
+    member = member_mask(ring, subset)
+    table, class_of = _principal_classes(ring)
+    met = (table & np.packbits(member)).any(axis=1)[class_of]
+    return frozenset(np.flatnonzero(met).tolist())
 
 
 class StarMethod(enum.Enum):
@@ -236,6 +220,7 @@ def product_fields_adjust(ring: FiniteRing, ideal: Ideal, a: int, b: int) -> int
             raise ValueError("adjustment needs every factor to be a field")
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
+    a, b = check_element(ring, a), check_element(ring, b)
     defect = ring.sub(ring.one, ring.mul(a, b))
     if defect not in ideal:
         raise ValueError("1 - a*b is not in the ideal")

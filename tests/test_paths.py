@@ -7,13 +7,13 @@ Oracles:
     scalar_oracle
   - every scan agrees with the plain-Python loops in scalar_oracle, on every
     corpus ring of at most 64 elements, tabulated and untabulated
-  - saturation from the table of principal ideals agrees with the blocked
-    scan of an untabulated copy, on every corpus ring
+  - saturation from the table of principal ideals agrees with the same
+    table built on the arithmetic of an untabulated copy, on every corpus
+    ring, and each row of the table is the principal ideal of its class
   - the unit-orbit labels are the least elements of x*U, and two elements
     share one exactly when they generate the same principal ideal
-  - saturation above the table guard, one orbit representative scanned per
-    orbit, agrees with the definition on orbit representatives and sampled
-    elements
+  - saturation above the table guard, from one row per unit orbit, agrees
+    with the definition on orbit representatives and sampled elements
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements and on products of several local factors
@@ -189,7 +189,6 @@ def test_saturate_from_principal_table_matches_scan(spec):
     ring = build_ring(spec)
     scanned = build_ring(spec, Guards(table_limit=1))
     assert _principal_classes(ring) is not None
-    assert _principal_classes(scanned) is None
     n = ring.carrier_size
     subsets = [{ring.one}, jacobson_radical(ring).elements]
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
@@ -204,12 +203,14 @@ def test_saturate_from_principal_table_matches_scan(spec):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_principal_table_rows_are_the_principal_ideals(spec):
-    ring = build_ring(spec)
-    masks, class_of = _principal_classes(ring)
-    for r in ring.elements():
-        assert np.array_equal(masks[class_of[r]], principal(ring, r))
-    assert len({row.tobytes() for row in masks}) == len(masks)
-    assert _principal_classes(build_ring(spec, Guards(table_limit=1))) is None
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = build_ring(spec, guards)
+        table, class_of = _principal_classes(ring)
+        n = ring.carrier_size
+        for r in ring.elements():
+            row = np.unpackbits(table[class_of[r]], count=n).astype(bool)
+            assert np.array_equal(row, principal(ring, r))
+        assert len({row.tobytes() for row in table}) == len(table)
 
 
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
@@ -303,7 +304,7 @@ def test_quadratic_scans_stay_within_memory_budget():
     # per cell, would be 34 MB; GF(3)[x]/(x^7) computes on 7 digits per
     # cell, so one unblocked n x n x 7 temporary would be 268 MB; and
     # prod(Z/2 x11) has 2048 unit orbits of one element each, so saturation
-    # labels and scans every element
+    # labels every element and builds one row of its table per element
     for spec, generator in (("GF(2)[x]/(x^11)", "x^3"), ("GF(3)[x]/(x^7)", "x^3"),
                             ("prod(" + ",".join(["Z/2"] * 11) + ")",
                              "(" + ",".join(["1"] + ["0"] * 10) + ")")):
@@ -319,7 +320,18 @@ def test_quadratic_scans_stay_within_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, spec
-    # on tabulated rings the table of principal ideals is built a block of
+    # prod(Z/2 x12) has 4096 principal ideals, one per element: their table
+    # takes 2 MiB as packed bits, where one bool per cell would take 16 MiB
+    ring = build_ring("prod(" + ",".join(["Z/2"] * 12) + ")")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        saturate(ring, {ring.one})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # on tabulated rings the table of principal ideals gathers a block of
     # mul-table rows at a time; the two int32 tables alone take 8 MiB, so
     # they are built before tracing starts
     for spec in ("Z/1024", "prod(" + ",".join(["Z/2"] * 10) + ")"):

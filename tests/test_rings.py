@@ -36,6 +36,7 @@ from unitlift.rings import (
     ideal_from_elements,
     principal,
     quotient_ring,
+    sumset,
 )
 from unitlift.specs import ModularSpec, spec_to_string
 from unitlift.star import ring_has_star, saturate
@@ -174,6 +175,20 @@ def test_inverse_of_nonunit_raises():
     ring = build_ring("Z/12")
     with pytest.raises(ValueError):
         ring.inverse(6)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec", ["Z/12", "GF(3)[x]/(x^2)", "prod(Z/2,Z/3)"])
+def test_inverse_refuses_elements_outside_the_carrier(spec, table_limit):
+    # on Z/12, -1 would otherwise be inverted as 11
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    for a in (-1, ring.carrier_size):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            ring.inverse(a)
+    for a in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            ring.inverse(a)
+    assert ring.inverse(np.int64(ring.one)) == ring.one
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +339,21 @@ def test_ideal_from_elements_rejects_elements_outside_the_carrier(elements):
     # such an element never enters the greedy span, which then never ends
     with _time_limit(10), pytest.raises(ValueError, match="outside the carrier"):
         ideal_from_elements(build_ring("Z/12"), elements)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_ideals_of_another_ring_are_refused(table_limit):
+    # Z/6's ideal (2) is {0, 2, 4}; read as a mask of Z/12 it would give
+    # {1} + (2) = {1, 3, 5}
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    other = ideal_closure(build_ring("Z/6"), [2])
+    with pytest.raises(ValueError, match="different ring"):
+        sumset(ring, {1}, other)
+    with pytest.raises(ValueError, match="different ring"):
+        ideal_from_elements(ring, other)
+    own = ideal_closure(ring, [2])
+    assert sumset(ring, {1}, own) == frozenset(range(1, 12, 2))
+    assert ideal_from_elements(ring, own) == own
 
 
 def test_ideal_membership_reads_the_mask():

@@ -9,6 +9,7 @@ here; the remaining tests recompute certificates from scratch.
 import pytest
 
 import scalar_oracle as oracle
+from unitlift.config import Guards
 from unitlift.rings import INTEGERS, build_ring, gf_polynomial_ring
 from unitlift.semiunits import (
     Rho,
@@ -47,6 +48,36 @@ def test_collapse_to_single_semi_inverse():
     assert collapse_semi_inverse_set(ring, 2, {3, 8}) == 3
     with pytest.raises(ValueError):
         collapse_semi_inverse_set(ring, 2, {2})
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_elements_outside_the_carrier_are_refused(bad, table_limit):
+    # -1 would otherwise be read as 11 of Z/12, or index past the carrier
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    calls = [
+        lambda: semi_inverses(ring, bad),
+        lambda: semi_unit_decomposition(ring, bad),
+        lambda: rho(ring, bad),
+        lambda: colon_into_radical(ring, bad),
+        lambda: is_semi_inverse_set(ring, bad, {1}),
+        lambda: is_semi_inverse_set(ring, 5, {5, bad}),
+        lambda: collapse_semi_inverse_set(ring, bad, {1}),
+        lambda: collapse_semi_inverse_set(ring, 5, {5, bad}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"element {bad} outside the carrier"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_non_integer_elements_are_refused(bad):
+    ring = build_ring("Z/10")
+    for call in (semi_inverses, semi_unit_decomposition, rho, colon_into_radical):
+        with pytest.raises(ValueError, match="not an integer"):
+            call(ring, bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        is_semi_inverse_set(ring, 2, {bad})
 
 
 def test_radical_elements_have_no_semi_inverse():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from unitlift.config import Guards
 from unitlift.rings import (
     INTEGERS,
     build_ring,
@@ -191,6 +192,19 @@ def test_adjustment_input_errors():
         zero = ideal_closure(ring, [0])
         a = ring.encode((1, 0))
         product_fields_adjust(ring, zero, a, a)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_adjustment_refuses_elements_outside_the_carrier(table_limit):
+    ring = build_ring("prod(Z/2,Z/3)", Guards(table_limit=table_limit))
+    ideal = ideal_closure(ring, [ring.encode((0, 1))])
+    a = ring.encode((1, 0))
+    for bad in (-1, ring.carrier_size):
+        for args in ((bad, a), (a, bad)):
+            with pytest.raises(ValueError, match="outside the carrier"):
+                product_fields_adjust(ring, ideal, *args)
+    with pytest.raises(ValueError, match="not an integer"):
+        product_fields_adjust(ring, ideal, True, a)
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,17 @@ carrier, and the masks of principal ideals are cached per ring, so sums,
 closures and generators are mask operations.  Any ring can label its unit
 orbits: x*U is labelled with its least element, a block of whole orbits at a
 time, and the labels are certified by recomputing each representative's
-orbit.  Since (u*x)R = xR for a unit u, every ring, within the table guard
-or above it, caches one table of its distinct principal ideals: the packed
-bits of rR for one representative r per orbit, computed on the array
-operations and certified against its units, so saturation answers once per
-distinct ideal.  The lattice of a factor eR starts from one principal ideal
-per orbit of eR.  The tests check the tables, the array operations and
-every scan against a plain-Python oracle with its own arithmetic.  Cached
-data is immutable once published, so sharing rings across threads is safe.
+orbit and cached.  Since (u*x)R = xR for a unit u, every ring, within the
+table guard or above it, caches one table of its distinct principal ideals:
+the packed bits of rR for one representative r per orbit, computed on the
+array operations and certified against its units, so saturation answers
+once per distinct ideal.  A scan for a property that units preserve, such
+as the witness and semi-inverse scans, runs on one representative per orbit
+and spreads its answers by the labels.  The lattice of a factor eR starts
+from one principal ideal per orbit of eR.  The tests check the tables, the
+array operations and every scan against a plain-Python oracle with its own
+arithmetic.  Cached data is immutable once published, so sharing rings
+across threads is safe.
 """
 
 from __future__ import annotations
@@ -740,11 +743,16 @@ def _least_of_orbits(ring: FiniteRing, inside: np.ndarray, orbit_of,
     (k, width) array of the orbits of xs, each row holding its own x.
 
     Whole orbits of the smallest unlabelled elements are labelled a block of
-    rows at a time.
+    rows at a time.  An orbit holds at most width elements, so there are at
+    least len(inside) // width orbits: the first block takes that many rows,
+    exactly one per coset when the orbits are cosets, and each later block
+    doubles, up to the block budget, so few rows repeat an orbit that an
+    earlier row of the same block labels.
     """
     label = np.full(ring.carrier_size, -1, dtype=np.int64)
-    step = ring.block_rows(width)
+    widest = ring.block_rows(width)
     todo = np.flatnonzero(inside)
+    step = min(widest, max(1, todo.size // width))
     while todo.size:
         block = todo[:step]
         orbits = orbit_of(block[:, None])
@@ -753,6 +761,7 @@ def _least_of_orbits(ring: FiniteRing, inside: np.ndarray, orbit_of,
         if (label[block] < 0).any():
             raise InternalDefectError("an element is missing from its own orbit")
         todo = todo[step:][label[todo[step:]] < 0]
+        step = min(widest, 2 * step)
     return label
 
 
@@ -762,14 +771,17 @@ def _unit_orbits(ring: FiniteRing,
     eR given as (e, the sorted elements of eR): label[x] is the least
     element of x*U for x in the subset and -1 elsewhere.  For x in eR,
     x*U = x*(eU), and eU is the unit group of eR, so a factor's orbits take
-    |eU| products each.  The carrier's labels are built once per table of
-    principal ideals, and a factor's once per ideal enumeration; both of
-    those are cached.
+    |eU| products each.  The carrier's labels are cached per ring, for the
+    table of principal ideals, the WITNESS check and the semi-inverse scan;
+    a factor's are built once per ideal enumeration, which is cached, and
+    are not kept.
 
     Labelled as quotient_ring labels cosets.  Certified when built: each
     representative's orbit, recomputed, holds only its own label and has it
     as its least element, and the orbits cover exactly the subset.
     """
+    if factor is None and "unit_orbits" in ring._cache:
+        return ring._cache["unit_orbits"]
     n = ring.carrier_size
     units = np.fromiter(ring.units(), dtype=np.int64)
     if factor is None:
@@ -792,7 +804,22 @@ def _unit_orbits(ring: FiniteRing,
     if not np.array_equal(covered, inside):
         raise InternalDefectError("the unit orbits do not cover the subset")
     label.setflags(write=False)
+    if factor is None:
+        ring._cache["unit_orbits"] = label
     return label
+
+
+def _on_unit_orbits(ring: FiniteRing, xs: np.ndarray, answer) -> np.ndarray:
+    """answer, taken on one representative per unit orbit met by xs and
+    spread back to xs: for a property that multiplication by a unit
+    preserves, this is answer(xs) at the cost of one row per orbit.
+
+    answer maps the sorted representatives, a 1-d index array, to one entry
+    per representative; each orbit's representative is its label, its least
+    element.
+    """
+    reps, back = np.unique(_unit_orbits(ring)[xs], return_inverse=True)
+    return answer(reps)[back]
 
 
 def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -956,7 +983,7 @@ class SurjectiveHom:
         self._unit_image: frozenset[int] | None = None
 
     def __call__(self, a: int) -> int:
-        return self.mapping[a]
+        return self.mapping[check_element(self.source, a)]
 
     def image_of_units(self) -> frozenset[int]:
         if self._unit_image is None:
@@ -964,6 +991,7 @@ class SurjectiveHom:
         return self._unit_image
 
     def preimages(self, t: int) -> list[int]:
+        t = check_element(self.target, t)
         if self._preimages is None:
             buckets: list[list[int]] = [[] for _ in range(self.target.carrier_size)]
             for a, b in enumerate(self.mapping):

@@ -26,6 +26,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     PresentedRing,
+    _on_unit_orbits,
     check_element,
     first_hits,
     ideal_from_mask,
@@ -59,9 +60,16 @@ def _semi_inverse_mask(ring: FiniteRing, r, s) -> np.ndarray:
 
 
 def _semi_inverse_found(ring: FiniteRing, rs) -> np.ndarray:
-    """Whether each r of rs has a semi-inverse, scanning s in carrier order."""
+    """Whether each r of rs has a semi-inverse, scanning s in carrier order
+    for one r per unit orbit: u*r(1 - (u^-1*s)(u*r)) = u*r(1 - s*r), so u*r
+    has a semi-inverse exactly when r does."""
     every = np.arange(ring.carrier_size)
-    return first_hits(ring, rs, every, lambda r, s: _semi_inverse_mask(ring, r, s)) >= 0
+
+    def found(reps):
+        return first_hits(ring, reps, every,
+                          lambda r, s: _semi_inverse_mask(ring, r, s)) >= 0
+
+    return _on_unit_orbits(ring, rs, found)
 
 
 def semi_inverses(ring: FiniteRing, r: int) -> frozenset[int]:

@@ -5,7 +5,12 @@ the image of a unit of R.  Equivalently: the set of elements congruent to a
 unit mod I is saturated; that set equals the saturation of 1 + I; and every
 element that is invertible mod I is congruent mod I to an actual unit.  All
 four checks are implemented independently, and a disagreement between them
-is treated as a fatal library defect, never reported as an answer.
+is treated as a fatal library defect, never reported as an answer.  The two
+saturation checks read the ring's table of principal ideals.  The witness
+check reads no table: multiplying a by a unit changes neither whether a is
+invertible mod I nor whether it is congruent to a unit, so it scans one
+element per certified unit orbit.  The direct check uses neither tables
+nor orbits, and is the cross-check on both.
 
 Lifting is constructive: the exceptional maximal ideals (those not
 containing I) are finitely many, and a CRT adjustment a with a = 0 mod I and
@@ -24,10 +29,12 @@ import numpy as np
 from .config import DEFAULT_GUARDS, Guards
 from .errors import InternalDefectError
 from .rings import (
+    BLOCK_WORDS,
     FiniteRing,
     Ideal,
     PresentedRing,
     ProductRing,
+    _on_unit_orbits,
     _principal_classes,
     check_element,
     enumerate_ideals,
@@ -50,13 +57,17 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
     saturation exactly when r*R meets the subset.  Every ring answers from
     its cached table of principal ideals, one packed row per unit orbit r*U,
     since (u*r)R = rR for a unit u: one AND of the packed subset against
-    each row.  The WITNESS method of star_check uses no table, and still
-    scans every element.
+    each row, a block of rows at a time so the temporary stays within
+    BLOCK_WORDS.  The WITNESS method of star_check reads no table: it scans
+    one element per unit orbit.
     """
-    member = member_mask(ring, subset)
+    packed = np.packbits(member_mask(ring, subset))
     table, class_of = _principal_classes(ring)
-    met = (table & np.packbits(member)).any(axis=1)[class_of]
-    return frozenset(np.flatnonzero(met).tolist())
+    met = np.empty(len(table), dtype=bool)
+    step = max(1, 8 * BLOCK_WORDS // table.shape[1])
+    for lo in range(0, len(table), step):
+        met[lo:lo + step] = (table[lo:lo + step] & packed).any(axis=1)
+    return frozenset(np.flatnonzero(met[class_of]).tolist())
 
 
 class StarMethod(enum.Enum):
@@ -132,18 +143,25 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
     every = np.arange(ring.carrier_size)
     member = ideal.mask
     one_minus = ring.add_many(ring.one, ring.neg_many(every))
+    units = np.fromiter(ring.units(), dtype=np.int64)
 
     def partner(a, b):  # 1 - a*b in I
         return member[one_minus[ring.mul_many(a, b)]]
 
-    # a with a unit partner is congruent to a unit; of the rest, any a with
-    # some partner is invertible mod I and congruent to no unit
-    units = np.fromiter(ring.units(), dtype=np.int64)
-    rest = every[first_hits(ring, every, units, partner) < 0]
-    bad = rest[first_hits(ring, rest, every, partner) >= 0]
-    if len(bad) == 0:
+    def bad(reps):
+        # a with a unit partner is congruent to a unit; of the rest, any a
+        # with some partner is invertible mod I and congruent to no unit
+        out = np.zeros(len(reps), dtype=bool)
+        rest = np.flatnonzero(first_hits(ring, reps, units, partner) < 0)
+        out[rest] = first_hits(ring, reps[rest], every, partner) >= 0
+        return out
+
+    # (u*a)(u^-1*b) = a*b and u(U + I) = U + I, so one a per unit orbit decides
+    # the orbit, and the least bad element is the label of its orbit
+    bad_elements = np.flatnonzero(_on_unit_orbits(ring, every, bad))
+    if len(bad_elements) == 0:
         return StarCheck(method, True, None)
-    return StarCheck(method, False, int(bad[0]))
+    return StarCheck(method, False, int(bad_elements[0]))
 
 
 def star_report(ring: FiniteRing, ideal: Ideal) -> StarReport:
@@ -189,6 +207,7 @@ def crt_unit_lift(ring: FiniteRing, ideal: Ideal, v: int) -> int:
     comaximal system) makes r + a a unit with the same image as r.
     """
     quotient, hom = quotient_ring(ring, ideal)
+    v = check_element(quotient, v)
     if not quotient.is_unit(v):
         raise ValueError(f"{quotient.render(v)} is not a unit of the quotient")
     r = hom.preimage(v)

@@ -14,6 +14,12 @@ Oracles:
     share one exactly when they generate the same principal ideal
   - saturation above the table guard, from one row per unit orbit, agrees
     with the definition on orbit representatives and sampled elements
+  - the WITNESS check and the semi-inverse scan, which take one element per
+    unit orbit, agree with the same scans taken on every element, kept here
+    as oracles; so do the partner scans of WITNESS, whose answers vary from
+    orbit to orbit, spread back over the carrier and over sampled elements;
+    and on Z/n reporting only 1 and -1 as units, where WITNESS has a
+    witness, it finds the plain-Python oracle's
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements and on products of several local factors
@@ -29,10 +35,13 @@ import pytest
 import scalar_oracle as oracle
 from unitlift.config import Guards
 from unitlift.rings import (
+    ModularRing,
+    _on_unit_orbits,
     _principal_classes,
     _unit_orbits,
     build_ring,
     enumerate_ideals,
+    first_hits,
     ideal_closure,
     primitive_idempotents,
     principal,
@@ -40,13 +49,15 @@ from unitlift.rings import (
     sumset,
 )
 from unitlift.semiunits import (
+    _semi_inverse_found,
+    _semi_inverse_mask,
     colon_into_radical,
     is_semifield,
     is_von_neumann_regular,
     rho_table,
     semi_inverses,
 )
-from unitlift.specs import spec_to_string
+from unitlift.specs import ModularSpec, spec_to_string
 from unitlift.spectrum import (
     _comaximal_pair,
     idempotents,
@@ -258,6 +269,107 @@ def test_saturate_by_orbits_matches_definition(spec, generator):
             assert (r in sat) == bool(products & w), (r, len(w))
 
 
+# ---------------------------------------------------------------------------
+# scans on one element per unit orbit, against the same scans on every element
+
+
+def _partner(ring, ideal):
+    """hit(a, b) for first_hits: 1 - a*b lies in the ideal."""
+    one_minus = ring.add_many(ring.one, ring.neg_many(np.arange(ring.carrier_size)))
+    return lambda a, b: ideal.mask[one_minus[ring.mul_many(a, b)]]
+
+
+def _witness_every_element(ring, ideal):
+    """The WITNESS scan with every element as a row: the least element
+    invertible mod the ideal with no unit partner, or None."""
+    every = np.arange(ring.carrier_size)
+    units = np.fromiter(ring.units(), dtype=np.int64)
+    partner = _partner(ring, ideal)
+    rest = every[first_hits(ring, every, units, partner) < 0]
+    bad = rest[first_hits(ring, rest, every, partner) >= 0]
+    return int(bad[0]) if len(bad) else None
+
+
+def _semi_inverse_found_every_element(ring, rs):
+    """The semi-inverse scan with every r of rs as a row."""
+    every = np.arange(ring.carrier_size)
+    return first_hits(ring, rs, every, lambda r, s: _semi_inverse_mask(ring, r, s)) >= 0
+
+
+def _assert_orbit_scans_match(ring, ideals):
+    n = ring.carrier_size
+    every = np.arange(n)
+    units = np.fromiter(ring.units(), dtype=np.int64)
+    xs = np.array(random.Random(n).choices(range(n), k=min(n, 200)))
+    for ideal in ideals:
+        assert ideal.is_proper()
+        check = star_check(ring, ideal, StarMethod.WITNESS)
+        expected = _witness_every_element(ring, ideal)
+        assert (check.holds, check.witness) == (expected is None, expected)
+        # on a finite ring WITNESS finds nothing, but its two scans have
+        # answers that vary between orbits: a has a unit partner exactly
+        # when it is in U + I, and some partner when it is invertible mod I
+        partner = _partner(ring, ideal)
+        for cols in (units, every):
+            full = first_hits(ring, every, cols, partner) >= 0
+            assert 0 < full.sum() < n
+
+            def spread(reps):
+                return first_hits(ring, reps, cols, partner) >= 0
+
+            assert np.array_equal(_on_unit_orbits(ring, every, spread), full)
+            assert np.array_equal(_on_unit_orbits(ring, xs, spread), full[xs])
+    found = _semi_inverse_found_every_element(ring, every)
+    assert np.array_equal(_semi_inverse_found(ring, every), found)
+    assert np.array_equal(_semi_inverse_found(ring, xs), found[xs])
+    radical = jacobson_radical(ring).mask
+    assert [v.value for v in rho_table(ring)] == [
+        0 if z else 1 if f else None for z, f in zip(radical, found)]
+
+
+@pytest.mark.parametrize("spec, generators", [
+    ("Z/1089", ("33", "9")),
+    ("GF(2)[x]/(x^11)", ("x^3", "x^8")),
+    ("prod(Z/33,Z/35)", ("(3,5)", "(11,0)")),
+    ("quot(Z/4096;2048)", ("8", "1024")),
+    ("prod(" + ",".join(["Z/2"] * 11) + ")",
+     ("(1," + ",".join(["0"] * 10) + ")", "(0,1,1," + ",".join(["0"] * 8) + ")")),
+])
+def test_orbit_scans_match_full_carrier_scans(spec, generators):
+    ring = build_ring(spec)
+    assert ring.tables() is None
+    _assert_orbit_scans_match(
+        ring, [ideal_closure(ring, [ring.parse_element(g)]) for g in generators])
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_orbit_scans_match_full_carrier_scans_untabulated(spec):
+    ring = build_ring(spec, Guards(table_limit=2))
+    ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
+    _assert_orbit_scans_match(ring, _sample(ideals, 2, spec))
+
+
+class _SignsAsUnits(ModularRing):
+    """Z/n reporting only 1 and -1 as its units, so its unit orbits are
+    {x, -x}, and an element invertible mod I outside {1, -1} + I is a
+    witness that WITNESS must find."""
+
+    def _find_units(self):
+        return frozenset({1, self.n - 1})
+
+
+@pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
+@pytest.mark.parametrize("n, generator", [(35, 5), (35, 7), (144, 9), (4096, 2048)])
+def test_witness_is_the_least_bad_element_of_the_full_scan(n, generator, table_limit):
+    ring = _SignsAsUnits(ModularSpec(n), Guards(table_limit=table_limit))
+    ideal = ideal_closure(ring, [generator])
+    check = star_check(ring, ideal, StarMethod.WITNESS)
+    expected = oracle.witness(ring, ideal.elements, ring.units())
+    assert expected is not None
+    assert (check.holds, check.witness) == (False, expected)
+    assert check.witness == _witness_every_element(ring, ideal)
+
+
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
                                   "GF(3)[x]/(x^2)"])
 def test_von_neumann_regularity_fails_with_a_radical(spec):
@@ -331,6 +443,18 @@ def test_quadratic_scans_stay_within_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+    # with that table built, saturation ANDs a block of its rows at a time,
+    # so it stays near one 1 MiB block, where ANDing all rows at once would
+    # take another 2 MiB
+    _principal_classes(ring)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        saturate(ring, {ring.one})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
     # on tabulated rings the table of principal ideals gathers a block of
     # mul-table rows at a time; the two int32 tables alone take 8 MiB, so
     # they are built before tracing starts

@@ -134,6 +134,27 @@ def test_crt_unit_lift_rejects_nonunits():
         crt_unit_lift(ring, ideal, hom(2))
 
 
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_quotient_map_and_lift_refuse_elements_outside_the_carrier(table_limit):
+    # Z/12 mod (4): hom(-1) once read the image of 11, and crt_unit_lift
+    # answered for a wrapped index or raised IndexError
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    ideal = ideal_closure(ring, [4])
+    quot, hom = quotient_ring(ring, ideal)
+    for bad in (-1, ring.carrier_size):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            hom(bad)
+    for bad in (-1, quot.carrier_size):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            hom.preimages(bad)
+        with pytest.raises(ValueError, match="outside the carrier"):
+            hom.preimage(bad)
+        with pytest.raises(ValueError, match="outside the carrier"):
+            crt_unit_lift(ring, ideal, bad)
+    assert hom(11) == 3 and hom.preimages(3) == [3, 7, 11]
+    assert crt_unit_lift(ring, ideal, quot.carrier_size - 1) == 7
+
+
 # ---------------------------------------------------------------------------
 # product-of-fields adjustment
 

@@ -20,19 +20,21 @@ quotients (add is XOR, mul shifts and XORs), the factors' operations
 recombined by mixed radix for products, and the parent's operations on
 coset representatives for quotients.  Quadratic scans run in row blocks
 whose temporaries stay under BLOCK_WORDS int64 words, counting every digit
-a cell holds.  An ideal is its read-only boolean membership mask over the
-carrier, and the masks of principal ideals are cached per ring, so sums,
-closures and generators are mask operations.  Any ring can label its unit
-orbits: x*U is labelled with its least element, a block of whole orbits at a
-time, and the labels are certified by recomputing each representative's
+a cell holds.  Inside the library a subset of the carrier is a read-only
+boolean mask, and only public functions that return frozensets build them:
+an ideal is its mask, the units are one mask cached per ring (units() is a
+frozenset view, built once), and so are the principal ideals, so sums,
+closures and generators are mask operations.  Each ring labels its unit
+orbits once: x*U is labelled with its least element, a block of whole orbits
+at a time, and the labels are certified by recomputing each representative's
 orbit and cached.  Since (u*x)R = xR for a unit u, every ring, within the
 table guard or above it, caches one table of its distinct principal ideals:
 the packed bits of rR for one representative r per orbit, computed on the
 array operations and certified against its units, so saturation answers
 once per distinct ideal.  A scan for a property that units preserve, such
 as the witness and semi-inverse scans, runs on one representative per orbit
-and spreads its answers by the labels.  The lattice of a factor eR starts
-from one principal ideal per orbit of eR.  The tests check the tables, the
+and spreads its answers by the labels, and so does the lattice of each
+factor eR, as x*U = x*(eU) for x in eR.  The tests check the tables, the
 array operations and every scan against a plain-Python oracle with its own
 arithmetic.  Cached data is immutable once published, so sharing rings
 across threads is safe.
@@ -87,10 +89,7 @@ def member_mask(ring: "FiniteRing", elements: Iterable[int]) -> np.ndarray:
         if elements.ring is not ring:
             raise ValueError("ideal belongs to a different ring")
         return elements.mask
-    elems = np.fromiter(elements, dtype=np.int64)
-    outside = elems[(elems < 0) | (elems >= ring.carrier_size)]
-    if outside.size:
-        raise ValueError(f"element {outside[0]} outside the carrier")
+    elems = np.fromiter((check_element(ring, a) for a in elements), dtype=np.int64)
     mask = np.zeros(ring.carrier_size, dtype=bool)
     mask[elems] = True
     return mask
@@ -163,6 +162,7 @@ class FiniteRing:
         self.one = one
         self.guards = guards
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._unit_mask: np.ndarray | None = None
         self._units: frozenset[int] | None = None
         self._inverses: dict[int, int] = {}
         self._cache: dict = {}
@@ -264,13 +264,21 @@ class FiniteRing:
 
     # ----- units --------------------------------------------------------
 
+    def unit_mask(self) -> np.ndarray:
+        """Read-only membership mask of the unit group; cached."""
+        if self._unit_mask is None:
+            mask = self._find_units()
+            mask.setflags(write=False)
+            self._unit_mask = mask
+        return self._unit_mask
+
     def units(self) -> frozenset[int]:
-        """The unit group."""
+        """The unit group, a frozenset view of unit_mask built once."""
         if self._units is None:
-            self._units = self._find_units()
+            self._units = _as_set(self.unit_mask())
         return self._units
 
-    def _find_units(self) -> frozenset[int]:
+    def _find_units(self) -> np.ndarray:
         # a tabulated ring scans its table.  Above the guard, units lift along
         # R -> R/N for the nilradical N (1 + N consists of units), so only a
         # reduced ring pays for the quadratic scan.
@@ -280,15 +288,14 @@ class FiniteRing:
             nil = nilradical(self)
             if len(nil) > 1:
                 reduced, _ = quotient_ring(self, nil)
-                image = member_mask(reduced, reduced.units())
-                return frozenset(np.flatnonzero(image[reduced._qmap]).tolist())
+                return reduced.unit_mask()[reduced._qmap]
         # a is a unit when some b has a*b = 1; the scan records that b
         idx = np.arange(self.carrier_size)
         inverse = first_hits(self, idx, idx,
                              lambda a, b: self.mul_many(a, b) == self.one)
         units = np.flatnonzero(inverse >= 0)
         self._inverses.update(zip(units.tolist(), inverse[units].tolist()))
-        return frozenset(units.tolist())
+        return inverse >= 0
 
     def is_unit(self, a: int) -> bool:
         return a in self.units()
@@ -341,8 +348,7 @@ class ModularRing(FiniteRing):
 
     def _find_units(self):
         # inverses come from pow() on demand
-        idx = np.arange(self.n)
-        return frozenset(np.flatnonzero(np.gcd(idx, self.n) == 1).tolist())
+        return np.gcd(np.arange(self.n), self.n) == 1
 
     def _find_inverse(self, a):
         if math.gcd(a, self.n) != 1:
@@ -535,12 +541,12 @@ class ProductRing(FiniteRing):
         return tuple(_digitwise(self.sizes, [t[k] for t in factor_tabs]) for k in range(3))
 
     def _find_units(self):
-        # componentwise: a tuple is invertible iff every component is
-        out = np.zeros(1, dtype=np.int64)
-        for f, stride in zip(self.factors, self.strides):
-            comps = np.array(sorted(f.units()), dtype=np.int64)
-            out = (out[:, None] + comps * stride).ravel()
-        return frozenset(out.tolist())
+        # componentwise: a tuple is invertible iff every component is; row
+        # c of the factor's digit above the lower digits, as in _digitwise
+        out = np.ones(1, dtype=bool)
+        for f in self.factors:
+            out = (f.unit_mask()[:, None] & out[None, :]).ravel()
+        return out
 
     def render(self, a):
         parts = [str(f.render(c)) for f, c in zip(self.factors, self.decode(a))]
@@ -728,7 +734,7 @@ def _principal_classes(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     class_of = np.searchsorted(reps, label)
     # packbits puts element x at bit 7 - x % 8 of byte x // 8
     holds_one = (table[:, ring.one // 8] >> (7 - ring.one % 8)) & 1 == 1
-    if not np.array_equal(holds_one[class_of], member_mask(ring, ring.units())):
+    if not np.array_equal(holds_one[class_of], ring.unit_mask()):
         raise InternalDefectError("the principal ideals holding one are not the units")
     table.setflags(write=False)
     class_of.setflags(write=False)
@@ -736,22 +742,21 @@ def _principal_classes(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     return table, class_of
 
 
-def _least_of_orbits(ring: FiniteRing, inside: np.ndarray, orbit_of,
-                     width: int) -> np.ndarray:
-    """label[x] is the least element of the orbit of x, for x in the mask
-    inside, and -1 elsewhere.  orbit_of(xs) maps a (k, 1) index array to the
-    (k, width) array of the orbits of xs, each row holding its own x.
+def _least_of_orbits(ring: FiniteRing, orbit_of, width: int) -> np.ndarray:
+    """label[x] is the least element of the orbit of x in the carrier.
+    orbit_of(xs) maps a (k, 1) index array to the (k, width) array of the
+    orbits of xs, each row holding its own x.
 
     Whole orbits of the smallest unlabelled elements are labelled a block of
     rows at a time.  An orbit holds at most width elements, so there are at
-    least len(inside) // width orbits: the first block takes that many rows,
+    least n // width orbits: the first block takes that many rows,
     exactly one per coset when the orbits are cosets, and each later block
     doubles, up to the block budget, so few rows repeat an orbit that an
     earlier row of the same block labels.
     """
     label = np.full(ring.carrier_size, -1, dtype=np.int64)
     widest = ring.block_rows(width)
-    todo = np.flatnonzero(inside)
+    todo = np.arange(ring.carrier_size)
     step = min(widest, max(1, todo.size // width))
     while todo.size:
         block = todo[:step]
@@ -765,33 +770,21 @@ def _least_of_orbits(ring: FiniteRing, inside: np.ndarray, orbit_of,
     return label
 
 
-def _unit_orbits(ring: FiniteRing,
-                 factor: tuple[int, np.ndarray] | None = None) -> np.ndarray:
-    """Read-only labels of the unit orbits in the carrier, or in the factor
-    eR given as (e, the sorted elements of eR): label[x] is the least
-    element of x*U for x in the subset and -1 elsewhere.  For x in eR,
-    x*U = x*(eU), and eU is the unit group of eR, so a factor's orbits take
-    |eU| products each.  The carrier's labels are cached per ring, for the
-    table of principal ideals, the WITNESS check and the semi-inverse scan;
-    a factor's are built once per ideal enumeration, which is cached, and
-    are not kept.
+def _unit_orbits(ring: FiniteRing) -> np.ndarray:
+    """Read-only labels of the unit orbits in the carrier: label[x] is the
+    least element of x*U.  Built once per ring and cached, for the table of
+    principal ideals, the ideal lattice of each factor, the WITNESS check
+    and the semi-inverse scan.
 
     Labelled as quotient_ring labels cosets.  Certified when built: each
     representative's orbit, recomputed, holds only its own label and has it
-    as its least element, and the orbits cover exactly the subset.
+    as its least element, and the orbits cover the carrier.
     """
-    if factor is None and "unit_orbits" in ring._cache:
+    if "unit_orbits" in ring._cache:
         return ring._cache["unit_orbits"]
     n = ring.carrier_size
-    units = np.fromiter(ring.units(), dtype=np.int64)
-    if factor is None:
-        inside = np.ones(n, dtype=bool)
-    else:
-        e, members = factor
-        inside = np.zeros(n, dtype=bool)
-        inside[members] = True
-        units = np.unique(ring.mul_many(units, e))
-    label = _least_of_orbits(ring, inside, lambda x: ring.mul_many(x, units), len(units))
+    units = np.flatnonzero(ring.unit_mask())
+    label = _least_of_orbits(ring, lambda x: ring.mul_many(x, units), len(units))
     reps = np.flatnonzero(label == np.arange(n))
     covered = np.zeros(n, dtype=bool)
     step = ring.block_rows(len(units))
@@ -801,11 +794,10 @@ def _unit_orbits(ring: FiniteRing,
         if not ((label[orbits] == rep).all() and (orbits.min(axis=1) == rep[:, 0]).all()):
             raise InternalDefectError("a unit orbit holds a foreign label")
         covered[orbits] = True
-    if not np.array_equal(covered, inside):
-        raise InternalDefectError("the unit orbits do not cover the subset")
+    if not covered.all():
+        raise InternalDefectError("the unit orbits do not cover the carrier")
     label.setflags(write=False)
-    if factor is None:
-        ring._cache["unit_orbits"] = label
+    ring._cache["unit_orbits"] = label
     return label
 
 
@@ -843,10 +835,7 @@ def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     Built as the sum of the principal ideals of the generators, then verified
     to be a fixed point of one more closure pass.
     """
-    gens = sorted(set(generators))
-    for g in gens:
-        if not 0 <= g < ring.carrier_size:
-            raise ValueError(f"generator {g} outside the carrier")
+    gens = sorted({check_element(ring, g) for g in generators})
     span = principal(ring, ring.zero)
     for g in gens:
         span = _sum_mask(ring, span, principal(ring, g))
@@ -895,18 +884,19 @@ def primitive_idempotents(ring: FiniteRing) -> list[int]:
             if e != ring.zero and b < 0]
 
 
-def _factor_lattice(ring: FiniteRing, e: int, members: np.ndarray) -> np.ndarray:
+def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
     """Membership masks of the ideals of R inside the factor eR, for a
-    primitive idempotent e; members are the sorted elements of eR.
+    primitive idempotent e, whose sorted elements are members.
 
     Breadth-first augmentation: each known ideal is summed with each
     principal ideal x*R, x in eR, not already inside it, deduplicating by
     element set.  Since x = x*e, x*R is x times eR, and (u*x)R = xR for a
     unit u, so the principal ideals come from one representative of each
-    unit orbit in eR: orbits times |eR| products, not |eR|^2.
+    unit orbit in eR, read from the carrier's labels as x*U = x*(eU) for x
+    in eR: orbits times |eR| products, not |eR|^2.
     """
     n = ring.carrier_size
-    reps = np.flatnonzero(_unit_orbits(ring, (e, members)) == np.arange(n))
+    reps = members[_unit_orbits(ring)[members] == members]
     # ideals are membership masks, keyed by their packed bits
     principals = []
     step = ring.block_rows(len(members))
@@ -955,8 +945,8 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
         raise InternalDefectError("primitive idempotents do not split the ring")
     # row i of lattice is the mask of one sum of factor ideals
     lattice = np.ones((1, n), dtype=bool)
-    for e, proj, members in zip(atoms, projections, factors):
-        local = _factor_lattice(ring, e, members)[:, proj]
+    for proj, members in zip(projections, factors):
+        local = _factor_lattice(ring, members)[:, proj]
         lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
     out = [ideal_from_mask(ring, m) for m in lattice]
     # among equal sizes, the packed bits descend as the sorted elements ascend
@@ -980,15 +970,9 @@ class SurjectiveHom:
         self.mapping = list(mapping)
         self.kernel = kernel
         self._preimages: list[list[int]] | None = None
-        self._unit_image: frozenset[int] | None = None
 
     def __call__(self, a: int) -> int:
         return self.mapping[check_element(self.source, a)]
-
-    def image_of_units(self) -> frozenset[int]:
-        if self._unit_image is None:
-            self._unit_image = frozenset(self.mapping[u] for u in self.source.units())
-        return self._unit_image
 
     def preimages(self, t: int) -> list[int]:
         t = check_element(self.target, t)
@@ -1019,8 +1003,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
 
     # every coset a + I is labelled with its minimum
     elems = np.flatnonzero(ideal.mask)
-    rep = _least_of_orbits(ring, np.ones(ring.carrier_size, dtype=bool),
-                           lambda a: ring.add_many(a, elems), len(elems))
+    rep = _least_of_orbits(ring, lambda a: ring.add_many(a, elems), len(elems))
     reps = np.flatnonzero(rep == np.arange(ring.carrier_size))
     qmap = np.searchsorted(reps, rep)
 

@@ -20,7 +20,8 @@ from .rings import (
     FiniteRing,
     Ideal,
     SurjectiveHom,
-    ideal_from_elements,
+    _as_set,
+    check_element,
     ideal_from_mask,
     primitive_idempotents,
     quotient_ring,
@@ -28,7 +29,12 @@ from .rings import (
 
 
 def nilpotent_elements(ring: FiniteRing) -> frozenset[int]:
-    """All nilpotents, by repeated squaring of every element at once.
+    """All nilpotents."""
+    return _as_set(_nilpotent_mask(ring))
+
+
+def _nilpotent_mask(ring: FiniteRing) -> np.ndarray:
+    """Mask of the nilpotents, by repeated squaring of every element at once.
 
     ceil(log2 n) + 2 squarings are an upper bound: the chain of principal
     ideals (r) >= (r^2) >= (r^4) >= ... halves in size at every strict step,
@@ -42,19 +48,19 @@ def nilpotent_elements(ring: FiniteRing) -> frozenset[int]:
         if np.array_equal(squared, v):
             break
         v = squared
-    return frozenset(np.flatnonzero(v == ring.zero).tolist())
+    return v == ring.zero
 
 
 def nilradical(ring: FiniteRing) -> Ideal:
     """The ideal of the nilpotent elements; one scan per ring, cached."""
     if "nilradical" not in ring._cache:
-        ring._cache["nilradical"] = ideal_from_elements(ring, nilpotent_elements(ring))
+        ring._cache["nilradical"] = ideal_from_mask(ring, _nilpotent_mask(ring))
     return ring._cache["nilradical"]
 
 
 def idempotents(ring: FiniteRing) -> frozenset[int]:
     idx = np.arange(ring.carrier_size)
-    return frozenset(np.flatnonzero(ring.mul_many(idx, idx) == idx).tolist())
+    return _as_set(ring.mul_many(idx, idx) == idx)
 
 
 def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, SurjectiveHom]:
@@ -85,16 +91,15 @@ class MaximalIdealList:
 def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
     if "maximal_ideals" in ring._cache:
         return ring._cache["maximal_ideals"]
-    reduced, proj = quotient_ring(ring, nilradical(ring))
+    reduced, _ = quotient_ring(ring, nilradical(ring))
     atoms = primitive_idempotents(reduced)
     every = np.arange(reduced.carrier_size)
-    qmap = np.asarray(proj.mapping)
     ideals = []
     for e in atoms:
         annihilator = reduced.mul_many(every, e) == reduced.zero
-        ideal = ideal_from_mask(ring, annihilator[qmap])
+        ideal = ideal_from_mask(ring, annihilator[reduced._qmap])
         field, _ = quotient_ring(ring, ideal)
-        if len(field.units()) != field.carrier_size - 1:
+        if np.count_nonzero(field.unit_mask()) != field.carrier_size - 1:
             raise InternalDefectError(
                 "pullback of an idempotent annihilator is not maximal")
         ideals.append(ideal)
@@ -168,8 +173,7 @@ def crt_solve(ring: FiniteRing, system: CongruenceSystem | list) -> int:
     for ideal, t in system.constraints:
         if ideal.ring is not ring:
             raise ValueError("congruence ideal belongs to a different ring")
-        if not 0 <= t < ring.carrier_size:
-            raise ValueError(f"target {t} outside the carrier")
+        check_element(ring, t)
     _check_comaximal(ring, system)
     sol = _crt_scan(ring, system)
     for ideal, t in system.constraints:

@@ -5,7 +5,8 @@ the image of a unit of R.  Equivalently: the set of elements congruent to a
 unit mod I is saturated; that set equals the saturation of 1 + I; and every
 element that is invertible mod I is congruent mod I to an actual unit.  All
 four checks are implemented independently, and a disagreement between them
-is treated as a fatal library defect, never reported as an answer.  The two
+is treated as a fatal library defect, never reported as an answer.  Each
+builds its sets as masks over the carrier and compares masks.  The two
 saturation checks read the ring's table of principal ideals.  The witness
 check reads no table: multiplying a by a unit changes neither whether a is
 invertible mod I nor whether it is congruent to a unit, so it scans one
@@ -34,15 +35,16 @@ from .rings import (
     Ideal,
     PresentedRing,
     ProductRing,
+    _as_set,
     _on_unit_orbits,
     _principal_classes,
+    _sum_mask,
     check_element,
     enumerate_ideals,
     first_hits,
-    ideal_from_elements,
+    ideal_from_mask,
     member_mask,
     quotient_ring,
-    sumset,
 )
 from .spectrum import CongruenceSystem, crt_solve, maximal_ideals, radical_quotient
 
@@ -52,22 +54,26 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
 
     A closure operation (taking s = 1 gives extensivity; monotonicity and
     idempotence follow); the saturation of {1} is exactly the unit group.
-
-    As s runs over R, s*r runs over the principal ideal r*R, so r is in the
-    saturation exactly when r*R meets the subset.  Every ring answers from
-    its cached table of principal ideals, one packed row per unit orbit r*U,
-    since (u*r)R = rR for a unit u: one AND of the packed subset against
-    each row, a block of rows at a time so the temporary stays within
-    BLOCK_WORDS.  The WITNESS method of star_check reads no table: it scans
-    one element per unit orbit.
     """
-    packed = np.packbits(member_mask(ring, subset))
+    return _as_set(_saturate_mask(ring, member_mask(ring, subset)))
+
+
+def _saturate_mask(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
+    """saturate on masks.  As s runs over R, s*r runs over the principal
+    ideal r*R, so r is in the saturation exactly when r*R meets the subset.
+    Every ring answers from its cached table of principal ideals, one packed
+    row per unit orbit r*U, since (u*r)R = rR for a unit u: one AND of the
+    packed subset against each row, a block of rows at a time so the
+    temporary stays within BLOCK_WORDS.  The WITNESS method of star_check
+    reads no table: it scans one element per unit orbit.
+    """
+    packed = np.packbits(mask)
     table, class_of = _principal_classes(ring)
     met = np.empty(len(table), dtype=bool)
     step = max(1, 8 * BLOCK_WORDS // table.shape[1])
     for lo in range(0, len(table), step):
         met[lo:lo + step] = (table[lo:lo + step] & packed).any(axis=1)
-    return frozenset(np.flatnonzero(met[class_of]).tolist())
+    return met[class_of]
 
 
 class StarMethod(enum.Enum):
@@ -100,12 +106,28 @@ class StarReport:
         return {c.method.value: c.holds for c in self.checks}
 
 
-def _units_plus_ideal(ring: FiniteRing, ideal: Ideal) -> frozenset[int]:
-    return sumset(ring, ring.units(), ideal)
+def _units_plus_ideal(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
+    return _sum_mask(ring, ring.unit_mask(), ideal.mask)
 
 
-def _one_plus_ideal(ring: FiniteRing, ideal: Ideal) -> frozenset[int]:
-    return sumset(ring, (ring.one,), ideal)
+def _one_plus_ideal(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
+    return _sum_mask(ring, np.arange(ring.carrier_size) == ring.one, ideal.mask)
+
+
+def _image_mask(quotient: FiniteRing, mask: np.ndarray) -> np.ndarray:
+    """Mask of the image in R/I of the subset of R with the given mask."""
+    image = np.zeros(quotient.carrier_size, dtype=bool)
+    image[quotient._qmap[mask]] = True
+    return image
+
+
+def _compare(method: StarMethod, got: np.ndarray, want: np.ndarray) -> StarCheck:
+    """Holds when the two masks agree; otherwise the witness is the least
+    element in one and not the other: units map to units and W lies in
+    sat(W), so that is the least missed unit, or the least of sat(W) - W."""
+    if np.array_equal(got, want):
+        return StarCheck(method, True, None)
+    return StarCheck(method, False, int(np.argmax(got ^ want)))
 
 
 def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
@@ -118,32 +140,22 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
         raise ValueError("star checks need a proper ideal")
 
     if method is StarMethod.DIRECT:
-        quotient, hom = quotient_ring(ring, ideal)
-        image = hom.image_of_units()
-        target = quotient.units()
-        if image == target:
-            return StarCheck(method, True, None)
-        return StarCheck(method, False, min(target - image))
+        quotient, _ = quotient_ring(ring, ideal)
+        return _compare(method, quotient.unit_mask(), _image_mask(quotient, ring.unit_mask()))
 
     if method is StarMethod.SATURATED_SUM:
         w = _units_plus_ideal(ring, ideal)
-        sat = saturate(ring, w)
-        if sat == w:
-            return StarCheck(method, True, None)
-        return StarCheck(method, False, min(sat - w))
+        return _compare(method, _saturate_mask(ring, w), w)
 
     if method is StarMethod.SATURATION_EQUALITY:
-        w = _units_plus_ideal(ring, ideal)
-        sat = saturate(ring, _one_plus_ideal(ring, ideal))
-        if sat == w:
-            return StarCheck(method, True, None)
-        return StarCheck(method, False, min(sat.symmetric_difference(w)))
+        sat = _saturate_mask(ring, _one_plus_ideal(ring, ideal))
+        return _compare(method, sat, _units_plus_ideal(ring, ideal))
 
     # WITNESS: everything invertible mod I is congruent mod I to a unit
     every = np.arange(ring.carrier_size)
     member = ideal.mask
     one_minus = ring.add_many(ring.one, ring.neg_many(every))
-    units = np.fromiter(ring.units(), dtype=np.int64)
+    units = np.flatnonzero(ring.unit_mask())
 
     def partner(a, b):  # 1 - a*b in I
         return member[one_minus[ring.mul_many(a, b)]]
@@ -274,8 +286,8 @@ def reduce_mod_rad_equiv(ring: FiniteRing, ideal: Ideal) -> RadicalReductionRepo
     rather than silently mis-handled.
     """
     direct = star_check(ring, ideal, StarMethod.DIRECT).holds
-    reduced, proj = radical_quotient(ring)
-    reduced_ideal = ideal_from_elements(reduced, (proj(x) for x in ideal))
+    reduced, _ = radical_quotient(ring)
+    reduced_ideal = ideal_from_mask(reduced, _image_mask(reduced, ideal.mask))
     if not reduced_ideal.is_proper():
         return RadicalReductionReport(direct, True, True)
     reduced_verdict = star_check(reduced, reduced_ideal, StarMethod.DIRECT).holds

@@ -26,6 +26,7 @@ Oracles:
 """
 
 import json
+import math
 import random
 import tracemalloc
 
@@ -36,6 +37,7 @@ import scalar_oracle as oracle
 from unitlift.config import Guards
 from unitlift.rings import (
     ModularRing,
+    _as_set,
     _on_unit_orbits,
     _principal_classes,
     _unit_orbits,
@@ -175,7 +177,7 @@ def test_scans_match_oracle(spec, table_limit):
     for ideal in _sample(ideals, 4, spec):
         quotient, hom = quotient_ring(ring, ideal)
         assert (quotient.reps, hom.mapping) == oracle.quotient_reps(ring, ideal.elements)
-        sat_input = _units_plus_ideal(ring, ideal)
+        sat_input = _as_set(_units_plus_ideal(ring, ideal))
         assert sat_input == oracle.sumset(ring, units, ideal.elements)
         assert saturate(ring, sat_input) == oracle.saturate(ring, sat_input)
         check = star_check(ring, ideal, StarMethod.WITNESS)
@@ -204,7 +206,8 @@ def test_saturate_from_principal_table_matches_scan(spec):
     subsets = [{ring.one}, jacobson_radical(ring).elements]
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
     for ideal in _sample(ideals, 4, spec):
-        subsets += [_units_plus_ideal(ring, ideal), _one_plus_ideal(ring, ideal)]
+        subsets += [_as_set(_units_plus_ideal(ring, ideal)),
+                    _as_set(_one_plus_ideal(ring, ideal))]
     rng = random.Random(spec)
     for _ in range(4):
         subsets.append(set(rng.sample(range(n), rng.randint(1, min(n, 24)))))
@@ -238,12 +241,12 @@ def test_unit_orbits_match_oracle(spec, table_limit):
         labels_of.setdefault(oracle.principal(ring, x), set()).add(label[x])
     assert all(len(labels) == 1 for labels in labels_of.values())
     assert len(labels_of) == len(set(label))
-    # a factor eR is a union of orbits of R, labelled alike
+    # for x in a factor eR, x*U = x*(eU), so the factor's orbits are the
+    # carrier's and keep their labels
     for e in primitive_idempotents(ring):
-        members = np.unique(ring.mul_many(np.arange(ring.carrier_size), e))
-        inside = _unit_orbits(ring, (e, members))
-        assert [inside[x] for x in members] == [label[x] for x in members]
-        assert (np.delete(inside, members) == -1).all()
+        factor_units = {oracle.mul(ring, e, u) for u in units}
+        for x in {oracle.mul(ring, e, y) for y in ring.elements()}:
+            assert label[x] == min(oracle.mul(ring, x, v) for v in factor_units)
 
 
 @pytest.mark.parametrize("spec, generator", [
@@ -259,7 +262,7 @@ def test_saturate_by_orbits_matches_definition(spec, generator):
     ideal = ideal_closure(ring, [ring.parse_element(generator)])
     assert ideal.is_proper()
     subsets = [frozenset({ring.one}), jacobson_radical(ring).elements,
-               _units_plus_ideal(ring, ideal), _one_plus_ideal(ring, ideal)]
+               _as_set(_units_plus_ideal(ring, ideal)), _as_set(_one_plus_ideal(ring, ideal))]
     sats = [saturate(ring, w) for w in subsets]
     reps = np.flatnonzero(_unit_orbits(ring) == np.arange(n)).tolist()
     for r in sorted(set(reps) | set(random.Random(spec).sample(range(n), 64))):
@@ -352,10 +355,11 @@ def test_orbit_scans_match_full_carrier_scans_untabulated(spec):
 class _SignsAsUnits(ModularRing):
     """Z/n reporting only 1 and -1 as its units, so its unit orbits are
     {x, -x}, and an element invertible mod I outside {1, -1} + I is a
-    witness that WITNESS must find."""
+    witness that WITNESS must find.  Its quotients find their own units, so
+    DIRECT finds the least unit of R/I outside {hom(1), hom(-1)}."""
 
     def _find_units(self):
-        return frozenset({1, self.n - 1})
+        return np.isin(np.arange(self.n), [1, self.n - 1])
 
 
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
@@ -368,6 +372,12 @@ def test_witness_is_the_least_bad_element_of_the_full_scan(n, generator, table_l
     assert expected is not None
     assert (check.holds, check.witness) == (False, expected)
     assert check.witness == _witness_every_element(ring, ideal)
+    # R/I is Z/m for m = gcd(n, generator), on the residues 0..m-1
+    m = math.gcd(n, generator)
+    _, hom = quotient_ring(ring, ideal)
+    missed = [v for v in range(m) if math.gcd(v, m) == 1 and v not in (hom(1), hom(n - 1))]
+    direct = star_check(ring, ideal, StarMethod.DIRECT)
+    assert (direct.holds, direct.witness) == (False, missed[0])
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
@@ -422,7 +432,7 @@ def test_quadratic_scans_stay_within_memory_budget():
                              "(" + ",".join(["1"] + ["0"] * 10) + ")")):
         ring = build_ring(spec)
         ideal = ideal_closure(ring, [ring.parse_element(generator)])
-        w = _units_plus_ideal(ring, ideal)
+        w = _as_set(_units_plus_ideal(ring, ideal))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

@@ -342,6 +342,28 @@ def test_ideal_from_elements_rejects_elements_outside_the_carrier(elements):
 
 
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_subsets_refuse_non_integer_elements(table_limit):
+    # such elements were once truncated: saturate(Z/12, [1.5]) answered for
+    # 1, and ideal_from_elements(Z/12, [0.0, 6.9]) gave the ideal (6)
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    for bad in ([1.5], [True], [1, np.float64(5.0)]):
+        with pytest.raises(ValueError, match="not an integer"):
+            saturate(ring, bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        sumset(ring, [2.7], [0])
+    with pytest.raises(ValueError, match="not an integer"):
+        ideal_from_elements(ring, [0.0, 6.9])
+    assert saturate(ring, []) == frozenset()
+    assert saturate(ring, range(1, 2)) == saturate(ring, np.array([1], dtype=np.int32))
+    assert saturate(ring, {1}) == {1, 5, 7, 11}
+    assert sumset(ring, np.array([2], dtype=np.uint8), range(0, 12, 6)) == {2, 8}
+    assert ideal_from_elements(ring, np.array([0, 6, 6])) == ideal_closure(ring, [6])
+    # is_unit must not wrap a negative index around
+    assert not ring.is_unit(-1) and not ring.is_unit(ring.carrier_size)
+    assert ring.is_unit(ring.carrier_size - 1)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
 def test_ideals_of_another_ring_are_refused(table_limit):
     # Z/6's ideal (2) is {0, 2, 4}; read as a mask of Z/12 it would give
     # {1} + (2) = {1, 3, 5}

@@ -5,10 +5,12 @@ by powering, maximality by inspecting the full ideal lattice, CRT solutions
 by scanning the carrier.
 """
 
+import numpy as np
 import pytest
 
 import scalar_oracle as oracle
 from unitlift import cli, spectrum
+from unitlift.config import Guards
 from unitlift.rings import build_ring, enumerate_ideals, ideal_closure
 from unitlift.spectrum import (
     CongruenceSystem,
@@ -144,6 +146,22 @@ def test_crt_accepts_plain_pair_list():
     assert crt_solve(ring, pairs) == 5
 
 
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_generators_and_targets_are_checked_elements(table_limit):
+    # ideal_closure once kept True as a generator and took 2.0, and a
+    # crt_solve target of 1.0 raised IndexError, and of True a numpy error
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    four = ideal_closure(ring, [4])
+    for bad, message in ((True, "not an integer"), (2.0, "not an integer"),
+                         (-1, "outside the carrier"), (12, "outside the carrier")):
+        with pytest.raises(ValueError, match=message):
+            ideal_closure(ring, [bad])
+        with pytest.raises(ValueError, match=message):
+            crt_solve(ring, [(four, bad)])
+    assert ideal_closure(ring, [np.int64(8), 4]).generators == (4, 8)
+    assert crt_solve(ring, [(four, np.int64(1))]) == 1
+
+
 def test_crt_rejects_non_comaximal():
     ring = build_ring("Z/12")
     system = CongruenceSystem.of([
@@ -162,11 +180,13 @@ def test_crt_rejects_non_comaximal():
 def test_one_nilpotent_scan_per_query(argv, monkeypatch, capsys):
     calls = []
 
+    scan = spectrum._nilpotent_mask
+
     def counted(ring):
         calls.append(ring)
-        return nilpotent_elements(ring)
+        return scan(ring)
 
-    monkeypatch.setattr(spectrum, "nilpotent_elements", counted)
+    monkeypatch.setattr(spectrum, "_nilpotent_mask", counted)
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1

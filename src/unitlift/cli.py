@@ -44,6 +44,7 @@ from .specs import (
     PolyQuotSpec,
     ProductSpec,
     QuotientSpec,
+    parse_element_list,
     parse_poly_text,
     spec_to_string,
 )
@@ -95,25 +96,6 @@ def _int_at_least(low: int):
     return integer
 
 
-def _split_top(text: str, sep: str = ",") -> list[str]:
-    """Split on a separator, ignoring separators inside parentheses."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SpecSyntaxError("unbalanced parentheses", i)
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth != 0:
-        raise SpecSyntaxError("unbalanced parentheses", len(text))
-    parts.append(text[start:])
-    return parts
-
-
 def _parse_presented(text: str):
     t = text.strip()
     if t == "Z":
@@ -124,9 +106,12 @@ def _parse_presented(text: str):
     raise SpecSyntaxError("expected Z or GF(p)[x]", 0)
 
 
+def _elements_from_arg(ring, text: str) -> list[int]:
+    return [ring.element_from_expr(e) for e in parse_element_list(text, ring.spec)]
+
+
 def _ideal_from_arg(ring, text: str):
-    gens = [ring.parse_element(part) for part in _split_top(text)]
-    return ideal_closure(ring, gens)
+    return ideal_closure(ring, _elements_from_arg(ring, text))
 
 
 def _ideal_json(ring, ideal) -> dict:
@@ -295,7 +280,7 @@ def _cmd_gl_lift(args):
     if not ideal.is_proper():
         raise ValueError("the generators span the whole ring")
     quotient, hom = quotient_ring(ring, ideal)
-    rows = [[hom(ring.parse_element(entry)) for entry in _split_top(row)]
+    rows = [[hom(a) for a in _elements_from_arg(ring, row)]
             for row in args.matrix.split(";")]
     matrix = Matrix(quotient, rows)
     lifted = gl_lift(hom, matrix)

@@ -200,7 +200,7 @@ def _lift_defects(hom: SurjectiveHom, targets: np.ndarray,
     if not all(map(target.is_unit, _det(target, targets).tolist())):
         raise ValueError("matrix is not invertible over the target")
     unit, _, certified = _batch_inverse(source, lifted)
-    maps_back = (np.asarray(hom.mapping)[lifted] == targets).all(axis=(-2, -1))
+    maps_back = (hom.mapping[lifted] == targets).all(axis=(-2, -1))
     return ["entrywise lift is not invertible" if not u
             else "adjugate inverse failed its certificate" if not c
             else "lift does not map back onto the matrix" if not m

@@ -36,8 +36,12 @@ as the witness and semi-inverse scans, runs on one representative per orbit
 and spreads its answers by the labels, and so does the lattice of each
 factor eR, as x*U = x*(eU) for x in eR.  The tests check the tables, the
 array operations and every scan against a plain-Python oracle with its own
-arithmetic.  Cached data is immutable once published, so sharing rings
-across threads is safe.
+arithmetic.  A quotient map is stored once, as a read-only int64 array
+that the quotient ring (qmap) and its projection hom (mapping) share; the
+hom computes images, pullbacks and fibres from it.  Cached data is immutable
+once published: arrays are read-only, and the ideal list and a hom's fibres
+are cached as values no caller holds, each call handing out a fresh list.
+So sharing rings across threads is safe.
 """
 
 from __future__ import annotations
@@ -180,18 +184,6 @@ class FiniteRing:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            raise ValueError("negative powers need inverse()")
-        out = self.one
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def elements(self) -> range:
         return range(self.carrier_size)
 
@@ -287,8 +279,8 @@ class FiniteRing:
         if self.tables() is None:
             nil = nilradical(self)
             if len(nil) > 1:
-                reduced, _ = quotient_ring(self, nil)
-                return reduced.unit_mask()[reduced._qmap]
+                reduced, proj = quotient_ring(self, nil)
+                return reduced.unit_mask()[proj.mapping]
         # a is a unit when some b has a*b = 1; the scan records that b
         idx = np.arange(self.carrier_size)
         inverse = first_hits(self, idx, idx,
@@ -566,37 +558,37 @@ class QuotientRing(FiniteRing):
 
     def __init__(self, spec: QuotientSpec, parent: FiniteRing, reps: np.ndarray,
                  qmap: np.ndarray, guards: Guards):
+        """reps and qmap are int64 arrays: the sorted coset minima, and the
+        rank of each parent element's coset.  Both are frozen read-only."""
         self.parent = parent
-        self._reps = reps
-        self._qmap = qmap
         for a in (reps, qmap):
             a.setflags(write=False)
-        self.reps = reps.tolist()
-        self.qmap = qmap.tolist()
-        super().__init__(spec, len(self.reps), self.qmap[parent.zero],
-                         self.qmap[parent.one], guards)
+        self.reps = reps
+        self.qmap = qmap
+        super().__init__(spec, len(reps), int(qmap[parent.zero]),
+                         int(qmap[parent.one]), guards)
 
     @property
     def _width(self):
         return self.parent.op_width
 
     def _add_arrays(self, a, b):
-        return self._qmap[self.parent.add_many(self._reps[a], self._reps[b])]
+        return self.qmap[self.parent.add_many(self.reps[a], self.reps[b])]
 
     def _mul_arrays(self, a, b):
-        return self._qmap[self.parent.mul_many(self._reps[a], self._reps[b])]
+        return self.qmap[self.parent.mul_many(self.reps[a], self.reps[b])]
 
     def _neg_arrays(self, a):
-        return self._qmap[self.parent.neg_many(self._reps[a])]
+        return self.qmap[self.parent.neg_many(self.reps[a])]
 
     def render(self, a):
-        return self.parent.render(self.reps[a])
+        return self.parent.render(int(self.reps[a]))
 
     def element_expr(self, a):
-        return self.parent.element_expr(self.reps[a])
+        return self.parent.element_expr(int(self.reps[a]))
 
     def element_from_expr(self, expr):
-        return self.qmap[self.parent.element_from_expr(expr)]
+        return int(self.qmap[self.parent.element_from_expr(expr)])
 
 
 def build_ring(spec: RingSpec | str, guards: Guards = DEFAULT_GUARDS) -> FiniteRing:
@@ -606,21 +598,10 @@ def build_ring(spec: RingSpec | str, guards: Guards = DEFAULT_GUARDS) -> FiniteR
     if isinstance(spec, ModularSpec):
         return ModularRing(spec, guards)
     if isinstance(spec, PolyQuotSpec):
-        size = spec.p ** poly_degree(spec.modulus)
-        if size > guards.carrier_limit:
-            raise GuardExceededError(
-                f"carrier {size} exceeds the build guard {guards.carrier_limit}")
         kind = BinaryPolyQuotientRing if spec.p == 2 else PolyQuotientRing
         return kind(spec, guards)
     if isinstance(spec, ProductSpec):
-        factors = [build_ring(f, guards) for f in spec.factors]
-        size = 1
-        for f in factors:
-            size *= f.carrier_size
-        if size > guards.carrier_limit:
-            raise GuardExceededError(
-                f"carrier {size} exceeds the build guard {guards.carrier_limit}")
-        return ProductRing(spec, factors, guards)
+        return ProductRing(spec, [build_ring(f, guards) for f in spec.factors], guards)
     if isinstance(spec, QuotientSpec):
         base = build_ring(spec.base, guards)
         gens = [base.element_from_expr(g) for g in spec.generators]
@@ -661,6 +642,10 @@ class Ideal:
         return self._elements
 
     def __contains__(self, a: int) -> bool:
+        # refuses what check_element refuses, but an integer outside the
+        # carrier is simply not a member
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+            raise ValueError(f"element {a!r} is not an integer")
         return 0 <= a < len(self.mask) and bool(self.mask[a])
 
     def __len__(self) -> int:
@@ -918,7 +903,8 @@ def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
 
 
 def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Every ideal of the ring, ordered by (size, sorted elements).
+    """Every ideal of the ring, ordered by (size, sorted elements), in a
+    list the caller owns; the ring caches them as a tuple.
 
     The ring is the product of the local rings eR, e running over its
     primitive idempotents, so its ideals are the sums I_1 + ... + I_k of one
@@ -934,7 +920,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
             f"carrier {ring.carrier_size} exceeds the ideal enumeration guard "
             f"{ring.guards.ideal_enum_limit}")
     if "ideals" in ring._cache:
-        return ring._cache["ideals"]
+        return list(ring._cache["ideals"])
     n = ring.carrier_size
     idx = np.arange(n)
     atoms = primitive_idempotents(ring)
@@ -952,7 +938,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     # among equal sizes, the packed bits descend as the sorted elements ascend
     out.sort(key=lambda i: i.key, reverse=True)
     out.sort(key=len)
-    ring._cache["ideals"] = out
+    ring._cache["ideals"] = tuple(out)
     return out
 
 
@@ -961,30 +947,48 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
 
 
 class SurjectiveHom:
-    """A surjective ring homomorphism with explicit element map and kernel."""
+    """A surjective ring homomorphism with explicit element map and kernel.
+
+    mapping is one read-only int64 array, mapping[a] the image of a; the
+    hom owns it and everything done with it: images of a subset, pullbacks
+    (mask[mapping]) and fibres.  Every fibre is a coset of the kernel, so
+    all have |kernel| elements, and one stable argsort of mapping gives
+    them all, each ascending.
+    """
 
     def __init__(self, source: FiniteRing, target: FiniteRing,
                  mapping: Sequence[int], kernel: Ideal):
         self.source = source
         self.target = target
-        self.mapping = list(mapping)
+        self.mapping = np.asarray(mapping, dtype=np.int64)
+        self.mapping.setflags(write=False)
         self.kernel = kernel
-        self._preimages: list[list[int]] | None = None
+        self._fibres: list[list[int]] | None = None
 
     def __call__(self, a: int) -> int:
-        return self.mapping[check_element(self.source, a)]
+        return int(self.mapping[check_element(self.source, a)])
+
+    def image(self, mask: np.ndarray) -> np.ndarray:
+        """Mask of the image of the subset of the source with the given mask."""
+        image = np.zeros(self.target.carrier_size, dtype=bool)
+        image[self.mapping[mask]] = True
+        return image
+
+    def _fibre(self, t: int) -> list[int]:
+        if self._fibres is None:
+            order = np.argsort(self.mapping, kind="stable")
+            order = order.reshape(self.target.carrier_size, -1)
+            if not (self.mapping[order] == np.arange(len(order))[:, None]).all():
+                raise InternalDefectError("the fibres of the map differ in size")
+            self._fibres = order.tolist()
+        return self._fibres[check_element(self.target, t)]
 
     def preimages(self, t: int) -> list[int]:
-        t = check_element(self.target, t)
-        if self._preimages is None:
-            buckets: list[list[int]] = [[] for _ in range(self.target.carrier_size)]
-            for a, b in enumerate(self.mapping):
-                buckets[b].append(a)
-            self._preimages = buckets
-        return self._preimages[t]
+        """The preimages of t, ascending, in a list the caller owns."""
+        return list(self._fibre(t))
 
     def preimage(self, t: int) -> int:
-        return self.preimages(t)[0]
+        return self._fibre(t)[0]
 
     def __repr__(self):
         return (f"<SurjectiveHom {spec_to_string(self.source.spec)} -> "

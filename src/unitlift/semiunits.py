@@ -162,8 +162,8 @@ def semi_unit_decomposition(ring: FiniteRing, r: int) -> SemiUnitDecomposition:
     Construction: take any semi-inverse s; modulo the radical, e = r*s is
     idempotent and u = r*e + (1 - e) is a unit; lift both back.  Reduction
     modulo the radical reflects units, but rather than trusting that, the
-    lift scans the preimages of u for one that is invertible and fails loudly
-    if none is.
+    lift takes the least unit among the preimages of u and fails loudly if
+    there is none.
     """
     r = check_element(ring, r)
     rad = jacobson_radical(ring)
@@ -174,13 +174,10 @@ def semi_unit_decomposition(ring: FiniteRing, r: int) -> SemiUnitDecomposition:
     e_bar = reduced.mul(proj(r), proj(s))
     u_bar = reduced.add(reduced.mul(proj(r), e_bar),
                         reduced.sub(reduced.one, e_bar))
-    u = None
-    for cand in proj.preimages(u_bar):
-        if ring.is_unit(cand):
-            u = cand
-            break
-    if u is None:
+    lifts = np.flatnonzero(ring.unit_mask() & (proj.mapping == u_bar))
+    if not lifts.size:
         raise InternalDefectError("no unit lift of a unit modulo the radical")
+    u = int(lifts[0])
     e = proj.preimage(e_bar)
     t = ring.sub(r, ring.mul(u, e))
 

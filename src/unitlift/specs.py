@@ -263,9 +263,7 @@ def _parse_spec(cur: _Cursor) -> RingSpec:
     if cur.match("quot("):
         base = _parse_spec(cur)
         cur.expect(";")
-        gens = [_parse_elem(cur, base)]
-        while cur.match(","):
-            gens.append(_parse_elem(cur, base))
+        gens = _parse_elems(cur, base)
         cur.expect(")")
         return QuotientSpec(base, tuple(gens))
     raise SpecSyntaxError("expected a ring spec (Z/, GF(, prod(, quot()", start)
@@ -290,31 +288,42 @@ def _parse_elem(cur: _Cursor, spec: RingSpec):
     raise TypeError(f"unknown spec {spec!r}")
 
 
-def parse_ring_spec(text: str) -> RingSpec:
-    """Parse a ring-spec string, raising SpecSyntaxError with a position."""
+def _parse_elems(cur: _Cursor, spec: RingSpec) -> list:
+    """Parse one or more comma-separated element literals."""
+    exprs = [_parse_elem(cur, spec)]
+    while cur.match(","):
+        exprs.append(_parse_elem(cur, spec))
+    return exprs
+
+
+def _parse_whole(text: str, parse):
+    """parse(cursor) over all of text; positions count from its start."""
     cur = _Cursor(text)
-    spec = _parse_spec(cur)
+    out = parse(cur)
     if not cur.done():
         raise SpecSyntaxError("unexpected trailing input", cur.pos)
-    return spec
+    return out
+
+
+def parse_ring_spec(text: str) -> RingSpec:
+    """Parse a ring-spec string, raising SpecSyntaxError with a position."""
+    return _parse_whole(text, _parse_spec)
 
 
 def parse_element_text(text: str, spec: RingSpec):
     """Parse a standalone element literal for the given ring kind."""
-    cur = _Cursor(text)
-    expr = _parse_elem(cur, spec)
-    if not cur.done():
-        raise SpecSyntaxError("unexpected trailing input", cur.pos)
-    return expr
+    return _parse_whole(text, lambda cur: _parse_elem(cur, spec))
+
+
+def parse_element_list(text: str, spec: RingSpec) -> list:
+    """Parse comma-separated element literals for the given ring kind, such
+    as ideal generators or one matrix row."""
+    return _parse_whole(text, lambda cur: _parse_elems(cur, spec))
 
 
 def parse_poly_text(text: str, p: int) -> tuple[int, ...]:
     """Parse a standalone polynomial over GF(p) into coefficients."""
-    cur = _Cursor(text)
-    poly = _parse_poly(cur, p)
-    if not cur.done():
-        raise SpecSyntaxError("unexpected trailing input", cur.pos)
-    return poly
+    return _parse_whole(text, lambda cur: _parse_poly(cur, p))
 
 
 # ---------------------------------------------------------------------------

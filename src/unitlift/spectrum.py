@@ -91,13 +91,13 @@ class MaximalIdealList:
 def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
     if "maximal_ideals" in ring._cache:
         return ring._cache["maximal_ideals"]
-    reduced, _ = quotient_ring(ring, nilradical(ring))
+    reduced, proj = quotient_ring(ring, nilradical(ring))
     atoms = primitive_idempotents(reduced)
     every = np.arange(reduced.carrier_size)
     ideals = []
     for e in atoms:
         annihilator = reduced.mul_many(every, e) == reduced.zero
-        ideal = ideal_from_mask(ring, annihilator[reduced._qmap])
+        ideal = ideal_from_mask(ring, annihilator[proj.mapping])
         field, _ = quotient_ring(ring, ideal)
         if np.count_nonzero(field.unit_mask()) != field.carrier_size - 1:
             raise InternalDefectError(

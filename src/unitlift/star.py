@@ -114,13 +114,6 @@ def _one_plus_ideal(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
     return _sum_mask(ring, np.arange(ring.carrier_size) == ring.one, ideal.mask)
 
 
-def _image_mask(quotient: FiniteRing, mask: np.ndarray) -> np.ndarray:
-    """Mask of the image in R/I of the subset of R with the given mask."""
-    image = np.zeros(quotient.carrier_size, dtype=bool)
-    image[quotient._qmap[mask]] = True
-    return image
-
-
 def _compare(method: StarMethod, got: np.ndarray, want: np.ndarray) -> StarCheck:
     """Holds when the two masks agree; otherwise the witness is the least
     element in one and not the other: units map to units and W lies in
@@ -140,8 +133,8 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
         raise ValueError("star checks need a proper ideal")
 
     if method is StarMethod.DIRECT:
-        quotient, _ = quotient_ring(ring, ideal)
-        return _compare(method, quotient.unit_mask(), _image_mask(quotient, ring.unit_mask()))
+        quotient, hom = quotient_ring(ring, ideal)
+        return _compare(method, quotient.unit_mask(), hom.image(ring.unit_mask()))
 
     if method is StarMethod.SATURATED_SUM:
         w = _units_plus_ideal(ring, ideal)
@@ -286,8 +279,8 @@ def reduce_mod_rad_equiv(ring: FiniteRing, ideal: Ideal) -> RadicalReductionRepo
     rather than silently mis-handled.
     """
     direct = star_check(ring, ideal, StarMethod.DIRECT).holds
-    reduced, _ = radical_quotient(ring)
-    reduced_ideal = ideal_from_mask(reduced, _image_mask(reduced, ideal.mask))
+    reduced, proj = radical_quotient(ring)
+    reduced_ideal = ideal_from_mask(reduced, proj.image(ideal.mask))
     if not reduced_ideal.is_proper():
         return RadicalReductionReport(direct, True, True)
     reduced_verdict = star_check(reduced, reduced_ideal, StarMethod.DIRECT).holds

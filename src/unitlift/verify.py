@@ -55,7 +55,7 @@ from .star import (
     saturate,
     star_report,
 )
-from .specs import spec_to_string
+from .specs import PolyQuotSpec, spec_to_string
 
 CORPUS_PRODUCTS: tuple[str, ...] = (
     "prod(Z/2,Z/3)",
@@ -86,18 +86,7 @@ def base_ring_specs() -> list[str]:
     for p in (2, 3):
         for degree in (1, 2, 3):
             for lower in itertools.product(range(p), repeat=degree):
-                coeffs = list(lower) + [1]
-                text = []
-                for k in range(degree, -1, -1):
-                    c = coeffs[k]
-                    if c == 0:
-                        continue
-                    if k == 0:
-                        text.append(str(c))
-                    else:
-                        x = "x" if k == 1 else f"x^{k}"
-                        text.append(x if c == 1 else f"{c}*{x}")
-                specs.append(f"GF({p})[x]/({'+'.join(text)})")
+                specs.append(spec_to_string(PolyQuotSpec(p, lower + (1,))))
     return specs
 
 

@@ -163,6 +163,13 @@ def test_usage_errors_exit_64():
     assert run_cli("star", "presented", "Q", "5").returncode == 64
 
 
+def test_element_error_positions_count_from_the_start_of_the_argument():
+    # the position was once counted within the failing generator: 3, not 9
+    proc = run_cli("star", "check", "prod(Z/4,Z/9)", "--ideal", "(2,0),(0,x)")
+    assert proc.returncode == 64
+    assert "expected an integer (at position 9)" in proc.stderr
+
+
 def test_corpus_run_rejects_negative_gl_samples():
     proc = run_cli("corpus", "run", "--gl-samples", "-1")
     assert proc.returncode == 64

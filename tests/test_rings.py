@@ -254,6 +254,25 @@ def test_preimage_buckets_have_kernel_size():
         assert {hom(a) for a in hom.preimages(t)} == {t}
 
 
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_published_caches_do_not_change_under_their_callers(table_limit):
+    # enumerate_ideals once returned its cached list, so a pop() removed an
+    # ideal from every later call; preimages returned its cached fibre, and
+    # hom.mapping was a writable list
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    enumerate_ideals(ring).pop()
+    assert len(enumerate_ideals(ring)) == 6
+    quot, hom = quotient_ring(ring, ideal_closure(ring, [4]))
+    hom.preimages(1).append(2)
+    assert hom.preimages(1) == [1, 5, 9]
+    assert hom.mapping is quot.qmap
+    for published in (hom.mapping, quot.reps):
+        assert not published.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hom.mapping[0] = 3
+    assert hom(0) == 0 and type(hom(5)) is int
+
+
 class _BrokenAddition(ModularRing):
     """Z/n whose sums are never zero, so 0 + 0 != 0."""
 
@@ -361,6 +380,18 @@ def test_subsets_refuse_non_integer_elements(table_limit):
     # is_unit must not wrap a negative index around
     assert not ring.is_unit(-1) and not ring.is_unit(ring.carrier_size)
     assert ring.is_unit(ring.carrier_size - 1)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_ideal_membership_refuses_non_integers(table_limit):
+    # True, 4.0 and 1.5 once indexed the mask: numpy's ambiguous truth
+    # value, or IndexError; None raised TypeError
+    ideal = ideal_closure(build_ring("Z/12", Guards(table_limit=table_limit)), [4])
+    for bad in (True, False, 4.0, 1.5, None, "4"):
+        with pytest.raises(ValueError, match="not an integer"):
+            bad in ideal
+    assert [a in ideal for a in (-1, 0, 4, 5, 12)] == [False, True, True, False, False]
+    assert np.int64(8) in ideal
 
 
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])

@@ -21,6 +21,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import GuardExceededError, InternalDefectError, SpecSyntaxError
 from .matrices import Matrix, det, gl_lift
@@ -45,6 +47,7 @@ from .specs import (
     ProductSpec,
     QuotientSpec,
     parse_element_list,
+    parse_element_rows,
     parse_poly_text,
     spec_to_string,
 )
@@ -56,7 +59,7 @@ from .spectrum import (
 )
 from .star import (
     StarMethod,
-    crt_unit_lift,
+    _crt_unit_lifts,
     presented_star_check,
     ring_has_star,
     star_report,
@@ -225,11 +228,15 @@ def _cmd_star_check(args):
         "witnesses": witnesses,
     }
     if report.holds:
-        units = sorted(quotient.units())[:16]
+        # the first 16 units of the quotient, lifted in one batch
+        units = np.flatnonzero(quotient.unit_mask())[:16]
+        lifts, defects = _crt_unit_lifts(ring, ideal, units)
+        defect = next((d for d in defects if d is not None), None)
+        if defect is not None:
+            raise InternalDefectError(defect)
         result["lifts"] = [
-            {"unit": quotient.render(v),
-             "lift": ring.render(crt_unit_lift(ring, ideal, v))}
-            for v in units
+            {"unit": quotient.render(v), "lift": ring.render(a)}
+            for v, a in zip(units.tolist(), lifts.tolist())
         ]
     code = EX_FALSE if args.fail_on_false and not report.holds else EX_OK
     return spec_to_string(ring.spec), result, code
@@ -280,8 +287,8 @@ def _cmd_gl_lift(args):
     if not ideal.is_proper():
         raise ValueError("the generators span the whole ring")
     quotient, hom = quotient_ring(ring, ideal)
-    rows = [[hom(a) for a in _elements_from_arg(ring, row)]
-            for row in args.matrix.split(";")]
+    rows = [[hom(ring.element_from_expr(e)) for e in row]
+            for row in parse_element_rows(args.matrix, ring.spec)]
     matrix = Matrix(quotient, rows)
     lifted = gl_lift(hom, matrix)
     result = {

@@ -38,10 +38,12 @@ factor eR, as x*U = x*(eU) for x in eR.  The tests check the tables, the
 array operations and every scan against a plain-Python oracle with its own
 arithmetic.  A quotient map is stored once, as a read-only int64 array
 that the quotient ring (qmap) and its projection hom (mapping) share; the
-hom computes images, pullbacks and fibres from it.  Cached data is immutable
-once published: arrays are read-only, and the ideal list and a hom's fibres
-are cached as values no caller holds, each call handing out a fresh list.
-So sharing rings across threads is safe.
+hom computes images, pullbacks and fibres from it, the fibres as one
+read-only array.  Cached data is immutable once published: arrays are
+read-only, and the ideal list is cached as a tuple no caller holds, each
+call handing out a fresh list.  So sharing rings across threads is safe.
+A batch of elements is checked as check_element checks one, with one type
+test per distinct type and one vectorised range test.
 """
 
 from __future__ import annotations
@@ -86,6 +88,29 @@ def check_element(ring: "FiniteRing", a) -> int:
     return int(a)
 
 
+def _check_elements(ring: "FiniteRing", elements) -> np.ndarray:
+    """check_element on a batch: the elements as a 1-d int64 array.  The
+    types are checked once per distinct type and the range in one
+    comparison; only a batch that fails either is walked in Python, so that
+    the error names its first offending element with check_element's text."""
+    if isinstance(elements, np.ndarray) and elements.dtype.kind in "iu":
+        # an unsigned value past int64 wraps to a negative one
+        elems = elements.ravel()
+        batch = elems.astype(np.int64)
+    else:
+        elems = list(elements)
+        if not all(t is int or issubclass(t, np.integer) for t in set(map(type, elems))):
+            elems = [check_element(ring, a) for a in elems]
+        try:
+            batch = np.fromiter(elems, dtype=np.int64, count=len(elems))
+        except OverflowError:
+            batch = None
+    if batch is None or not ((batch >= 0) & (batch < ring.carrier_size)).all():
+        for a in elems:
+            check_element(ring, a)
+    return batch
+
+
 def member_mask(ring: "FiniteRing", elements: Iterable[int]) -> np.ndarray:
     """Boolean membership vector of a subset of the carrier; an Ideal's is
     its own read-only mask, and must be an ideal of this ring."""
@@ -93,9 +118,8 @@ def member_mask(ring: "FiniteRing", elements: Iterable[int]) -> np.ndarray:
         if elements.ring is not ring:
             raise ValueError("ideal belongs to a different ring")
         return elements.mask
-    elems = np.fromiter((check_element(ring, a) for a in elements), dtype=np.int64)
     mask = np.zeros(ring.carrier_size, dtype=bool)
-    mask[elems] = True
+    mask[_check_elements(ring, elements)] = True
     return mask
 
 
@@ -295,14 +319,18 @@ class FiniteRing:
     def inverse(self, a: int) -> int:
         a = check_element(self, a)
         if a not in self._inverses:
-            self._inverses[a] = self._find_inverse(a)
+            self._inverses[a] = int(self._inverse_many(np.array([a]))[0])
         return self._inverses[a]
 
-    def _find_inverse(self, a: int) -> int:
-        hits = np.flatnonzero(self.mul_many(a, np.arange(self.carrier_size)) == self.one)
-        if not hits.size:
+    def _inverse_many(self, units: np.ndarray) -> np.ndarray:
+        """The inverse of each element of a 1-d index array, by one blocked
+        scan of the carrier; ValueError names the first non-unit."""
+        every = np.arange(self.carrier_size)
+        found = first_hits(self, units, every, lambda a, b: self.mul_many(a, b) == self.one)
+        if (found < 0).any():
+            a = int(units[np.argmax(found < 0)])
             raise ValueError(f"{self.render(a)} is not a unit of {self}")
-        return int(hits[0])
+        return found
 
     # ----- rendering and element literals -------------------------------
 
@@ -342,10 +370,13 @@ class ModularRing(FiniteRing):
         # inverses come from pow() on demand
         return np.gcd(np.arange(self.n), self.n) == 1
 
-    def _find_inverse(self, a):
-        if math.gcd(a, self.n) != 1:
-            raise ValueError(f"{a} is not a unit of {self}")
-        return pow(a, -1, self.n)
+    def _inverse_many(self, units):
+        # the gcd inverse, one pow() per element
+        units = units.tolist()
+        for a in units:
+            if math.gcd(a, self.n) != 1:
+                raise ValueError(f"{a} is not a unit of {self}")
+        return np.array([pow(a, -1, self.n) for a in units], dtype=np.int64)
 
     def render(self, a):
         return int(a)
@@ -963,7 +994,7 @@ class SurjectiveHom:
         self.mapping = np.asarray(mapping, dtype=np.int64)
         self.mapping.setflags(write=False)
         self.kernel = kernel
-        self._fibres: list[list[int]] | None = None
+        self._fibres: np.ndarray | None = None
 
     def __call__(self, a: int) -> int:
         return int(self.mapping[check_element(self.source, a)])
@@ -974,21 +1005,24 @@ class SurjectiveHom:
         image[self.mapping[mask]] = True
         return image
 
-    def _fibre(self, t: int) -> list[int]:
+    def fibres(self) -> np.ndarray:
+        """The read-only (|target|, |kernel|) array whose row t holds the
+        preimages of t, ascending; built once."""
         if self._fibres is None:
             order = np.argsort(self.mapping, kind="stable")
             order = order.reshape(self.target.carrier_size, -1)
             if not (self.mapping[order] == np.arange(len(order))[:, None]).all():
                 raise InternalDefectError("the fibres of the map differ in size")
-            self._fibres = order.tolist()
-        return self._fibres[check_element(self.target, t)]
+            order.setflags(write=False)
+            self._fibres = order
+        return self._fibres
 
     def preimages(self, t: int) -> list[int]:
         """The preimages of t, ascending, in a list the caller owns."""
-        return list(self._fibre(t))
+        return self.fibres()[check_element(self.target, t)].tolist()
 
     def preimage(self, t: int) -> int:
-        return self._fibre(t)[0]
+        return int(self.fibres()[check_element(self.target, t), 0])
 
     def __repr__(self):
         return (f"<SurjectiveHom {spec_to_string(self.source.spec)} -> "

@@ -9,8 +9,15 @@ nonunit r of a domain with zero radical can never satisfy r*(1 - s*r) = 0.
 
 A semi-unit decomposes as r = u*e + t with u a unit, e idempotent modulo the
 radical, and t in the radical; the construction here follows the algebra
-(e and u are built from any semi-inverse, then lifted) and verifies every
-claimed property exactly before returning.
+(e and u are built from the least semi-inverse, then lifted) and verifies
+every claimed property exactly before returning.
+
+Each of these facts is decided for a whole batch of elements at once, one
+row per element: the semi-inverses and the colon ideals are rows of one
+array over the carrier, and the decompositions of a batch take one array
+operation per step, with all five certificates checked row by row.  The
+public functions that take one element are batches of one, and the corpus
+decides a whole ring in one batch.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     PresentedRing,
+    _as_set,
     _on_unit_orbits,
     check_element,
     first_hits,
@@ -72,17 +80,35 @@ def _semi_inverse_found(ring: FiniteRing, rs) -> np.ndarray:
     return _on_unit_orbits(ring, rs, found)
 
 
+def _rows(ring: FiniteRing, xs: np.ndarray, row) -> np.ndarray:
+    """The (k, n) boolean array whose row i is row(x) over the carrier for
+    x = xs[i]; row takes a (b, 1) index array, b rows at a time, so each
+    temporary stays within the block budget."""
+    out = np.empty((len(xs), ring.carrier_size), dtype=bool)
+    step = ring.block_rows(ring.carrier_size)
+    for lo in range(0, len(xs), step):
+        out[lo:lo + step] = row(xs[lo:lo + step, None])
+    return out
+
+
+def _semi_inverse_rows(ring: FiniteRing, rs: np.ndarray) -> np.ndarray:
+    """Row i marks the semi-inverses of rs[i]; ValueError names the first
+    element that has none."""
+    every = np.arange(ring.carrier_size)
+    rows = _rows(ring, rs, lambda r: _semi_inverse_mask(ring, r, every))
+    found = rows.any(axis=1)
+    if not found.all():
+        r = int(rs[np.argmin(found)])
+        raise ValueError(f"{ring.render(r)} has no semi-inverse")
+    return rows
+
+
 def semi_inverses(ring: FiniteRing, r: int) -> frozenset[int]:
     """All s with r*(1 - s*r) in the radical; errors unless rho(r) = 1."""
     r = check_element(ring, r)
-    rad = jacobson_radical(ring)
-    if r in rad:
+    if r in jacobson_radical(ring):
         raise ValueError(f"{ring.render(r)} is radical (rho 0), not a semi-unit")
-    mask = _semi_inverse_mask(ring, r, np.arange(ring.carrier_size))
-    out = frozenset(np.flatnonzero(mask).tolist())
-    if not out:
-        raise ValueError(f"{ring.render(r)} has no semi-inverse")
-    return out
+    return _as_set(_semi_inverse_rows(ring, np.array([r]))[0])
 
 
 def rho(ring, r) -> Rho:
@@ -127,12 +153,36 @@ def collapse_semi_inverse_set(ring: FiniteRing, r: int, candidates) -> int:
 def colon_into_radical(ring: FiniteRing, r: int) -> Ideal:
     """The ideal of a with a*r in the radical; stable under squaring r."""
     r = check_element(ring, r)
-    member = jacobson_radical(ring).mask
-    every = np.arange(ring.carrier_size)
-    col = member[ring.mul_many(every, r)]
-    if not np.array_equal(col, member[ring.mul_many(every, ring.mul(r, r))]):
+    _, [ideal] = _colon_rows(ring, np.array([r]))
+    if ideal is None:
         raise InternalDefectError("colon ideal changed when squaring r")
-    return ideal_from_mask(ring, col)
+    return ideal
+
+
+def _colon_rows(ring: FiniteRing, rs: np.ndarray):
+    """colon_into_radical for every element of rs: the (k, n) array whose
+    row i marks the a with a*rs[i] in the radical, and per row its Ideal,
+    or None where the row changes when rs[i] is squared (a defect).
+    ideal_from_mask certifies each distinct row once."""
+    radical = jacobson_radical(ring).mask
+    every = np.arange(ring.carrier_size)
+
+    def colon(xs):
+        return _rows(ring, xs, lambda x: radical[ring.mul_many(every, x)])
+
+    rows = colon(rs)
+    moved = (rows != colon(ring.mul_many(rs, rs))).any(axis=1)
+    certified: dict[bytes, Ideal] = {}
+    ideals = []
+    for row, m in zip(rows, moved.tolist()):
+        if m:
+            ideals.append(None)
+            continue
+        key = row.tobytes()
+        if key not in certified:
+            certified[key] = ideal_from_mask(ring, row)
+        ideals.append(certified[key])
+    return rows, ideals
 
 
 @dataclass(frozen=True)
@@ -159,39 +209,61 @@ _CERTIFICATES = (
 def semi_unit_decomposition(ring: FiniteRing, r: int) -> SemiUnitDecomposition:
     """Decompose a semi-unit as r = u*e + t.
 
-    Construction: take any semi-inverse s; modulo the radical, e = r*s is
-    idempotent and u = r*e + (1 - e) is a unit; lift both back.  Reduction
-    modulo the radical reflects units, but rather than trusting that, the
-    lift takes the least unit among the preimages of u and fails loudly if
-    there is none.
+    Construction: take the least semi-inverse s; modulo the radical, e = r*s
+    is idempotent and u = r*e + (1 - e) is a unit; lift both back.
+    Reduction modulo the radical reflects units, but rather than trusting
+    that, the lift takes the least unit among the preimages of u and fails
+    loudly if there is none.
     """
     r = check_element(ring, r)
-    rad = jacobson_radical(ring)
-    if r in rad:
+    if r in jacobson_radical(ring):
         raise ValueError(f"{ring.render(r)} is radical (rho 0), not a semi-unit")
-    s = min(semi_inverses(ring, r))
-    reduced, proj = radical_quotient(ring)
-    e_bar = reduced.mul(proj(r), proj(s))
-    u_bar = reduced.add(reduced.mul(proj(r), e_bar),
-                        reduced.sub(reduced.one, e_bar))
-    lifts = np.flatnonzero(ring.unit_mask() & (proj.mapping == u_bar))
-    if not lifts.size:
-        raise InternalDefectError("no unit lift of a unit modulo the radical")
-    u = int(lifts[0])
-    e = proj.preimage(e_bar)
-    t = ring.sub(r, ring.mul(u, e))
+    u, e, t, defects = _decompositions(ring, np.array([r]))
+    if defects[0] is not None:
+        raise InternalDefectError(defects[0])
+    return SemiUnitDecomposition(ring, r, int(u[0]), int(e[0]), int(t[0]), _CERTIFICATES)
 
-    ok = (
-        ring.is_unit(u),
-        ring.sub(e, ring.mul(e, e)) in rad,
-        t in rad,
-        r == ring.add(ring.mul(u, e), t),
-        ring.mul(r, ring.sub(ring.one, ring.mul(ring.inverse(u), r))) in rad,
-    )
-    for passed, name in zip(ok, _CERTIFICATES):
-        if not passed:
-            raise InternalDefectError(f"decomposition certificate failed: {name}")
-    return SemiUnitDecomposition(ring, r, u, e, t, _CERTIFICATES)
+
+def _decompositions(ring: FiniteRing, rs: np.ndarray):
+    """semi_unit_decomposition for every semi-unit of rs, one array
+    operation per step: (u, e, t, defects), defects[i] None or what failed
+    for rs[i], the missing unit lift or the first failed certificate.
+
+    s is the least semi-inverse; e is the least preimage of r*s modulo the
+    radical, and u the least unit preimage of r*e + (1 - e), read from
+    the rows of the projection's fibres.
+    """
+    s = _semi_inverse_rows(ring, rs).argmax(axis=1)
+    reduced, proj = radical_quotient(ring)
+    r_bar = proj.mapping[rs]
+    e_bar = reduced.mul_many(r_bar, proj.mapping[s])
+    u_bar = reduced.add_many(reduced.mul_many(r_bar, e_bar),
+                             reduced.add_many(reduced.one, reduced.neg_many(e_bar)))
+    fibres = proj.fibres()
+    unit_lifts = ring.unit_mask()[fibres[u_bar]]
+    lifted = unit_lifts.any(axis=1)
+    u = fibres[u_bar, unit_lifts.argmax(axis=1)]
+    e = fibres[e_bar, 0]
+    t = ring.add_many(rs, ring.neg_many(ring.mul_many(u, e)))
+
+    radical = jacobson_radical(ring).mask
+    unit = ring.unit_mask()[u]
+    u_inverse = ring._inverse_many(np.where(unit, u, ring.one))
+    ok = np.array([
+        unit,
+        radical[ring.add_many(e, ring.neg_many(ring.mul_many(e, e)))],
+        radical[t],
+        rs == ring.add_many(ring.mul_many(u, e), t),
+        radical[ring.mul_many(rs, ring.add_many(
+            ring.one, ring.neg_many(ring.mul_many(u_inverse, rs))))],
+    ])
+    failed = ok.argmin(axis=0)
+    defects = ["no unit lift of a unit modulo the radical" if not lift
+               else None if passed
+               else f"decomposition certificate failed: {_CERTIFICATES[f]}"
+               for lift, passed, f in zip(lifted.tolist(), ok.all(axis=0).tolist(),
+                                          failed.tolist())]
+    return u, e, t, defects
 
 
 def is_von_neumann_regular(ring: FiniteRing) -> bool:

@@ -317,8 +317,20 @@ def parse_element_text(text: str, spec: RingSpec):
 
 def parse_element_list(text: str, spec: RingSpec) -> list:
     """Parse comma-separated element literals for the given ring kind, such
-    as ideal generators or one matrix row."""
+    as ideal generators."""
     return _parse_whole(text, lambda cur: _parse_elems(cur, spec))
+
+
+def parse_element_rows(text: str, spec: RingSpec) -> list[list]:
+    """Parse rows of comma-separated element literals separated by ';', such
+    as the rows of a matrix; positions count from the start of the text."""
+    def rows(cur: _Cursor) -> list[list]:
+        out = [_parse_elems(cur, spec)]
+        while cur.match(";"):
+            out.append(_parse_elems(cur, spec))
+        return out
+
+    return _parse_whole(text, rows)
 
 
 def parse_poly_text(text: str, p: int) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from .rings import (
     SurjectiveHom,
     _as_set,
     check_element,
+    first_hits,
     ideal_from_mask,
     primitive_idempotents,
     quotient_ring,
@@ -156,11 +157,10 @@ def _comaximal_pair(ring: FiniteRing, a, b) -> bool:
     return ok
 
 
-def _check_comaximal(ring: FiniteRing, system: CongruenceSystem):
-    cons = system.constraints
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            if not _comaximal_pair(ring, cons[i][0], cons[j][0]):
+def _check_comaximal(ring: FiniteRing, ideals):
+    for i in range(len(ideals)):
+        for j in range(i + 1, len(ideals)):
+            if not _comaximal_pair(ring, ideals[i], ideals[j]):
                 raise ValueError(
                     f"ideals {i} and {j} are not comaximal; no solution is promised")
 
@@ -174,22 +174,40 @@ def crt_solve(ring: FiniteRing, system: CongruenceSystem | list) -> int:
         if ideal.ring is not ring:
             raise ValueError("congruence ideal belongs to a different ring")
         check_element(ring, t)
-    _check_comaximal(ring, system)
-    sol = _crt_scan(ring, system)
-    for ideal, t in system.constraints:
-        if ring.sub(sol, t) not in ideal:
-            raise InternalDefectError("crt solution fails a congruence")
-    return sol
+    ideals = [ideal for ideal, _ in system.constraints]
+    targets = np.array([t for _, t in system.constraints], dtype=np.int64)
+    solutions, defects = _crt_solve_many(ring, ideals, targets.reshape(-1, 1))
+    if defects[0] is not None:
+        raise InternalDefectError(defects[0])
+    return int(solutions[0])
 
 
-def _crt_scan(ring: FiniteRing, system: CongruenceSystem) -> int:
-    every = np.arange(ring.carrier_size)
-    ok = np.ones(ring.carrier_size, dtype=bool)
-    for ideal, t in system.constraints:
-        # a - t in I, over every a
-        ok &= ideal.mask[ring.add_many(every, ring.neg_many(t))]
-    hits = np.flatnonzero(ok)
-    if len(hits) == 0:
-        raise InternalDefectError("no solution despite comaximal ideals")
-    return int(hits[0])
+def _crt_solve_many(ring: FiniteRing, ideals, targets: np.ndarray):
+    """crt_solve for k systems over the same ideals: system j asks for
+    x = targets[i, j] mod ideals[i], for the (len(ideals), k) array targets.
 
+    Comaximality is checked once.  Each system is one row of the scan
+    (a - t in I for every constraint), and first_hits takes its least
+    solution.  Returns the solutions and, per system, None or what failed:
+    no solution (the solution is then zero), or a solution that fails a
+    congruence when checked again.
+    """
+    _check_comaximal(ring, ideals)
+    neg = ring.neg_many(targets)
+
+    def ok(j, a):
+        hit = np.ones(np.broadcast_shapes(j.shape, a.shape), dtype=bool)
+        for ideal, t in zip(ideals, neg):
+            hit &= ideal.mask[ring.add_many(a, t[j])]
+        return hit
+
+    found = first_hits(ring, np.arange(targets.shape[1]),
+                       np.arange(ring.carrier_size), ok)
+    solutions = np.where(found >= 0, found, ring.zero)
+    holds = np.ones(len(solutions), dtype=bool)
+    for ideal, t in zip(ideals, neg):
+        holds &= ideal.mask[ring.add_many(solutions, t)]
+    return solutions, ["no solution despite comaximal ideals" if f < 0
+                       else "crt solution fails a congruence" if not h
+                       else None
+                       for f, h in zip(found.tolist(), holds.tolist())]

@@ -17,7 +17,11 @@ Lifting is constructive: the exceptional maximal ideals (those not
 containing I) are finitely many, and a CRT adjustment a with a = 0 mod I and
 a = 1 - r mod each exceptional ideal turns any preimage r of a unit into a
 unit preimage r + a.  For products of fields there is an even more direct
-adjustment using the indicator of the vanishing coordinates.
+adjustment using the indicator of the vanishing coordinates.  Both run on
+batches: the lifts of all units of R/I share one comaximality check and one
+blocked CRT scan with a row per unit, and the adjustments of many pairs are
+a few array operations, with every certificate checked on the whole batch.
+crt_unit_lift and product_fields_adjust are batches of one.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .rings import (
     PresentedRing,
     ProductRing,
     _as_set,
+    _check_elements,
     _on_unit_orbits,
     _principal_classes,
     _sum_mask,
@@ -46,7 +51,7 @@ from .rings import (
     member_mask,
     quotient_ring,
 )
-from .spectrum import CongruenceSystem, crt_solve, maximal_ideals, radical_quotient
+from .spectrum import _crt_solve_many, maximal_ideals, radical_quotient
 
 
 def saturate(ring: FiniteRing, subset) -> frozenset[int]:
@@ -211,23 +216,37 @@ def crt_unit_lift(ring: FiniteRing, ideal: Ideal, v: int) -> int:
     a = 0 mod I and a = 1 - r mod each exceptional ideal (always a
     comaximal system) makes r + a a unit with the same image as r.
     """
-    quotient, hom = quotient_ring(ring, ideal)
+    quotient, _ = quotient_ring(ring, ideal)
     v = check_element(quotient, v)
     if not quotient.is_unit(v):
         raise ValueError(f"{quotient.render(v)} is not a unit of the quotient")
-    r = hom.preimage(v)
+    lifts, defects = _crt_unit_lifts(ring, ideal, np.array([v]))
+    if defects[0] is not None:
+        raise InternalDefectError(defects[0])
+    return int(lifts[0])
+
+
+def _crt_unit_lifts(ring: FiniteRing, ideal: Ideal, units: np.ndarray):
+    """crt_unit_lift for every unit of R/I in the index array units, as
+    one CRT system per unit over the same ideals: r is the least preimage
+    of the unit and a the least solution of its system.  Returns the lifts
+    r + a and, per unit, None or what failed, in crt_unit_lift's order:
+    the CRT certificates, then the lift being a unit, then its image."""
+    _, hom = quotient_ring(ring, ideal)
+    r = hom.fibres()[units, 0]
     exceptional = [m for m in maximal_ideals(ring).ideals
                    if (ideal.mask & ~m.mask).any()]
-    target = ring.sub(ring.one, r)
-    system = CongruenceSystem.of(
-        [(ideal, ring.zero)] + [(m, target) for m in exceptional])
-    a = crt_solve(ring, system)
-    lifted = ring.add(r, a)
-    if not ring.is_unit(lifted):
-        raise InternalDefectError("constructed lift is not a unit")
-    if hom(lifted) != v:
-        raise InternalDefectError("constructed lift has the wrong image")
-    return lifted
+    target = ring.add_many(ring.one, ring.neg_many(r))
+    targets = np.stack([np.full_like(r, ring.zero)] + [target] * len(exceptional))
+    a, defects = _crt_solve_many(ring, [ideal] + exceptional, targets)
+    lifts = ring.add_many(r, a)
+    unit = ring.unit_mask()[lifts]
+    image = hom.mapping[lifts] == units
+    return lifts, [d if d is not None
+                   else "constructed lift is not a unit" if not u
+                   else "constructed lift has the wrong image" if not i
+                   else None
+                   for d, u, i in zip(defects, unit.tolist(), image.tolist())]
 
 
 def product_fields_adjust(ring: FiniteRing, ideal: Ideal, a: int, b: int) -> int:
@@ -237,6 +256,17 @@ def product_fields_adjust(ring: FiniteRing, ideal: Ideal, a: int, b: int) -> int
     and e the indicator of J, the element a + e*(1 - a*b) is invertible and
     differs from a by an ideal element.
     """
+    adjusted, defects = _fields_adjust_many(ring, ideal, [a], [b])
+    if defects[0] is not None:
+        raise InternalDefectError(defects[0])
+    return int(adjusted[0])
+
+
+def _fields_adjust_many(ring: FiniteRing, ideal: Ideal, a, b):
+    """product_fields_adjust on the pairs (a[i], b[i]), one array operation
+    per step: the ring and ideal are checked once, the elements as
+    check_element checks them, and every 1 - a*b must lie in the ideal.
+    Returns the adjusted elements and, per pair, None or what failed."""
     if not isinstance(ring, ProductRing):
         raise ValueError("adjustment needs a product of fields")
     for f in ring.factors:
@@ -244,19 +274,21 @@ def product_fields_adjust(ring: FiniteRing, ideal: Ideal, a: int, b: int) -> int
             raise ValueError("adjustment needs every factor to be a field")
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
-    a, b = check_element(ring, a), check_element(ring, b)
-    defect = ring.sub(ring.one, ring.mul(a, b))
-    if defect not in ideal:
+    a, b = _check_elements(ring, a), _check_elements(ring, b)
+    defect = ring.add_many(ring.one, ring.neg_many(ring.mul_many(a, b)))
+    if not ideal.mask[defect].all():
         raise ValueError("1 - a*b is not in the ideal")
-    comps = ring.decode(a)
-    indicator = ring.encode(
-        [f.one if c == f.zero else f.zero for f, c in zip(ring.factors, comps)])
-    adjusted = ring.add(a, ring.mul(indicator, defect))
-    if not ring.is_unit(adjusted):
-        raise InternalDefectError("adjusted element is not a unit")
-    if ring.sub(adjusted, a) not in ideal:
-        raise InternalDefectError("adjustment left the congruence class")
-    return adjusted
+    # the indicator of the coordinates where a vanishes, digit by digit
+    indicator = np.zeros_like(a)
+    for f, size, stride in zip(ring.factors, ring.sizes, ring.strides):
+        indicator += np.where(a // stride % size == f.zero, f.one, f.zero) * stride
+    adjusted = ring.add_many(a, ring.mul_many(indicator, defect))
+    unit = ring.unit_mask()[adjusted]
+    kept = ideal.mask[ring.add_many(adjusted, ring.neg_many(a))]
+    return adjusted, ["adjusted element is not a unit" if not u
+                      else "adjustment left the congruence class" if not k
+                      else None
+                      for u, k in zip(unit.tolist(), kept.tolist())]
 
 
 # ---------------------------------------------------------------------------

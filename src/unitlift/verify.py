@@ -39,17 +39,18 @@ from .rings import (
 )
 from .semiunits import (
     Rho,
-    colon_into_radical,
+    _colon_rows,
+    _decompositions,
+    _semi_inverse_rows,
     rho,
     rho_table,
-    semi_inverses,
     semi_unit_decomposition,
 )
 from .spectrum import is_connected_mod_rad, jacobson_radical
 from .star import (
-    crt_unit_lift,
+    _crt_unit_lifts,
+    _fields_adjust_many,
     presented_star_check,
-    product_fields_adjust,
     reduce_mod_rad_equiv,
     ring_has_star,
     saturate,
@@ -305,25 +306,30 @@ def criterion_semi_inverse_coset(rings, ctx: RunContext) -> CriterionResult:
         if ring.carrier_size > 100:
             continue
         name = spec_to_string(ring.spec)
-        rad = jacobson_radical(ring).elements
-        for r in ring.elements():
-            if r in rad:
-                continue
-            try:
-                inverses = semi_inverses(ring, r)
-                colon = colon_into_radical(ring, r)
-                colon_sq = colon_into_radical(ring, ring.mul(r, r))
-            except InternalDefectError as exc:
-                failures.append(f"{name}, element {ring.render(r)}: defect: {exc}")
+        rs = np.flatnonzero(~jacobson_radical(ring).mask)
+        k = len(rs)
+        inverses = _semi_inverse_rows(ring, rs)
+        # the colons of r and of r^2 in one batch, so that each distinct
+        # colon ideal is certified once
+        colons, ideals = _colon_rows(ring, np.concatenate([rs, ring.mul_many(rs, rs)]))
+        colon = colons[:k]
+        # s lies in base + colon exactly when s - base lies in the colon
+        base = inverses.argmax(axis=1)
+        shifted = ring.add_many(np.arange(ring.carrier_size), ring.neg_many(base)[:, None])
+        coset = (inverses == np.take_along_axis(colon, shifted, axis=1)).all(axis=1)
+        stable = (colon == colons[k:]).all(axis=1)
+        for r, ideal, ideal_sq, is_coset, is_stable in zip(
+                rs.tolist(), ideals[:k], ideals[k:], coset.tolist(), stable.tolist()):
+            if ideal is None or ideal_sq is None:
+                failures.append(f"{name}, element {ring.render(r)}: defect: "
+                                "colon ideal changed when squaring r")
                 defects += 1
                 continue
             checks += 1
-            base = min(inverses)
-            coset = frozenset(ring.add(base, a) for a in colon.elements)
-            if inverses != coset:
+            if not is_coset:
                 failures.append(f"{name}: semi-inverses of {ring.render(r)} "
                                 "are not one colon-ideal coset")
-            if colon.elements != colon_sq.elements:
+            if not is_stable:
                 failures.append(f"{name}: colon ideal moved when squaring "
                                 f"{ring.render(r)}")
     return _result("semi-inverse-coset",
@@ -338,18 +344,16 @@ def criterion_decomposition(rings, ctx: RunContext) -> CriterionResult:
         if ring.carrier_size > 100:
             continue
         name = spec_to_string(ring.spec)
-        rad = jacobson_radical(ring).elements
-        for r in ring.elements():
-            if r in rad:
-                continue
-            try:
-                dec = semi_unit_decomposition(ring, r)
-            except InternalDefectError as exc:
-                failures.append(f"{name}, element {ring.render(r)}: defect: {exc}")
+        rs = np.flatnonzero(~jacobson_radical(ring).mask)
+        u, e, t, why = _decompositions(ring, rs)
+        recomposed = ring.add_many(ring.mul_many(u, e), t) == rs
+        for r, defect, ok in zip(rs.tolist(), why, recomposed.tolist()):
+            if defect is not None:
+                failures.append(f"{name}, element {ring.render(r)}: defect: {defect}")
                 defects += 1
                 continue
             checks += 1
-            if ring.add(ring.mul(dec.u, dec.e), dec.t) != r:
+            if not ok:
                 failures.append(f"{name}: recomposition failed for {ring.render(r)}")
     ten = build_ring("Z/10", ctx.guards)
     dec = semi_unit_decomposition(ten, 2)
@@ -363,6 +367,11 @@ def criterion_decomposition(rings, ctx: RunContext) -> CriterionResult:
                    checks, failures, defects=defects)
 
 
+def _first_defect(defects) -> int:
+    """The index of the first defect in a batch's list, or its length."""
+    return next((i for i, d in enumerate(defects) if d is not None), len(defects))
+
+
 def criterion_unit_lifting(rings, ctx: RunContext) -> CriterionResult:
     checks, failures, defects = 0, [], 0
     for ring in rings:
@@ -372,12 +381,16 @@ def criterion_unit_lifting(rings, ctx: RunContext) -> CriterionResult:
         try:
             for ideal in _proper_ideals(ring):
                 quotient, hom = quotient_ring(ring, ideal)
-                for v in sorted(quotient.units()):
-                    lifted = crt_unit_lift(ring, ideal, v)
-                    checks += 1
-                    if hom(lifted) != v or not ring.is_unit(lifted):
-                        failures.append(f"{name} mod {list(ideal.generators)}: "
-                                        f"bad lift of {quotient.render(v)}")
+                units = np.flatnonzero(quotient.unit_mask())
+                lifts, why = _crt_unit_lifts(ring, ideal, units)
+                good = (hom.mapping[lifts] == units) & ring.unit_mask()[lifts]
+                done = _first_defect(why)
+                checks += done
+                for v in units[:done][~good[:done]].tolist():
+                    failures.append(f"{name} mod {list(ideal.generators)}: "
+                                    f"bad lift of {quotient.render(v)}")
+                if done < len(why):
+                    raise InternalDefectError(why[done])
         except InternalDefectError as exc:
             failures.append(f"{name}: defect: {exc}")
             defects += 1
@@ -394,11 +407,12 @@ def _is_product_of_small_fields(ring) -> bool:
 
 
 def _adjustment_pairs(ring):
-    """Per proper ideal I, the pairs (a, b) with 1 - ab in I, row-major."""
+    """Per proper ideal I, the (m, 2) array of the pairs (a, b) with 1 - ab
+    in I, row-major."""
     idx = np.arange(ring.carrier_size)
     grid = ring.add_many(ring.one, ring.neg_many(ring.mul_many(idx[:, None], idx)))
     for ideal in _proper_ideals(ring):
-        yield ideal, np.argwhere(ideal.mask[grid]).tolist()
+        yield ideal, np.argwhere(ideal.mask[grid])
 
 
 def criterion_field_product_adjustment(rings, ctx: RunContext) -> CriterionResult:
@@ -411,11 +425,16 @@ def criterion_field_product_adjustment(rings, ctx: RunContext) -> CriterionResul
         name = spec_to_string(ring.spec)
         try:
             for ideal, pairs in _adjustment_pairs(ring):
-                for a, b in pairs:
-                    adjusted = product_fields_adjust(ring, ideal, a, b)
-                    checks += 1
-                    if not ring.is_unit(adjusted) or ring.sub(adjusted, a) not in ideal:
-                        failures.append(f"{name}: bad adjustment for a={ring.render(a)}")
+                a, b = pairs.T
+                adjusted, why = _fields_adjust_many(ring, ideal, a, b)
+                good = (ring.unit_mask()[adjusted]
+                        & ideal.mask[ring.add_many(adjusted, ring.neg_many(a))])
+                done = _first_defect(why)
+                checks += done
+                for x in a[:done][~good[:done]].tolist():
+                    failures.append(f"{name}: bad adjustment for a={ring.render(x)}")
+                if done < len(why):
+                    raise InternalDefectError(why[done])
         except InternalDefectError as exc:
             failures.append(f"{name}: defect: {exc}")
             defects += 1
@@ -432,6 +451,7 @@ def _draw_lifts(rng: random.Random, proj, dim: int, count: int):
     with a random entrywise lift, as two (count, dim, dim) arrays: the draws
     of gl_lift(proj, matrix, choose=lambda i, j, c: rng.choice(c)) per matrix."""
     quotient = proj.target
+    fibres = proj.fibres().tolist()
     targets, lifts = [], []
     while len(targets) < count:
         rows = [[rng.randrange(quotient.carrier_size) for _ in range(dim)]
@@ -439,7 +459,7 @@ def _draw_lifts(rng: random.Random, proj, dim: int, count: int):
         if not quotient.is_unit(int(_det(quotient, np.array(rows)))):
             continue
         targets.append(rows)
-        lifts.append([[rng.choice(proj.preimages(a)) for a in row] for row in rows])
+        lifts.append([[rng.choice(fibres[a]) for a in row] for row in rows])
     shape = (count, dim, dim)
     return (np.array(targets, dtype=np.int64).reshape(shape),
             np.array(lifts, dtype=np.int64).reshape(shape))

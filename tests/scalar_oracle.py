@@ -162,6 +162,41 @@ def colon(ring, r, radical):
     return frozenset(a for a in ring.elements() if mul(ring, a, r) in radical)
 
 
+def is_unit(ring, a):
+    return any(mul(ring, a, b) == ring.one for b in ring.elements())
+
+
+def decomposition(ring, r, radical):
+    """(u, e, t) with r = u*e + t for a semi-unit r: s the least
+    semi-inverse, e the least element congruent to r*s mod the radical, u
+    the least unit congruent to r*e + (1 - e), and t = r - u*e."""
+    s = min(semi_inverses(ring, r, radical))
+    rs = mul(ring, r, s)
+    e = next(x for x in ring.elements() if sub(ring, x, rs) in radical)
+    target = add(ring, mul(ring, r, e), sub(ring, ring.one, e))
+    u = next(x for x in ring.elements()
+             if sub(ring, x, target) in radical and is_unit(ring, x))
+    return u, e, sub(ring, r, mul(ring, u, e))
+
+
+def crt_unit_lift(ring, ideal_elements, maximal, r):
+    """r + a for the least a in I with a = 1 - r modulo every maximal ideal
+    (given as element sets) that does not contain I."""
+    target = sub(ring, ring.one, r)
+    exceptional = [m for m in maximal if not ideal_elements <= m]
+    a = next(a for a in sorted(ideal_elements)
+             if all(sub(ring, a, target) in m for m in exceptional))
+    return add(ring, r, a)
+
+
+def adjust(ring, a, b):
+    """a + e*(1 - a*b) on a product of fields, e the indicator of the
+    coordinates where a vanishes."""
+    e = ring.encode([f.one if c == f.zero else f.zero
+                     for f, c in zip(ring.factors, ring.decode(a))])
+    return add(ring, a, mul(ring, e, sub(ring, ring.one, mul(ring, a, b))))
+
+
 def is_von_neumann_regular(ring):
     return all(any(mul(ring, mul(ring, a, x), a) == a for x in ring.elements())
                for a in ring.elements())

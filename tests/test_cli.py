@@ -170,6 +170,17 @@ def test_element_error_positions_count_from_the_start_of_the_argument():
     assert "expected an integer (at position 9)" in proc.stderr
 
 
+def test_matrix_error_positions_count_from_the_start_of_the_argument():
+    # the position was once counted within the failing row: 2, not 6
+    proc = run_cli("gl", "lift", "Z/4", "2", "--matrix", "1,1;0,q")
+    assert proc.returncode == 64
+    assert "expected an integer (at position 6)" in proc.stderr
+    proc = run_cli("gl", "lift", "prod(Z/4,Z/9)", "(2,0)",
+                   "--matrix", "(1,1),(1,0);(0,0),(1,y)")
+    assert proc.returncode == 64
+    assert "expected an integer (at position 21)" in proc.stderr
+
+
 def test_corpus_run_rejects_negative_gl_samples():
     proc = run_cli("corpus", "run", "--gl-samples", "-1")
     assert proc.returncode == 64

@@ -30,10 +30,12 @@ from unitlift.rings import (
     _principal_classes,
     _unit_orbits,
     build_ring,
+    check_element,
     check_ring_axioms,
     enumerate_ideals,
     ideal_closure,
     ideal_from_elements,
+    member_mask,
     principal,
     quotient_ring,
     sumset,
@@ -380,6 +382,38 @@ def test_subsets_refuse_non_integer_elements(table_limit):
     # is_unit must not wrap a negative index around
     assert not ring.is_unit(-1) and not ring.is_unit(ring.carrier_size)
     assert ring.is_unit(ring.carrier_size - 1)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_member_mask_checks_a_batch_as_check_element_checks_one(table_limit):
+    # the batch is checked once per distinct type and once for its range;
+    # the error still names its first offending element in iteration order,
+    # in check_element's words
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    n = ring.carrier_size
+    cases = [
+        ([3, True], "element True is not an integer"),
+        ([3, 1.5, -1], "element 1.5 is not an integer"),
+        ([3, -1, 1.5], "element -1 outside the carrier"),
+        ([np.int64(3), n, -1], f"element {n} outside the carrier"),
+        ([np.int64(-1)], "element -1 outside the carrier"),
+        ([2 ** 70], f"element {2 ** 70} outside the carrier"),
+        (np.array([1, n]), f"element {n} outside the carrier"),
+        (np.array([2 ** 64 - 1], dtype=np.uint64), f"element {2 ** 64 - 1} outside"),
+        (np.array([1.0]), "is not an integer"),
+    ]
+    for elements, message in cases:
+        with pytest.raises(ValueError) as batch:
+            member_mask(ring, elements)
+        with pytest.raises(ValueError) as scalar:
+            for a in elements:
+                check_element(ring, a)
+        assert message in str(batch.value)
+        assert str(batch.value) == str(scalar.value)
+    mixed = [np.int64(3), 5, np.uint8(7), np.int32(0)]
+    assert np.flatnonzero(member_mask(ring, mixed)).tolist() == [0, 3, 5, 7]
+    assert np.flatnonzero(member_mask(ring, np.array([n - 1]))).tolist() == [n - 1]
+    assert not member_mask(ring, iter(())).any()
 
 
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])

@@ -197,8 +197,8 @@ def test_adjustment_pairs_match_double_loop(spec):
     got = list(_adjustment_pairs(ring))
     assert [ideal for ideal, _ in got] == proper
     for ideal, pairs in got:
-        assert pairs == [[a, b] for a in ring.elements() for b in ring.elements()
-                         if oracle.sub(ring, ring.one, oracle.mul(ring, a, b)) in ideal]
+        assert pairs.tolist() == [[a, b] for a in ring.elements() for b in ring.elements()
+                                  if oracle.sub(ring, ring.one, oracle.mul(ring, a, b)) in ideal]
 
 
 def test_adjustment_input_errors():

@@ -4,9 +4,15 @@ Every command prints a single JSON document to stdout:
 
     {"command": ..., "spec": ..., "result": ..., "version": ..., "elapsedMs": ...}
 
-with sorted keys.  Everything except elapsedMs is deterministic for a fixed
-command line, so scripts may compare reports byte for byte after dropping
-that one key.  Progress lines (corpus runs) go to stderr.
+Stdout is exactly json.dumps(envelope, sort_keys=True, indent=2) and a
+newline, written by a small encoder of its own (_dump) that the tests hold
+to that call byte for byte.  Everything except elapsedMs is deterministic
+for a fixed command line, so scripts may compare reports byte for byte after
+dropping that one key.  Progress lines (corpus runs) go to stderr.
+
+The argument parser is built once per process, on the first main() call,
+and reused by every later call in that process; each call parses into a
+fresh namespace.
 
 Exit codes: 0 success, 2 a checked property is false and --fail-on-false was
 given, 64 usage or input error, 65 a size guard refused the computation,
@@ -16,6 +22,7 @@ given, 64 usage or input error, 65 a size guard refused the computation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -38,7 +45,6 @@ from .semiunits import (
     Rho,
     is_semifield,
     rho_table,
-    semi_inverses,
     semi_unit_decomposition,
 )
 from .specs import (
@@ -170,14 +176,12 @@ def _cmd_rho_table(args):
     ring = build_ring(args.spec)
     table = rho_table(ring)
     counts = {str(v.json()): 0 for v in Rho}
-    for value in table:
-        counts[str(value.json())] += 1
-    result = {
-        "carrier": ring.carrier_size,
-        "counts": counts,
-        "table": [{"element": ring.render(r), "rho": v.json()}
-                  for r, v in zip(ring.elements(), table)],
-    }
+    rows = []
+    for r, v in zip(ring.elements(), table):
+        value = v.json()
+        counts[str(value)] += 1
+        rows.append({"element": ring.render(r), "rho": value})
+    result = {"carrier": ring.carrier_size, "counts": counts, "table": rows}
     return spec_to_string(ring.spec), result, EX_OK
 
 
@@ -190,15 +194,14 @@ def _cmd_decompose(args):
                   "u": None, "e": None, "t": None}
         return spec_to_string(ring.spec), result, EX_OK
     dec = semi_unit_decomposition(ring, r)
-    inverses = semi_inverses(ring, r)
     result = {
         "element": ring.render(r),
         "rho": 1,
         "u": ring.render(dec.u),
         "e": ring.render(dec.e),
         "t": ring.render(dec.t),
-        "semiInverseCount": len(inverses),
-        "minimalSemiInverse": ring.render(min(inverses)),
+        "semiInverseCount": len(dec.semi_inverses),
+        "minimalSemiInverse": ring.render(min(dec.semi_inverses)),
         "certificates": list(dec.certificates),
     }
     return spec_to_string(ring.spec), result, EX_OK
@@ -318,6 +321,7 @@ def _cmd_corpus_run(args):
     return None, report_to_dict(report), code
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unitlift",
                      description="Exact verification of unit lifting, "
@@ -331,22 +335,22 @@ def _build_parser() -> _Parser:
     ring_sub = ring.add_subparsers(dest="subcommand", required=True)
     info = ring_sub.add_parser("info", help="carrier, units, radical, structure")
     info.add_argument("spec")
-    info.set_defaults(handler=_cmd_ring_info, command_name="ring info")
+    info.set_defaults(command_name="ring info")
     ideals = ring_sub.add_parser("ideals", help="enumerate all ideals")
     ideals.add_argument("spec")
-    ideals.set_defaults(handler=_cmd_ring_ideals, command_name="ring ideals")
+    ideals.set_defaults(command_name="ring ideals")
 
     rho_p = top.add_parser("rho", help="the rho invariant")
     rho_sub = rho_p.add_subparsers(dest="subcommand", required=True)
     table = rho_sub.add_parser("table", help="rho of every element")
     table.add_argument("spec")
-    table.set_defaults(handler=_cmd_rho_table, command_name="rho table")
+    table.set_defaults(command_name="rho table")
 
     dec = top.add_parser("decompose",
                          help="write an element as unit*idempotent + radical")
     dec.add_argument("spec")
     dec.add_argument("element")
-    dec.set_defaults(handler=_cmd_decompose, command_name="decompose")
+    dec.set_defaults(command_name="decompose")
 
     star = top.add_parser("star", help="unit lifting checks")
     star_sub = star.add_subparsers(dest="subcommand", required=True)
@@ -355,17 +359,17 @@ def _build_parser() -> _Parser:
     check.add_argument("--ideal", required=True,
                        help="comma-separated ideal generators")
     check.add_argument("--fail-on-false", action="store_true")
-    check.set_defaults(handler=_cmd_star_check, command_name="star check")
+    check.set_defaults(command_name="star check")
     sring = star_sub.add_parser("ring", help="every proper quotient of a ring")
     sring.add_argument("spec")
     sring.add_argument("--fail-on-false", action="store_true")
-    sring.set_defaults(handler=_cmd_star_ring, command_name="star ring")
+    sring.set_defaults(command_name="star ring")
     spres = star_sub.add_parser("presented",
                                 help="unit image of Z or GF(p)[x] in a quotient")
     spres.add_argument("presented", help="Z or GF(p)[x]")
     spres.add_argument("modulus", help="an integer, or a polynomial over GF(p)")
     spres.add_argument("--fail-on-false", action="store_true")
-    spres.set_defaults(handler=_cmd_star_presented, command_name="star presented")
+    spres.set_defaults(command_name="star presented")
 
     gl = top.add_parser("gl", help="matrix groups")
     gl_sub = gl.add_subparsers(dest="subcommand", required=True)
@@ -379,7 +383,7 @@ def _build_parser() -> _Parser:
     lift.add_argument("--matrix", required=True,
                       help="rows separated by ';', entries by ',', written "
                            "as source-ring elements")
-    lift.set_defaults(handler=_cmd_gl_lift, command_name="gl lift")
+    lift.set_defaults(command_name="gl lift")
 
     corpus = top.add_parser("corpus", help="the verification corpus")
     corpus_sub = corpus.add_subparsers(dest="subcommand", required=True)
@@ -392,17 +396,19 @@ def _build_parser() -> _Parser:
     run.add_argument("--gl-samples", type=_int_at_least(0), default=1000,
                      help="random matrix lifts per (ring, dimension) pair")
     run.add_argument("--fail-on-false", action="store_true")
-    run.set_defaults(handler=_cmd_corpus_run, command_name="corpus run")
+    run.set_defaults(command_name="corpus run")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # found by name on every call, not kept in the cached parser, so a
+    # handler replaced at run time (perfbench/tracing.py wraps them) is used
+    handler = globals()["_cmd_" + args.command_name.replace(" ", "_")]
     start = time.perf_counter()
     try:
-        spec_text, result, code = args.handler(args)
+        spec_text, result, code = handler(args)
     except SpecSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -422,8 +428,67 @@ def main(argv=None) -> int:
         "version": __version__,
         "elapsedMs": int((time.perf_counter() - start) * 1000),
     }
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+    print(_dump(envelope))
     return code
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dump(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    With indent set, the stdlib never uses its C encoder, so this walks
+    dicts, lists and tuples itself, encodes strings with the C string
+    encoder and writes ints, bools and None directly.  Every other value,
+    subclasses included, and a dict with a key that is not a str, goes to
+    the stdlib: a scalar's encoding does not depend on indent, and a
+    subtree's only through the indent of its lines.
+    """
+    chunks: list[str] = []
+    _write(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _write(value, newline: str, chunks: list[str]) -> None:
+    """Append value's encoding to chunks; newline is a line break followed
+    by the indent of the line value starts on."""
+    kind = type(value)
+    if kind is str:
+        chunks.append(_encode_str(value))
+    elif kind is int:
+        chunks.append(int.__repr__(value))
+    elif kind is bool:
+        chunks.append("true" if value else "false")
+    elif value is None:
+        chunks.append("null")
+    elif kind is dict:
+        start, inner = len(chunks), newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                del chunks[start:]
+                chunks.append(_stdlib_dump(value, newline))
+                return
+            chunks += separator, _encode_str(key), ": "
+            _write(value[key], inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            _write(item, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "]" if value else "[]")
+    else:
+        chunks.append(_stdlib_dump(value, newline))
+
+
+def _stdlib_dump(value, newline: str) -> str:
+    # an encoded string holds no raw newline, so every newline starts a line
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 if __name__ == "__main__":

@@ -187,7 +187,8 @@ def _colon_rows(ring: FiniteRing, rs: np.ndarray):
 
 @dataclass(frozen=True)
 class SemiUnitDecomposition:
-    """r = u*e + t with every certificate re-verified at construction time."""
+    """r = u*e + t with every certificate re-verified at construction time,
+    and every semi-inverse of r, the set the construction started from."""
 
     ring: FiniteRing
     r: int
@@ -195,6 +196,7 @@ class SemiUnitDecomposition:
     e: int
     t: int
     certificates: tuple[str, ...]
+    semi_inverses: frozenset[int]
 
 
 _CERTIFICATES = (
@@ -218,22 +220,25 @@ def semi_unit_decomposition(ring: FiniteRing, r: int) -> SemiUnitDecomposition:
     r = check_element(ring, r)
     if r in jacobson_radical(ring):
         raise ValueError(f"{ring.render(r)} is radical (rho 0), not a semi-unit")
-    u, e, t, defects = _decompositions(ring, np.array([r]))
+    u, e, t, defects, rows = _decompositions(ring, np.array([r]))
     if defects[0] is not None:
         raise InternalDefectError(defects[0])
-    return SemiUnitDecomposition(ring, r, int(u[0]), int(e[0]), int(t[0]), _CERTIFICATES)
+    return SemiUnitDecomposition(ring, r, int(u[0]), int(e[0]), int(t[0]), _CERTIFICATES,
+                                 _as_set(rows[0]))
 
 
 def _decompositions(ring: FiniteRing, rs: np.ndarray):
     """semi_unit_decomposition for every semi-unit of rs, one array
-    operation per step: (u, e, t, defects), defects[i] None or what failed
-    for rs[i], the missing unit lift or the first failed certificate.
+    operation per step: (u, e, t, defects, rows), defects[i] None or what
+    failed for rs[i], the missing unit lift or the first failed certificate,
+    and rows the semi-inverse rows of rs.
 
     s is the least semi-inverse; e is the least preimage of r*s modulo the
     radical, and u the least unit preimage of r*e + (1 - e), read from
     the rows of the projection's fibres.
     """
-    s = _semi_inverse_rows(ring, rs).argmax(axis=1)
+    rows = _semi_inverse_rows(ring, rs)
+    s = rows.argmax(axis=1)
     reduced, proj = radical_quotient(ring)
     r_bar = proj.mapping[rs]
     e_bar = reduced.mul_many(r_bar, proj.mapping[s])
@@ -263,7 +268,7 @@ def _decompositions(ring: FiniteRing, rs: np.ndarray):
                else f"decomposition certificate failed: {_CERTIFICATES[f]}"
                for lift, passed, f in zip(lifted.tolist(), ok.all(axis=0).tolist(),
                                           failed.tolist())]
-    return u, e, t, defects
+    return u, e, t, defects, rows
 
 
 def is_von_neumann_regular(ring: FiniteRing) -> bool:

@@ -345,7 +345,7 @@ def criterion_decomposition(rings, ctx: RunContext) -> CriterionResult:
             continue
         name = spec_to_string(ring.spec)
         rs = np.flatnonzero(~jacobson_radical(ring).mask)
-        u, e, t, why = _decompositions(ring, rs)
+        u, e, t, why, _ = _decompositions(ring, rs)
         recomposed = ring.add_many(ring.mul_many(u, e), t) == rs
         for r, defect, ok in zip(rs.tolist(), why, recomposed.tolist()):
             if defect is not None:

@@ -71,7 +71,7 @@ def test_semi_inverse_and_colon_rows_match_oracle(spec):
 
 
 def _check_decompositions(ring, rs, want):
-    u, e, t, defects = _decompositions(ring, np.array(rs, dtype=np.int64))
+    u, e, t, defects, _ = _decompositions(ring, np.array(rs, dtype=np.int64))
     assert defects == [None] * len(rs)
     assert list(zip(u.tolist(), e.tolist(), t.tolist())) == want
 

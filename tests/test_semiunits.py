@@ -173,6 +173,7 @@ def test_decomposition_certificates_recomputed(spec):
         assert dec.t in rad
         assert oracle.add(ring, oracle.mul(ring, dec.u, dec.e), dec.t) == r
         assert ring.inverse(dec.u) in semi_inverses(ring, r)
+        assert dec.semi_inverses == oracle.semi_inverses(ring, r, rad)
 
 
 def test_decomposition_rejects_radical_elements():

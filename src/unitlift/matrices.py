@@ -158,10 +158,10 @@ def _batch_inverse(ring: FiniteRing, a: np.ndarray):
     """Per matrix of the (k, n, n) batch a: whether det is a unit, the
     candidate det^-1 * adj, and whether both its products with the matrix
     are the identity.  The candidate of a non-unit det is zero."""
-    dets = _det(ring, a).tolist()
-    inverse_of = {d: ring.inverse(d) for d in set(dets) if ring.is_unit(d)}
-    unit = np.array([d in inverse_of for d in dets], dtype=bool)
-    det_inverse = np.array([inverse_of.get(d, ring.zero) for d in dets], dtype=np.int64)
+    dets = _det(ring, a)
+    unit = ring.unit_mask()[dets]
+    det_inverse = np.full(len(dets), ring.zero, dtype=np.int64)
+    det_inverse[unit] = ring._inverse_many(dets[unit])
     inv = ring.mul_many(det_inverse[:, None, None], _adjugate(ring, a))
     products = _matmul(ring, np.concatenate([a, inv]), np.concatenate([inv, a]))
     n = a.shape[-1]
@@ -197,7 +197,7 @@ def _lift_defects(hom: SurjectiveHom, targets: np.ndarray,
     source, target = hom.source, hom.target
     if (hom.kernel.mask & ~jacobson_radical(source).mask).any():
         raise ValueError("kernel is not contained in the radical")
-    if not all(map(target.is_unit, _det(target, targets).tolist())):
+    if not target.unit_mask()[_det(target, targets)].all():
         raise ValueError("matrix is not invertible over the target")
     unit, _, certified = _batch_inverse(source, lifted)
     maps_back = (hom.mapping[lifted] == targets).all(axis=(-2, -1))

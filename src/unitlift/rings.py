@@ -31,19 +31,20 @@ orbit and cached.  Since (u*x)R = xR for a unit u, every ring, within the
 table guard or above it, caches one table of its distinct principal ideals:
 the packed bits of rR for one representative r per orbit, computed on the
 array operations and certified against its units, so saturation answers
-once per distinct ideal.  A scan for a property that units preserve, such
-as the witness and semi-inverse scans, runs on one representative per orbit
-and spreads its answers by the labels, and so does the lattice of each
-factor eR, as x*U = x*(eU) for x in eR.  The tests check the tables, the
-array operations and every scan against a plain-Python oracle with its own
-arithmetic.  A quotient map is stored once, as a read-only int64 array
-that the quotient ring (qmap) and its projection hom (mapping) share; the
-hom computes images, pullbacks and fibres from it, the fibres as one
-read-only array.  Cached data is immutable once published: arrays are
-read-only, and the ideal list is cached as a tuple no caller holds, each
-call handing out a fresh list.  So sharing rings across threads is safe.
-A batch of elements is checked as check_element checks one, with one type
-test per distinct type and one vectorised range test.
+once per distinct ideal.  A check of a property that units preserve, such as
+the witness scan and the semi-inverse certificate, runs on one representative
+per orbit and spreads its answers by the labels, and so does the lattice of
+each factor eR, as x*U = x*(eU) for x in eR.  A unit u is inverted as
+u^(|U|-1) by square-and-multiply (power_many), certified by u*v = 1.  The
+tests check the tables, the array operations and every scan against a
+plain-Python oracle with its own arithmetic.  A quotient map is stored once,
+as a read-only int64 array that the quotient ring (qmap) and its projection
+hom (mapping) share; the hom computes images, pullbacks and fibres from it,
+the fibres as one read-only array.  Cached data is immutable once published:
+arrays are read-only, and the ideal list is cached as a tuple no caller
+holds, each call handing out a fresh list.  So sharing rings across threads
+is safe.  A batch of elements is checked as check_element checks one, with
+one type test per distinct type and one vectorised range test.
 """
 
 from __future__ import annotations
@@ -153,6 +154,20 @@ def first_hits(ring: "FiniteRing", rows, cols, hit, cell_words: int = 1) -> np.n
     return found
 
 
+def power_many(ring: "FiniteRing", xs, k: int) -> np.ndarray:
+    """xs**k elementwise on an index array, by square-and-multiply on
+    mul_many: at most 2*log2(k) products per element; xs**0 is one."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.full(xs.shape, ring.one, dtype=np.int64)
+    while k:
+        if k & 1:
+            out = ring.mul_many(out, xs)
+        k >>= 1
+        if k:
+            xs = ring.mul_many(xs, xs)
+    return out
+
+
 def _digitwise(radices: Sequence[int], tables: Sequence[np.ndarray]) -> np.ndarray:
     """The table of an operation acting digit by digit on the little-endian
     mixed-radix carrier with the given radices, from one table per digit:
@@ -192,7 +207,6 @@ class FiniteRing:
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._unit_mask: np.ndarray | None = None
         self._units: frozenset[int] | None = None
-        self._inverses: dict[int, int] = {}
         self._cache: dict = {}
 
     # scalar operations: one cell of the array operations
@@ -305,32 +319,30 @@ class FiniteRing:
             if len(nil) > 1:
                 reduced, proj = quotient_ring(self, nil)
                 return reduced.unit_mask()[proj.mapping]
-        # a is a unit when some b has a*b = 1; the scan records that b
+        # a is a unit when some b has a*b = 1
         idx = np.arange(self.carrier_size)
-        inverse = first_hits(self, idx, idx,
-                             lambda a, b: self.mul_many(a, b) == self.one)
-        units = np.flatnonzero(inverse >= 0)
-        self._inverses.update(zip(units.tolist(), inverse[units].tolist()))
-        return inverse >= 0
+        return first_hits(self, idx, idx, lambda a, b: self.mul_many(a, b) == self.one) >= 0
 
     def is_unit(self, a: int) -> bool:
-        return a in self.units()
+        # refuses what Ideal.__contains__ refuses; integers outside are not units
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+            raise ValueError(f"element {a!r} is not an integer")
+        return 0 <= a < self.carrier_size and bool(self.unit_mask()[a])
 
     def inverse(self, a: int) -> int:
-        a = check_element(self, a)
-        if a not in self._inverses:
-            self._inverses[a] = int(self._inverse_many(np.array([a]))[0])
-        return self._inverses[a]
+        return int(self._inverse_many(np.array([check_element(self, a)]))[0])
 
     def _inverse_many(self, units: np.ndarray) -> np.ndarray:
-        """The inverse of each element of a 1-d index array, by one blocked
-        scan of the carrier; ValueError names the first non-unit."""
-        every = np.arange(self.carrier_size)
-        found = first_hits(self, units, every, lambda a, b: self.mul_many(a, b) == self.one)
-        if (found < 0).any():
-            a = int(units[np.argmax(found < 0)])
+        """u^(|U|-1), the inverse of each unit u of a 1-d index array, certified
+        by u*v = 1; ValueError names the first element that is not a unit."""
+        unit = self.unit_mask()[units]
+        if not unit.all():
+            a = int(units[np.argmin(unit)])
             raise ValueError(f"{self.render(a)} is not a unit of {self}")
-        return found
+        inverse = power_many(self, units, int(np.count_nonzero(self.unit_mask())) - 1)
+        if not (self.mul_many(units, inverse) == self.one).all():
+            raise InternalDefectError("u^(|U|-1) is not the inverse of a unit u")
+        return inverse
 
     # ----- rendering and element literals -------------------------------
 
@@ -367,16 +379,7 @@ class ModularRing(FiniteRing):
         return -a % self.n
 
     def _find_units(self):
-        # inverses come from pow() on demand
         return np.gcd(np.arange(self.n), self.n) == 1
-
-    def _inverse_many(self, units):
-        # the gcd inverse, one pow() per element
-        units = units.tolist()
-        for a in units:
-            if math.gcd(a, self.n) != 1:
-                raise ValueError(f"{a} is not a unit of {self}")
-        return np.array([pow(a, -1, self.n) for a in units], dtype=np.int64)
 
     def render(self, a):
         return int(a)
@@ -1090,12 +1093,15 @@ class PresentedRing:
 
     def canonical(self, elem):
         if self.kind == "integers":
-            if not isinstance(elem, int):
-                raise ValueError(f"expected an integer, got {elem!r}")
+            if isinstance(elem, bool) or not isinstance(elem, int):
+                raise ValueError(f"element {elem!r} is not an integer")
             return elem
         if not isinstance(elem, tuple):
             raise ValueError(f"expected coefficient tuple, got {elem!r}")
-        return poly_trim(c % self.p for c in elem)
+        for c in elem:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"coefficient {c!r} is not an integer")
+        return poly_trim(int(c) % self.p for c in elem)
 
     def is_unit(self, elem) -> bool:
         return self.canonical(elem) in self.unit_list()

@@ -12,6 +12,10 @@ radical, and t in the radical; the construction here follows the algebra
 (e and u are built from the least semi-inverse, then lifted) and verifies
 every claimed property exactly before returning.
 
+Whether r has a semi-inverse is certified on the constructed r^(m-1), for
+m = |U|/|rad|; the full set of semi-inverses, which decompose prints, and
+von Neumann regularity, the independent half of is_semifield, are scans.
+
 Each of these facts is decided for a whole batch of elements at once, one
 row per element: the semi-inverses and the colon ideals are rows of one
 array over the carrier, and the decompositions of a batch take one array
@@ -38,6 +42,7 @@ from .rings import (
     check_element,
     first_hits,
     ideal_from_mask,
+    power_many,
 )
 from .spectrum import jacobson_radical, maximal_ideals, radical_quotient
 
@@ -68,14 +73,16 @@ def _semi_inverse_mask(ring: FiniteRing, r, s) -> np.ndarray:
 
 
 def _semi_inverse_found(ring: FiniteRing, rs) -> np.ndarray:
-    """Whether each r of rs has a semi-inverse, scanning s in carrier order
-    for one r per unit orbit: u*r(1 - (u^-1*s)(u*r)) = u*r(1 - s*r), so u*r
-    has a semi-inverse exactly when r does."""
-    every = np.arange(ring.carrier_size)
+    """Whether s = r^(m-1), m = |U|/|rad|, is a semi-inverse of each r of rs.
+    U maps onto U(R/rad) with kernel 1 + rad, so m = |U(R/rad)|, and r^m is
+    0 or 1 in each field of R/rad: r(1 - s*r) = r(1 - r^m) lies in rad.
+    Checked on one r per unit orbit: u*r(1 - (u^-1*s)(u*r)) = u*r(1 - s*r)."""
+    m, rest = divmod(int(np.count_nonzero(ring.unit_mask())), len(jacobson_radical(ring)))
+    if rest:
+        raise InternalDefectError("|rad| does not divide |U|")
 
     def found(reps):
-        return first_hits(ring, reps, every,
-                          lambda r, s: _semi_inverse_mask(ring, r, s)) >= 0
+        return _semi_inverse_mask(ring, reps, power_many(ring, reps, m - 1))
 
     return _on_unit_orbits(ring, rs, found)
 

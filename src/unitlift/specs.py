@@ -117,20 +117,6 @@ def poly_mod(a, f, p: int) -> tuple[int, ...]:
     return poly_trim(r[:d])
 
 
-def poly_gcd(a, b, p: int) -> tuple[int, ...]:
-    """Monic gcd over GF(p)."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        # make b monic before reducing so poly_mod's precondition holds
-        inv = pow(b[-1], -1, p)
-        b = tuple(c * inv % p for c in b)
-        a, b = b, poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
 def poly_to_string(coeffs) -> str:
     coeffs = poly_trim(coeffs)
     if not coeffs:

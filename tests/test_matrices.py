@@ -192,6 +192,11 @@ class _TwoSquaredIsTwo(ModularRing):
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 2), 2, a * b % self.n)
 
+    def _inverse_many(self, units):
+        # the inverses of Z/3, where each unit is its own; the Lagrange power
+        # 2^(|U|-1) would read the broken product and fail its certificate
+        return np.asarray(units, dtype=np.int64)
+
 
 def _scalar_matmul(ring, a, b):
     # the ring's own scalar operations, one cell at a time

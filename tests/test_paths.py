@@ -14,12 +14,14 @@ Oracles:
     share one exactly when they generate the same principal ideal
   - saturation above the table guard, from one row per unit orbit, agrees
     with the definition on orbit representatives and sampled elements
-  - the WITNESS check and the semi-inverse scan, which take one element per
-    unit orbit, agree with the same scans taken on every element, kept here
-    as oracles; so do the partner scans of WITNESS, whose answers vary from
-    orbit to orbit, spread back over the carrier and over sampled elements;
-    and on Z/n reporting only 1 and -1 as units, where WITNESS has a
-    witness, it finds the plain-Python oracle's
+  - the WITNESS check and the semi-inverse construction, which take one
+    element per unit orbit, agree with the same scans taken on every
+    element, kept here as oracles; so do the partner scans of WITNESS,
+    whose answers vary from orbit to orbit, spread back over the carrier and
+    over sampled elements; and on Z/n reporting only 1 and -1 as units,
+    where WITNESS has a witness, it finds the plain-Python oracle's
+  - the constructed semi-inverse r^(m-1) is one of the plain-Python
+    oracle's semi-inverses of r
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements and on products of several local factors
@@ -351,6 +353,30 @@ def test_orbit_scans_match_full_carrier_scans_untabulated(spec):
     ring = build_ring(spec, Guards(table_limit=2))
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
     _assert_orbit_scans_match(ring, _sample(ideals, 2, spec))
+
+
+@pytest.mark.parametrize("spec", [
+    # one unit, so every element is its own orbit, and m = 1
+    "prod(" + ",".join(["Z/2"] * 9) + ")",
+    # a nontrivial radical and many orbits, still m = 1
+    "prod(Z/4,Z/2,Z/2,Z/2,Z/2)",
+    # m = 144/3 = 48, so the construction takes powers
+    "prod(Z/9,Z/5,Z/7)",
+])
+def test_constructed_semi_inverses_match_the_scan(spec):
+    ring = build_ring(spec)
+    every = np.arange(ring.carrier_size)
+    found = _semi_inverse_found(ring, every)
+    assert found.all()
+    assert np.array_equal(found, _semi_inverse_found_every_element(ring, every))
+    # s = r^(m-1) is among the plain-Python oracle's semi-inverses of r
+    rad = jacobson_radical(ring).elements
+    m = len(ring.units()) // len(rad)
+    for r in _sample(set(ring.elements()) - rad, 12, spec):
+        s = ring.one
+        for _ in range(m - 1):
+            s = oracle.mul(ring, s, r)
+        assert s in oracle.semi_inverses(ring, r, rad)
 
 
 class _SignsAsUnits(ModularRing):

@@ -24,6 +24,7 @@ import scalar_oracle as oracle
 from unitlift.config import Guards
 from unitlift.errors import GuardExceededError, InternalDefectError
 from unitlift.rings import (
+    INTEGERS,
     Ideal,
     ModularRing,
     PolyQuotientRing,
@@ -33,6 +34,7 @@ from unitlift.rings import (
     check_element,
     check_ring_axioms,
     enumerate_ideals,
+    gf_polynomial_ring,
     ideal_closure,
     ideal_from_elements,
     member_mask,
@@ -177,6 +179,34 @@ def test_inverse_of_nonunit_raises():
     ring = build_ring("Z/12")
     with pytest.raises(ValueError):
         ring.inverse(6)
+
+
+def test_presented_canonical_refuses_bool_and_non_integers():
+    # canonical((1.5, 1)) once returned (1.5, 1) unchanged
+    with pytest.raises(ValueError, match="not an integer"):
+        INTEGERS.canonical(True)
+    assert INTEGERS.canonical(-3) == -3
+    gf3x = gf_polynomial_ring(3)
+    for bad in ((1.5, 1), (False,), (1, np.float64(2.0)), ("1",)):
+        with pytest.raises(ValueError, match="not an integer"):
+            gf3x.canonical(bad)
+    assert gf3x.canonical((np.int64(4), 0, 3, 0)) == (1,)
+    assert all(type(c) is int for c in gf3x.canonical((np.int64(5), 1)))
+
+
+@pytest.mark.parametrize("n", [2, 12, 25, 64, 97, 100, 210])
+def test_inverse_matches_oracle_on_untabulated_modular_rings(n):
+    # Z/n inverts by the same Lagrange power as every other kind
+    ring = build_ring(f"Z/{n}", Guards(table_limit=1))
+    assert ring.tables() is None
+    units, inverses = oracle.units_and_inverses(ring)
+    assert {u: ring.inverse(u) for u in units} == inverses
+    batch = np.array(sorted(units))
+    assert ring._inverse_many(batch).tolist() == [inverses[u] for u in sorted(units)]
+    # the error names the first non-unit of the batch
+    a = max(set(range(1, n)) - units, default=0)
+    with pytest.raises(ValueError, match=f"^{a} is not a unit of"):
+        ring._inverse_many(np.array([1, a, 0]))
 
 
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
@@ -382,6 +412,11 @@ def test_subsets_refuse_non_integer_elements(table_limit):
     # is_unit must not wrap a negative index around
     assert not ring.is_unit(-1) and not ring.is_unit(ring.carrier_size)
     assert ring.is_unit(ring.carrier_size - 1)
+    # is_unit(True) and is_unit(1.0) once answered True, as for 1
+    for bad in (True, False, 1.0, np.float64(5.0), "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            ring.is_unit(bad)
+    assert ring.is_unit(np.int64(5)) and not ring.is_unit(np.uint8(6))
 
 
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])

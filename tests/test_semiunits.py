@@ -6,10 +6,13 @@ The Z/10 landmark values (semi-inverses of 2 are {3, 8}, decomposition
 here; the remaining tests recompute certificates from scratch.
 """
 
+import numpy as np
 import pytest
 
 import scalar_oracle as oracle
 from unitlift.config import Guards
+from unitlift.errors import InternalDefectError
+from unitlift import rings, semiunits
 from unitlift.rings import INTEGERS, build_ring, gf_polynomial_ring
 from unitlift.semiunits import (
     Rho,
@@ -142,6 +145,18 @@ def test_rho_on_presented_rings():
     assert rho(gf2x, (0, 1)) is Rho.INFINITE
 
 
+def test_rho_on_presented_rings_refuses_non_integers():
+    # rho(INTEGERS, True) once answered Rho.ONE, as for 1
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            rho(INTEGERS, bad)
+    gf2x = gf_polynomial_ring(2)
+    for bad in ((True,), (1.5, 1), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            rho(gf2x, bad)
+    assert rho(gf2x, (np.int64(3), np.int64(2))) is Rho.ONE
+
+
 def test_rho_json_values():
     assert Rho.ZERO.json() == 0
     assert Rho.ONE.json() == 1
@@ -189,6 +204,26 @@ def test_decomposition_rejects_radical_elements():
 def test_every_small_finite_ring_is_a_semifield():
     for spec in ["Z/2", "Z/12", "Z/36", "GF(3)[x]/(x^3)", "prod(Z/4,Z/9)"]:
         assert is_semifield(build_ring(spec))
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec", ["Z/12", "GF(3)[x]/(x^2)", "prod(Z/2,Z/3)"])
+def test_failed_lagrange_powers_are_defects(spec, table_limit, monkeypatch):
+    # inverses and semi-inverses are Lagrange powers, each certified by its
+    # defining identity; wrong powers must not pass as answers
+    def zeros(ring, xs, k):
+        return np.zeros(np.shape(xs), dtype=np.int64)
+
+    monkeypatch.setattr(rings, "power_many", zeros)
+    monkeypatch.setattr(semiunits, "power_many", zeros)
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    with pytest.raises(InternalDefectError, match="not the inverse"):
+        ring.inverse(ring.one)
+    with pytest.raises(InternalDefectError, match="has no semi-inverse"):
+        rho_table(ring)
+    # the direct half finds no semi-inverses, the structural half regularity
+    with pytest.raises(InternalDefectError, match="verdicts disagree"):
+        is_semifield(ring)
 
 
 def test_presented_rings_are_not_semifields():

@@ -21,7 +21,6 @@ from unitlift.specs import (
     parse_ring_spec,
     poly_add,
     poly_degree,
-    poly_gcd,
     poly_mod,
     poly_mul,
     poly_neg,
@@ -153,13 +152,6 @@ def test_poly_mul_square_over_gf2():
 def test_poly_mod_reduction():
     # x^2 = x+1 mod x^2+x+1 over GF(2)
     assert poly_mod((0, 0, 1), (1, 1, 1), 2) == (1, 1)
-
-
-def test_poly_gcd_shared_factor():
-    # x^2+1 = (x+1)^2 over GF(2)
-    assert poly_gcd((1, 0, 1), (1, 1), 2) == (1, 1)
-    # coprime pair
-    assert poly_gcd((1, 1, 1), (0, 1), 2) == (1,)
 
 
 def test_trim_and_degree():

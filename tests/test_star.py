@@ -289,3 +289,13 @@ def test_presented_check_rejects_constant_modulus():
         presented_star_check(INTEGERS, 1)
     with pytest.raises(ValueError):
         presented_star_check(gf_polynomial_ring(2), (1,))
+
+
+def test_presented_check_refuses_non_integer_coefficients():
+    # the modulus (0.0, 1.0) once passed as x and answered has_star=True
+    gf2x = gf_polynomial_ring(2)
+    for bad in ((0.0, 1.0), (1.5, 1), (True, 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            presented_star_check(gf2x, bad)
+    with pytest.raises(ValueError):
+        presented_star_check(INTEGERS, True)

@@ -868,30 +868,34 @@ def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
 
 
 def ideal_from_mask(ring: FiniteRing, mask: np.ndarray) -> Ideal:
-    """Wrap a membership mask that should be an ideal, with greedy generators:
+    """Wrap a computed mask that should be an ideal, with greedy generators:
     each the least member outside the span of the earlier ones.  Raises
-    ValueError when they span more than the mask, which is then no ideal."""
+    InternalDefectError when they span more than the mask, no ideal then."""
     span, gens = principal(ring, ring.zero), []
     while (rest := mask & ~span).any():
         gens.append(int(rest.argmax()))
         span = _sum_mask(ring, span, principal(ring, gens[-1]))
     if not np.array_equal(span, mask):
-        raise ValueError("the elements are not an ideal")
+        raise InternalDefectError("a computed set of elements is not an ideal")
     return Ideal(ring, gens, mask)
 
 
 def ideal_from_elements(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
-    """Wrap a set that should be an ideal, with greedy generators."""
-    return ideal_from_mask(ring, member_mask(ring, elements))
+    """Wrap a set that should be an ideal; ValueError when it is none."""
+    try:
+        return ideal_from_mask(ring, member_mask(ring, elements))
+    except InternalDefectError:
+        raise ValueError("the elements are not an ideal") from None
 
 
-def primitive_idempotents(ring: FiniteRing) -> list[int]:
-    """The atoms of the idempotent lattice, ascending: the nonzero
-    idempotents e with e*f equal to 0 or e for every idempotent f.
-
-    Distinct atoms are orthogonal and they sum to one, so the ring is the
-    product of the local rings eR.
-    """
+def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
+    """The atoms e_1 < ... < e_k of the idempotent lattice, the nonzero
+    idempotents e with e*f equal to 0 or e for every idempotent f, and the
+    read-only (k, n) array whose row j is x -> e_j*x; cached per ring.
+    Certified once: the atoms sum to one and the factor sizes multiply to n,
+    so the ring is the product of the local rings e_jR."""
+    if "local_factors" in ring._cache:
+        return ring._cache["local_factors"]
     idx = np.arange(ring.carrier_size)
     idem = np.flatnonzero(ring.mul_many(idx, idx) == idx)
 
@@ -899,8 +903,15 @@ def primitive_idempotents(ring: FiniteRing) -> list[int]:
         ef = ring.mul_many(e, f)
         return (ef != ring.zero) & (ef != e)
 
-    return [int(e) for e, b in zip(idem, first_hits(ring, idem, idem, below))
-            if e != ring.zero and b < 0]
+    atoms = tuple(int(e) for e, b in zip(idem, first_hits(ring, idem, idem, below))
+                  if e != ring.zero and b < 0)
+    projections = np.array([ring.mul_many(idx, e) for e in atoms], dtype=np.int64)
+    if (functools.reduce(ring.add, atoms, ring.zero) != ring.one
+            or math.prod(np.count_nonzero(np.bincount(p)) for p in projections) != len(idx)):
+        raise InternalDefectError("primitive idempotents do not split the ring")
+    projections.setflags(write=False)
+    ring._cache["local_factors"] = atoms, projections
+    return atoms, projections
 
 
 def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
@@ -940,14 +951,12 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every ideal of the ring, ordered by (size, sorted elements), in a
     list the caller owns; the ring caches them as a tuple.
 
-    The ring is the product of the local rings eR, e running over its
-    primitive idempotents, so its ideals are the sums I_1 + ... + I_k of one
-    ideal I_j of each factor e_jR, and x lies in such a sum exactly when
-    e_j*x lies in I_j for every j.  Each factor's lattice comes from a
-    breadth-first search over its principal ideals, one per unit orbit of
-    the factor; a local ring is its own single factor.  The atoms are
-    certified to sum to one and the factor sizes to multiply to the carrier
-    size.
+    The ring is the product of the local rings e_jR of local_factors, so
+    its ideals are the sums I_1 + ... + I_k of one ideal I_j of each factor
+    e_jR, and x lies in such a sum exactly when e_j*x lies in I_j for every
+    j.  Each factor's lattice comes from a breadth-first search over its
+    principal ideals, one per unit orbit of the factor; a local ring is its
+    own single factor.
     """
     if ring.carrier_size > ring.guards.ideal_enum_limit:
         raise GuardExceededError(
@@ -956,17 +965,11 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     if "ideals" in ring._cache:
         return list(ring._cache["ideals"])
     n = ring.carrier_size
-    idx = np.arange(n)
-    atoms = primitive_idempotents(ring)
-    projections = [ring.mul_many(idx, e) for e in atoms]
-    factors = [np.unique(x) for x in projections]
-    total = functools.reduce(ring.add, atoms, ring.zero)
-    if total != ring.one or math.prod(len(f) for f in factors) != n:
-        raise InternalDefectError("primitive idempotents do not split the ring")
+    _, projections = local_factors(ring)
     # row i of lattice is the mask of one sum of factor ideals
     lattice = np.ones((1, n), dtype=bool)
-    for proj, members in zip(projections, factors):
-        local = _factor_lattice(ring, members)[:, proj]
+    for proj in projections:
+        local = _factor_lattice(ring, np.flatnonzero(np.bincount(proj)))[:, proj]
         lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
     out = [ideal_from_mask(ring, m) for m in lattice]
     # among equal sizes, the packed bits descend as the sorted elements ascend

@@ -2,11 +2,10 @@
 
 For a finite commutative ring the Jacobson radical coincides with the set of
 nilpotent elements, which gives two independent ways to compute it; this
-module computes both and treats disagreement as a fatal defect.  Maximal
-ideals are recovered structurally: modulo the radical the ring is a product
-of fields, so its primitive idempotents (the atoms of the idempotent lattice)
-index the maximal ideals, each the annihilator of one atom pulled back along
-the projection.
+module computes both and treats disagreement as a fatal defect.  The ring
+is the product of its local rings e_jR (rings.local_factors), so each
+maximal ideal is the preimage of one factor's non-units, read from the
+ring's unit mask, and R/rad(R) is connected when there is one factor.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .rings import (
     check_element,
     first_hits,
     ideal_from_mask,
-    primitive_idempotents,
+    local_factors,
     quotient_ring,
 )
 
@@ -71,12 +70,8 @@ def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, SurjectiveHom]:
 
 @dataclass(frozen=True)
 class MaximalIdealList:
-    """All maximal ideals of a finite ring.
-
-    ``primitive_idempotents`` are the atoms of the idempotent lattice of
-    R/rad(R), in the same order as ``ideals``: ideal i is the pullback of the
-    annihilator of atom i.
-    """
+    """All maximal ideals of a finite ring: ideal j belongs to the local
+    factor e_jR of the atom e_j = primitive_idempotents[j] (local_factors)."""
 
     ring: FiniteRing
     ideals: tuple[Ideal, ...]
@@ -90,21 +85,22 @@ class MaximalIdealList:
 
 
 def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
+    """m_j = {x : u = e_j*x + 1 - e_j is no unit}, per atom e_j: u is a unit
+    exactly when e_j*x is one in the local ring e_jR.  Certified: m_j is an
+    ideal without one, and x - u = (1 - e_j)(x - 1) lies in m_j for every x
+    outside it, so every nonzero class of R/m_j holds a unit: a field."""
     if "maximal_ideals" in ring._cache:
         return ring._cache["maximal_ideals"]
-    reduced, proj = quotient_ring(ring, nilradical(ring))
-    atoms = primitive_idempotents(reduced)
-    every = np.arange(reduced.carrier_size)
+    atoms, projections = local_factors(ring)
+    every = np.arange(ring.carrier_size)
     ideals = []
-    for e in atoms:
-        annihilator = reduced.mul_many(every, e) == reduced.zero
-        ideal = ideal_from_mask(ring, annihilator[proj.mapping])
-        field, _ = quotient_ring(ring, ideal)
-        if np.count_nonzero(field.unit_mask()) != field.carrier_size - 1:
-            raise InternalDefectError(
-                "pullback of an idempotent annihilator is not maximal")
-        ideals.append(ideal)
-    out = MaximalIdealList(ring, tuple(ideals), tuple(atoms))
+    for e, proj in zip(atoms, projections):
+        u = ring.add_many(proj, ring.sub(ring.one, e))
+        mask = ~ring.unit_mask()[u]
+        ideals.append(ideal_from_mask(ring, mask))
+        if mask[ring.one] or not (mask | mask[ring.add_many(every, ring.neg_many(u))]).all():
+            raise InternalDefectError("the non-units of a local factor are not maximal")
+    out = MaximalIdealList(ring, tuple(ideals), atoms)
     ring._cache["maximal_ideals"] = out
     return out
 
@@ -123,9 +119,9 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
 
 
 def is_connected_mod_rad(ring: FiniteRing) -> bool:
-    """True when R/rad(R) has no idempotents besides 0 and 1."""
-    reduced, _ = radical_quotient(ring)
-    return idempotents(reduced) == frozenset((reduced.zero, reduced.one))
+    """True when R/rad(R) has no idempotents besides 0 and 1; as idempotents
+    lift modulo the radical, exactly when the ring has one local factor."""
+    return len(local_factors(ring)[0]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from unitlift import cli
 from unitlift.config import Guards
 from unitlift.errors import GuardExceededError, InternalDefectError
 from unitlift.rings import (
@@ -44,7 +45,8 @@ from unitlift.rings import (
 )
 from unitlift.specs import ModularSpec, spec_to_string
 from unitlift.star import ring_has_star, saturate
-from unitlift.verify import corpus_rings
+from unitlift.spectrum import nilradical
+from unitlift.verify import RunContext, corpus_rings, criterion_rho_laws
 
 AXIOM_SPECS = [
     "Z/2",
@@ -137,6 +139,31 @@ def test_unit_orbits_certify_the_labelling():
         _unit_orbits(ring)
     with pytest.raises(InternalDefectError, match="unit orbit"):
         saturate(ring, {ring.one})
+
+
+class _ThreeSquaredIsZero(ModularRing):
+    """Z/n with the one cell 3 * 3 = 0, so the nilpotents of Z/12 read
+    {0, 3, 6}, which is no ideal: 7 * 3 = 9 lies outside it."""
+
+    def _mul_arrays(self, a, b):
+        return np.where((a == 3) & (b == 3), 0, a * b % self.n)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_a_computed_mask_that_is_no_ideal_is_a_defect(table_limit, monkeypatch, capsys):
+    # a computed mask that is no ideal is a defect of the library, not bad
+    # input: the corpus counts it as a defect, and the CLI exits 70, not 64
+    ring = _ThreeSquaredIsZero(ModularSpec(12), Guards(table_limit=table_limit))
+    assert (ring.tables() is None) == (table_limit == 1)
+    assert ring.mul(3, 3) == 0
+    with pytest.raises(InternalDefectError, match="not an ideal"):
+        nilradical(ring)
+    result = criterion_rho_laws([ring], RunContext())
+    assert result.defects == 1
+    assert any("not an ideal" in f for f in result.failures)
+    monkeypatch.setattr(cli, "build_ring", lambda spec: ring)
+    assert cli.main(["ring", "info", "Z/12"]) == cli.EX_DEFECT
+    assert "internal defect" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

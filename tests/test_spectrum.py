@@ -11,7 +11,8 @@ import pytest
 import scalar_oracle as oracle
 from unitlift import cli, spectrum
 from unitlift.config import Guards
-from unitlift.rings import build_ring, enumerate_ideals, ideal_closure
+from unitlift.errors import InternalDefectError
+from unitlift.rings import build_ring, enumerate_ideals, ideal_closure, local_factors
 from unitlift.spectrum import (
     CongruenceSystem,
     crt_solve,
@@ -106,6 +107,78 @@ def test_connectedness_mod_radical():
     # Z/12 mod its radical is Z/6, which splits
     assert not is_connected_mod_rad(build_ring("Z/12"))
     assert not is_connected_mod_rad(build_ring("prod(Z/2,Z/3)"))
+
+
+# ---------------------------------------------------------------------------
+# the split into local factors
+
+# several non-reduced or untabulated factors, and a field above the guard
+SPLIT_SPECS = ["Z/1089", "GF(2)[x]/(x^7+x^6)", "prod(Z/4,GF(2)[x]/(x^3),Z/9)",
+               "quot(prod(Z/8,Z/8,Z/4);(4,0,0))", "GF(2)[x]/(x^11+x^2+1)"]
+
+
+def _oracle_unit(ring):
+    """oracle.is_unit, once per element asked for."""
+    known = {}
+
+    def is_unit(a):
+        if a not in known:
+            known[a] = oracle.is_unit(ring, a)
+        return known[a]
+
+    return is_unit
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec", SPLIT_SPECS)
+def test_local_factors_match_oracle(spec, table_limit):
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    atoms, projections = local_factors(ring)
+    idem = oracle.idempotents(ring)
+    assert list(atoms) == sorted(
+        e for e in idem if e != ring.zero
+        and all(oracle.mul(ring, e, f) in (ring.zero, e) for f in idem))
+    assert not projections.flags.writeable
+    assert projections.tolist() == [[oracle.mul(ring, e, x) for x in ring.elements()]
+                                    for e in atoms]
+    assert local_factors(ring)[1] is projections
+
+    maximal = maximal_ideals(ring)
+    assert maximal.primitive_idempotents == atoms
+    # the oracle scans the carrier for an inverse of each element it tests;
+    # on the 2048-element field every nonzero element is a unit, so a
+    # sample of the carrier stands for it there
+    xs = list(ring.elements()) if ring.carrier_size < 2048 else (
+        list(range(64)) + list(range(ring.carrier_size - 64, ring.carrier_size)))
+    is_unit = _oracle_unit(ring)
+    for e, m in zip(atoms, maximal.ideals):
+        one_minus_e = oracle.sub(ring, ring.one, e)
+        assert [x in m for x in xs] == [
+            not is_unit(oracle.add(ring, oracle.mul(ring, e, x), one_minus_e)) for x in xs]
+
+    # the scan the split replaced, kept as the oracle: R/rad has no
+    # idempotents besides 0 and 1
+    reduced, _ = radical_quotient(ring)
+    assert is_connected_mod_rad(ring) == (
+        oracle.idempotents(reduced) == {reduced.zero, reduced.one})
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS + ["Z/12", "prod(Z/4,Z/9)"])
+def test_a_non_unit_read_as_a_unit_is_a_defect(spec, monkeypatch):
+    ring = build_ring(spec)
+    atoms, projections = local_factors(ring)
+    e = atoms[0]
+    # the largest non-unit y of the first factor, or zero when the factor
+    # is a field; e*y + 1 - e then is a non-unit that m_0 is read from
+    factor = np.unique(projections[0])
+    y = factor[~ring.unit_mask()[ring.add_many(factor, ring.sub(ring.one, e))]].max()
+    flipped = ring.unit_mask().copy()
+    v = ring.add(ring.mul(e, int(y)), ring.sub(ring.one, e))
+    assert not flipped[v]
+    flipped[v] = True
+    monkeypatch.setattr(ring, "_unit_mask", flipped)
+    with pytest.raises(InternalDefectError):
+        jacobson_radical(ring)
 
 
 # ---------------------------------------------------------------------------

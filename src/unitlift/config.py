@@ -20,7 +20,10 @@ class Guards:
     matrix_space_limit: int = 65536
     # largest matrix dimension for determinants and lifts
     matrix_dim_limit: int = 3
-    # largest carrier for cached numpy operation tables
+    # largest carrier for cached numpy operation tables (int32); Z/n's add
+    # table is a read-only circulant view over 2n residues, and its mul
+    # table is computed in int64 above n = 46341, where (n-1)**2 overflows
+    # int32
     table_limit: int = 1024
 
 

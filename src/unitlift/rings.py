@@ -45,6 +45,13 @@ arrays are read-only, and the ideal list is cached as a tuple no caller
 holds, each call handing out a fresh list.  So sharing rings across threads
 is safe.  A batch of elements is checked as check_element checks one, with
 one type test per distinct type and one vectorised range test.
+
+The tables are built from structure, not by a generic pass over the n^2
+cells: Z/n's add table is a read-only circulant view over the residues
+written twice (2n cells, not n^2) and its mul table one outer product,
+polynomial quotients step x as the companion matrix of f, and products
+combine their factors' tables digit by digit.  Quotients gather theirs from
+the parent's tables in row blocks.
 """
 
 from __future__ import annotations
@@ -377,6 +384,22 @@ class ModularRing(FiniteRing):
 
     def _neg_arrays(self, a):
         return -a % self.n
+
+    def _build_tables(self):
+        # (a + b) mod n is entry a + b of the residues written twice, so the
+        # add table is a read-only circulant view over 2n cells; mul is one
+        # outer product reduced in place, in int64 only where (n-1)^2
+        # would overflow the table dtype
+        n = self.n
+        idx = np.arange(n, dtype=_TABLE_DTYPE)
+        add = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n]
+        if (n - 1) ** 2 <= np.iinfo(_TABLE_DTYPE).max:
+            mul = np.multiply.outer(idx, idx)
+            mul %= n
+        else:
+            wide = idx.astype(np.int64)
+            mul = (np.multiply.outer(wide, wide) % n).astype(_TABLE_DTYPE)
+        return add, mul, -idx % n
 
     def _find_units(self):
         return np.gcd(np.arange(self.n), self.n) == 1

@@ -34,8 +34,8 @@ from unitlift.matrices import (
     matrix_inverse,
     two_sided_saturate,
 )
-from unitlift.rings import ModularRing, SurjectiveHom, build_ring, ideal_closure, \
-    quotient_ring
+from unitlift.rings import FiniteRing, ModularRing, SurjectiveHom, build_ring, \
+    ideal_closure, quotient_ring
 from unitlift.specs import ModularSpec
 from unitlift.verify import _draw_lifts
 
@@ -188,6 +188,9 @@ def test_batch_inverse_matches_matrix_inverse_on_sampled_3x3():
 class _TwoSquaredIsTwo(ModularRing):
     """Z/3 with 2 * 2 = 2: broken on purpose, so that the adjugate candidate
     of some 3x3 matrices inverts them on one side only."""
+
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 2), 2, a * b % self.n)
@@ -582,6 +585,9 @@ def test_space_scans_stay_within_memory_budget(spec, n):
 class _ZeroSquaredIsOne(ModularRing):
     """Z/2 with 0 * 0 = 1: broken on purpose, so that M_2 over it has the
     one-sided inverse pair X = [0,0;0,1], Y = [0,0;1,0]."""
+
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 0) & (b == 0), 1, a * b % self.n)

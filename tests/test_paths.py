@@ -38,6 +38,7 @@ import pytest
 import scalar_oracle as oracle
 from unitlift.config import Guards
 from unitlift.rings import (
+    FiniteRing,
     ModularRing,
     _as_set,
     _on_unit_orbits,
@@ -385,6 +386,9 @@ class _SignsAsUnits(ModularRing):
     witness that WITNESS must find.  Its quotients find their own units, so
     DIRECT finds the least unit of R/I outside {hom(1), hom(-1)}."""
 
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
+
     def _find_units(self):
         return np.isin(np.arange(self.n), [1, self.n - 1])
 
@@ -492,9 +496,20 @@ def test_quadratic_scans_stay_within_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+    # Z/n's add table is a view of 2n residues, so the tables of Z/1024 take
+    # about the 4 MiB of the int32 mul table; an n x n add table takes 4 more
+    ring = build_ring("Z/1024")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ring.tables()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
     # on tabulated rings the table of principal ideals gathers a block of
-    # mul-table rows at a time; the two int32 tables alone take 8 MiB, so
-    # they are built before tracing starts
+    # mul-table rows at a time; the tables take 4 MiB on Z/1024 and 8 MiB on
+    # (Z/2)^10, so they are built before tracing starts
     for spec in ("Z/1024", "prod(" + ",".join(["Z/2"] * 10) + ")"):
         ring = build_ring(spec)
         ring.tables()

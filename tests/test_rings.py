@@ -21,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
-from unitlift import cli
+from unitlift import cli, rings
 from unitlift.config import Guards
 from unitlift.errors import GuardExceededError, InternalDefectError
 from unitlift.rings import (
     INTEGERS,
+    FiniteRing,
     Ideal,
     ModularRing,
     PolyQuotientRing,
@@ -67,12 +68,18 @@ def test_ring_axioms(spec):
 class _NoncommutativeMultiplication(ModularRing):
     """Z/n with 2 * 3 = 0 but 3 * 2 = 6."""
 
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
+
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 3), 0, a * b % self.n)
 
 
 class _NonassociativeAddition(ModularRing):
     """Z/n with 1 + 1 = 3, still commutative, with 0 and negatives intact."""
+
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
 
     def _add_arrays(self, a, b):
         return np.where((a == 1) & (b == 1), 3, (a + b) % self.n)
@@ -82,6 +89,9 @@ class _NondistributiveMultiplication(ModularRing):
     """The addition of Z/4 with the bitwise AND as multiplication, whose one
     is 3: commutative and associative, but 1 * (1 + 1) = 0 while
     1 * 1 + 1 * 1 = 2."""
+
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
 
     def __init__(self, spec, guards):
         super().__init__(spec, guards)
@@ -108,6 +118,9 @@ class _OneInTwoTimesThree(ModularRing):
     """Z/n with the one table cell 2 * 3 = 1, so the row of 2 holds one
     although gcd(2, n) says 2 is no unit."""
 
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
+
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 3), 1, a * b % self.n)
 
@@ -125,6 +138,9 @@ def test_principal_classes_certify_the_units():
 class _TwoTimesFiveIsThree(ModularRing):
     """Z/n with the one cell 2 * 5 = 3, so the unit orbit of 2 computed
     through 5 reaches 3, which is no unit multiple of 2 in Z/12."""
+
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 5), 3, a * b % self.n)
@@ -144,6 +160,9 @@ def test_unit_orbits_certify_the_labelling():
 class _ThreeSquaredIsZero(ModularRing):
     """Z/n with the one cell 3 * 3 = 0, so the nilpotents of Z/12 read
     {0, 3, 6}, which is no ideal: 7 * 3 = 9 lies outside it."""
+
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 3) & (b == 3), 0, a * b % self.n)
@@ -325,15 +344,25 @@ def test_published_caches_do_not_change_under_their_callers(table_limit):
     hom.preimages(1).append(2)
     assert hom.preimages(1) == [1, 5, 9]
     assert hom.mapping is quot.qmap
-    for published in (hom.mapping, quot.reps):
+    # Z/n's add table is a view of 2n residues, so a write to one cell
+    # would change every cell of its anti-diagonal
+    tables = ring.tables()
+    assert (tables is None) == (table_limit == 1)
+    for published in (hom.mapping, quot.reps, *(tables or ())):
         assert not published.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         hom.mapping[0] = 3
+    if tables is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0][0, 1] = 2
     assert hom(0) == 0 and type(hom(5)) is int
 
 
 class _BrokenAddition(ModularRing):
     """Z/n whose sums are never zero, so 0 + 0 != 0."""
+
+    # tables from the generic build, so they hold the fixture's arithmetic
+    _build_tables = FiniteRing._build_tables
 
     def _add_arrays(self, a, b):
         return np.maximum((a + b) % self.n, 1)
@@ -590,7 +619,7 @@ EXTRA_POLY_SPECS = [
     "GF(5)[x]/(x^3)", "GF(5)[x]/(x^2+2)", "GF(5)[x]/(x^2+4)",
     "GF(11)[x]/(x^2)", "GF(11)[x]/(x^2+1)", "GF(11)[x]/(x^2+8*x+2)",
 ]
-OTHER_SPECS = ["Z/12", "Z/64", "prod(Z/2,Z/3)", "prod(Z/4,GF(2)[x]/(x^2+x+1))",
+OTHER_SPECS = ["Z/2", "Z/12", "Z/64", "prod(Z/2,Z/3)", "prod(Z/4,GF(2)[x]/(x^2+x+1))",
                "prod(GF(3)[x]/(x^2),Z/2,GF(2)[x]/(x^2))", "prod(Z/6,Z/10)"]
 
 
@@ -605,14 +634,29 @@ def test_tables_match_scalar_build(spec):
         assert np.array_equal(table, ref)
 
 
-@pytest.mark.parametrize("spec", ["GF(2)[x]/(x^10+x^3+1)", "GF(31)[x]/(x^2+1)"])
+@pytest.mark.parametrize("n", [182, 183])
+def test_modular_mul_table_does_not_overflow_its_dtype(n, monkeypatch):
+    # (n-1)^2 overflows int32 above n = 46341, which a raised table_limit
+    # admits; with int16 tables that bound is n = 182, small enough to build
+    monkeypatch.setattr(rings, "_TABLE_DTYPE", np.int16)
+    ring = build_ring(f"Z/{n}")
+    for table, ref in zip(ring.tables(), oracle.tables(ring)):
+        assert table.dtype == np.int16
+        assert np.array_equal(table, ref)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)[x]/(x^10+x^3+1)", "GF(31)[x]/(x^2+1)",
+                                  "Z/1024", "Z/1000", "Z/997"])
 def test_large_polynomial_table_rows_match_scalar_ops(spec):
+    # the tables of the largest tabulated rings, sampled by rows: the row of
+    # x (index p) on polynomial quotients, the middle residue on Z/n
     ring = build_ring(spec)
     n = ring.carrier_size
     add, mul, neg = ring.tables()
     assert add.shape == mul.shape == (n, n)
     assert neg.tolist() == [oracle.neg(ring, a) for a in range(n)]
-    rows = [0, 1, ring.p, n - 1] + random.Random(7).sample(range(n), 8)
+    middle = ring.p if isinstance(ring, PolyQuotientRing) else n // 2
+    rows = [0, 1, middle, n - 1] + random.Random(7).sample(range(n), 8)
     for a in rows:
         assert add[a].tolist() == [oracle.add(ring, a, b) for b in range(n)]
         assert mul[a].tolist() == [oracle.mul(ring, a, b) for b in range(n)]

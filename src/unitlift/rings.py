@@ -34,8 +34,13 @@ array operations and certified against its units, so saturation answers
 once per distinct ideal.  A check of a property that units preserve, such as
 the witness scan and the semi-inverse certificate, runs on one representative
 per orbit and spreads its answers by the labels, and so does the lattice of
-each factor eR, as x*U = x*(eU) for x in eR.  A unit u is inverted as
-u^(|U|-1) by square-and-multiply (power_many), certified by u*v = 1.  The
+each factor eR, as x*U = x*(eU) for x in eR.  The units of Z/n come from
+gcds and those of a product from its factors'.  R/I reads its units from
+the local split and the nilradical N of R (_coset_units): x + I is a unit
+exactly when e_j*x is not nilpotent for every atom e_j outside I, with both
+sides certified on R's arithmetic, so no quotient builds its tables for
+them.  Every other ring pulls back the units of R/N.  A unit u is inverted
+as u^(|U|-1) by square-and-multiply (power_many), certified by u*v = 1.  The
 tests check the tables, the array operations and every scan against a
 plain-Python oracle with its own arithmetic.  A quotient map is stored once,
 as a read-only int64 array that the quotient ring (qmap) and its projection
@@ -316,19 +321,13 @@ class FiniteRing:
         return self._units
 
     def _find_units(self) -> np.ndarray:
-        # a tabulated ring scans its table.  Above the guard, units lift along
-        # R -> R/N for the nilradical N (1 + N consists of units), so only a
-        # reduced ring pays for the quadratic scan.
+        """The pullback of the units of R/N, for the nilradical N: 1 + N
+        consists of units, and R/N reads its units from the local split of
+        R (_coset_units), one certificate per coset of N."""
         from .spectrum import nilradical
 
-        if self.tables() is None:
-            nil = nilradical(self)
-            if len(nil) > 1:
-                reduced, proj = quotient_ring(self, nil)
-                return reduced.unit_mask()[proj.mapping]
-        # a is a unit when some b has a*b = 1
-        idx = np.arange(self.carrier_size)
-        return first_hits(self, idx, idx, lambda a, b: self.mul_many(a, b) == self.one) >= 0
+        reduced, proj = quotient_ring(self, nilradical(self))
+        return reduced.unit_mask()[proj.mapping]
 
     def is_unit(self, a: int) -> bool:
         # refuses what Ideal.__contains__ refuses; integers outside are not units
@@ -638,6 +637,11 @@ class QuotientRing(FiniteRing):
     def _neg_arrays(self, a):
         return self.qmap[self.parent.neg_many(self.reps[a])]
 
+    def _find_units(self):
+        """Read from the parent's local split and nilradical, certified on
+        the parent's arithmetic; the quotient's own operations are unused."""
+        return _coset_units(self.parent, self.reps, self.qmap)
+
     def render(self, a):
         return self.parent.render(int(self.reps[a]))
 
@@ -911,6 +915,17 @@ def ideal_from_elements(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
         raise ValueError("the elements are not an ideal") from None
 
 
+def _idempotent_mask(ring: FiniteRing) -> np.ndarray:
+    """Read-only mask of the idempotents, from one squaring of the carrier;
+    cached per ring, for local_factors and spectrum.idempotents."""
+    if "idempotents" not in ring._cache:
+        idx = np.arange(ring.carrier_size)
+        mask = ring.mul_many(idx, idx) == idx
+        mask.setflags(write=False)
+        ring._cache["idempotents"] = mask
+    return ring._cache["idempotents"]
+
+
 def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
     """The atoms e_1 < ... < e_k of the idempotent lattice, the nonzero
     idempotents e with e*f equal to 0 or e for every idempotent f, and the
@@ -920,7 +935,7 @@ def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
     if "local_factors" in ring._cache:
         return ring._cache["local_factors"]
     idx = np.arange(ring.carrier_size)
-    idem = np.flatnonzero(ring.mul_many(idx, idx) == idx)
+    idem = np.flatnonzero(_idempotent_mask(ring))
 
     def below(e, f):  # e*f is neither 0 nor e, so e is not an atom
         ef = ring.mul_many(e, f)
@@ -935,6 +950,62 @@ def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
     projections.setflags(write=False)
     ring._cache["local_factors"] = atoms, projections
     return atoms, projections
+
+
+def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
+    """q_j = |e_jR| / |N ∩ e_jR| for each atom e_j of local_factors and the
+    nilradical N: the size of the residue field of the local ring e_jR,
+    whose maximal ideal is N ∩ e_jR; cached per ring.  Certified: no atom
+    lies in N, and |N ∩ e_jR| divides |e_jR|."""
+    from .spectrum import nilradical
+
+    if "residue_field_sizes" not in ring._cache:
+        nil = nilradical(ring).mask
+        atoms, projections = local_factors(ring)
+        counts = []
+        for proj in projections:
+            members = np.flatnonzero(np.bincount(proj))
+            counts.append((len(members), int(np.count_nonzero(nil[members]))))
+        if nil[list(atoms)].any() or any(k == 0 or size % k for size, k in counts):
+            raise InternalDefectError("the nilradical does not split over the local factors")
+        sizes = np.array([size // k for size, k in counts], dtype=np.int64)
+        sizes.setflags(write=False)
+        ring._cache["residue_field_sizes"] = sizes
+    return ring._cache["residue_field_sizes"]
+
+
+def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.ndarray:
+    """Mask of the units of R/I, read from the local split and the
+    nilradical N of the parent R alone, for the coset representatives reps
+    and the coset map qmap of quotient_ring: x + I is a unit exactly when
+    e_j*x is not nilpotent for every atom e_j outside I (a live atom), as
+    R/I is the product of the local rings e_jR/e_jI.
+
+    Both sides are certified on the arithmetic of R, never of R/I:
+    - a non-unit x lies in m_j = {x : e_j*x in N} for a live e_j.  That is
+      an ideal, as N is one, proper, as e_j is not in N, and it holds I
+      (checked: e_j*k is in N for every k in I), so x + I is no unit.
+    - a unit u has u^L - 1 in N + I for L = lcm (q_j - 1) over the live
+      atoms (_residue_field_sizes).  (N + I)/I is nil, so u^L, and with it
+      u, is a unit mod I.
+    """
+    from .spectrum import nilradical
+
+    nil = nilradical(parent).mask
+    atoms, projections = local_factors(parent)
+    kernel = qmap == qmap[parent.zero]
+    live = ~kernel[list(atoms)]
+    factors = projections[live]
+    if not nil[factors[:, kernel]].all():
+        raise InternalDefectError(
+            "the kernel is not inside the maximal ideal of a local factor")
+    unit = ~nil[factors[:, reps]].any(axis=0)
+    exponent = math.lcm(*(int(q) - 1 for q in _residue_field_sizes(parent)[live]))
+    one_plus_nil = np.zeros(len(reps), dtype=bool)
+    one_plus_nil[qmap[parent.add_many(parent.one, np.flatnonzero(nil))]] = True
+    if not one_plus_nil[qmap[power_many(parent, reps[unit], exponent)]].all():
+        raise InternalDefectError("u^L - 1 is not in N + I for a unit u of R/I")
+    return unit
 
 
 def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:

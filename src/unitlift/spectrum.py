@@ -6,6 +6,18 @@ module computes both and treats disagreement as a fatal defect.  The ring
 is the product of its local rings e_jR (rings.local_factors), so each
 maximal ideal is the preimage of one factor's non-units, read from the
 ring's unit mask, and R/rad(R) is connected when there is one factor.
+
+The two stay independent on Z/n (units from gcds) and on products (units
+from the factors).  A polynomial ring pulls back the units of R/N, which it
+reads from its own split and nilpotents (rings._coset_units), so its
+maximal ideals are {x : e_j*x nilpotent} and their intersection is the
+nilpotents by construction.  There the certificates of those units take
+over the cross-check's role: a nilpotent missing from N fails the
+certificate u^L - 1 in N + I, and an atom inside N or a kernel outside the
+maximal ideal of its factor fails the checks on the split.  A quotient R/I
+reads its units from the split and nilpotents of R, so its cross-check
+still compares the nilpotents of R, carried through the quotient map,
+with the squaring scan of R/I itself.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from .rings import (
     Ideal,
     SurjectiveHom,
     _as_set,
+    _idempotent_mask,
     check_element,
     first_hits,
     ideal_from_mask,
@@ -59,8 +72,8 @@ def nilradical(ring: FiniteRing) -> Ideal:
 
 
 def idempotents(ring: FiniteRing) -> frozenset[int]:
-    idx = np.arange(ring.carrier_size)
-    return _as_set(ring.mul_many(idx, idx) == idx)
+    """The idempotents, from the mask local_factors reads too."""
+    return _as_set(_idempotent_mask(ring))
 
 
 def radical_quotient(ring: FiniteRing) -> tuple[FiniteRing, SurjectiveHom]:

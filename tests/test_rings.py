@@ -8,6 +8,10 @@ Oracles:
     down to the ideal lattice
   - every modular, polynomial and product table equals the table built one
     cell at a time from the reference arithmetic in scalar_oracle
+  - the units of R/I, read from the local split of R, match a plain-Python
+    pair scan of R/I for every proper ideal; their certificates fail on a
+    nilradical missing a nilpotent, on a kernel outside a maximal ideal and
+    on wrong Lagrange powers
 """
 
 import contextlib
@@ -212,6 +216,84 @@ def test_units_against_brute_scan(spec):
         if any(oracle.mul(ring, a, b) == ring.one for b in ring.elements())
     )
     assert ring.units() == brute
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec", [
+    "Z/360",
+    "GF(2)[x]/(x^7+x^6)",
+    "GF(3)[x]/(x^4)",
+    "prod(Z/4,GF(2)[x]/(x^3),Z/9)",
+    "quot(prod(Z/8,Z/8,Z/4);(4,0,0))",
+])
+def test_quotient_units_match_oracle(spec, table_limit):
+    # R/I reads its units from the local split of R; the oracle scans R/I
+    # on its own arithmetic
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    for ideal in enumerate_ideals(ring):
+        if ideal.is_proper():
+            quotient, _ = quotient_ring(ring, ideal)
+            assert quotient.units() == oracle.units_and_inverses(quotient)[0]
+
+
+@pytest.mark.parametrize("spec", ["GF(2)[x]/(x^12+x^3+1)", "GF(3)[x]/(x^7+2*x+1)"])
+def test_units_above_the_table_guard_match_oracle_on_a_sample(spec):
+    ring = build_ring(spec)
+    assert ring.tables() is None
+    mask = ring.unit_mask()
+    rng = random.Random(spec)
+    units, others = np.flatnonzero(mask).tolist(), np.flatnonzero(~mask).tolist()
+    for a in rng.sample(units, 6) + rng.sample(others, min(6, len(others))):
+        assert mask[a] == any(oracle.mul(ring, a, b) == ring.one for b in ring.elements())
+
+
+def test_star_ring_builds_no_quotient_tables():
+    # DIRECT reads the units of each R/I from the split of R, so no quotient
+    # needs its tables
+    ring = build_ring("Z/1024")
+    ring_has_star(ring)
+    quotients = [v[0] for k, v in ring._cache.items()
+                 if isinstance(k, tuple) and k[0] == "quotient"]
+    assert len(quotients) == 10
+    assert all(q._tables is None for q in quotients)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec, nilpotent", [("GF(2)[x]/(x^2)", 2), ("prod(Z/4,Z/3)", 2)])
+def test_a_nilpotent_missing_from_the_nilradical_fails_the_unit_certificate(
+        spec, nilpotent, table_limit):
+    # without the nilpotent y in N, y + I passes as a unit; y^L is nilpotent,
+    # so y^L - 1 is a unit and lies outside N + I
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    nil = nilradical(ring)
+    assert nilpotent in nil
+    dropped = nil.mask & (np.arange(ring.carrier_size) != nilpotent)
+    ring._cache["nilradical"] = Ideal(ring, (), dropped)
+    quotient, _ = quotient_ring(ring, ideal_closure(ring, [ring.zero]))
+    with pytest.raises(InternalDefectError, match=r"u\^L - 1 is not in N \+ I"):
+        quotient.unit_mask()
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_a_kernel_outside_the_maximal_ideals_is_a_defect(table_limit):
+    # {0, x+1} of GF(2)[x]/(x^2) is an additive subgroup but no ideal: it
+    # holds the unit x+1, which no maximal ideal holds
+    ring = build_ring("GF(2)[x]/(x^2)", Guards(table_limit=table_limit))
+    quotient, _ = quotient_ring(ring, Ideal(ring, (3,), np.isin(np.arange(4), [0, 3])))
+    with pytest.raises(InternalDefectError, match="not inside the maximal ideal"):
+        quotient.unit_mask()
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec", ["GF(3)[x]/(x^2)", "quot(Z/12;4)"])
+def test_failed_unit_powers_are_defects(spec, table_limit, monkeypatch):
+    def zeros(ring, xs, k):
+        return np.zeros(np.shape(xs), dtype=np.int64)
+
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    monkeypatch.setattr(rings, "power_many", zeros)
+    with pytest.raises(InternalDefectError, match=r"u\^L - 1 is not in N \+ I"):
+        ring.unit_mask()
 
 
 def test_inverse_law():

@@ -1190,9 +1190,9 @@ class PresentedRing:
 
     def canonical(self, elem):
         if self.kind == "integers":
-            if isinstance(elem, bool) or not isinstance(elem, int):
+            if isinstance(elem, bool) or not isinstance(elem, (int, np.integer)):
                 raise ValueError(f"element {elem!r} is not an integer")
-            return elem
+            return int(elem)
         if not isinstance(elem, tuple):
             raise ValueError(f"expected coefficient tuple, got {elem!r}")
         for c in elem:
@@ -1210,8 +1210,10 @@ class PresentedRing:
     def quotient(self, modulus, guards: Guards = DEFAULT_GUARDS):
         """(finite quotient ring, reduction map) for a valid modulus."""
         if self.kind == "integers":
-            if not isinstance(modulus, int) or modulus < 2:
+            if (isinstance(modulus, bool) or not isinstance(modulus, (int, np.integer))
+                    or modulus < 2):
                 raise ValueError("integer modulus must be an int >= 2")
+            modulus = int(modulus)
             ring = build_ring(ModularSpec(modulus), guards)
             return ring, lambda r: r % modulus
         f = self.canonical(modulus)

@@ -13,8 +13,10 @@ radical, and t in the radical; the construction here follows the algebra
 every claimed property exactly before returning.
 
 Whether r has a semi-inverse is certified on the constructed r^(m-1), for
-m = |U|/|rad|; the full set of semi-inverses, which decompose prints, and
-von Neumann regularity, the independent half of is_semifield, are scans.
+m = |U|/|rad|; the full set of semi-inverses, which decompose prints, is a
+scan.  Von Neumann regularity, the independent half of is_semifield, is the
+identity a^(L+1) = a of a product of fields, with L read from the sizes of
+the local factors, and a failure certified by a nonzero nilpotent.
 
 Each of these facts is decided for a whole batch of elements at once, one
 row per element: the semi-inverses and the colon ideals are rows of one
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +42,13 @@ from .rings import (
     PresentedRing,
     _as_set,
     _on_unit_orbits,
+    _residue_field_sizes,
     check_element,
-    first_hits,
     ideal_from_mask,
+    local_factors,
     power_many,
 )
-from .spectrum import jacobson_radical, maximal_ideals, radical_quotient
+from .spectrum import jacobson_radical, maximal_ideals, nilradical, radical_quotient
 
 
 class Rho(enum.Enum):
@@ -279,27 +283,50 @@ def _decompositions(ring: FiniteRing, rs: np.ndarray):
 
 
 def is_von_neumann_regular(ring: FiniteRing) -> bool:
-    """Every a factors as a*x*a for some x."""
+    """Every a factors as a*x*a for some x.
+
+    That holds exactly when the ring is reduced, a product of the fields
+    e_jR of local_factors; then a^(L+1) = a for L = lcm (|e_jR| - 1), and
+    x = a^(L-1) is the partner of a.  Certified by _fermat_identity."""
+    _, projections = local_factors(ring)
+    exponent = math.lcm(*(int(np.count_nonzero(np.bincount(p))) - 1 for p in projections))
+    return _fermat_identity(ring, exponent, nilradical(ring).mask)
+
+
+def _fermat_identity(ring: FiniteRing, exponent: int, nil: np.ndarray) -> bool:
+    """Whether a^(L+1) = a for every a, for L = exponent, a multiple of
+    q - 1 for the size q of every residue field of the ring.  Then
+    a^(L+1) = a modulo every maximal ideal, so d = a^(L+1) - a is nilpotent
+    on any ring; a d outside the mask nil of the nilpotents raises
+    InternalDefectError, and a nonzero d inside it certifies the answer
+    False: the ring is not reduced."""
     every = np.arange(ring.carrier_size)
-    found = first_hits(ring, every, every,
-                       lambda a, x: ring.mul_many(ring.mul_many(a, a), x) == a)
-    return bool(np.all(found >= 0))
+    d = ring.add_many(power_many(ring, every, exponent + 1), ring.neg_many(every))
+    if not nil[d].all():
+        raise InternalDefectError("a^(L+1) - a is not nilpotent")
+    return bool((d == ring.zero).all())
 
 
 def is_semifield(ring) -> bool:
     """Every element is a semi-unit or radical.
 
     Computed two ways on finite rings, with disagreement fatal: directly,
-    and as von Neumann regularity of R/rad(R).  The presented rings are
-    domains with zero radical and nonunits besides zero, so they are not
-    semi-fields (rho is infinite on any nonzero nonunit).
+    from the semi-inverses r^(m-1), m = |U|/|rad|, and as von Neumann
+    regularity of R/rad(R), by _fermat_identity on the arithmetic of R/rad
+    with L = lcm (q_j - 1) over the residue fields of R, so neither half
+    reads what the other does.  R/rad is reduced: 0 is its one nilpotent.
+    The presented rings are domains with zero radical and nonunits besides
+    zero, so they are not semi-fields (rho is infinite on any nonzero
+    nonunit).
     """
     if isinstance(ring, PresentedRing):
         return False
     outside = np.flatnonzero(~jacobson_radical(ring).mask)
     direct = bool(np.all(_semi_inverse_found(ring, outside)))
     reduced, _ = radical_quotient(ring)
-    structural = is_von_neumann_regular(reduced)
+    exponent = math.lcm(*(int(q) - 1 for q in _residue_field_sizes(ring)))
+    structural = _fermat_identity(reduced, exponent,
+                                  np.arange(reduced.carrier_size) == reduced.zero)
     if direct != structural:
         raise InternalDefectError(
             "semi-field verdicts disagree between the direct scan and the "

@@ -79,30 +79,6 @@ def poly_degree(a) -> int:
     return len(a) - 1  # -1 for the zero polynomial
 
 
-def poly_add(a, b, p: int) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return poly_trim(out)
-
-
-def poly_neg(a, p: int) -> tuple[int, ...]:
-    return tuple((-c) % p for c in a)
-
-
-def poly_mul(a, b, p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return poly_trim(out)
-
-
 def poly_mod(a, f, p: int) -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial f."""
     assert f and f[-1] == 1, "modulus must be monic"

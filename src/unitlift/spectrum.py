@@ -47,20 +47,17 @@ def nilpotent_elements(ring: FiniteRing) -> frozenset[int]:
 
 
 def _nilpotent_mask(ring: FiniteRing) -> np.ndarray:
-    """Mask of the nilpotents, by repeated squaring of every element at once.
+    """Mask of the nilpotents, by squaring every element at once a fixed
+    ceil(log2 floor(log2 n)) times.
 
-    ceil(log2 n) + 2 squarings are an upper bound: the chain of principal
-    ideals (r) >= (r^2) >= (r^4) >= ... halves in size at every strict step,
-    and once it stabilizes a nilpotent has already reached zero.  The
-    squaring stops early once it leaves every element unchanged.
+    A nilpotent x of index t gives the chain of additive subgroups
+    R > xR > x^2R > ... > x^tR = 0.  It is strict: x^kR = x^(k+1)R would
+    give x^k = x^(k+m)*r^m for every m, and so x^k = 0.  Each step at least
+    halves the size, so t <= log2 n, and x^(2^k) = 0 once 2^k >= t.
     """
-    n = ring.carrier_size
-    v = np.arange(n)
-    for _ in range(max(1, n - 1).bit_length() + 2):
-        squared = ring.mul_many(v, v)
-        if np.array_equal(squared, v):
-            break
-        v = squared
+    v = np.arange(ring.carrier_size)
+    for _ in range((ring.carrier_size.bit_length() - 2).bit_length()):
+        v = ring.mul_many(v, v)
     return v == ring.zero
 
 

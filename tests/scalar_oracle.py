@@ -14,7 +14,31 @@ is slow on purpose and serves only as a test oracle.
 import numpy as np
 
 from unitlift.rings import ModularRing, PolyQuotientRing, ProductRing, QuotientRing
-from unitlift.specs import poly_add, poly_mod, poly_mul, poly_neg
+from unitlift.specs import poly_mod, poly_trim
+
+
+def poly_add(a, b, p: int) -> tuple[int, ...]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return poly_trim(out)
+
+
+def poly_neg(a, p: int) -> tuple[int, ...]:
+    return tuple((-c) % p for c in a)
+
+
+def poly_mul(a, b, p: int) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return poly_trim(out)
 
 
 def add(ring, a, b):

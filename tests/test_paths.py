@@ -420,6 +420,13 @@ def test_von_neumann_regularity_fails_with_a_radical(spec):
     assert oracle.is_von_neumann_regular(ring) is False
 
 
+@pytest.mark.parametrize("spec", ["prod(Z/5,Z/7,Z/11)", "prod(Z/9,GF(2)[x]/(x^3+x+1))"])
+def test_von_neumann_regularity_matches_oracle_on_several_factors(spec):
+    expected = oracle.is_von_neumann_regular(build_ring(spec))
+    for guards in (Guards(), Guards(table_limit=2)):
+        assert is_von_neumann_regular(build_ring(spec, guards)) == expected
+
+
 @pytest.mark.parametrize("spec", [spec_to_string(r.spec)
                                   for r in corpus_rings(max_carrier=32)])
 def test_comaximal_pairs_match_pair_scan(spec):
@@ -446,7 +453,11 @@ def test_ideal_lattice_matches_oracle(spec):
 
 
 @pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()]
-                         + ["Z/4096", "GF(2)[x]/(x^11)"])
+                         + ["Z/4096", "GF(2)[x]/(x^11)",
+                            # a nilpotent of index floor(log2 n): no squaring to spare
+                            "Z/65536", "GF(2)[x]/(x^12)",
+                            # squaring cycles among the units
+                            "Z/720", "Z/2310"])
 def test_nilpotents_stop_early_with_the_fixed_step_answer(spec):
     ring = build_ring(spec)
     assert nilpotent_elements(ring) == oracle.nilpotents(ring)

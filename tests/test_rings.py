@@ -322,6 +322,15 @@ def test_presented_canonical_refuses_bool_and_non_integers():
     assert all(type(c) is int for c in gf3x.canonical((np.int64(5), 1)))
 
 
+def test_presented_integers_take_numpy_integers_as_ints():
+    # INTEGERS.canonical(np.int64(2)) once raised "is not an integer"
+    assert type(INTEGERS.canonical(np.uint16(7))) is int
+    assert INTEGERS.canonical(np.int64(-3)) == -3
+    for bad in (np.float64(2.0), np.bool_(True), 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            INTEGERS.canonical(bad)
+
+
 @pytest.mark.parametrize("n", [2, 12, 25, 64, 97, 100, 210])
 def test_inverse_matches_oracle_on_untabulated_modular_rings(n):
     # Z/n inverts by the same Lagrange power as every other kind

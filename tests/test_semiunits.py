@@ -155,6 +155,8 @@ def test_rho_on_presented_rings_refuses_non_integers():
         with pytest.raises(ValueError, match="not an integer"):
             rho(gf2x, bad)
     assert rho(gf2x, (np.int64(3), np.int64(2))) is Rho.ONE
+    assert rho(INTEGERS, np.int64(2)) is Rho.INFINITE
+    assert rho(INTEGERS, np.int8(-1)) is Rho.ONE
 
 
 def test_rho_json_values():
@@ -224,8 +226,27 @@ def test_failed_lagrange_powers_are_defects(spec, table_limit, monkeypatch):
         ring.inverse(ring.one)
     with pytest.raises(InternalDefectError, match="has no semi-inverse"):
         rho_table(ring)
-    # the direct half finds no semi-inverses, the structural half regularity
+    # the structural half powers too: a^(L+1) = 0 leaves d = -a, not nilpotent
+    with pytest.raises(InternalDefectError, match=r"^a\^\(L\+1\) - a is not nilpotent$"):
+        is_semifield(ring)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "prod(Z/3,Z/5)", "GF(2)[x]/(x^3+x+1)"])
+def test_a_failed_direct_half_is_a_disagreement(spec, monkeypatch):
+    ring = build_ring(spec)
+    monkeypatch.setattr(semiunits, "_semi_inverse_found",
+                        lambda ring, rs: np.zeros(len(rs), dtype=bool))
     with pytest.raises(InternalDefectError, match="verdicts disagree"):
+        is_semifield(ring)
+
+
+def test_an_exponent_missing_a_residue_field_is_a_defect():
+    # L = lcm(3 - 1) = 2 leaves out GF(5), where 2^3 - 2 = 1 is not nilpotent;
+    # the structural half must not read that as R/rad failing to be regular
+    ring = build_ring("prod(Z/3,Z/5)")
+    assert rings._residue_field_sizes(ring).tolist() == [3, 5]
+    ring._cache["residue_field_sizes"] = np.array([3])
+    with pytest.raises(InternalDefectError, match="is not nilpotent"):
         is_semifield(ring)
 
 

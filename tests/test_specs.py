@@ -2,13 +2,16 @@
 
 Expected values here are hand oracles: small polynomial products and
 divisions worked by hand over GF(2)/GF(3), plus round trips through the
-canonical string form.
+canonical string form.  The polynomial add, neg and mul are scalar_oracle's
+reference arithmetic: the ring laws below check them, and they in turn check
+the library's poly_mod.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_oracle import poly_add, poly_mul, poly_neg
 from unitlift.errors import SpecSyntaxError
 from unitlift.specs import (
     ModularSpec,
@@ -19,11 +22,8 @@ from unitlift.specs import (
     parse_element_text,
     parse_poly_text,
     parse_ring_spec,
-    poly_add,
     poly_degree,
     poly_mod,
-    poly_mul,
-    poly_neg,
     poly_to_string,
     poly_trim,
     spec_to_string,

@@ -263,3 +263,20 @@ def test_one_nilpotent_scan_per_query(argv, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_nilpotent_scan_squares_a_fixed_number_of_times(monkeypatch):
+    # a nilpotent of Z/720 has index at most floor(log2 720) = 9, and
+    # 2^4 >= 9: 4 squarings, though the units of Z/720 never settle
+    ring = build_ring("Z/720")
+    calls = []
+    mul_many = ring.mul_many
+
+    def counted(a, b):
+        calls.append(1)
+        return mul_many(a, b)
+
+    monkeypatch.setattr(ring, "mul_many", counted)
+    mask = spectrum._nilpotent_mask(ring)
+    assert len(calls) == 4
+    assert np.flatnonzero(mask).tolist() == list(range(0, 720, 30))

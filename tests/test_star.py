@@ -8,6 +8,7 @@ Oracles:
   - crt_unit_lift(Z/12, (4), 3-bar) = 7, solved by hand
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,3 +300,13 @@ def test_presented_check_refuses_non_integer_coefficients():
             presented_star_check(gf2x, bad)
     with pytest.raises(ValueError):
         presented_star_check(INTEGERS, True)
+
+
+def test_presented_integer_modulus_takes_numpy_integers():
+    # presented_star_check(INTEGERS, np.int64(6)) once raised "must be an int"
+    check = presented_star_check(INTEGERS, np.int64(6))
+    assert check.has_star and check.quotient.spec == build_ring("Z/6").spec
+    assert presented_star_check(INTEGERS, np.uint8(5)).witness == 2
+    for bad in (np.int64(1), np.float64(6.0), 6.0, np.bool_(True)):
+        with pytest.raises(ValueError, match="integer modulus must be an int >= 2"):
+            presented_star_check(INTEGERS, bad)

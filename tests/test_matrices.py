@@ -6,7 +6,8 @@ scalar_oracle: the Leibniz permutation sum for determinants and cofactors,
 the schoolbook triple loop for products, and plain pair loops over a whole
 matrix space for saturation and Dedekind-finiteness.  The batched inverse is
 checked against matrix_inverse one matrix at a time, and the corpus's
-batched lift draws and certificates against gl_lift called once per draw.
+batched lift draws against the Leibniz determinant and against gl_lift told
+to choose each drawn preimage.
 """
 
 import collections
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from unitlift import matrices
+from unitlift import matrices, verify
 from unitlift.config import Guards
 from unitlift.errors import GuardExceededError
 from unitlift.matrices import (
@@ -37,7 +38,7 @@ from unitlift.matrices import (
 from unitlift.rings import FiniteRing, ModularRing, SurjectiveHom, build_ring, \
     ideal_closure, quotient_ring
 from unitlift.specs import ModularSpec
-from unitlift.verify import _draw_lifts
+from unitlift.verify import RunContext, _draw_lifts, criterion_matrix_lifts
 
 
 def _leibniz(ring, rows):
@@ -425,31 +426,60 @@ def _tower(spec, gen):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_drawn_lifts_match_per_draw_gl_lift(seed):
-    # the oracle is the per-draw loop that lifts each matrix with gl_lift,
-    # choosing every entry's preimage with the same rng
-    rng = random.Random(f"{seed}:matrix-lifts")
-    oracle_rng = random.Random(f"{seed}:matrix-lifts")
+def test_drawn_lifts_are_invertible_gl_lifts(seed):
+    # every draw is an invertible target (Leibniz oracle) with a lift that
+    # gl_lift accepts when told to choose exactly the drawn preimages
+    draws = 60
     for spec, gen in TOWERS:
         hom = _tower(spec, gen)
         quot = hom.target
         for dim in (2, 3):
-            targets, lifts = [], []
-            while len(targets) < 50:
-                rows = [[oracle_rng.randrange(quot.carrier_size) for _ in range(dim)]
-                        for _ in range(dim)]
-                matrix = Matrix(quot, rows)
-                if not quot.is_unit(det(matrix)):
-                    continue
-                lift = gl_lift(hom, matrix,
-                               choose=lambda i, j, cands: oracle_rng.choice(cands))
-                targets.append(rows)
-                lifts.append([list(row) for row in lift.entries])
-            got_targets, got_lifts = _draw_lifts(rng, hom, dim, 50)
-            assert got_targets.tolist() == targets
-            assert got_lifts.tolist() == lifts
-            assert rng.getstate() == oracle_rng.getstate()
-            assert _lift_defects(hom, got_targets, got_lifts) == [None] * 50
+            def draw(s):
+                return _draw_lifts(random.Random(f"{s}:matrix-lifts"), hom, dim, draws)
+
+            targets, lifts = draw(seed)
+            assert targets.shape == lifts.shape == (draws, dim, dim)
+            for t in targets.tolist():
+                assert _leibniz(quot, t) in quot.units()
+            assert (hom.mapping[lifts] == targets).all()
+            assert _lift_defects(hom, targets, lifts) == [None] * draws
+            for t, lift in zip(targets.tolist(), lifts.tolist()):
+                chosen = gl_lift(hom, Matrix(quot, t),
+                                 choose=lambda i, j, cands: int(lift[i][j]))
+                assert chosen.array.tolist() == lift
+            again, other = draw(seed), draw(seed + 1)
+            assert (again[0] == targets).all() and (again[1] == lifts).all()
+            assert not (other[0] == targets).all() and not (other[1] == lifts).all()
+            for i, j in itertools.product(range(dim), repeat=2):
+                assert set(targets[:, i, j].tolist()) == set(range(quot.carrier_size))
+            assert set(lifts.ravel().tolist()) == set(range(hom.source.carrier_size))
+
+
+def test_zero_samples_leave_the_exhaustive_lifts():
+    result = criterion_matrix_lifts([], RunContext(gl_samples=0))
+    assert (result.passed, result.checks, result.failures) == (True, 96, [])
+    hom = _tower("Z/8", 2)
+    for dim in (2, 3):
+        targets, lifts = _draw_lifts(random.Random("0:matrix-lifts"), hom, dim, 0)
+        assert targets.shape == lifts.shape == (0, dim, dim)
+
+
+def test_a_non_invertible_exhaustive_lift_is_named(monkeypatch):
+    # the determinant of the first lift of the first invertible matrix over
+    # Z/2, [0,1;1,0] lifted to itself, replaced by 0 over Z/4
+    det_many = verify._det
+
+    def corrupted(ring, a):
+        dets = det_many(ring, a)
+        if ring.carrier_size == 4:
+            dets = dets.copy()
+            dets[0, 0] = ring.zero
+        return dets
+
+    monkeypatch.setattr(verify, "_det", corrupted)
+    result = criterion_matrix_lifts([], RunContext(gl_samples=0))
+    assert not result.passed and result.checks == 96
+    assert result.failures == ["non-invertible lift 0,1;1,0 of 0,1;1,0"]
 
 
 def test_lift_defects_name_each_broken_lift_in_order():

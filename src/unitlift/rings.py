@@ -1013,11 +1013,15 @@ def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
     primitive idempotent e, whose sorted elements are members.
 
     Breadth-first augmentation: each known ideal is summed with each
-    principal ideal x*R, x in eR, not already inside it, deduplicating by
-    element set.  Since x = x*e, x*R is x times eR, and (u*x)R = xR for a
-    unit u, so the principal ideals come from one representative of each
-    unit orbit in eR, read from the carrier's labels as x*U = x*(eU) for x
-    in eR: orbits times |eR| products, not |eR|^2.
+    principal ideal x*R, x in eR, comparable with it in neither direction,
+    deduplicating by element set: the sum of nested ideals is the larger
+    one, which is already known.  So a chain ring, whose ideals are totally
+    ordered, needs no sum at all, and every local factor of a ring a spec
+    builds is one, a quotient of Z/p^k or of GF(p)[x]/(g^k).  Since
+    x = x*e, x*R is x times eR, and (u*x)R = xR for a unit u, so the
+    principal ideals come from one representative of each unit orbit in
+    eR, read from the carrier's labels as x*U = x*(eU) for x in eR: orbits
+    times |eR| products, not |eR|^2.
     """
     n = ring.carrier_size
     reps = members[_unit_orbits(ring)[members] == members]
@@ -1031,7 +1035,7 @@ def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
     while queue:
         current = queue.pop()
         for p in principals:
-            if not (p & ~current).any():
+            if not (p & ~current).any() or not (current & ~p).any():
                 continue
             bigger = _sum_mask(ring, current, p)
             key = np.packbits(bigger).tobytes()

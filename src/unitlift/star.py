@@ -13,6 +13,14 @@ invertible mod I nor whether it is congruent to a unit, so it scans one
 element per certified unit orbit.  The direct check uses neither tables
 nor orbits, and is the cross-check on both.
 
+The checks run a whole ring at a time: _star_reports decides every proper
+ideal of a ring in one call, and star_report and star_check are batches of
+one.  DIRECT still builds one quotient per ideal, since later callers read
+the cached quotients.  The two saturation checks each saturate the rows
+U + I, or 1 + I, of all the ideals in one _saturate_masks call, one AND of
+the packed rows against the table of principal ideals, and WITNESS is one
+first_hits pass over the pairs (ideal, unit-orbit representative).
+
 Lifting is constructive: the exceptional maximal ideals (those not
 containing I) are finitely many, and a CRT adjustment a with a = 0 mod I and
 a = 1 - r mod each exceptional ideal turns any preimage r of a unit into a
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +50,8 @@ from .rings import (
     ProductRing,
     _as_set,
     _check_elements,
-    _on_unit_orbits,
     _principal_classes,
-    _sum_mask,
+    _unit_orbits,
     check_element,
     enumerate_ideals,
     first_hits,
@@ -64,21 +72,31 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
 
 
 def _saturate_mask(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
-    """saturate on masks.  As s runs over R, s*r runs over the principal
-    ideal r*R, so r is in the saturation exactly when r*R meets the subset.
-    Every ring answers from its cached table of principal ideals, one packed
-    row per unit orbit r*U, since (u*r)R = rR for a unit u: one AND of the
-    packed subset against each row, a block of rows at a time so the
-    temporary stays within BLOCK_WORDS.  The WITNESS method of star_check
-    reads no table: it scans one element per unit orbit.
+    """saturate on one mask: _saturate_masks on a batch of one."""
+    return _saturate_masks(ring, mask[None])[0]
+
+
+def _saturate_masks(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
+    """saturate on each row of a (k, n) mask array, as a (k, n) array.
+
+    As s runs over R, s*r runs over the principal ideal r*R, so r is in the
+    saturation exactly when r*R meets the subset.  Every ring answers from
+    its cached table of principal ideals, one packed row per unit orbit r*U,
+    since (u*r)R = rR for a unit u: one AND of the packed subsets against
+    the rows, a block of (subset, row) pairs at a time, so that the
+    temporary stays within BLOCK_WORDS counting all k subsets.
     """
-    packed = np.packbits(mask)
+    packed = np.packbits(masks, axis=1)
     table, class_of = _principal_classes(ring)
-    met = np.empty(len(table), dtype=bool)
-    step = max(1, 8 * BLOCK_WORDS // table.shape[1])
-    for lo in range(0, len(table), step):
-        met[lo:lo + step] = (table[lo:lo + step] & packed).any(axis=1)
-    return met[class_of]
+    met = np.empty((len(packed), len(table)), dtype=bool)
+    pairs = max(1, 8 * BLOCK_WORDS // table.shape[1])
+    rows = min(len(table), pairs)
+    subsets = max(1, pairs // rows)
+    for i in range(0, len(packed), subsets):
+        part = packed[i:i + subsets, None]
+        for lo in range(0, len(table), rows):
+            met[i:i + subsets, lo:lo + rows] = (table[lo:lo + rows] & part).any(axis=2)
+    return met[:, class_of]
 
 
 class StarMethod(enum.Enum):
@@ -111,78 +129,157 @@ class StarReport:
         return {c.method.value: c.holds for c in self.checks}
 
 
-def _units_plus_ideal(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
-    return _sum_mask(ring, ring.unit_mask(), ideal.mask)
+def _units_plus_ideals(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
+    """Row j is the mask of U + I_j, for the ideal mask I_j in row j of
+    masks: one sumset over the pairs (member of some I_j, unit), a block of
+    members at a time, counting four words per pair, for its sum, the flat
+    index of the sum and their intermediates, so that they stay within
+    BLOCK_WORDS together."""
+    n = ring.carrier_size
+    units = np.flatnonzero(ring.unit_mask())
+    owner, members = np.nonzero(masks)
+    hit = np.zeros(masks.shape, dtype=bool)
+    step = ring.block_rows(4 * len(units))
+    for lo in range(0, len(members), step):
+        sums = ring.add_many(members[lo:lo + step, None], units)
+        hit.ravel()[(owner[lo:lo + step, None] * n + sums).ravel()] = True
+    return hit
 
 
-def _one_plus_ideal(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
-    return _sum_mask(ring, np.arange(ring.carrier_size) == ring.one, ideal.mask)
+def _one_plus_ideals(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
+    """Row j is the mask of 1 + I_j: x is in it when x - 1 is in I_j."""
+    every = np.arange(ring.carrier_size)
+    return masks[:, ring.add_many(every, ring.neg_many(ring.one))]
 
 
-def _compare(method: StarMethod, got: np.ndarray, want: np.ndarray) -> StarCheck:
-    """Holds when the two masks agree; otherwise the witness is the least
-    element in one and not the other: units map to units and W lies in
-    sat(W), so that is the least missed unit, or the least of sat(W) - W."""
-    if np.array_equal(got, want):
-        return StarCheck(method, True, None)
-    return StarCheck(method, False, int(np.argmax(got ^ want)))
+def _checks(method: StarMethod, failing: np.ndarray) -> list[StarCheck]:
+    """One check per row of a (k, n) mask of the elements that demonstrate
+    failure: it holds when the row is empty, and its witness is the least
+    element of the row otherwise.  DIRECT and the saturation checks fail on
+    the elements in one of two masks and not the other: units map to units
+    and W lies in sat(W), so that is the least missed unit, or the least of
+    sat(W) - W."""
+    return [StarCheck(method, False, w) if fails else StarCheck(method, True, None)
+            for fails, w in zip(failing.any(axis=1).tolist(),
+                                failing.argmax(axis=1).tolist())]
+
+
+def _check_ideals(ring: FiniteRing, ideals) -> None:
+    for ideal in ideals:
+        if ideal.ring is not ring:
+            raise ValueError("ideal belongs to a different ring")
+        if not ideal.is_proper():
+            raise ValueError("star checks need a proper ideal")
+
+
+def _direct_check(ring: FiniteRing, ideal: Ideal) -> StarCheck:
+    """DIRECT: the units of the quotient R/I against the image of U.  One
+    ideal at a time, since its quotient is cached for later callers."""
+    quotient, hom = quotient_ring(ring, ideal)
+    failing = quotient.unit_mask() ^ hom.image(ring.unit_mask())
+    return _checks(StarMethod.DIRECT, failing[None])[0]
+
+
+def _saturated_sum_checks(ring: FiniteRing, ideals) -> list[StarCheck]:
+    """SATURATED_SUM: U + I is saturated, for every ideal at once."""
+    w = _units_plus_ideals(ring, np.array([i.mask for i in ideals]))
+    return _checks(StarMethod.SATURATED_SUM, _saturate_masks(ring, w) ^ w)
+
+
+def _saturation_equality_checks(ring: FiniteRing, ideals) -> list[StarCheck]:
+    """SATURATION_EQUALITY: sat(1 + I) is U + I, for every ideal at once."""
+    masks = np.array([i.mask for i in ideals])
+    sat = _saturate_masks(ring, _one_plus_ideals(ring, masks))
+    return _checks(StarMethod.SATURATION_EQUALITY, sat ^ _units_plus_ideals(ring, masks))
+
+
+def _witness_checks(ring: FiniteRing, ideals) -> list[StarCheck]:
+    """WITNESS: everything invertible mod I is congruent mod I to a unit.
+
+    (u*a)(u^-1*b) = a*b and u(U + I) = U + I, so one a per unit orbit
+    decides the orbit, and the least bad element is the label of its orbit.
+    Every ideal is decided in one first_hits pass, whose rows are the pairs
+    (ideal j, orbit representative a), encoded as j*n + a.  A cell holds
+    a*b, 1 - a*b, its flat index in the ideal masks and the membership bit:
+    four words, counted so that they stay within BLOCK_WORDS together.
+    """
+    n = ring.carrier_size
+    every = np.arange(n)
+    label = _unit_orbits(ring)
+    reps = np.flatnonzero(label == every)
+    units = np.flatnonzero(ring.unit_mask())
+    members = np.array([i.mask for i in ideals]).ravel()
+    one_minus = ring.add_many(ring.one, ring.neg_many(every))
+
+    def partner(rows, b):  # 1 - a*b in I_j
+        a = rows % n
+        return members[rows - a + one_minus[ring.mul_many(a, b)]]
+
+    # a with a unit partner is congruent to a unit; of the rest, any a with
+    # some partner is invertible mod I and congruent to no unit
+    rows = (np.arange(len(ideals))[:, None] * n + reps).ravel()
+    bad = np.zeros(len(rows), dtype=bool)
+    rest = np.flatnonzero(first_hits(ring, rows, units, partner, cell_words=4) < 0)
+    bad[rest] = first_hits(ring, rows[rest], every, partner, cell_words=4) >= 0
+    failing = bad.reshape(len(ideals), len(reps))[:, np.searchsorted(reps, label)]
+    return _checks(StarMethod.WITNESS, failing)
+
+
+_BATCHED = {
+    StarMethod.SATURATED_SUM: _saturated_sum_checks,
+    StarMethod.SATURATION_EQUALITY: _saturation_equality_checks,
+    StarMethod.WITNESS: _witness_checks,
+}
 
 
 def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
     """One of the four equivalent checks for the quotient by one ideal."""
     if not isinstance(method, StarMethod):
         method = StarMethod(method)
-    if ideal.ring is not ring:
-        raise ValueError("ideal belongs to a different ring")
-    if not ideal.is_proper():
-        raise ValueError("star checks need a proper ideal")
-
+    _check_ideals(ring, [ideal])
     if method is StarMethod.DIRECT:
-        quotient, hom = quotient_ring(ring, ideal)
-        return _compare(method, quotient.unit_mask(), hom.image(ring.unit_mask()))
-
-    if method is StarMethod.SATURATED_SUM:
-        w = _units_plus_ideal(ring, ideal)
-        return _compare(method, _saturate_mask(ring, w), w)
-
-    if method is StarMethod.SATURATION_EQUALITY:
-        sat = _saturate_mask(ring, _one_plus_ideal(ring, ideal))
-        return _compare(method, sat, _units_plus_ideal(ring, ideal))
-
-    # WITNESS: everything invertible mod I is congruent mod I to a unit
-    every = np.arange(ring.carrier_size)
-    member = ideal.mask
-    one_minus = ring.add_many(ring.one, ring.neg_many(every))
-    units = np.flatnonzero(ring.unit_mask())
-
-    def partner(a, b):  # 1 - a*b in I
-        return member[one_minus[ring.mul_many(a, b)]]
-
-    def bad(reps):
-        # a with a unit partner is congruent to a unit; of the rest, any a
-        # with some partner is invertible mod I and congruent to no unit
-        out = np.zeros(len(reps), dtype=bool)
-        rest = np.flatnonzero(first_hits(ring, reps, units, partner) < 0)
-        out[rest] = first_hits(ring, reps[rest], every, partner) >= 0
-        return out
-
-    # (u*a)(u^-1*b) = a*b and u(U + I) = U + I, so one a per unit orbit decides
-    # the orbit, and the least bad element is the label of its orbit
-    bad_elements = np.flatnonzero(_on_unit_orbits(ring, every, bad))
-    if len(bad_elements) == 0:
-        return StarCheck(method, True, None)
-    return StarCheck(method, False, int(bad_elements[0]))
+        return _direct_check(ring, ideal)
+    return _BATCHED[method](ring, [ideal])[0]
 
 
 def star_report(ring: FiniteRing, ideal: Ideal) -> StarReport:
-    """Run all four methods; any disagreement is a fatal defect."""
-    checks = tuple(star_check(ring, ideal, m) for m in StarMethod)
-    verdicts = {c.holds for c in checks}
-    if len(verdicts) != 1:
-        detail = ", ".join(f"{c.method.value}={c.holds}" for c in checks)
-        raise InternalDefectError(
-            f"star methods disagree on {ring!r} / {ideal!r}: {detail}")
-    return StarReport(ring, ideal, checks)
+    """Run all four methods; any disagreement is a fatal defect.  A batch of
+    one of _star_reports."""
+    reports, defect = _star_reports(ring, [ideal])
+    if defect is not None:
+        raise InternalDefectError(defect)
+    return reports[0]
+
+
+def _star_reports(ring: FiniteRing, ideals: Sequence[Ideal]
+                  ) -> tuple[list[StarReport], str | None]:
+    """star_report on each of the ideals, with each method but DIRECT run
+    once on all of them.
+
+    Returns the reports of the ideals before the first one at which the
+    methods disagree or DIRECT raises InternalDefectError, and that defect's
+    text, or every report and None: what a loop of star_report calls counts
+    before it raises, and the text it raises with.
+    """
+    _check_ideals(ring, ideals)
+    direct, defect = [], None
+    for ideal in ideals:
+        try:
+            direct.append(_direct_check(ring, ideal))
+        except InternalDefectError as exc:
+            defect = str(exc)
+            break
+    ideals = ideals[:len(direct)]
+    if not ideals:
+        return [], defect
+    reports = []
+    columns = [direct] + [batch(ring, ideals) for batch in _BATCHED.values()]
+    for ideal, checks in zip(ideals, zip(*columns)):
+        if len({c.holds for c in checks}) != 1:
+            detail = ", ".join(f"{c.method.value}={c.holds}" for c in checks)
+            return reports, f"star methods disagree on {ring!r} / {ideal!r}: {detail}"
+        reports.append(StarReport(ring, ideal, checks))
+    return reports, defect
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ executes them all.  Seeds influence only the sampled checks (random matrix
 lifts, random saturation subsets), never the exhaustive ones.  Matrix lifts
 are checked as arrays, the sampled ones drawn a batch at a time.  A row that
 a batch helper returns with a None defect is certified and only counted.
+The star methods are decided a whole ring at a time (_star_reports), with
+the checks count and defect text of one ideal at a time, and each ring's
+eight saturation subsets are saturated as one stack of masks, drawn from
+the seeded generator in the same order as one subset at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .rings import (
     enumerate_ideals,
     gf_polynomial_ring,
     ideal_closure,
+    member_mask,
     quotient_ring,
 )
 from .semiunits import (
@@ -52,11 +57,11 @@ from .spectrum import is_connected_mod_rad, jacobson_radical
 from .star import (
     _crt_unit_lifts,
     _fields_adjust_many,
+    _saturate_masks,
+    _star_reports,
     presented_star_check,
     reduce_mod_rad_equiv,
     ring_has_star,
-    saturate,
-    star_report,
 )
 from .specs import PolyQuotSpec, spec_to_string
 
@@ -153,14 +158,14 @@ def criterion_star_agreement(rings, ctx: RunContext) -> CriterionResult:
     for ring in rings:
         name = spec_to_string(ring.spec)
         try:
-            for ideal in _proper_ideals(ring):
-                report = star_report(ring, ideal)
-                checks += 1
-                if not report.holds:
-                    failures.append(
-                        f"{name} mod {list(ideal.generators)}: all methods false")
+            reports, defect = _star_reports(ring, _proper_ideals(ring))
         except InternalDefectError as exc:
-            failures.append(f"{name}: defect: {exc}")
+            reports, defect = [], str(exc)
+        checks += len(reports)
+        failures += [f"{name} mod {list(r.ideal.generators)}: all methods false"
+                     for r in reports if not r.holds]
+        if defect is not None:
+            failures.append(f"{name}: defect: {defect}")
             defects += 1
     return _result("star-methods-agree",
                    "Four lifting checks agree on every proper quotient",
@@ -520,23 +525,29 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
     for ring in rings:
         name = spec_to_string(ring.spec)
         n = ring.carrier_size
-        rad = jacobson_radical(ring).elements
-        subsets = [frozenset(), frozenset((ring.one,)), ring.units(),
-                   frozenset(ring.add(ring.one, i) for i in rad)]
+        rad = np.flatnonzero(jacobson_radical(ring).mask)
+        subsets = [(), (ring.one,), np.flatnonzero(ring.unit_mask()),
+                   ring.add_many(ring.one, rad)]
         for _ in range(4):
             k = rng.randint(0, min(n, 24))
-            subsets.append(frozenset(rng.sample(range(n), k)))
-        for w in subsets:
-            sat = saturate(ring, w)
+            subsets.append(rng.sample(range(n), k))
+        extras = [rng.sample(range(n), rng.randint(0, min(n, 8))) for _ in subsets]
+        # the eight subsets, then each widened by its extra elements, as one
+        # mask array, and the eight saturations saturated again
+        w = np.array([member_mask(ring, s) for s in subsets])
+        wider = w | np.array([member_mask(ring, e) for e in extras])
+        sat, sat_wider = np.split(_saturate_masks(ring, np.concatenate([w, wider])), 2)
+        again = _saturate_masks(ring, sat)
+        for subset, closed, twice, closed_wider in zip(w, sat, again, sat_wider):
             checks += 1
-            if not w <= sat:
+            if (subset & ~closed).any():
                 failures.append(f"{name}: saturation is not extensive")
-            if saturate(ring, sat) != sat:
+            if not np.array_equal(twice, closed):
                 failures.append(f"{name}: saturation is not idempotent")
-            extra = frozenset(rng.sample(range(n), rng.randint(0, min(n, 8))))
-            if not sat <= saturate(ring, w | extra):
+            if (closed & ~closed_wider).any():
                 failures.append(f"{name}: saturation is not monotone")
-        if saturate(ring, [ring.one]) != ring.units():
+        # the second subset is {1}
+        if not np.array_equal(sat[1], ring.unit_mask()):
             failures.append(f"{name}: saturating {{1}} missed the unit group")
     # two-sided variant over 2x2 matrices mod 2
     two = build_ring("Z/2", ctx.guards)

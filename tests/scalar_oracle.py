@@ -226,13 +226,14 @@ def is_von_neumann_regular(ring):
                for a in ring.elements())
 
 
-def ideals(ring):
+def ideals(ring, add_mul=None):
     """Every ideal as (elements, greedy generators), ordered by (size, sorted
     elements): the principal ideals closed under sums breadth-first, on
-    tables filled by the reference arithmetic.  The generators are picked
+    tables filled by the reference arithmetic, or on the given (add, mul)
+    tables of a ring it has none for.  The generators are picked
     smallest-first, each the least element outside the span of the earlier
     ones."""
-    add_t, mul_t, _ = (t.tolist() for t in tables(ring))
+    add_t, mul_t = (np.asarray(t).tolist() for t in add_mul or tables(ring)[:2])
     elems = ring.elements()
 
     def span_sum(a, b):

@@ -11,13 +11,21 @@ decides one element at a time:
   - on one ring above the table guard per helper;
   - and a corrupted row of a batch must surface as the defect text that
     the per-element code gave for it, with the checks counted up to it.
-"""
+
+star-methods-agree and saturation-closure-laws decide a whole ring at a
+time too: _star_reports runs each star method but DIRECT once over all the
+proper ideals, and _saturate_masks saturates a stack of subsets.  Their
+rows are compared with star_check on one ideal and saturate on one subset,
+and an ideal whose methods disagree, or whose DIRECT check raises, ends its
+ring with the text and the checks count of the loop of star_report calls."""
+
+import random
 
 import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from unitlift import spectrum
+from unitlift import spectrum, star
 from unitlift.config import Guards
 from unitlift.errors import InternalDefectError
 from unitlift.rings import _as_set, build_ring, enumerate_ideals, ideal_closure, quotient_ring
@@ -29,13 +37,24 @@ from unitlift.semiunits import (
 )
 from unitlift.specs import spec_to_string
 from unitlift.spectrum import jacobson_radical, maximal_ideals
-from unitlift.star import _crt_unit_lifts, _fields_adjust_many
+from unitlift.star import (
+    StarMethod,
+    _crt_unit_lifts,
+    _fields_adjust_many,
+    _saturate_masks,
+    _star_reports,
+    saturate,
+    star_check,
+    star_report,
+)
 from unitlift.verify import (
     RunContext,
     _adjustment_pairs,
     _is_product_of_small_fields,
     corpus_rings,
+    corpus_specs,
     criterion_decomposition,
+    criterion_star_agreement,
     criterion_unit_lifting,
 )
 
@@ -143,6 +162,55 @@ def test_field_adjustments_match_oracle(spec):
         assert got == want
 
 
+# every third corpus ring, few-unit products of copies of Z/2, whose unit
+# orbits are single elements, and a ring above the table guard
+STAR_SPECS = corpus_specs()[::3] + [
+    "prod(" + ",".join(["Z/2"] * k) + ")" for k in (2, 4, 6)] + ["prod(Z/33,Z/35)"]
+
+
+@pytest.mark.parametrize("spec", STAR_SPECS)
+def test_star_reports_match_star_checks(spec):
+    for guards in GUARDS:
+        ring = build_ring(spec, guards)
+        ideals = _proper(ring)
+        reports, defect = _star_reports(ring, ideals)
+        assert defect is None
+        assert [r.ideal for r in reports] == ideals
+        assert [r.checks for r in reports] == [
+            tuple(star_check(ring, ideal, m) for m in StarMethod) for ideal in ideals]
+
+
+def _subset_rows(ring, count, seed):
+    """The empty set, the whole carrier, the units and count random subsets
+    of random sizes, as the rows of one mask array."""
+    n = ring.carrier_size
+    rng = random.Random(seed)
+    rows = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), ring.unit_mask()]
+    for _ in range(count):
+        row = np.zeros(n, dtype=bool)
+        row[rng.sample(range(n), rng.randint(1, min(n, 24)))] = True
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "prod(Z/8,Z/9,Z/5)", "GF(3)[x]/(x^3+2*x+1)",
+                                  "prod(" + ",".join(["Z/2"] * 10) + ")"])
+def test_saturate_masks_match_saturate(spec, monkeypatch):
+    for guards in GUARDS:
+        ring = build_ring(spec, guards)
+        masks = _subset_rows(ring, 20, spec)
+        want = [saturate(ring, np.flatnonzero(row)) for row in masks]
+        assert [_as_set(row) for row in _saturate_masks(ring, masks)] == want
+        # (Z/2)^10 has 1024 principal ideals of 128 packed bytes each, so one
+        # block holds the pairs of eight subsets; a tiny budget splits every
+        # ring's table rows across blocks too
+        for words in (star.BLOCK_WORDS, 16):
+            with monkeypatch.context() as patch:
+                patch.setattr(star, "BLOCK_WORDS", words)
+                got = _saturate_masks(ring, masks)
+            assert [_as_set(row) for row in got] == want
+
+
 # ---------------------------------------------------------------------------
 # corrupted rows
 
@@ -190,3 +258,51 @@ def test_a_corrupted_crt_row_is_the_congruence_defect(monkeypatch):
     assert result.failures == ["Z/12: defect: crt solution fails a congruence"]
     assert result.defects == 1
     assert result.checks == 1
+
+
+def _star_report_loop(ring):
+    """The checks that a loop of star_report calls over the proper ideals
+    counts before one raises, and the text it raises with, or None."""
+    checks = 0
+    try:
+        for ideal in _proper(ring):
+            star_report(ring, ideal)
+            checks += 1
+    except InternalDefectError as exc:
+        return checks, str(exc)
+    return checks, None
+
+
+def _assert_star_defect(ring, checks, text):
+    assert _star_report_loop(ring) == (checks, text)
+    result = criterion_star_agreement([ring], RunContext())
+    assert result.checks == checks
+    assert result.failures == [f"{spec_to_string(ring.spec)}: defect: {text}"]
+    assert result.defects == 1
+
+
+def test_a_disagreeing_ideal_ends_its_ring(monkeypatch):
+    # Z/12 mod (4), its third proper ideal, is Z/4; its quotient claims 2
+    # as a unit, so DIRECT alone fails there
+    ring = build_ring("Z/12")
+    ideal = _proper(ring)[2]
+    quotient, _ = quotient_ring(ring, ideal)
+    assert quotient.carrier_size == 4
+    flipped = quotient.unit_mask().copy()
+    flipped[2] = True
+    monkeypatch.setattr(quotient, "_unit_mask", flipped)
+    _assert_star_defect(ring, 2, (
+        f"star methods disagree on {ring!r} / {ideal!r}: "
+        "direct=False, saturatedSum=True, satEquality=True, witness=True"))
+
+
+def test_a_direct_defect_ends_its_ring(monkeypatch):
+    ring = build_ring("prod(Z/4,Z/3)")
+    quotient, _ = quotient_ring(ring, _proper(ring)[3])
+
+    def broken():
+        raise InternalDefectError("the quotient lost its units")
+
+    monkeypatch.setattr(quotient, "_unit_mask", None)
+    monkeypatch.setattr(quotient, "_find_units", broken)
+    _assert_star_defect(ring, 3, "the quotient lost its units")

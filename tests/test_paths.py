@@ -19,12 +19,16 @@ Oracles:
     element, kept here as oracles; so do the partner scans of WITNESS,
     whose answers vary from orbit to orbit, spread back over the carrier and
     over sampled elements; and on Z/n reporting only 1 and -1 as units,
-    where WITNESS has a witness, it finds the plain-Python oracle's
+    where WITNESS has a witness, it finds the plain-Python oracle's, on
+    one ideal at a time and on every proper ideal in one pass
   - the constructed semi-inverse r^(m-1) is one of the plain-Python
     oracle's semi-inverses of r
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
-    of at most 32 elements and on products of several local factors
+    of at most 32 elements, on products of several local factors, and on
+    GF(2)[x,y]/(x,y)^2, whose incomparable principal ideals are the one
+    place the search still sums two ideals: on a chain ring such as Z/1024
+    it sums none
 """
 
 import json
@@ -36,6 +40,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from unitlift import rings
 from unitlift.config import Guards
 from unitlift.rings import (
     FiniteRing,
@@ -72,8 +77,10 @@ from unitlift.spectrum import (
 )
 from unitlift.star import (
     StarMethod,
-    _one_plus_ideal,
-    _units_plus_ideal,
+    _one_plus_ideals,
+    _saturate_masks,
+    _units_plus_ideals,
+    _witness_checks,
     saturate,
     star_check,
 )
@@ -181,7 +188,7 @@ def test_scans_match_oracle(spec, table_limit):
         quotient, hom = quotient_ring(ring, ideal)
         assert ((quotient.reps.tolist(), hom.mapping.tolist())
                 == oracle.quotient_reps(ring, ideal.elements))
-        sat_input = _as_set(_units_plus_ideal(ring, ideal))
+        sat_input = _as_set(_units_plus_ideals(ring, ideal.mask[None])[0])
         assert sat_input == oracle.sumset(ring, units, ideal.elements)
         assert saturate(ring, sat_input) == oracle.saturate(ring, sat_input)
         check = star_check(ring, ideal, StarMethod.WITNESS)
@@ -210,8 +217,8 @@ def test_saturate_from_principal_table_matches_scan(spec):
     subsets = [{ring.one}, jacobson_radical(ring).elements]
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
     for ideal in _sample(ideals, 4, spec):
-        subsets += [_as_set(_units_plus_ideal(ring, ideal)),
-                    _as_set(_one_plus_ideal(ring, ideal))]
+        subsets += [_as_set(_units_plus_ideals(ring, ideal.mask[None])[0]),
+                    _as_set(_one_plus_ideals(ring, ideal.mask[None])[0])]
     rng = random.Random(spec)
     for _ in range(4):
         subsets.append(set(rng.sample(range(n), rng.randint(1, min(n, 24)))))
@@ -266,7 +273,8 @@ def test_saturate_by_orbits_matches_definition(spec, generator):
     ideal = ideal_closure(ring, [ring.parse_element(generator)])
     assert ideal.is_proper()
     subsets = [frozenset({ring.one}), jacobson_radical(ring).elements,
-               _as_set(_units_plus_ideal(ring, ideal)), _as_set(_one_plus_ideal(ring, ideal))]
+               _as_set(_units_plus_ideals(ring, ideal.mask[None])[0]),
+               _as_set(_one_plus_ideals(ring, ideal.mask[None])[0])]
     sats = [saturate(ring, w) for w in subsets]
     reps = np.flatnonzero(_unit_orbits(ring) == np.arange(n)).tolist()
     for r in sorted(set(reps) | set(random.Random(spec).sample(range(n), 64))):
@@ -411,6 +419,20 @@ def test_witness_is_the_least_bad_element_of_the_full_scan(n, generator, table_l
     assert (direct.holds, direct.witness) == (False, missed[0])
 
 
+@pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
+@pytest.mark.parametrize("n", [35, 144])
+def test_witness_batch_matches_the_oracle_on_every_ideal(n, table_limit):
+    # one first_hits pass over every proper ideal, failing ones among them,
+    # gives each ideal the witness that a pass over it alone gives
+    ring = _SignsAsUnits(ModularSpec(n), Guards(table_limit=table_limit))
+    ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
+    checks = _witness_checks(ring, ideals)
+    assert checks == [star_check(ring, i, StarMethod.WITNESS) for i in ideals]
+    assert [c.witness for c in checks] == [
+        oracle.witness(ring, i.elements, ring.units()) for i in ideals]
+    assert sum(not c.holds for c in checks) >= 2
+
+
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
                                   "GF(3)[x]/(x^2)"])
 def test_von_neumann_regularity_fails_with_a_radical(spec):
@@ -452,6 +474,87 @@ def test_ideal_lattice_matches_oracle(spec):
         assert [(i.elements, i.generators) for i in enumerate_ideals(ring)] == expected
 
 
+class _SquareZeroXY(FiniteRing):
+    """GF(2)[x,y]/(x,y)^2 on the 3-bit encoding a + 2b + 4c of a + b*x + c*y.
+
+    Local, with maximal ideal (x, y) = {0, x, y, x+y} and units a = 1, and
+    its principal ideals (x), (y) and (x+y) are pairwise incomparable, so
+    its ideal lattice needs sums of incomparable ideals, which no chain
+    ring, and so no ring a spec builds, does."""
+
+    def __init__(self, guards):
+        super().__init__(None, 8, 0, 1, guards)
+
+    def _add_arrays(self, a, b):
+        return a ^ b
+
+    def _mul_arrays(self, a, b):
+        # constant a0*b0; x and y coefficients a0*(b1, b2) + b0*(a1, a2)
+        a0, b0 = a & 1, b & 1
+        return (a0 & b0) | ((a0 * b ^ b0 * a) & 6)
+
+    def _neg_arrays(self, a):
+        return a
+
+    def _find_units(self):
+        return np.arange(8) & 1 == 1
+
+    def __repr__(self):
+        return "<FiniteRing GF(2)[x,y]/(x,y)^2>"
+
+
+def _square_zero_xy_tables():
+    """The add and mul tables of GF(2)[x,y]/(x,y)^2 from its definition, on
+    coefficient triples (1, x, y) mod 2 with x^2 = xy = y^2 = 0."""
+    def triple(a):
+        return a & 1, a >> 1 & 1, a >> 2 & 1
+
+    def index(c):
+        return c[0] % 2 + 2 * (c[1] % 2) + 4 * (c[2] % 2)
+
+    def add(a, b):
+        return index([p + q for p, q in zip(triple(a), triple(b))])
+
+    def mul(a, b):
+        (a0, a1, a2), (b0, b1, b2) = triple(a), triple(b)
+        return index([a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0])
+
+    return ([[add(a, b) for b in range(8)] for a in range(8)],
+            [[mul(a, b) for b in range(8)] for a in range(8)])
+
+
+def _sums_in_factor_lattice(ring, monkeypatch):
+    """How many sumsets _factor_lattice takes on a local ring."""
+    calls = []
+    sum_mask = rings._sum_mask
+
+    def counted(*args):
+        calls.append(1)
+        return sum_mask(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rings, "_sum_mask", counted)
+        rings._factor_lattice(ring, np.arange(ring.carrier_size))
+    return len(calls)
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_lattice_sums_incomparable_principal_ideals(table_limit, monkeypatch):
+    ring = _SquareZeroXY(Guards(table_limit=table_limit))
+    expected = oracle.ideals(ring, _square_zero_xy_tables())
+    assert [len(elements) for elements, _ in expected] == [1, 2, 2, 2, 4, 8]
+    assert [(i.elements, i.generators) for i in enumerate_ideals(ring)] == expected
+    assert _sums_in_factor_lattice(ring, monkeypatch) > 0
+
+
+def test_chain_ring_lattice_takes_no_sums(monkeypatch):
+    # the ideals of Z/1024 are the chain (2^k): every principal ideal
+    # contains the current ideal or lies inside it
+    ring = build_ring("Z/1024")
+    assert _sums_in_factor_lattice(ring, monkeypatch) == 0
+    assert len(enumerate_ideals(ring)) == 11
+
+
 @pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()]
                          + ["Z/4096", "GF(2)[x]/(x^11)",
                             # a nilpotent of index floor(log2 n): no squaring to spare
@@ -474,7 +577,7 @@ def test_quadratic_scans_stay_within_memory_budget():
                              "(" + ",".join(["1"] + ["0"] * 10) + ")")):
         ring = build_ring(spec)
         ideal = ideal_closure(ring, [ring.parse_element(generator)])
-        w = _as_set(_units_plus_ideal(ring, ideal))
+        w = _as_set(_units_plus_ideals(ring, ideal.mask[None])[0])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -497,16 +600,20 @@ def test_quadratic_scans_stay_within_memory_budget():
     assert peak < 16 * 2**20
     # with that table built, saturation ANDs a block of its rows at a time,
     # so it stays near one 1 MiB block, where ANDing all rows at once would
-    # take another 2 MiB
+    # take another 2 MiB; and a stack of 16 subsets counts all of its rows
+    # in that block, where one block of rows per subset would take 16 MiB
     _principal_classes(ring)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        saturate(ring, {ring.one})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    stacked = np.zeros((16, ring.carrier_size), dtype=bool)
+    stacked[np.arange(16), np.arange(16)] = True
+    for call in (lambda: saturate(ring, {ring.one}), lambda: _saturate_masks(ring, stacked)):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
     # Z/n's add table is a view of 2n residues, so the tables of Z/1024 take
     # about the 4 MiB of the int32 mul table; an n x n add table takes 4 more
     ring = build_ring("Z/1024")

@@ -18,6 +18,11 @@ maximal ideal of its factor fails the checks on the split.  A quotient R/I
 reads its units from the split and nilpotents of R, so its cross-check
 still compares the nilpotents of R, carried through the quotient map,
 with the squaring scan of R/I itself.
+
+Congruences are solved on the same split, with no scan of the carrier:
+ideals are comaximal when no atom lies outside both, and a solution is
+built atom by atom, so the least one is the least of its coset modulo the
+intersection of the ideals.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .rings import (
     _as_set,
     _idempotent_mask,
     check_element,
-    first_hits,
     ideal_from_mask,
     local_factors,
     quotient_ring,
@@ -149,31 +153,25 @@ class CongruenceSystem:
         return CongruenceSystem(tuple((i, t) for i, t in pairs))
 
 
-def _comaximal_pair(ring: FiniteRing, a, b) -> bool:
-    # cached per ring: unit lifting re-solves systems over the same ideals
-    key = ("comaximal", a.key, b.key)
-    cached = ring._cache.get(key)
-    if cached is not None:
-        return cached
-    # a + b contains 1 exactly when 1 - x lies in b for some x in a
-    one_minus = ring.add_many(ring.one, ring.neg_many(np.flatnonzero(a.mask)))
-    ok = bool(b.mask[one_minus].any())
-    ring._cache[key] = ok
-    ring._cache[("comaximal", b.key, a.key)] = ok
-    return ok
-
-
-def _check_comaximal(ring: FiniteRing, ideals):
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            if not _comaximal_pair(ring, ideals[i], ideals[j]):
-                raise ValueError(
-                    f"ideals {i} and {j} are not comaximal; no solution is promised")
+def _check_comaximal(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
+    """Per atom e_j of local_factors, the one ideal of the (m, n) masks that
+    e_j lies outside, or -1; ValueError names the first pair i < j of the
+    ideals that are not comaximal.  I is the sum of the e_jI, each e_jR when
+    e_j is in I and otherwise in the maximal ideal of the local ring e_jR,
+    so I + J = R exactly when no atom lies outside both."""
+    outside = ~masks[:, list(local_factors(ring)[0])]
+    clash = np.argwhere(np.triu((outside[:, None] & outside[None]).any(axis=2), 1))
+    if len(clash):
+        i, j = clash[0].tolist()
+        raise ValueError(
+            f"ideals {i} and {j} are not comaximal; no solution is promised")
+    # an atom lies outside at most one ideal now: sum i + 1 over them, less 1
+    return np.arange(1, len(outside) + 1) @ outside - 1
 
 
 def crt_solve(ring: FiniteRing, system: CongruenceSystem | list) -> int:
-    """Smallest element satisfying every congruence, by one scan of the
-    carrier; the solution is checked against every congruence."""
+    """Smallest element satisfying every congruence, the least of the coset
+    of solutions built on the local split; checked against every congruence."""
     if not isinstance(system, CongruenceSystem):
         system = CongruenceSystem.of(system)
     for ideal, t in system.constraints:
@@ -188,32 +186,36 @@ def crt_solve(ring: FiniteRing, system: CongruenceSystem | list) -> int:
     return int(solutions[0])
 
 
+def _coset_minima(ring: FiniteRing, x: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The least element of each coset x[i] + J, J given by its members:
+    a row minimum of add_many, blocked so as to stay within BLOCK_WORDS."""
+    out = np.empty(len(x), dtype=np.int64)
+    step = ring.block_rows(len(members))
+    for lo in range(0, len(x), step):
+        out[lo:lo + step] = ring.add_many(x[lo:lo + step, None], members).min(axis=1)
+    return out
+
+
 def _crt_solve_many(ring: FiniteRing, ideals, targets: np.ndarray):
     """crt_solve for k systems over the same ideals: system j asks for
     x = targets[i, j] mod ideals[i], for the (len(ideals), k) array targets.
 
-    Comaximality is checked once.  Each system is one row of the scan
-    (a - t in I for every constraint), and first_hits takes its least
-    solution.  Returns the solutions and, per system, None or what failed:
-    no solution (the solution is then zero), or a solution that fails a
-    congruence when checked again.
+    Comaximality is checked once.  x = the sum of e_j*t over the atoms e_j,
+    t the target of the ideal e_j lies outside, solves every congruence:
+    x - t_i is a sum of zeros and multiples of atoms in ideals[i].  So the
+    solutions are the coset x + J, J the intersection of the ideals, and
+    _coset_minima takes its least element.  Returns the solutions and, per
+    system, None or the defect of a congruence the solution fails.
     """
-    _check_comaximal(ring, ideals)
-    neg = ring.neg_many(targets)
-
-    def ok(j, a):
-        hit = np.ones(np.broadcast_shapes(j.shape, a.shape), dtype=bool)
-        for ideal, t in zip(ideals, neg):
-            hit &= ideal.mask[ring.add_many(a, t[j])]
-        return hit
-
-    found = first_hits(ring, np.arange(targets.shape[1]),
-                       np.arange(ring.carrier_size), ok)
-    solutions = np.where(found >= 0, found, ring.zero)
-    holds = np.ones(len(solutions), dtype=bool)
-    for ideal, t in zip(ideals, neg):
-        holds &= ideal.mask[ring.add_many(solutions, t)]
-    return solutions, ["no solution despite comaximal ideals" if f < 0
-                       else "crt solution fails a congruence" if not h
-                       else None
-                       for f, h in zip(found.tolist(), holds.tolist())]
+    masks = np.array([i.mask for i in ideals], dtype=bool)
+    masks = masks.reshape(len(ideals), ring.carrier_size)
+    owner = _check_comaximal(ring, masks)
+    x = np.full(targets.shape[1], ring.zero, dtype=np.int64)
+    for proj, i in zip(local_factors(ring)[1], owner.tolist()):
+        if i >= 0:
+            x = ring.add_many(x, proj[targets[i]])
+    solutions = _coset_minima(ring, x, np.flatnonzero(masks.all(axis=0)))
+    rows = np.arange(len(ideals))[:, None]
+    holds = masks[rows, ring.add_many(solutions, ring.neg_many(targets))].all(axis=0)
+    return solutions, [None if h else "crt solution fails a congruence"
+                       for h in holds.tolist()]

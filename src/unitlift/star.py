@@ -22,13 +22,13 @@ the packed rows against the table of principal ideals, and WITNESS is one
 first_hits pass over the pairs (ideal, unit-orbit representative).
 
 Lifting is constructive: the exceptional maximal ideals (those not
-containing I) are finitely many, and a CRT adjustment a with a = 0 mod I and
-a = 1 - r mod each exceptional ideal turns any preimage r of a unit into a
-unit preimage r + a.  For products of fields there is an even more direct
-adjustment using the indicator of the vanishing coordinates.  Both run on
-batches: the lifts of all units of R/I share one comaximality check and one
-blocked CRT scan with a row per unit, and the adjustments of many pairs are
-a few array operations, with every certificate checked on the whole batch.
+containing I) are those whose atom lies in I, and a CRT adjustment a with
+a = 0 mod I and a = 1 - r mod each exceptional ideal turns any preimage r of
+a unit into a unit preimage r + a.  For products of fields there is an even
+more direct adjustment using the indicator of the vanishing coordinates.
+Both run on batches: the lifts of all units of R/I are one CRT batch, solved
+on the local split, and the adjustments of many pairs are a few array
+operations, with every certificate checked on the whole batch.
 crt_unit_lift and product_fields_adjust are batches of one.
 """
 
@@ -68,12 +68,7 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
     A closure operation (taking s = 1 gives extensivity; monotonicity and
     idempotence follow); the saturation of {1} is exactly the unit group.
     """
-    return _as_set(_saturate_mask(ring, member_mask(ring, subset)))
-
-
-def _saturate_mask(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
-    """saturate on one mask: _saturate_masks on a batch of one."""
-    return _saturate_masks(ring, mask[None])[0]
+    return _as_set(_saturate_masks(ring, member_mask(ring, subset)[None])[0])
 
 
 def _saturate_masks(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
@@ -309,9 +304,10 @@ def ring_has_star(ring: FiniteRing) -> RingStarReport:
 def crt_unit_lift(ring: FiniteRing, ideal: Ideal, v: int) -> int:
     """A unit of R mapping onto the unit v of R/I.
 
-    Exceptional maximal ideals are those not containing I.  Solving
-    a = 0 mod I and a = 1 - r mod each exceptional ideal (always a
-    comaximal system) makes r + a a unit with the same image as r.
+    Exceptional maximal ideals are those not containing I: those of the
+    factors e_jR whose atom e_j lies in I.  Solving a = 0 mod I and
+    a = 1 - r mod each exceptional ideal (always a comaximal system) makes
+    r + a a unit with the same image as r.
     """
     quotient, _ = quotient_ring(ring, ideal)
     v = check_element(quotient, v)
@@ -331,8 +327,9 @@ def _crt_unit_lifts(ring: FiniteRing, ideal: Ideal, units: np.ndarray):
     the CRT certificates, then the lift being a unit, then its image."""
     _, hom = quotient_ring(ring, ideal)
     r = hom.fibres()[units, 0]
-    exceptional = [m for m in maximal_ideals(ring).ideals
-                   if (ideal.mask & ~m.mask).any()]
+    maximal = maximal_ideals(ring)
+    exceptional = [m for m, e in zip(maximal.ideals, maximal.primitive_idempotents)
+                   if ideal.mask[e]]
     target = ring.add_many(ring.one, ring.neg_many(r))
     targets = np.stack([np.full_like(r, ring.zero)] + [target] * len(exceptional))
     a, defects = _crt_solve_many(ring, [ideal] + exceptional, targets)

@@ -243,16 +243,15 @@ def test_a_corrupted_inverse_row_is_the_certificate_defect(monkeypatch):
 def test_a_corrupted_crt_row_is_the_congruence_defect(monkeypatch):
     # the second unit of Z/12 mod (0) gets the solution 0 + 1, outside the
     # zero ideal: the first lift counts, the second ends the ring
-    first_hits = spectrum.first_hits
+    coset_minima = spectrum._coset_minima
 
-    def corrupted(ring, rows, cols, hit, **kw):
-        found = first_hits(ring, rows, cols, hit, **kw)
+    def corrupted(ring, x, members):
+        found = coset_minima(ring, x, members)
         if len(found) > 1:
-            found = found.copy()
             found[1] += 1
         return found
 
-    monkeypatch.setattr(spectrum, "first_hits", corrupted)
+    monkeypatch.setattr(spectrum, "_coset_minima", corrupted)
     ring = build_ring("Z/12")
     result = criterion_unit_lifting([ring], RunContext())
     assert result.failures == ["Z/12: defect: crt solution fails a congruence"]

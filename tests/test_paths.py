@@ -23,6 +23,9 @@ Oracles:
     one ideal at a time and on every proper ideal in one pass
   - the constructed semi-inverse r^(m-1) is one of the plain-Python
     oracle's semi-inverses of r
+  - comaximality, read from the atoms of the split into local factors,
+    agrees with a plain-Python pair scan on every pair of ideals of every
+    corpus ring of at most 32 elements, tabulated and untabulated
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements, on products of several local factors, and on
@@ -69,7 +72,7 @@ from unitlift.semiunits import (
 )
 from unitlift.specs import ModularSpec, spec_to_string
 from unitlift.spectrum import (
-    _comaximal_pair,
+    _check_comaximal,
     idempotents,
     jacobson_radical,
     nilpotent_elements,
@@ -452,12 +455,22 @@ def test_von_neumann_regularity_matches_oracle_on_several_factors(spec):
 @pytest.mark.parametrize("spec", [spec_to_string(r.spec)
                                   for r in corpus_rings(max_carrier=32)])
 def test_comaximal_pairs_match_pair_scan(spec):
-    ring = build_ring(spec)
-    ideals = enumerate_ideals(ring)
-    for a in ideals:
-        for b in ideals:
-            assert _comaximal_pair(ring, a, b) == oracle.comaximal(
-                ring, a.elements, b.elements)
+    # the verdict read from the atoms of the split, against a pair scan
+    def comaximal(ring, a, b):
+        try:
+            _check_comaximal(ring, np.array([a.mask, b.mask]))
+        except ValueError:
+            return False
+        return True
+
+    want = None
+    for guards in (Guards(table_limit=1), Guards()):
+        ring = build_ring(spec, guards)
+        ideals = enumerate_ideals(ring)
+        if want is None:
+            want = [oracle.comaximal(ring, a.elements, b.elements)
+                    for a in ideals for b in ideals]
+        assert [comaximal(ring, a, b) for a in ideals for b in ideals] == want
 
 
 # products of several local factors, so the lattice is combined from theirs

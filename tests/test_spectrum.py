@@ -13,6 +13,7 @@ from unitlift import cli, spectrum
 from unitlift.config import Guards
 from unitlift.errors import InternalDefectError
 from unitlift.rings import build_ring, enumerate_ideals, ideal_closure, local_factors
+from unitlift.specs import spec_to_string
 from unitlift.spectrum import (
     CongruenceSystem,
     crt_solve,
@@ -23,6 +24,7 @@ from unitlift.spectrum import (
     nilpotent_elements,
     radical_quotient,
 )
+from unitlift.verify import corpus_rings
 
 SMALL_SPECS = [f"Z/{n}" for n in range(2, 25)] + [
     "GF(2)[x]/(x^2)",
@@ -202,15 +204,66 @@ def test_crt_frozen_examples():
 
 
 @pytest.mark.parametrize("spec", ["Z/6", "Z/12", "Z/30", "Z/36",
-                                  "prod(Z/4,GF(3)[x]/(x^2+2),Z/5)", "GF(2)[x]/(x^4+x)"])
+                                  "prod(Z/4,GF(3)[x]/(x^2+2),Z/5)", "GF(2)[x]/(x^4+x)",
+                                  # above the table guard
+                                  "prod(Z/33,Z/35)"])
 def test_crt_matches_oracle(spec):
-    ring = build_ring(spec)
-    maximals = maximal_ideals(ring).ideals
-    assert len(maximals) >= 2
-    system = CongruenceSystem.of([(m, (7 * i + 1) % ring.carrier_size)
-                                  for i, m in enumerate(maximals)])
-    expected = oracle.crt(ring, [(m.elements, t) for m, t in system.constraints])
-    assert crt_solve(ring, system) == expected
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = build_ring(spec, guards)
+        maximals = maximal_ideals(ring).ideals
+        assert len(maximals) >= 2
+        system = CongruenceSystem.of([(m, (7 * i + 1) % ring.carrier_size)
+                                      for i, m in enumerate(maximals)])
+        expected = oracle.crt(ring, [(m.elements, t) for m, t in system.constraints])
+        assert crt_solve(ring, system) == expected
+
+
+def _comaximal_systems(ring):
+    """Per comaximal pair of ideals that are not maximal, by a plain scan,
+    the pair and each later such ideal comaximal with all before it."""
+    maximal = {m.key for m in maximal_ideals(ring).ideals}
+    ideals = [i for i in enumerate_ideals(ring) if i.key not in maximal]
+
+    def comaximal(a, b):  # 1 - x lies in b for some x in a
+        return any(oracle.sub(ring, ring.one, x) in b.elements for x in a.elements)
+
+    for k, first in enumerate(ideals):
+        for m, second in enumerate(ideals[k + 1:], k + 1):
+            if not comaximal(first, second):
+                continue
+            system = [first, second]
+            for other in ideals[m + 1:]:
+                if all(comaximal(other, chosen) for chosen in system):
+                    system.append(other)
+            yield [(ideal, (5 * i + 3) % ring.carrier_size)
+                   for i, ideal in enumerate(system)]
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec", [spec_to_string(r.spec)
+                                  for r in corpus_rings(max_carrier=64)])
+def test_crt_on_comaximal_lattice_ideals_matches_oracle(spec, table_limit):
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    for system in _comaximal_systems(ring):
+        expected = oracle.crt(ring, [(i.elements, t) for i, t in system])
+        assert crt_solve(ring, system) == expected
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_crt_edge_systems(table_limit):
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
+    three, four, six, whole = (ideal_closure(ring, [g]) for g in (3, 4, 6, 1))
+    assert crt_solve(ring, []) == 0
+    # one constraint: the least element of 7 + (4) = {3, 7, 11}
+    assert crt_solve(ring, [(four, 7)]) == 3
+    # the whole ring constrains nothing
+    assert crt_solve(ring, [(four, 7), (whole, 5)]) == 3
+    assert crt_solve(ring, [(whole, 5), (four, 7)]) == 3
+    assert crt_solve(ring, [(whole, 5)]) == 0
+    # (3) + (4) is the whole ring, but (3) + (6) and (4) + (6) are not: the
+    # first clash, in pair order, is named
+    with pytest.raises(ValueError, match="ideals 0 and 2 are not comaximal"):
+        crt_solve(ring, [(three, 0), (four, 1), (six, 2)])
 
 
 def test_crt_accepts_plain_pair_list():

@@ -27,14 +27,13 @@ frozenset view, built once), and so are the principal ideals, so sums,
 closures and generators are mask operations.  Each ring labels its unit
 orbits once: x*U is labelled with its least element, a block of whole orbits
 at a time, and the labels are certified by recomputing each representative's
-orbit and cached.  Since (u*x)R = xR for a unit u, every ring, within the
-table guard or above it, caches one table of its distinct principal ideals:
-the packed bits of rR for one representative r per orbit, computed on the
-array operations and certified against its units, so saturation answers
-once per distinct ideal.  A check of a property that units preserve, such as
-the witness scan and the semi-inverse certificate, runs on one representative
-per orbit and spreads its answers by the labels, and so does the lattice of
-each factor eR, as x*U = x*(eU) for x in eR.  The units of Z/n come from
+orbit and cached.  As (u*x)R = xR for a unit u, every ring caches, for each
+local factor eR, one row of eR per orbit in it, its distinct principal
+ideals, and their containment order: the ideal lattice searches from them
+and saturation closes over them.  A check of a property that units
+preserve, such as the witness scan and the semi-inverse certificate, runs
+on one representative per orbit and spreads its answers by the labels.
+The units of Z/n come from
 gcds and those of a product from its factors'.  R/I reads its units from
 the local split and the nilradical N of R (_coset_units): x + I is a unit
 exactly when e_j*x is not nilpotent for every atom e_j outside I, with both
@@ -746,48 +745,6 @@ def principal(ring: FiniteRing, x: int) -> np.ndarray:
     return ring._cache[key]
 
 
-def _row_masks(values: np.ndarray, n: int) -> np.ndarray:
-    """The (k, n) boolean array whose row i marks the entries of values[i]."""
-    hit = np.zeros((len(values), n), dtype=bool)
-    # one flat scatter, each row offset by its start, takes about half the
-    # time of a scatter over two axes
-    hit.ravel()[(values + np.arange(0, hit.size, n)[:, None]).ravel()] = True
-    return hit
-
-
-def _principal_classes(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct principal ideals of the ring, as (table, class_of): row
-    i of the read-only uint8 table holds the packed bits (np.packbits) of
-    r*R for the i-th unit-orbit representative r, and class_of[x] is the
-    row of x*R; cached per ring.
-
-    (u*r)R = rR for a unit u, and xR = yR only when y = u*x, so the rows
-    are the distinct principal ideals, one per orbit.  Row r of the products
-    r*s is r*R, computed a block of representatives at a time.  Certified
-    once, when built: the rows holding one are exactly the units.
-    """
-    if "principal_classes" in ring._cache:
-        return ring._cache["principal_classes"]
-    n = ring.carrier_size
-    every = np.arange(n)
-    label = _unit_orbits(ring)
-    reps = np.flatnonzero(label == every)
-    table = np.empty((len(reps), (n + 7) // 8), dtype=np.uint8)
-    step = ring.block_rows(n)
-    for lo in range(0, len(reps), step):
-        rows = _row_masks(ring.mul_many(reps[lo:lo + step, None], every), n)
-        table[lo:lo + step] = np.packbits(rows, axis=1)
-    class_of = np.searchsorted(reps, label)
-    # packbits puts element x at bit 7 - x % 8 of byte x // 8
-    holds_one = (table[:, ring.one // 8] >> (7 - ring.one % 8)) & 1 == 1
-    if not np.array_equal(holds_one[class_of], ring.unit_mask()):
-        raise InternalDefectError("the principal ideals holding one are not the units")
-    table.setflags(write=False)
-    class_of.setflags(write=False)
-    ring._cache["principal_classes"] = table, class_of
-    return table, class_of
-
-
 def _least_of_orbits(ring: FiniteRing, orbit_of, width: int) -> np.ndarray:
     """label[x] is the least element of the orbit of x in the carrier.
     orbit_of(xs) maps a (k, 1) index array to the (k, width) array of the
@@ -818,9 +775,9 @@ def _least_of_orbits(ring: FiniteRing, orbit_of, width: int) -> np.ndarray:
 
 def _unit_orbits(ring: FiniteRing) -> np.ndarray:
     """Read-only labels of the unit orbits in the carrier: label[x] is the
-    least element of x*U.  Built once per ring and cached, for the table of
-    principal ideals, the ideal lattice of each factor, the WITNESS check
-    and the semi-inverse scan.
+    least element of x*U.  Built once per ring and cached, for the
+    principal ideals of each local factor, the WITNESS check and the
+    semi-inverse scan.
 
     Labelled as quotient_ring labels cosets.  Certified when built: each
     representative's orbit, recomputed, holds only its own label and has it
@@ -1008,28 +965,67 @@ def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.n
     return unit
 
 
-def _factor_lattice(ring: FiniteRing, members: np.ndarray) -> np.ndarray:
-    """Membership masks of the ideals of R inside the factor eR, for a
-    primitive idempotent e, whose sorted elements are members.
+def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """One read-only (members, rows, order) triple per local factor e_jR,
+    cached per ring: the sorted elements of e_jR, row i marking r_i*R among
+    them for the i-th unit-orbit representative r_i in e_jR, and order[s, t]
+    saying r_s*R lies in r_t*R, that is, r_s lies in r_t*R.  x*R is x times
+    e_jR and x*U = x*(e_jU) for x in e_jR, so the rows take orbits times
+    |e_jR| products, a block of representatives at a time."""
+    if "factor_principals" not in ring._cache:
+        label = _unit_orbits(ring)
+        position = np.empty(ring.carrier_size, dtype=np.int64)  # within the factor
+        factors = []
+        for proj in local_factors(ring)[1]:
+            members = np.flatnonzero(np.bincount(proj, minlength=ring.carrier_size))
+            reps = members[label[members] == members]
+            position[members] = np.arange(len(members))
+            rows = np.zeros((len(reps), len(members)), dtype=bool)
+            step = ring.block_rows(len(members))
+            for lo in range(0, len(reps), step):
+                products = ring.mul_many(reps[lo:lo + step, None], members)
+                rows[np.arange(lo, lo + len(products))[:, None], position[products]] = True
+            order = rows[:, position[reps]].T
+            for published in (members, rows, order):
+                published.setflags(write=False)
+            factors.append((members, rows, order))
+        ring._cache["factor_principals"] = tuple(factors)
+    return ring._cache["factor_principals"]
+
+
+def _principal_cells(ring: FiniteRing) -> np.ndarray:
+    """Read-only cell[x]: the rows of _factor_principals holding the
+    (e_j*x)R, as one mixed-radix number, factor 0 the most significant
+    digit; cached per ring.  Certified once: the elements whose every row
+    holds its factor's atom e_j, the one of e_jR, are exactly the units."""
+    if "principal_cells" not in ring._cache:
+        label, n = _unit_orbits(ring), ring.carrier_size
+        cell, unit = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+        for e, proj, (members, rows, _) in zip(*local_factors(ring), _factor_principals(ring)):
+            row = np.searchsorted(members[label[members] == members], label[proj])
+            cell = cell * len(rows) + row
+            unit &= rows[row, np.searchsorted(members, e)]
+        if not np.array_equal(unit, ring.unit_mask()):
+            raise InternalDefectError("the principal ideals holding one are not the units")
+        cell.setflags(write=False)
+        ring._cache["principal_cells"] = cell
+    return ring._cache["principal_cells"]
+
+
+def _factor_lattice(ring: FiniteRing, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Membership masks of the ideals of R inside the factor eR, from its
+    members and the rows of its principal ideals (_factor_principals).
 
     Breadth-first augmentation: each known ideal is summed with each
     principal ideal x*R, x in eR, comparable with it in neither direction,
     deduplicating by element set: the sum of nested ideals is the larger
     one, which is already known.  So a chain ring, whose ideals are totally
     ordered, needs no sum at all, and every local factor of a ring a spec
-    builds is one, a quotient of Z/p^k or of GF(p)[x]/(g^k).  Since
-    x = x*e, x*R is x times eR, and (u*x)R = xR for a unit u, so the
-    principal ideals come from one representative of each unit orbit in
-    eR, read from the carrier's labels as x*U = x*(eU) for x in eR: orbits
-    times |eR| products, not |eR|^2.
+    builds is one, a quotient of Z/p^k or of GF(p)[x]/(g^k).
     """
-    n = ring.carrier_size
-    reps = members[_unit_orbits(ring)[members] == members]
+    principals = np.zeros((len(rows), ring.carrier_size), dtype=bool)
+    principals[:, members] = rows
     # ideals are membership masks, keyed by their packed bits
-    principals = []
-    step = ring.block_rows(len(members))
-    for lo in range(0, len(reps), step):
-        principals.extend(_row_masks(ring.mul_many(reps[lo:lo + step, None], members), n))
     known = {np.packbits(p).tobytes(): p for p in principals}
     queue = list(principals)
     while queue:
@@ -1053,7 +1049,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     its ideals are the sums I_1 + ... + I_k of one ideal I_j of each factor
     e_jR, and x lies in such a sum exactly when e_j*x lies in I_j for every
     j.  Each factor's lattice comes from a breadth-first search over its
-    principal ideals, one per unit orbit of the factor; a local ring is its
+    principal ideals, the rows of _factor_principals; a local ring is its
     own single factor.
     """
     if ring.carrier_size > ring.guards.ideal_enum_limit:
@@ -1066,8 +1062,8 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     _, projections = local_factors(ring)
     # row i of lattice is the mask of one sum of factor ideals
     lattice = np.ones((1, n), dtype=bool)
-    for proj in projections:
-        local = _factor_lattice(ring, np.flatnonzero(np.bincount(proj)))[:, proj]
+    for (members, rows, _), proj in zip(_factor_principals(ring), projections):
+        local = _factor_lattice(ring, members, rows)[:, proj]
         lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
     out = [ideal_from_mask(ring, m) for m in lattice]
     # among equal sizes, the packed bits descend as the sorted elements ascend

@@ -7,18 +7,20 @@ element that is invertible mod I is congruent mod I to an actual unit.  All
 four checks are implemented independently, and a disagreement between them
 is treated as a fatal library defect, never reported as an answer.  Each
 builds its sets as masks over the carrier and compares masks.  The two
-saturation checks read the ring's table of principal ideals.  The witness
-check reads no table: multiplying a by a unit changes neither whether a is
-invertible mod I nor whether it is congruent to a unit, so it scans one
-element per certified unit orbit.  The direct check uses neither tables
-nor orbits, and is the cross-check on both.
+saturation checks read the principal ideals of the local factors e_jR, as
+DIRECT reads the units of R/I from the same split (rings._coset_units).
+The split is certified (its atoms sum to one, its factor sizes multiply to
+n), so R = ∏ e_jR exactly and the methods stay independent computations on
+a certified decomposition.  WITNESS reads no table: multiplying a by a unit
+changes neither whether a is invertible mod I nor whether it is congruent
+to a unit, so it scans one element per certified unit orbit.  DIRECT reads
+neither the principal ideals nor the orbits: it cross-checks both.
 
 The checks run a whole ring at a time: _star_reports decides every proper
 ideal of a ring in one call, and star_report and star_check are batches of
 one.  DIRECT still builds one quotient per ideal, since later callers read
-the cached quotients.  The two saturation checks each saturate the rows
-U + I, or 1 + I, of all the ideals in one _saturate_masks call, one AND of
-the packed rows against the table of principal ideals, and WITNESS is one
+the cached quotients.  Each saturation check saturates U + I, or 1 + I,
+for all the ideals in one _saturate_masks call, and WITNESS is one
 first_hits pass over the pairs (ideal, unit-orbit representative).
 
 Lifting is constructive: the exceptional maximal ideals (those not
@@ -35,6 +37,7 @@ crt_unit_lift and product_fields_adjust are batches of one.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,14 +46,14 @@ import numpy as np
 from .config import DEFAULT_GUARDS, Guards
 from .errors import InternalDefectError
 from .rings import (
-    BLOCK_WORDS,
     FiniteRing,
     Ideal,
     PresentedRing,
     ProductRing,
     _as_set,
     _check_elements,
-    _principal_classes,
+    _factor_principals,
+    _principal_cells,
     _unit_orbits,
     check_element,
     enumerate_ideals,
@@ -74,24 +77,24 @@ def saturate(ring: FiniteRing, subset) -> frozenset[int]:
 def _saturate_masks(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
     """saturate on each row of a (k, n) mask array, as a (k, n) array.
 
-    As s runs over R, s*r runs over the principal ideal r*R, so r is in the
-    saturation exactly when r*R meets the subset.  Every ring answers from
-    its cached table of principal ideals, one packed row per unit orbit r*U,
-    since (u*r)R = rR for a unit u: one AND of the packed subsets against
-    the rows, a block of (subset, row) pairs at a time, so that the
-    temporary stays within BLOCK_WORDS counting all k subsets.
+    As s runs over R, s*r runs over r*R, so r is in sat(W) exactly when
+    some w in W lies in r*R.  As R = ∏ e_jR, that is when (e_j*w)R lies in
+    (e_j*r)R for every j: sat(W) is the up-closure of W in the product of
+    the factors' containment orders (_factor_principals).  Each subset is
+    ORed into a grid with one axis per factor at its elements' cells
+    (_principal_cells), closed upward an axis at a time by a boolean matmul
+    with that factor's order, and read back at every element's cell.
     """
-    packed = np.packbits(masks, axis=1)
-    table, class_of = _principal_classes(ring)
-    met = np.empty((len(packed), len(table)), dtype=bool)
-    pairs = max(1, 8 * BLOCK_WORDS // table.shape[1])
-    rows = min(len(table), pairs)
-    subsets = max(1, pairs // rows)
-    for i in range(0, len(packed), subsets):
-        part = packed[i:i + subsets, None]
-        for lo in range(0, len(table), rows):
-            met[i:i + subsets, lo:lo + rows] = (table[lo:lo + rows] & part).any(axis=2)
-    return met[:, class_of]
+    factors, cell = _factor_principals(ring), _principal_cells(ring)
+    sizes = [len(order) for _, _, order in factors]
+    # each cell holds an element, a sum of one representative per factor,
+    # so the elements sorted by cell fall into one nonempty run per cell
+    by_cell = np.argsort(cell)
+    runs = np.searchsorted(cell[by_cell], np.arange(math.prod(sizes)))
+    grid = np.logical_or.reduceat(masks[:, by_cell], runs, axis=1)
+    for j, (_, _, order) in enumerate(factors):
+        grid = order.T @ grid.reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
+    return grid.reshape(len(masks), len(runs))[:, cell]
 
 
 class StarMethod(enum.Enum):

@@ -145,12 +145,20 @@ def quotient_reps(ring, ideal_elements):
     return reps, [index_of[rep[r]] for r in range(n)]
 
 
-def saturate(ring, subset):
+def saturate(ring, subset, mul_table=None):
+    """{r : s*r in the subset for some s}, on the reference arithmetic, or
+    on a given mul table: tables(ring)'s, built once for many subsets, or
+    that of a ring it has no arithmetic for."""
     w = frozenset(subset)
     if not w:
         return w
+    rows = None if mul_table is None else np.asarray(mul_table).tolist()
+
+    def times(s, r):
+        return mul(ring, s, r) if rows is None else rows[s][r]
+
     return frozenset(r for r in ring.elements()
-                     if any(mul(ring, s, r) in w for s in ring.elements()))
+                     if any(times(s, r) in w for s in ring.elements()))
 
 
 def comaximal(ring, a, b):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from unitlift import spectrum, star
+from unitlift import spectrum
 from unitlift.config import Guards
 from unitlift.errors import InternalDefectError
 from unitlift.rings import _as_set, build_ring, enumerate_ideals, ideal_closure, quotient_ring
@@ -194,21 +194,15 @@ def _subset_rows(ring, count, seed):
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "prod(Z/8,Z/9,Z/5)", "GF(3)[x]/(x^3+2*x+1)",
-                                  "prod(" + ",".join(["Z/2"] * 10) + ")"])
-def test_saturate_masks_match_saturate(spec, monkeypatch):
+                                  "prod(" + ",".join(["Z/2"] * 10) + ")",
+                                  # grid axes of unequal lengths: three, three, two and three cells
+                                  "prod(Z/4,GF(3)[x]/(x^2),Z/5,Z/9)"])
+def test_saturate_masks_match_saturate(spec):
     for guards in GUARDS:
         ring = build_ring(spec, guards)
         masks = _subset_rows(ring, 20, spec)
         want = [saturate(ring, np.flatnonzero(row)) for row in masks]
         assert [_as_set(row) for row in _saturate_masks(ring, masks)] == want
-        # (Z/2)^10 has 1024 principal ideals of 128 packed bytes each, so one
-        # block holds the pairs of eight subsets; a tiny budget splits every
-        # ring's table rows across blocks too
-        for words in (star.BLOCK_WORDS, 16):
-            with monkeypatch.context() as patch:
-                patch.setattr(star, "BLOCK_WORDS", words)
-                got = _saturate_masks(ring, masks)
-            assert [_as_set(row) for row in got] == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,17 @@ Oracles:
     scalar_oracle
   - every scan agrees with the plain-Python loops in scalar_oracle, on every
     corpus ring of at most 64 elements, tabulated and untabulated
-  - saturation from the table of principal ideals agrees with the same
-    table built on the arithmetic of an untabulated copy, on every corpus
-    ring, and each row of the table is the principal ideal of its class
+  - saturation from the local factors' principal ideals agrees with the
+    same built on the arithmetic of an untabulated copy and with the
+    plain-Python saturation, on every corpus ring and on
+    GF(2)[x,y]/(x,y)^2, whose containment order is no chain; each factor's
+    rows are its principal ideals, its order is their containment, and a
+    flipped cell of one order is reported by the corpus
   - the unit-orbit labels are the least elements of x*U, and two elements
     share one exactly when they generate the same principal ideal
-  - saturation above the table guard, from one row per unit orbit, agrees
-    with the definition on orbit representatives and sampled elements
+  - saturation above the table guard, from the local factors' principal
+    ideals, agrees with the definition on orbit representatives and
+    sampled elements
   - the WITNESS check and the semi-inverse construction, which take one
     element per unit orbit, agree with the same scans taken on every
     element, kept here as oracles; so do the partner scans of WITNESS,
@@ -50,7 +54,8 @@ from unitlift.rings import (
     ModularRing,
     _as_set,
     _on_unit_orbits,
-    _principal_classes,
+    _factor_principals,
+    _principal_cells,
     _unit_orbits,
     build_ring,
     enumerate_ideals,
@@ -87,7 +92,14 @@ from unitlift.star import (
     saturate,
     star_check,
 )
-from unitlift.verify import corpus_rings, report_to_dict, run_corpus
+from unitlift.verify import (
+    RunContext,
+    corpus_rings,
+    criterion_saturation_laws,
+    criterion_star_agreement,
+    report_to_dict,
+    run_corpus,
+)
 
 def test_untabulated_corpus_report_matches_default():
     def report(guards):
@@ -211,11 +223,21 @@ def test_scans_match_oracle(spec, table_limit):
     assert is_semifield(ring)
 
 
-@pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()])
+_SQUARE_ZERO_XY = "GF(2)[x,y]/(x,y)^2"
+
+
+def _build(spec, guards=Guards()):
+    """The ring a spec names, or GF(2)[x,y]/(x,y)^2, which no spec builds."""
+    if spec == _SQUARE_ZERO_XY:
+        return _SquareZeroXY(guards)
+    return build_ring(spec, guards)
+
+
+@pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()]
+                         + [_SQUARE_ZERO_XY])
 def test_saturate_from_principal_table_matches_scan(spec):
-    ring = build_ring(spec)
-    scanned = build_ring(spec, Guards(table_limit=1))
-    assert _principal_classes(ring) is not None
+    ring = _build(spec)
+    scanned = _build(spec, Guards(table_limit=1))
     n = ring.carrier_size
     subsets = [{ring.one}, jacobson_radical(ring).elements]
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
@@ -225,20 +247,53 @@ def test_saturate_from_principal_table_matches_scan(spec):
     rng = random.Random(spec)
     for _ in range(4):
         subsets.append(set(rng.sample(range(n), rng.randint(1, min(n, 24)))))
+    mul_table = (_square_zero_xy_tables() if spec == _SQUARE_ZERO_XY
+                 else oracle.tables(ring))[1]
     for subset in subsets:
-        assert saturate(ring, subset) == saturate(scanned, subset)
+        saturated = saturate(ring, subset)
+        assert saturated == saturate(scanned, subset)
+        assert saturated == oracle.saturate(ring, subset, mul_table)
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS)
+@pytest.mark.parametrize("spec", SMALL_SPECS + [_SQUARE_ZERO_XY])
 def test_principal_table_rows_are_the_principal_ideals(spec):
     for guards in (Guards(), Guards(table_limit=1)):
-        ring = build_ring(spec, guards)
-        table, class_of = _principal_classes(ring)
-        n = ring.carrier_size
-        for r in ring.elements():
-            row = np.unpackbits(table[class_of[r]], count=n).astype(bool)
-            assert np.array_equal(row, principal(ring, r))
-        assert len({row.tobytes() for row in table}) == len(table)
+        ring = _build(spec, guards)
+        _, projections = local_factors(ring)
+        # the mixed-radix digits of cell, the last factor's the least significant
+        digits = _principal_cells(ring).copy()
+        for (members, rows, order), proj in reversed(list(zip(_factor_principals(ring),
+                                                               projections))):
+            row_of, digits = digits % len(rows), digits // len(rows)
+            for x in ring.elements():
+                ideal = np.zeros(ring.carrier_size, dtype=bool)
+                ideal[members] = rows[row_of[x]]
+                assert np.array_equal(ideal, principal(ring, proj[x]))
+            assert len({row.tobytes() for row in rows}) == len(rows)
+            assert np.array_equal(order, ~(rows[:, None] & ~rows[None]).any(axis=2))
+        assert not digits.any()
+
+
+@pytest.mark.parametrize("factor", range(3))
+def test_a_corrupted_containment_order_is_reported(factor):
+    # one factor's order is made to put the whole factor inside its zero
+    # ideal: saturation then climbs from each unit to the elements that
+    # vanish on that factor
+    ring = build_ring("prod(Z/8,Z/9,Z/5)")
+    factors = _factor_principals(ring)
+    members, rows, order = factors[factor]
+    sizes = rows.sum(axis=1)
+    whole, zero = sizes.argmax(), sizes.argmin()
+    assert not order[whole, zero]
+    flipped = order.copy()
+    flipped[whole, zero] = True
+    factors = factors[:factor] + ((members, rows, flipped),) + factors[factor + 1:]
+    ring._cache["factor_principals"] = factors
+    ctx = RunContext(gl_samples=0)
+    agreement = criterion_star_agreement([ring], ctx)
+    laws = criterion_saturation_laws([ring], ctx)
+    assert (any("star methods disagree" in f for f in agreement.failures)
+            or any("saturating {1} missed the unit group" in f for f in laws.failures))
 
 
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
@@ -547,7 +602,8 @@ def _sums_in_factor_lattice(ring, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(rings, "_sum_mask", counted)
-        rings._factor_lattice(ring, np.arange(ring.carrier_size))
+        (members, rows, _), = rings._factor_principals(ring)
+        rings._factor_lattice(ring, members, rows)
     return len(calls)
 
 
@@ -584,7 +640,7 @@ def test_quadratic_scans_stay_within_memory_budget():
     # per cell, would be 34 MB; GF(3)[x]/(x^7) computes on 7 digits per
     # cell, so one unblocked n x n x 7 temporary would be 268 MB; and
     # prod(Z/2 x11) has 2048 unit orbits of one element each, so saturation
-    # labels every element and builds one row of its table per element
+    # labels every element and ORs each subset into a grid of 2048 cells
     for spec, generator in (("GF(2)[x]/(x^11)", "x^3"), ("GF(3)[x]/(x^7)", "x^3"),
                             ("prod(" + ",".join(["Z/2"] * 11) + ")",
                              "(" + ",".join(["1"] + ["0"] * 10) + ")")):
@@ -600,22 +656,25 @@ def test_quadratic_scans_stay_within_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, spec
-    # prod(Z/2 x12) has 4096 principal ideals, one per element: their table
-    # takes 2 MiB as packed bits, where one bool per cell would take 16 MiB
+    # prod(Z/2 x12) and prod(Z/2 x16) have one principal ideal per element,
+    # 4096 and 65536 of them, but each factor Z/2 has only two: the
+    # factors' tables take a few bytes, where one packed row of the carrier
+    # per principal ideal would take 2 MiB and 512 MiB
+    for count in (12, 16):
+        ring = build_ring("prod(" + ",".join(["Z/2"] * count) + ")")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            saturate(ring, {ring.one})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, count
+    # with those tables built, saturating one subset of prod(Z/2 x12) takes
+    # a grid of 4096 cells, and a stack of 16 subsets 16 such grids, each
+    # axis closed in one matmul: 64 KiB a temporary
     ring = build_ring("prod(" + ",".join(["Z/2"] * 12) + ")")
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        saturate(ring, {ring.one})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    # with that table built, saturation ANDs a block of its rows at a time,
-    # so it stays near one 1 MiB block, where ANDing all rows at once would
-    # take another 2 MiB; and a stack of 16 subsets counts all of its rows
-    # in that block, where one block of rows per subset would take 16 MiB
-    _principal_classes(ring)
+    _principal_cells(ring)
     stacked = np.zeros((16, ring.carrier_size), dtype=bool)
     stacked[np.arange(16), np.arange(16)] = True
     for call in (lambda: saturate(ring, {ring.one}), lambda: _saturate_masks(ring, stacked)):
@@ -638,7 +697,7 @@ def test_quadratic_scans_stay_within_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
-    # on tabulated rings the table of principal ideals gathers a block of
+    # on tabulated rings the factors' principal ideals gather a block of
     # mul-table rows at a time; the tables take 4 MiB on Z/1024 and 8 MiB on
     # (Z/2)^10, so they are built before tracing starts
     for spec in ("Z/1024", "prod(" + ",".join(["Z/2"] * 10) + ")"):
@@ -647,7 +706,7 @@ def test_quadratic_scans_stay_within_memory_budget():
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            assert _principal_classes(ring) is not None
+            assert _principal_cells(ring) is not None
             saturate(ring, range(1, ring.carrier_size, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -34,7 +34,7 @@ from unitlift.rings import (
     Ideal,
     ModularRing,
     PolyQuotientRing,
-    _principal_classes,
+    _principal_cells,
     _unit_orbits,
     build_ring,
     check_element,
@@ -118,23 +118,24 @@ def test_ring_axioms_catch_broken_arithmetic(kind, n, law, table_limit):
         check_ring_axioms(ring)
 
 
-class _OneInTwoTimesThree(ModularRing):
-    """Z/n with the one table cell 2 * 3 = 1, so the row of 2 holds one
-    although gcd(2, n) says 2 is no unit."""
+class _SixTimesThreeIsNine(ModularRing):
+    """Z/n with the one table cell 6 * 3 = 9.  In Z/12, the product of
+    Z/4 and Z/3, both lie in the factor 9R = {0, 3, 6, 9}, so the row of 6
+    in that factor holds its atom 9 although 6 is no unit there."""
 
     # tables from the generic build, so they hold the fixture's arithmetic
     _build_tables = FiniteRing._build_tables
 
     def _mul_arrays(self, a, b):
-        return np.where((a == 2) & (b == 3), 1, a * b % self.n)
+        return np.where((a == 6) & (b == 3), 9, a * b % self.n)
 
 
 def test_principal_classes_certify_the_units():
-    ring = _OneInTwoTimesThree(ModularSpec(12), Guards())
-    assert ring.tables()[1][2, 3] == 1
+    ring = _SixTimesThreeIsNine(ModularSpec(12), Guards())
+    assert ring.tables()[1][6, 3] == 9
     assert ring.units() == {1, 5, 7, 11}
     with pytest.raises(InternalDefectError, match="not the units"):
-        _principal_classes(ring)
+        _principal_cells(ring)
     with pytest.raises(InternalDefectError, match="not the units"):
         saturate(ring, {ring.one})
 

@@ -1,27 +1,30 @@
 """Unit-image surjectivity along quotient maps, four equivalent ways.
 
 A quotient map R -> R/I has the lifting property when every unit of R/I is
-the image of a unit of R.  Equivalently: the set of elements congruent to a
-unit mod I is saturated; that set equals the saturation of 1 + I; and every
-element that is invertible mod I is congruent mod I to an actual unit.  All
-four checks are implemented independently, and a disagreement between them
-is treated as a fatal library defect, never reported as an answer.  Each
-builds its sets as masks over the carrier and compares masks.  The two
-saturation checks read the principal ideals of the local factors e_jR, as
-DIRECT reads the units of R/I from the same split (rings._coset_units).
-The split is certified (its atoms sum to one, its factor sizes multiply to
-n), so R = ∏ e_jR exactly and the methods stay independent computations on
-a certified decomposition.  WITNESS reads no table: multiplying a by a unit
-changes neither whether a is invertible mod I nor whether it is congruent
-to a unit, so it scans one element per certified unit orbit.  DIRECT reads
-neither the principal ideals nor the orbits: it cross-checks both.
+the image of a unit of R.  Equivalently: U + I, the set of elements
+congruent to a unit mod I, is saturated; it equals the saturation of 1 + I;
+and every element that is invertible mod I lies in it.  A disagreement
+between the four checks is a fatal library defect, never an answer.  Each
+builds its sets as masks over the carrier.  The saturation checks read the
+principal ideals of the local factors e_jR, as DIRECT reads the units of
+R/I from the same split (rings._coset_units); the split is certified (its
+atoms sum to one, its factor sizes multiply to n).  WITNESS reads no
+principal ideal: multiplying a by a unit changes neither whether a is
+invertible mod I nor whether it lies in U + I, so it scans one element per
+certified unit orbit.  DIRECT reads neither the principal ideals, the
+orbits nor U + I: it cross-checks all three.
+
+The other three read U + I, built once and shared: SATURATED_SUM saturates
+it, SATURATION_EQUALITY compares it with sat(1 + I), and WITNESS scans only
+the elements outside it.  sat(1 + I), the elements invertible mod I, is
+built from 1 + I alone.  Where the lifting holds it is U + I, so a wrong
+U + I fails SATURATION_EQUALITY while DIRECT holds; where it fails, a wrong
+U + I that turns any of the three true disagrees with DIRECT.
 
 The checks run a whole ring at a time: _star_reports decides every proper
-ideal of a ring in one call, and star_report and star_check are batches of
-one.  DIRECT still builds one quotient per ideal, since later callers read
-the cached quotients.  Each saturation check saturates U + I, or 1 + I,
-for all the ideals in one _saturate_masks call, and WITNESS is one
-first_hits pass over the pairs (ideal, unit-orbit representative).
+ideal of a ring in one call (star_report and star_check are batches of
+one): one quotient per ideal for DIRECT, whose cache later callers read,
+one _saturate_masks call on [U + I; 1 + I] and one first_hits pass.
 
 Lifting is constructive: the exceptional maximal ideals (those not
 containing I) are those whose atom lies in I, and a CRT adjustment a with
@@ -178,56 +181,46 @@ def _direct_check(ring: FiniteRing, ideal: Ideal) -> StarCheck:
     return _checks(StarMethod.DIRECT, failing[None])[0]
 
 
-def _saturated_sum_checks(ring: FiniteRing, ideals) -> list[StarCheck]:
-    """SATURATED_SUM: U + I is saturated, for every ideal at once."""
-    w = _units_plus_ideals(ring, np.array([i.mask for i in ideals]))
-    return _checks(StarMethod.SATURATED_SUM, _saturate_masks(ring, w) ^ w)
+def _saturation_checks(ring: FiniteRing, masks: np.ndarray, w: np.ndarray):
+    """SATURATED_SUM (U + I is saturated) and SATURATION_EQUALITY (sat(1 + I)
+    is U + I) for every ideal at once, from the rows w of U + I: one
+    _saturate_masks call over the stack [U + I; 1 + I]."""
+    sat_w, sat_one = np.split(
+        _saturate_masks(ring, np.concatenate([w, _one_plus_ideals(ring, masks)])), 2)
+    return (_checks(StarMethod.SATURATED_SUM, sat_w ^ w),
+            _checks(StarMethod.SATURATION_EQUALITY, sat_one ^ w))
 
 
-def _saturation_equality_checks(ring: FiniteRing, ideals) -> list[StarCheck]:
-    """SATURATION_EQUALITY: sat(1 + I) is U + I, for every ideal at once."""
-    masks = np.array([i.mask for i in ideals])
-    sat = _saturate_masks(ring, _one_plus_ideals(ring, masks))
-    return _checks(StarMethod.SATURATION_EQUALITY, sat ^ _units_plus_ideals(ring, masks))
-
-
-def _witness_checks(ring: FiniteRing, ideals) -> list[StarCheck]:
+def _witness_checks(ring: FiniteRing, masks: np.ndarray, w: np.ndarray) -> list[StarCheck]:
     """WITNESS: everything invertible mod I is congruent mod I to a unit.
 
     (u*a)(u^-1*b) = a*b and u(U + I) = U + I, so one a per unit orbit
     decides the orbit, and the least bad element is the label of its orbit.
-    Every ideal is decided in one first_hits pass, whose rows are the pairs
-    (ideal j, orbit representative a), encoded as j*n + a.  A cell holds
-    a*b, 1 - a*b, its flat index in the ideal masks and the membership bit:
-    four words, counted so that they stay within BLOCK_WORDS together.
+    An a outside row j of w, the rows of U + I, is bad exactly when it is
+    invertible mod I_j: when some b puts 1 - a*b in I_j.  Every ideal is
+    decided in one first_hits pass, whose rows are those pairs (ideal j,
+    orbit representative a), encoded as j*n + a.  A cell holds a*b, 1 - a*b,
+    its flat index in the ideal masks and the membership bit: four words,
+    counted so that they stay within BLOCK_WORDS together.  Sharing w loses
+    no detection: where the lifting holds, w must equal sat(1 + I).
     """
     n = ring.carrier_size
     every = np.arange(n)
     label = _unit_orbits(ring)
     reps = np.flatnonzero(label == every)
-    units = np.flatnonzero(ring.unit_mask())
-    members = np.array([i.mask for i in ideals]).ravel()
+    members = masks.ravel()
     one_minus = ring.add_many(ring.one, ring.neg_many(every))
 
     def partner(rows, b):  # 1 - a*b in I_j
         a = rows % n
         return members[rows - a + one_minus[ring.mul_many(a, b)]]
 
-    # a with a unit partner is congruent to a unit; of the rest, any a with
-    # some partner is invertible mod I and congruent to no unit
-    rows = (np.arange(len(ideals))[:, None] * n + reps).ravel()
-    bad = np.zeros(len(rows), dtype=bool)
-    rest = np.flatnonzero(first_hits(ring, rows, units, partner, cell_words=4) < 0)
-    bad[rest] = first_hits(ring, rows[rest], every, partner, cell_words=4) >= 0
-    failing = bad.reshape(len(ideals), len(reps))[:, np.searchsorted(reps, label)]
+    # of the pairs outside U + I, those with a partner are bad
+    rows = (np.arange(len(masks))[:, None] * n + reps).ravel()
+    bad = ~w[:, reps].ravel()
+    bad[bad] = first_hits(ring, rows[bad], every, partner, cell_words=4) >= 0
+    failing = bad.reshape(len(masks), len(reps))[:, np.searchsorted(reps, label)]
     return _checks(StarMethod.WITNESS, failing)
-
-
-_BATCHED = {
-    StarMethod.SATURATED_SUM: _saturated_sum_checks,
-    StarMethod.SATURATION_EQUALITY: _saturation_equality_checks,
-    StarMethod.WITNESS: _witness_checks,
-}
 
 
 def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
@@ -237,7 +230,11 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
     _check_ideals(ring, [ideal])
     if method is StarMethod.DIRECT:
         return _direct_check(ring, ideal)
-    return _BATCHED[method](ring, [ideal])[0]
+    masks = ideal.mask[None]
+    w = _units_plus_ideals(ring, masks)
+    if method is StarMethod.WITNESS:
+        return _witness_checks(ring, masks, w)[0]
+    return _saturation_checks(ring, masks, w)[method is StarMethod.SATURATION_EQUALITY][0]
 
 
 def star_report(ring: FiniteRing, ideal: Ideal) -> StarReport:
@@ -251,8 +248,8 @@ def star_report(ring: FiniteRing, ideal: Ideal) -> StarReport:
 
 def _star_reports(ring: FiniteRing, ideals: Sequence[Ideal]
                   ) -> tuple[list[StarReport], str | None]:
-    """star_report on each of the ideals, with each method but DIRECT run
-    once on all of them.
+    """star_report on each of the ideals, with the rows of U + I built once
+    and each method but DIRECT run once on all of them.
 
     Returns the reports of the ideals before the first one at which the
     methods disagree or DIRECT raises InternalDefectError, and that defect's
@@ -271,7 +268,9 @@ def _star_reports(ring: FiniteRing, ideals: Sequence[Ideal]
     if not ideals:
         return [], defect
     reports = []
-    columns = [direct] + [batch(ring, ideals) for batch in _BATCHED.values()]
+    masks = np.array([i.mask for i in ideals])
+    w = _units_plus_ideals(ring, masks)
+    columns = [direct, *_saturation_checks(ring, masks, w), _witness_checks(ring, masks, w)]
     for ideal, checks in zip(ideals, zip(*columns)):
         if len({c.holds for c in checks}) != 1:
             detail = ", ".join(f"{c.method.value}={c.holds}" for c in checks)

@@ -14,10 +14,11 @@ decides one element at a time:
 
 star-methods-agree and saturation-closure-laws decide a whole ring at a
 time too: _star_reports runs each star method but DIRECT once over all the
-proper ideals, and _saturate_masks saturates a stack of subsets.  Their
-rows are compared with star_check on one ideal and saturate on one subset,
-and an ideal whose methods disagree, or whose DIRECT check raises, ends its
-ring with the text and the checks count of the loop of star_report calls."""
+proper ideals, on one shared U + I, and _saturate_masks saturates a stack
+of subsets.  Their rows are compared with star_check on one ideal and
+saturate on one subset, and an ideal whose methods disagree, or whose
+DIRECT check raises, ends its ring with the text and the checks count of
+the loop of star_report calls; a wrong U + I is such a disagreement."""
 
 import random
 
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from unitlift import spectrum
+from unitlift import spectrum, star
 from unitlift.config import Guards
 from unitlift.errors import InternalDefectError
 from unitlift.rings import _as_set, build_ring, enumerate_ideals, ideal_closure, quotient_ring
@@ -299,3 +300,79 @@ def test_a_direct_defect_ends_its_ring(monkeypatch):
     monkeypatch.setattr(quotient, "_unit_mask", None)
     monkeypatch.setattr(quotient, "_find_units", broken)
     _assert_star_defect(ring, 3, "the quotient lost its units")
+
+
+# ---------------------------------------------------------------------------
+# one U + I per batch
+
+SHARED = ("_units_plus_ideals", "_saturate_masks", "first_hits")
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of the star module's functions of the given names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(star, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(star, name, counted)
+    return calls
+
+
+def test_star_reports_build_units_plus_ideals_once(monkeypatch):
+    # U + I is built once and saturated once, with 1 + I, for every proper
+    # ideal together, and WITNESS makes one first_hits pass over them all
+    ring = build_ring("prod(Z/8,Z/9,Z/5)")
+    ideals = _proper(ring)
+    calls = _count_calls(monkeypatch, SHARED)
+    reports, defect = _star_reports(ring, ideals)
+    assert defect is None and len(reports) == len(ideals) > 1
+    assert calls == dict.fromkeys(SHARED, 1)
+
+
+@pytest.mark.parametrize("method", [m for m in StarMethod if m is not StarMethod.DIRECT])
+def test_a_star_check_builds_units_plus_ideals_once(method, monkeypatch):
+    ring = build_ring("prod(Z/8,Z/9,Z/5)")
+    ideal = _proper(ring)[3]
+    calls = _count_calls(monkeypatch, SHARED)
+    star_check(ring, ideal, method)
+    assert calls["_units_plus_ideals"] == 1
+    # WITNESS saturates nothing; the saturation checks make no partner scan
+    assert calls["_saturate_masks"] == (method is not StarMethod.WITNESS)
+    assert calls["first_hits"] == (method is StarMethod.WITNESS)
+
+
+def _wrong_first_row(monkeypatch, flip):
+    """Corrupt row 0 of every U + I: flip the element that flip picks."""
+    real = star._units_plus_ideals
+
+    def wrong(ring, masks):
+        w = real(ring, masks)
+        w[0, flip(w[0])] ^= True
+        return w
+
+    monkeypatch.setattr(star, "_units_plus_ideals", wrong)
+
+
+@pytest.mark.parametrize("flip", [
+    lambda row: row.argmax(),     # drop the least element of U + I
+    lambda row: (~row).argmax(),  # add the least element outside it
+], ids=["dropped", "added"])
+def test_a_wrong_units_plus_ideal_is_a_defect(flip, monkeypatch):
+    # row 0 is the zero ideal, where U + I is U and lifting holds, so
+    # SATURATION_EQUALITY, reading the wrong U + I, disagrees with DIRECT
+    spec = "prod(Z/8,Z/9,Z/5)"
+    assert spec in corpus_specs()
+    ring = build_ring(spec)
+    zero = _proper(ring)[0]
+    assert zero.elements == {ring.zero}
+    _wrong_first_row(monkeypatch, flip)
+    text = f"star methods disagree on {ring!r} / {zero!r}: direct=True, "
+    result = criterion_star_agreement([ring], RunContext())
+    assert result.checks == 0 and result.defects == 1
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(f"{spec}: defect: {text}")
+    assert "satEquality=False" in result.failures[0]
+    with pytest.raises(InternalDefectError) as exc:
+        star_report(ring, zero)
+    assert str(exc.value).startswith(text)

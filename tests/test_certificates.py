@@ -1,0 +1,120 @@
+"""Certificates that only a defect reaches.
+
+Each test corrupts one computation a certificate checks and reaches the
+certificate through a public entry point, so the certificate is seen to
+fire with its own text, before anything downstream reads the bad value."""
+
+import numpy as np
+import pytest
+
+from unitlift import rings, semiunits, spectrum
+from unitlift.errors import InternalDefectError
+from unitlift.rings import (
+    PresentedRing,
+    build_ring,
+    ideal_closure,
+    ideal_from_mask,
+    member_mask,
+    quotient_ring,
+)
+from unitlift.semiunits import rho
+from unitlift.spectrum import maximal_ideals, radical_quotient
+from unitlift.star import (
+    StarMethod,
+    crt_unit_lift,
+    presented_star_check,
+    reduce_mod_rad_equiv,
+    star_check,
+)
+
+
+def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
+    # 6 of Z/12, labelled 0, is no orbit's representative and in no orbit
+    ring = build_ring("Z/12")
+    ideal = ideal_closure(ring, [4])
+    real = rings._least_of_orbits
+
+    def mislabelled(*args):
+        label = real(*args).copy()
+        label[6] = 0
+        return label
+
+    monkeypatch.setattr(rings, "_least_of_orbits", mislabelled)
+    with pytest.raises(InternalDefectError, match="^the unit orbits do not cover the carrier$"):
+        star_check(ring, ideal, StarMethod.WITNESS)
+
+
+def test_a_closure_that_is_not_additively_closed_is_a_defect(monkeypatch):
+    # each "principal ideal" is {0, g}: the span {0, 4} of Z/12 misses 8
+    ring = build_ring("Z/12")
+    monkeypatch.setattr(rings, "principal", lambda ring, g: member_mask(ring, {ring.zero, g}))
+    with pytest.raises(InternalDefectError, match="^ideal closure is not additively closed$"):
+        ideal_closure(ring, [4])
+
+
+def test_atoms_that_do_not_sum_to_one_are_a_defect(monkeypatch):
+    # without the idempotent 9 of Z/12, 4 is the one atom, and 4 is not 1
+    ring = build_ring("Z/12")
+    real = rings._idempotent_mask
+
+    def without_nine(ring):
+        mask = real(ring).copy()
+        mask[9] = False
+        return mask
+
+    monkeypatch.setattr(rings, "_idempotent_mask", without_nine)
+    with pytest.raises(InternalDefectError, match="^primitive idempotents do not split the ring$"):
+        maximal_ideals(ring)
+
+
+def test_a_nilradical_holding_an_atom_is_a_defect(monkeypatch):
+    # (3) of Z/12 holds the atom 9, so it cannot be the nilradical; the
+    # units of Z/12 / (4) are read from the residue fields of the factors
+    ring = build_ring("Z/12")
+    ideal, wrong = ideal_closure(ring, [4]), ideal_closure(ring, [3])
+    monkeypatch.setattr(spectrum, "nilradical", lambda ring: wrong)
+    with pytest.raises(InternalDefectError,
+                       match="^the nilradical does not split over the local factors$"):
+        star_check(ring, ideal, StarMethod.DIRECT)
+
+
+def test_fibres_of_unequal_size_are_a_defect(monkeypatch):
+    # Z/12 -> Z/4 with 1 sent to 0: the fibre of 0 has four elements
+    ring = build_ring("Z/12")
+    ideal = ideal_closure(ring, [4])
+    _, hom = quotient_ring(ring, ideal)
+    mapping = hom.mapping.copy()
+    mapping[1] = 0
+    monkeypatch.setattr(hom, "mapping", mapping)
+    with pytest.raises(InternalDefectError, match="^the fibres of the map differ in size$"):
+        crt_unit_lift(ring, ideal, 1)
+
+
+def test_a_reduction_that_changes_the_verdict_is_a_defect(monkeypatch):
+    # Z/12 -> Z/4 lifts units; its reduction Z/6 -> Z/2 is made to fail by
+    # a quotient Z/2 that claims 0 as a unit
+    ring = build_ring("Z/12")
+    ideal = ideal_closure(ring, [4])
+    reduced, proj = radical_quotient(ring)
+    quotient, _ = quotient_ring(reduced, ideal_from_mask(reduced, proj.image(ideal.mask)))
+    assert quotient.carrier_size == 2
+    monkeypatch.setattr(quotient, "_unit_mask", np.ones(2, dtype=bool))
+    with pytest.raises(InternalDefectError,
+                       match="^reduction modulo the radical changed the lifting verdict$"):
+        reduce_mod_rad_equiv(ring, ideal)
+
+
+def test_a_presented_unit_that_maps_to_a_non_unit_is_a_defect(monkeypatch):
+    integers = PresentedRing("integers")
+    monkeypatch.setattr(integers, "unit_list", lambda: (1, -1, 2))
+    with pytest.raises(InternalDefectError, match="^unit image contains a non-unit$"):
+        presented_star_check(integers, 4)
+
+
+def test_a_radical_whose_size_does_not_divide_the_units_is_a_defect(monkeypatch):
+    # Z/12 has four units; the ideal (4) has three elements
+    ring = build_ring("Z/12")
+    wrong = ideal_closure(ring, [4])
+    monkeypatch.setattr(semiunits, "jacobson_radical", lambda ring: wrong)
+    with pytest.raises(InternalDefectError, match=r"^\|rad\| does not divide \|U\|$"):
+        rho(ring, 5)

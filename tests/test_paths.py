@@ -481,10 +481,12 @@ def test_witness_is_the_least_bad_element_of_the_full_scan(n, generator, table_l
 @pytest.mark.parametrize("n", [35, 144])
 def test_witness_batch_matches_the_oracle_on_every_ideal(n, table_limit):
     # one first_hits pass over every proper ideal, failing ones among them,
-    # gives each ideal the witness that a pass over it alone gives
+    # reading the rows of U + I of them all, gives each ideal the witness
+    # that a pass over it alone gives
     ring = _SignsAsUnits(ModularSpec(n), Guards(table_limit=table_limit))
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
-    checks = _witness_checks(ring, ideals)
+    masks = np.array([i.mask for i in ideals])
+    checks = _witness_checks(ring, masks, _units_plus_ideals(ring, masks))
     assert checks == [star_check(ring, i, StarMethod.WITNESS) for i in ideals]
     assert [c.witness for c in checks] == [
         oracle.witness(ring, i.elements, ring.units()) for i in ideals]

@@ -20,10 +20,8 @@ class Guards:
     matrix_space_limit: int = 65536
     # largest matrix dimension for determinants and lifts
     matrix_dim_limit: int = 3
-    # largest carrier for cached numpy operation tables (int32); Z/n's add
-    # table is a read-only circulant view over 2n residues, and its mul
-    # table is computed in int64 above n = 46341, where (n-1)**2 overflows
-    # int32
+    # largest carrier for cached numpy operation tables (int32); Z/n builds
+    # none at any size, as a gather costs what a * b % n costs
     table_limit: int = 1024
 
 

@@ -11,14 +11,16 @@ index 0 by construction.
 Each ring kind has one arithmetic: the array operations add_many, mul_many
 and neg_many on broadcast int64 index arrays.  The scalar add, mul and neg
 are single cells of them, and every exhaustive scan in the library is
-written against them.  A ring whose carrier is within the table guard caches
-its operation tables as numpy arrays and gathers from them.  Above the guard
-each kind computes on its encoding: residues for modular rings, digit
-vectors with x acting as the companion matrix of f for polynomial quotients
-over odd p, the index itself as the coefficient bit vector for GF(2)
-quotients (add is XOR, mul shifts and XORs), the factors' operations
-recombined by mixed radix for products, and the parent's operations on
-coset representatives for quotients.  Quadratic scans run in row blocks
+written against them.  Z/n computes on its residues at every size: a gather
+from an n x n table costs what a * b % n costs, and a one-shot query reads
+too few cells to repay building one.  Any other ring whose carrier is within
+the table guard caches its operation tables as numpy arrays and gathers from
+them.  Above the guard each kind computes on its encoding: digit vectors
+with x acting as the companion matrix of f for polynomial quotients over
+odd p, the index itself as the coefficient bit vector for GF(2) quotients
+(add is XOR, mul shifts and XORs), the factors' operations recombined by
+mixed radix for products, and the parent's operations on coset
+representatives for quotients.  Quadratic scans run in row blocks
 whose temporaries stay under BLOCK_WORDS int64 words, counting every digit
 a cell holds.  Inside the library a subset of the carrier is a read-only
 boolean mask, and only public functions that return frozensets build them:
@@ -51,11 +53,10 @@ is safe.  A batch of elements is checked as check_element checks one, with
 one type test per distinct type and one vectorised range test.
 
 The tables are built from structure, not by a generic pass over the n^2
-cells: Z/n's add table is a read-only circulant view over the residues
-written twice (2n cells, not n^2) and its mul table one outer product,
-polynomial quotients step x as the companion matrix of f, and products
-combine their factors' tables digit by digit.  Quotients gather theirs from
-the parent's tables in row blocks.
+cells: polynomial quotients step x as the companion matrix of f, and
+products combine their factors' operations over the factors' carriers digit
+by digit.  Quotients gather theirs from the parent's operations in row
+blocks.
 """
 
 from __future__ import annotations
@@ -282,7 +283,8 @@ class FiniteRing:
     # ----- cached numpy operation tables -------------------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(add, mul, neg) arrays, or None when the carrier exceeds the guard."""
+        """(add, mul, neg) arrays, or None when the carrier exceeds the guard
+        or the kind keeps none."""
         if self._tables is None:
             if self.carrier_size > self.guards.table_limit:
                 return None
@@ -383,21 +385,9 @@ class ModularRing(FiniteRing):
     def _neg_arrays(self, a):
         return -a % self.n
 
-    def _build_tables(self):
-        # (a + b) mod n is entry a + b of the residues written twice, so the
-        # add table is a read-only circulant view over 2n cells; mul is one
-        # outer product reduced in place, in int64 only where (n-1)^2
-        # would overflow the table dtype
-        n = self.n
-        idx = np.arange(n, dtype=_TABLE_DTYPE)
-        add = np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n]
-        if (n - 1) ** 2 <= np.iinfo(_TABLE_DTYPE).max:
-            mul = np.multiply.outer(idx, idx)
-            mul %= n
-        else:
-            wide = idx.astype(np.int64)
-            mul = (np.multiply.outer(wide, wide) % n).astype(_TABLE_DTYPE)
-        return add, mul, -idx % n
+    def tables(self):
+        # a gather costs what a * b % n costs, so n^2 cells are never repaid
+        return None
 
     def _find_units(self):
         return np.gcd(np.arange(self.n), self.n) == 1
@@ -582,10 +572,15 @@ class ProductRing(FiniteRing):
         return self._componentwise("neg_many", a)
 
     def _build_tables(self):
-        # build_ring gives every factor the product's guards, and no factor is
-        # larger than the product, so every factor is tabulated here
-        factor_tabs = [f.tables() for f in self.factors]
-        return tuple(_digitwise(self.sizes, [t[k] for t in factor_tabs]) for k in range(3))
+        # each factor's operations over its own carrier, no larger than the
+        # product's, combined digit by digit
+        ops = []
+        for f in self.factors:
+            idx = np.arange(f.carrier_size)
+            ops.append([f.add_many(idx[:, None], idx), f.mul_many(idx[:, None], idx),
+                        f.neg_many(idx)])
+        return tuple(_digitwise(self.sizes, [t[k].astype(_TABLE_DTYPE) for t in ops])
+                     for k in range(3))
 
     def _find_units(self):
         # componentwise: a tuple is invertible iff every component is; row
@@ -900,7 +895,9 @@ def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
 
     atoms = tuple(int(e) for e, b in zip(idem, first_hits(ring, idem, idem, below))
                   if e != ring.zero and b < 0)
-    projections = np.array([ring.mul_many(idx, e) for e in atoms], dtype=np.int64)
+    projections = np.empty((len(atoms), len(idx)), dtype=np.int64)
+    for row, e in zip(projections, atoms):
+        row[:] = ring.mul_many(idx, e)
     if (functools.reduce(ring.add, atoms, ring.zero) != ring.one
             or math.prod(np.count_nonzero(np.bincount(p)) for p in projections) != len(idx)):
         raise InternalDefectError("primitive idempotents do not split the ring")

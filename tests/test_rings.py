@@ -72,8 +72,9 @@ def test_ring_axioms(spec):
 class _NoncommutativeMultiplication(ModularRing):
     """Z/n with 2 * 3 = 0 but 3 * 2 = 6."""
 
-    # tables from the generic build, so they hold the fixture's arithmetic
-    _build_tables = FiniteRing._build_tables
+    # Z/n keeps no tables; opt back in, so that the generic build fills them
+    # from the fixture's arithmetic and gathers run on the broken cells
+    tables = FiniteRing.tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 3), 0, a * b % self.n)
@@ -82,8 +83,9 @@ class _NoncommutativeMultiplication(ModularRing):
 class _NonassociativeAddition(ModularRing):
     """Z/n with 1 + 1 = 3, still commutative, with 0 and negatives intact."""
 
-    # tables from the generic build, so they hold the fixture's arithmetic
-    _build_tables = FiniteRing._build_tables
+    # Z/n keeps no tables; opt back in, so that the generic build fills them
+    # from the fixture's arithmetic and gathers run on the broken cells
+    tables = FiniteRing.tables
 
     def _add_arrays(self, a, b):
         return np.where((a == 1) & (b == 1), 3, (a + b) % self.n)
@@ -94,8 +96,9 @@ class _NondistributiveMultiplication(ModularRing):
     is 3: commutative and associative, but 1 * (1 + 1) = 0 while
     1 * 1 + 1 * 1 = 2."""
 
-    # tables from the generic build, so they hold the fixture's arithmetic
-    _build_tables = FiniteRing._build_tables
+    # Z/n keeps no tables; opt back in, so that the generic build fills them
+    # from the fixture's arithmetic and gathers run on the broken cells
+    tables = FiniteRing.tables
 
     def __init__(self, spec, guards):
         super().__init__(spec, guards)
@@ -123,8 +126,9 @@ class _SixTimesThreeIsNine(ModularRing):
     Z/4 and Z/3, both lie in the factor 9R = {0, 3, 6, 9}, so the row of 6
     in that factor holds its atom 9 although 6 is no unit there."""
 
-    # tables from the generic build, so they hold the fixture's arithmetic
-    _build_tables = FiniteRing._build_tables
+    # Z/n keeps no tables; opt back in, so that the generic build fills them
+    # from the fixture's arithmetic and gathers run on the broken cells
+    tables = FiniteRing.tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 6) & (b == 3), 9, a * b % self.n)
@@ -144,8 +148,9 @@ class _TwoTimesFiveIsThree(ModularRing):
     """Z/n with the one cell 2 * 5 = 3, so the unit orbit of 2 computed
     through 5 reaches 3, which is no unit multiple of 2 in Z/12."""
 
-    # tables from the generic build, so they hold the fixture's arithmetic
-    _build_tables = FiniteRing._build_tables
+    # Z/n keeps no tables; opt back in, so that the generic build fills them
+    # from the fixture's arithmetic and gathers run on the broken cells
+    tables = FiniteRing.tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 5), 3, a * b % self.n)
@@ -166,8 +171,9 @@ class _ThreeSquaredIsZero(ModularRing):
     """Z/n with the one cell 3 * 3 = 0, so the nilpotents of Z/12 read
     {0, 3, 6}, which is no ideal: 7 * 3 = 9 lies outside it."""
 
-    # tables from the generic build, so they hold the fixture's arithmetic
-    _build_tables = FiniteRing._build_tables
+    # Z/n keeps no tables; opt back in, so that the generic build fills them
+    # from the fixture's arithmetic and gathers run on the broken cells
+    tables = FiniteRing.tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 3) & (b == 3), 0, a * b % self.n)
@@ -436,9 +442,10 @@ def test_published_caches_do_not_change_under_their_callers(table_limit):
     hom.preimages(1).append(2)
     assert hom.preimages(1) == [1, 5, 9]
     assert hom.mapping is quot.qmap
-    # Z/n's add table is a view of 2n residues, so a write to one cell
-    # would change every cell of its anti-diagonal
-    tables = ring.tables()
+    # Z/n keeps no tables at any size; its quotient builds them from Z/n's
+    # arithmetic within the guard
+    assert ring.tables() is None
+    tables = quot.tables()
     assert (tables is None) == (table_limit == 1)
     for published in (hom.mapping, quot.reps, *(tables or ())):
         assert not published.flags.writeable
@@ -453,8 +460,9 @@ def test_published_caches_do_not_change_under_their_callers(table_limit):
 class _BrokenAddition(ModularRing):
     """Z/n whose sums are never zero, so 0 + 0 != 0."""
 
-    # tables from the generic build, so they hold the fixture's arithmetic
-    _build_tables = FiniteRing._build_tables
+    # Z/n keeps no tables; opt back in, so that the generic build fills them
+    # from the fixture's arithmetic and gathers run on the broken cells
+    tables = FiniteRing.tables
 
     def _add_arrays(self, a, b):
         return np.maximum((a + b) % self.n, 1)
@@ -687,7 +695,8 @@ def test_build_guard():
 def test_scalar_path_matches_tabulated(spec):
     fast = build_ring(spec)
     slow = build_ring(spec, Guards(table_limit=2))
-    assert fast.tables() is not None
+    # Z/n computes on its residues at every size, so it has no fast path
+    assert (fast.tables() is None) == isinstance(fast, ModularRing)
     assert slow.tables() is None
     check_ring_axioms(slow)
     assert slow.units() == fast.units()
@@ -715,36 +724,74 @@ OTHER_SPECS = ["Z/2", "Z/12", "Z/64", "prod(Z/2,Z/3)", "prod(Z/4,GF(2)[x]/(x^2+x
                "prod(GF(3)[x]/(x^2),Z/2,GF(2)[x]/(x^2))", "prod(Z/6,Z/10)"]
 
 
+def _tables_or_carrier_ops(ring):
+    """The ring's tables; for Z/n, which builds none at any size, its array
+    operations over the whole carrier in their place."""
+    tables = ring.tables()
+    assert (tables is None) == isinstance(ring, ModularRing)
+    if tables is not None:
+        return tables
+    idx = np.arange(ring.carrier_size)
+    return ring.add_many(idx[:, None], idx), ring.mul_many(idx[:, None], idx), ring.neg_many(idx)
+
+
 @pytest.mark.parametrize(
     "spec", list(dict.fromkeys(CORPUS_POLY_SPECS + EXTRA_POLY_SPECS + OTHER_SPECS)))
 def test_tables_match_scalar_build(spec):
     # the reference is the generic build, one reference-arithmetic call per cell
     ring = build_ring(spec)
     reference = oracle.tables(ring)
-    for table, ref in zip(ring.tables(), reference):
-        assert table.dtype == ref.dtype
+    for table, ref in zip(_tables_or_carrier_ops(ring), reference):
+        assert isinstance(ring, ModularRing) or table.dtype == ref.dtype
         assert np.array_equal(table, ref)
 
 
 @pytest.mark.parametrize("n", [182, 183])
 def test_modular_mul_table_does_not_overflow_its_dtype(n, monkeypatch):
-    # (n-1)^2 overflows int32 above n = 46341, which a raised table_limit
-    # admits; with int16 tables that bound is n = 182, small enough to build
+    # (n-1)^2 overflows int16 above n = 182; with int16 tables, Z/n's
+    # array operations on int16 index arrays, and the tables of a product
+    # built from them, must still hold the reference arithmetic
     monkeypatch.setattr(rings, "_TABLE_DTYPE", np.int16)
     ring = build_ring(f"Z/{n}")
-    for table, ref in zip(ring.tables(), oracle.tables(ring)):
+    assert ring.tables() is None
+    idx = np.arange(n, dtype=np.int16)
+    ops = (ring.add_many(idx[:, None], idx), ring.mul_many(idx[:, None], idx),
+           ring.neg_many(idx))
+    for table, ref in zip(ops, oracle.tables(ring)):
+        assert np.array_equal(table, ref)
+    product = build_ring(f"prod(Z/{n},Z/2)")
+    for table, ref in zip(product.tables(), oracle.tables(product)):
         assert table.dtype == np.int16
         assert np.array_equal(table, ref)
+
+
+def test_residue_arithmetic_and_product_tables_at_the_guard_tops():
+    # Z/n computes on its residues at every size; at the top of the carrier
+    # guard, Z/65521 (prime), (n-1)^2 = 1, (n-1) + (n-1) = n-2 and -1 = n-1
+    ring = build_ring("Z/65521")
+    n = ring.carrier_size
+    assert ring.tables() is None
+    assert (ring.mul(n - 1, n - 1), ring.add(n - 1, n - 1), ring.neg(1)) == (1, n - 2, n - 1)
+    top = np.array([n - 1, n - 1])
+    assert ring.mul_many(top, top).tolist() == [1, 1]
+    # products of Z/n still tabulate, from their factors' residue
+    # arithmetic, in int32 up to the table guard
+    for spec in ("prod(Z/6,Z/10)", "prod(Z/32,Z/32)"):
+        ring = build_ring(spec)
+        for table, ref in zip(ring.tables(), oracle.tables(ring)):
+            assert table.dtype == ref.dtype == np.int32
+            assert np.array_equal(table, ref)
 
 
 @pytest.mark.parametrize("spec", ["GF(2)[x]/(x^10+x^3+1)", "GF(31)[x]/(x^2+1)",
                                   "Z/1024", "Z/1000", "Z/997"])
 def test_large_polynomial_table_rows_match_scalar_ops(spec):
-    # the tables of the largest tabulated rings, sampled by rows: the row of
-    # x (index p) on polynomial quotients, the middle residue on Z/n
+    # the tables of the largest tabulated rings, and Z/n's array operations
+    # over the carrier, sampled by rows: the row of x (index p) on
+    # polynomial quotients, the middle residue on Z/n
     ring = build_ring(spec)
     n = ring.carrier_size
-    add, mul, neg = ring.tables()
+    add, mul, neg = _tables_or_carrier_ops(ring)
     assert add.shape == mul.shape == (n, n)
     assert neg.tolist() == [oracle.neg(ring, a) for a in range(n)]
     middle = ring.p if isinstance(ring, PolyQuotientRing) else n // 2

@@ -45,12 +45,13 @@ as u^(|U|-1) by square-and-multiply (power_many), certified by u*v = 1.  The
 tests check the tables, the array operations and every scan against a
 plain-Python oracle with its own arithmetic.  A quotient map is stored once,
 as a read-only int64 array that the quotient ring (qmap) and its projection
-hom (mapping) share; the hom computes images, pullbacks and fibres from it,
-the fibres as one read-only array.  Cached data is immutable once published:
-arrays are read-only, and the ideal list is cached as a tuple no caller
-holds, each call handing out a fresh list.  So sharing rings across threads
-is safe.  A batch of elements is checked as check_element checks one, with
-one type test per distinct type and one vectorised range test.
+hom (mapping) share, certified in O(n) as the coset map when built; the hom
+computes images, pullbacks and fibres from it, the fibres as one read-only
+array.  Cached data is immutable once published: arrays are read-only, and
+the ideal list is cached as a tuple no caller holds, each call handing out a
+fresh list.  So sharing rings across threads is safe.  A batch of elements
+is checked as check_element checks one, with one type test per distinct type
+and one vectorised range test.
 
 The tables are built from structure, not by a generic pass over the n^2
 cells: polynomial quotients step x as the companion matrix of f, and
@@ -1136,11 +1137,17 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
     if key in ring._cache:
         return ring._cache[key]
 
-    # every coset a + I is labelled with its minimum
+    # every coset a + I is labelled with its minimum, certified: a class of
+    # |I| elements in one coset is that coset, and reps[j] is its least member
     elems = np.flatnonzero(ideal.mask)
+    every = np.arange(ring.carrier_size)
     rep = _least_of_orbits(ring, lambda a: ring.add_many(a, elems), len(elems))
-    reps = np.flatnonzero(rep == np.arange(ring.carrier_size))
+    reps = np.flatnonzero(rep == every)
     qmap = np.searchsorted(reps, rep)
+    if not (np.bincount(qmap).tolist() == [len(elems)] * len(reps)
+            and ideal.mask[ring.add_many(every, ring.neg_many(reps)[qmap])].all()
+            and (qmap[reps] == np.arange(len(reps))).all() and (reps[qmap] <= every).all()):
+        raise InternalDefectError("the coset labels are not the cosets of the ideal")
 
     gens = ideal.generators if ideal.generators else (ring.zero,)
     spec = QuotientSpec(ring.spec, tuple(ring.element_expr(g) for g in gens))

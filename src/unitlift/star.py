@@ -16,15 +16,18 @@ orbits nor U + I: it cross-checks all three.
 
 The other three read U + I, built once and shared: SATURATED_SUM saturates
 it, SATURATION_EQUALITY compares it with sat(1 + I), and WITNESS scans only
-the elements outside it.  sat(1 + I), the elements invertible mod I, is
-built from 1 + I alone.  Where the lifting holds it is U + I, so a wrong
-U + I fails SATURATION_EQUALITY while DIRECT holds; where it fails, a wrong
-U + I that turns any of the three true disagrees with DIRECT.
+the elements outside it.  U + I, the cosets of I that hold a unit, is read
+from the coset map of DIRECT's quotient, which quotient_ring certifies, so
+it is exact for the unit mask.  sat(1 + I), the elements invertible mod I,
+is built from 1 + I alone and WITNESS scans partners, neither reading the
+map.  Where the lifting holds sat(1 + I) is U + I, so a wrong U + I fails
+SATURATION_EQUALITY while DIRECT holds; where it fails, a wrong U + I that
+turns any of the three true disagrees with DIRECT.
 
 The checks run a whole ring at a time: _star_reports decides every proper
 ideal of a ring in one call (star_report and star_check are batches of
-one): one quotient per ideal for DIRECT, whose cache later callers read,
-one _saturate_masks call on [U + I; 1 + I] and one first_hits pass.
+one): one quotient per ideal for DIRECT, whose cache U + I and later
+callers read, one _saturate_masks call and one first_hits pass.
 
 Lifting is constructive: the exceptional maximal ideals (those not
 containing I) are those whose atom lies in I, and a CRT adjustment a with
@@ -130,21 +133,13 @@ class StarReport:
         return {c.method.value: c.holds for c in self.checks}
 
 
-def _units_plus_ideals(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
-    """Row j is the mask of U + I_j, for the ideal mask I_j in row j of
-    masks: one sumset over the pairs (member of some I_j, unit), a block of
-    members at a time, counting four words per pair, for its sum, the flat
-    index of the sum and their intermediates, so that they stay within
-    BLOCK_WORDS together."""
-    n = ring.carrier_size
-    units = np.flatnonzero(ring.unit_mask())
-    owner, members = np.nonzero(masks)
-    hit = np.zeros(masks.shape, dtype=bool)
-    step = ring.block_rows(4 * len(units))
-    for lo in range(0, len(members), step):
-        sums = ring.add_many(members[lo:lo + step, None], units)
-        hit.ravel()[(owner[lo:lo + step, None] * n + sums).ravel()] = True
-    return hit
+def _units_plus_ideals(ring: FiniteRing, ideals: Sequence[Ideal]) -> np.ndarray:
+    """Row j is the mask of U + I_j, the cosets of I_j that hold a unit: the
+    pullback of the image of U along the certified coset map of I_j's cached
+    quotient, which a batch's DIRECT has built, so no sum is formed."""
+    units = ring.unit_mask()
+    return np.array([hom.image(units)[hom.mapping]
+                     for _, hom in (quotient_ring(ring, i) for i in ideals)])
 
 
 def _one_plus_ideals(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
@@ -201,8 +196,7 @@ def _witness_checks(ring: FiniteRing, masks: np.ndarray, w: np.ndarray) -> list[
     decided in one first_hits pass, whose rows are those pairs (ideal j,
     orbit representative a), encoded as j*n + a.  A cell holds a*b, 1 - a*b,
     its flat index in the ideal masks and the membership bit: four words,
-    counted so that they stay within BLOCK_WORDS together.  Sharing w loses
-    no detection: where the lifting holds, w must equal sat(1 + I).
+    counted so that they stay within BLOCK_WORDS together.
     """
     n = ring.carrier_size
     every = np.arange(n)
@@ -230,8 +224,7 @@ def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
     _check_ideals(ring, [ideal])
     if method is StarMethod.DIRECT:
         return _direct_check(ring, ideal)
-    masks = ideal.mask[None]
-    w = _units_plus_ideals(ring, masks)
+    masks, w = ideal.mask[None], _units_plus_ideals(ring, [ideal])
     if method is StarMethod.WITNESS:
         return _witness_checks(ring, masks, w)[0]
     return _saturation_checks(ring, masks, w)[method is StarMethod.SATURATION_EQUALITY][0]
@@ -269,7 +262,7 @@ def _star_reports(ring: FiniteRing, ideals: Sequence[Ideal]
         return [], defect
     reports = []
     masks = np.array([i.mask for i in ideals])
-    w = _units_plus_ideals(ring, masks)
+    w = _units_plus_ideals(ring, ideals)
     columns = [direct, *_saturation_checks(ring, masks, w), _witness_checks(ring, masks, w)]
     for ideal, checks in zip(ideals, zip(*columns)):
         if len({c.holds for c in checks}) != 1:

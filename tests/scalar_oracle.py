@@ -128,7 +128,11 @@ def principal(ring, x):
     return frozenset(mul(ring, r, x) for r in ring.elements())
 
 
-def sumset(ring, a, b):
+def sumset(ring, a, b, add_table=None):
+    """{x + y : x in a, y in b}, on the reference arithmetic, or on the add
+    table of a ring it has no arithmetic for."""
+    if add_table is not None:
+        return frozenset(add_table[x][y] for x in a for y in b)
     return frozenset(add(ring, x, y) for x in a for y in b)
 
 

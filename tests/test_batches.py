@@ -346,8 +346,8 @@ def _wrong_first_row(monkeypatch, flip):
     """Corrupt row 0 of every U + I: flip the element that flip picks."""
     real = star._units_plus_ideals
 
-    def wrong(ring, masks):
-        w = real(ring, masks)
+    def wrong(ring, ideals):
+        w = real(ring, ideals)
         w[0, flip(w[0])] ^= True
         return w
 

@@ -29,9 +29,12 @@ from unitlift.star import (
 
 
 def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
-    # 6 of Z/12, labelled 0, is no orbit's representative and in no orbit
+    # 6 of Z/12, labelled 0, is no orbit's representative and in no orbit;
+    # the quotient, whose U + I WITNESS reads, is built before the patch,
+    # so that the patch reaches the unit orbits alone
     ring = build_ring("Z/12")
     ideal = ideal_closure(ring, [4])
+    quotient_ring(ring, ideal)
     real = rings._least_of_orbits
 
     def mislabelled(*args):
@@ -42,6 +45,28 @@ def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
     monkeypatch.setattr(rings, "_least_of_orbits", mislabelled)
     with pytest.raises(InternalDefectError, match="^the unit orbits do not cover the carrier$"):
         star_check(ring, ideal, StarMethod.WITNESS)
+
+
+@pytest.mark.parametrize("relabel", [
+    {5: 2, 6: 1},        # 5 and 6 trade classes, each keeping 3 elements
+    {8: 8},              # 8 leaves the class of 0 for a class of its own
+    {0: 4, 4: 4, 8: 4},  # the class of 0 is labelled 4, not its least member
+], ids=["outside-its-coset", "wrong-size", "not-least"])
+def test_coset_labels_that_are_not_the_cosets_are_a_defect(relabel, monkeypatch):
+    # the cosets of (4) in Z/12 are {r, r + 4, r + 8} for r = 0..3
+    ring = build_ring("Z/12")
+    ideal = ideal_closure(ring, [4])
+    real = rings._least_of_orbits
+
+    def mislabelled(*args):
+        label = real(*args).copy()
+        label[list(relabel)] = list(relabel.values())
+        return label
+
+    monkeypatch.setattr(rings, "_least_of_orbits", mislabelled)
+    with pytest.raises(InternalDefectError,
+                       match="^the coset labels are not the cosets of the ideal$"):
+        quotient_ring(ring, ideal)
 
 
 def test_a_closure_that_is_not_additively_closed_is_a_defect(monkeypatch):

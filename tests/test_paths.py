@@ -205,7 +205,7 @@ def test_scans_match_oracle(spec, table_limit):
         quotient, hom = quotient_ring(ring, ideal)
         assert ((quotient.reps.tolist(), hom.mapping.tolist())
                 == oracle.quotient_reps(ring, ideal.elements))
-        sat_input = _as_set(_units_plus_ideals(ring, ideal.mask[None])[0])
+        sat_input = _as_set(_units_plus_ideals(ring, [ideal])[0])
         assert sat_input == oracle.sumset(ring, units, ideal.elements)
         assert saturate(ring, sat_input) == oracle.saturate(ring, sat_input)
         check = star_check(ring, ideal, StarMethod.WITNESS)
@@ -244,7 +244,7 @@ def test_saturate_from_principal_table_matches_scan(spec):
     subsets = [{ring.one}, jacobson_radical(ring).elements]
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
     for ideal in _sample(ideals, 4, spec):
-        subsets += [_as_set(_units_plus_ideals(ring, ideal.mask[None])[0]),
+        subsets += [_as_set(_units_plus_ideals(ring, [ideal])[0]),
                     _as_set(_one_plus_ideals(ring, ideal.mask[None])[0])]
     rng = random.Random(spec)
     for _ in range(4):
@@ -333,7 +333,7 @@ def test_saturate_by_orbits_matches_definition(spec, generator):
     ideal = ideal_closure(ring, [ring.parse_element(generator)])
     assert ideal.is_proper()
     subsets = [frozenset({ring.one}), jacobson_radical(ring).elements,
-               _as_set(_units_plus_ideals(ring, ideal.mask[None])[0]),
+               _as_set(_units_plus_ideals(ring, [ideal])[0]),
                _as_set(_one_plus_ideals(ring, ideal.mask[None])[0])]
     sats = [saturate(ring, w) for w in subsets]
     reps = np.flatnonzero(_unit_orbits(ring) == np.arange(n)).tolist()
@@ -489,11 +489,30 @@ def test_witness_batch_matches_the_oracle_on_every_ideal(n, table_limit):
     ring = _SignsAsUnits(ModularSpec(n), Guards(table_limit=table_limit))
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
     masks = np.array([i.mask for i in ideals])
-    checks = _witness_checks(ring, masks, _units_plus_ideals(ring, masks))
+    checks = _witness_checks(ring, masks, _units_plus_ideals(ring, ideals))
     assert checks == [star_check(ring, i, StarMethod.WITNESS) for i in ideals]
     assert [c.witness for c in checks] == [
         oracle.witness(ring, i.elements, ring.units()) for i in ideals]
     assert sum(not c.holds for c in checks) >= 2
+
+
+_SIGNS_AS_UNITS = "Z/144 with units 1 and -1"
+
+
+@pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings(max_carrier=64)]
+                         + ["prod(Z/33,Z/35)", _SIGNS_AS_UNITS, _SQUARE_ZERO_XY])
+def test_units_plus_ideals_match_the_sumset_oracle(spec):
+    # U + I read from each ideal's coset map, against every sum of a unit
+    # and a member of I; _SignsAsUnits has a unit set that is no product
+    want = None
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = (_SignsAsUnits(ModularSpec(144), guards) if spec == _SIGNS_AS_UNITS
+                else _build(spec, guards))
+        ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
+        if want is None:
+            add_table = _square_zero_xy_tables()[0] if spec == _SQUARE_ZERO_XY else None
+            want = [oracle.sumset(ring, ring.units(), i.elements, add_table) for i in ideals]
+        assert [_as_set(row) for row in _units_plus_ideals(ring, ideals)] == want
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
@@ -571,6 +590,10 @@ class _SquareZeroXY(FiniteRing):
 
     def _find_units(self):
         return np.arange(8) & 1 == 1
+
+    def element_expr(self, a):
+        # its index, so that quotient_ring can name an ideal's generators
+        return int(a)
 
     def __repr__(self):
         return "<FiniteRing GF(2)[x,y]/(x,y)^2>"
@@ -651,7 +674,7 @@ def test_quadratic_scans_stay_within_memory_budget():
                              "(" + ",".join(["1"] + ["0"] * 10) + ")")):
         ring = build_ring(spec)
         ideal = ideal_closure(ring, [ring.parse_element(generator)])
-        w = _as_set(_units_plus_ideals(ring, ideal.mask[None])[0])
+        w = _as_set(_units_plus_ideals(ring, [ideal])[0])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

@@ -1,63 +1,50 @@
 """Finite commutative rings on canonical element indices, plus the two
 presented infinite rings (the integers and GF(p)[x]).
 
-Every finite ring here is a set of indices 0..carrier_size-1 with total
-add/mul/neg operations.  Modular rings use residues, polynomial quotients use
-base-p digit strings of the little-endian coefficient vector, products use a
-little-endian mixed-radix encoding of the factor indices, and quotients use
-ranks of the sorted minimal coset representatives.  The zero element is always
-index 0 by construction.
+Every finite ring is a set of indices 0..carrier_size-1, zero at 0: the
+residues of Z/n, base-p digit strings of the little-endian coefficient
+vector of a polynomial quotient, a little-endian mixed radix of a product's
+factor indices, and the ranks of the sorted least coset members of R/I.
 
-Each ring kind has one arithmetic: the array operations add_many, mul_many
-and neg_many on broadcast int64 index arrays.  The scalar add, mul and neg
-are single cells of them, and every exhaustive scan in the library is
-written against them.  Z/n computes on its residues at every size: a gather
-from an n x n table costs what a * b % n costs, and a one-shot query reads
-too few cells to repay building one.  Any other ring whose carrier is within
-the table guard caches its operation tables as numpy arrays and gathers from
-them.  Above the guard each kind computes on its encoding: digit vectors
-with x acting as the companion matrix of f for polynomial quotients over
-odd p, the index itself as the coefficient bit vector for GF(2) quotients
-(add is XOR, mul shifts and XORs), the factors' operations recombined by
-mixed radix for products, and the parent's operations on coset
-representatives for quotients.  Quadratic scans run in row blocks
-whose temporaries stay under BLOCK_WORDS int64 words, counting every digit
-a cell holds.  Inside the library a subset of the carrier is a read-only
-boolean mask, and only public functions that return frozensets build them:
-an ideal is its mask, the units are one mask cached per ring (units() is a
-frozenset view, built once), and so are the principal ideals, so sums,
-closures and generators are mask operations.  Each ring labels its unit
-orbits once: x*U is labelled with its least element, a block of whole orbits
-at a time, and the labels are certified by recomputing each representative's
-orbit and cached.  As (u*x)R = xR for a unit u, every ring caches, for each
-local factor eR, one row of eR per orbit in it, its distinct principal
-ideals, and their containment order: the ideal lattice searches from them
-and saturation closes over them.  A check of a property that units
-preserve, such as the witness scan and the semi-inverse certificate, runs
-on one representative per orbit and spreads its answers by the labels.
-The units of Z/n come from
-gcds and those of a product from its factors'.  R/I reads its units from
-the local split and the nilradical N of R (_coset_units): x + I is a unit
-exactly when e_j*x is not nilpotent for every atom e_j outside I, with both
-sides certified on R's arithmetic, so no quotient builds its tables for
-them.  Every other ring pulls back the units of R/N.  A unit u is inverted
-as u^(|U|-1) by square-and-multiply (power_many), certified by u*v = 1.  The
-tests check the tables, the array operations and every scan against a
-plain-Python oracle with its own arithmetic.  A quotient map is stored once,
-as a read-only int64 array that the quotient ring (qmap) and its projection
-hom (mapping) share, certified in O(n) as the coset map when built; the hom
-computes images, pullbacks and fibres from it, the fibres as one read-only
-array.  Cached data is immutable once published: arrays are read-only, and
-the ideal list is cached as a tuple no caller holds, each call handing out a
-fresh list.  So sharing rings across threads is safe.  A batch of elements
-is checked as check_element checks one, with one type test per distinct type
-and one vectorised range test.
+Each ring kind has one arithmetic: add_many, mul_many and neg_many on
+broadcast int64 index arrays, of which the scalar add, mul and neg are
+single cells; every exhaustive scan is written against them.  Z/n computes
+on its residues at every size, as a gather from an n x n table costs what
+a * b % n costs.  Any other ring within the table guard gathers from
+tables built from structure: polynomial quotients step x as the companion
+matrix of f, products combine their factors' tables digit by digit, and
+quotients gather from the parent in row blocks.  Above the guard each kind
+computes on its encoding: digit vectors for odd p, the index as a bit
+vector for GF(2) (add is XOR), the factors' operations by mixed radix for
+products, and the parent's operations on coset members for quotients.
+Quadratic scans run in row blocks (BLOCK_WORDS).
 
-The tables are built from structure, not by a generic pass over the n^2
-cells: polynomial quotients step x as the companion matrix of f, and
-products combine their factors' operations over the factors' carriers digit
-by digit.  Quotients gather theirs from the parent's operations in row
-blocks.
+Inside the library a subset of the carrier is a read-only boolean mask,
+and only public functions that return frozensets build sets: an ideal is
+its mask, and the units and the principal ideals are masks cached per
+ring.  The unit orbits x*U are labelled once with their least elements and
+certified.  As (u*x)R = xR for a unit u, every ring caches, for each local
+factor eR, one row of eR per orbit in it and their containment order: the
+ideal lattice searches from them and saturation closes over them.  A check
+of a property that units preserve runs on one element per orbit.  The
+units of Z/n come from gcds and those of a product from its factors'; R/I
+reads its units from the local split and the nilradical N of R
+(_coset_units), certified on R's arithmetic; every other ring pulls back
+the units of R/N.  A unit u is inverted as u^(|U|-1), certified by u*v = 1.
+
+Cosets are labelled on the local split: x + I is fixed by the cosets of
+the e_j*x modulo e_jI, each labelled inside its factor and cached per
+factor ideal, and the least member of a coset is the first element with
+its tuple of factor labels.  That coset map (_coset_map) is built once per
+ideal and certified in O(n); quotients and the congruence solver read it,
+and a quotient ring (qmap) and its projection hom (mapping) share one
+read-only array, from which the hom computes images, pullbacks and fibres.
+
+Cached data is immutable once published: arrays are read-only, and the
+ideal list is a tuple no caller holds, so sharing rings across threads is
+safe.  A batch of elements is checked as check_element checks one, with one
+type test per distinct type and one vectorised range test.  The tests hold
+every operation and scan to a plain-Python oracle with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -609,11 +596,9 @@ class QuotientRing(FiniteRing):
 
     def __init__(self, spec: QuotientSpec, parent: FiniteRing, reps: np.ndarray,
                  qmap: np.ndarray, guards: Guards):
-        """reps and qmap are int64 arrays: the sorted coset minima, and the
-        rank of each parent element's coset.  Both are frozen read-only."""
+        """reps and qmap are the read-only int64 arrays of _coset_map: the
+        sorted coset minima, and the rank of each parent element's coset."""
         self.parent = parent
-        for a in (reps, qmap):
-            a.setflags(write=False)
         self.reps = reps
         self.qmap = qmap
         super().__init__(spec, len(reps), int(qmap[parent.zero]),
@@ -741,21 +726,19 @@ def principal(ring: FiniteRing, x: int) -> np.ndarray:
     return ring._cache[key]
 
 
-def _least_of_orbits(ring: FiniteRing, orbit_of, width: int) -> np.ndarray:
-    """label[x] is the least element of the orbit of x in the carrier.
+def _least_of_orbits(ring: FiniteRing, members: np.ndarray, orbit_of, width: int) -> np.ndarray:
+    """label[i] is the least element of the orbit of members[i], for the
+    sorted members of a union of orbits: the carrier, or one local factor.
     orbit_of(xs) maps a (k, 1) index array to the (k, width) array of the
-    orbits of xs, each row holding its own x.
-
-    Whole orbits of the smallest unlabelled elements are labelled a block of
-    rows at a time.  An orbit holds at most width elements, so there are at
-    least n // width orbits: the first block takes that many rows,
-    exactly one per coset when the orbits are cosets, and each later block
-    doubles, up to the block budget, so few rows repeat an orbit that an
-    earlier row of the same block labels.
-    """
+    orbits of xs, each row holding its own x.  Whole orbits of the smallest
+    unlabelled members are labelled a block of rows at a time.  An orbit
+    holds at most width elements, so the first block takes len(members) //
+    width rows, exactly one per coset when the orbits are cosets, and each
+    later block doubles, up to the block budget, so few rows repeat an orbit
+    an earlier row of the block labels."""
     label = np.full(ring.carrier_size, -1, dtype=np.int64)
     widest = ring.block_rows(width)
-    todo = np.arange(ring.carrier_size)
+    todo = members
     step = min(widest, max(1, todo.size // width))
     while todo.size:
         block = todo[:step]
@@ -766,24 +749,22 @@ def _least_of_orbits(ring: FiniteRing, orbit_of, width: int) -> np.ndarray:
             raise InternalDefectError("an element is missing from its own orbit")
         todo = todo[step:][label[todo[step:]] < 0]
         step = min(widest, 2 * step)
-    return label
+    return label[members]
 
 
 def _unit_orbits(ring: FiniteRing) -> np.ndarray:
     """Read-only labels of the unit orbits in the carrier: label[x] is the
-    least element of x*U.  Built once per ring and cached, for the
-    principal ideals of each local factor, the WITNESS check and the
-    semi-inverse scan.
-
-    Labelled as quotient_ring labels cosets.  Certified when built: each
-    representative's orbit, recomputed, holds only its own label and has it
-    as its least element, and the orbits cover the carrier.
-    """
+    least element of x*U, for the principal ideals of each local factor, the
+    WITNESS check and the semi-inverse scan; cached per ring.  Labelled over
+    the whole carrier, as no unit mask is made to promise that U is the
+    product of the e_jU.  Certified when built: each representative's orbit,
+    recomputed, holds only its own label and has it as its least element,
+    and the orbits cover the carrier."""
     if "unit_orbits" in ring._cache:
         return ring._cache["unit_orbits"]
     n = ring.carrier_size
     units = np.flatnonzero(ring.unit_mask())
-    label = _least_of_orbits(ring, lambda x: ring.mul_many(x, units), len(units))
+    label = _least_of_orbits(ring, np.arange(n), lambda x: ring.mul_many(x, units), len(units))
     reps = np.flatnonzero(label == np.arange(n))
     covered = np.zeros(n, dtype=bool)
     step = ring.block_rows(len(units))
@@ -879,12 +860,13 @@ def _idempotent_mask(ring: FiniteRing) -> np.ndarray:
     return ring._cache["idempotents"]
 
 
-def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
+def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray, tuple[np.ndarray, ...]]:
     """The atoms e_1 < ... < e_k of the idempotent lattice, the nonzero
-    idempotents e with e*f equal to 0 or e for every idempotent f, and the
-    read-only (k, n) array whose row j is x -> e_j*x; cached per ring.
-    Certified once: the atoms sum to one and the factor sizes multiply to n,
-    so the ring is the product of the local rings e_jR."""
+    idempotents e with e*f equal to 0 or e for every idempotent f, the
+    read-only (k, n) array whose row j is x -> e_j*x, and the sorted
+    read-only members of each e_jR; cached per ring.  Certified once: the
+    atoms sum to one and the factor sizes multiply to n, so the ring is the
+    product of the local rings e_jR."""
     if "local_factors" in ring._cache:
         return ring._cache["local_factors"]
     idx = np.arange(ring.carrier_size)
@@ -899,12 +881,14 @@ def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
     projections = np.empty((len(atoms), len(idx)), dtype=np.int64)
     for row, e in zip(projections, atoms):
         row[:] = ring.mul_many(idx, e)
+    members = tuple(np.flatnonzero(np.bincount(p, minlength=len(idx))) for p in projections)
     if (functools.reduce(ring.add, atoms, ring.zero) != ring.one
-            or math.prod(np.count_nonzero(np.bincount(p)) for p in projections) != len(idx)):
+            or math.prod(map(len, members)) != len(idx)):
         raise InternalDefectError("primitive idempotents do not split the ring")
-    projections.setflags(write=False)
-    ring._cache["local_factors"] = atoms, projections
-    return atoms, projections
+    for published in (projections, *members):
+        published.setflags(write=False)
+    ring._cache["local_factors"] = atoms, projections, members
+    return atoms, projections, members
 
 
 def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
@@ -916,11 +900,8 @@ def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
 
     if "residue_field_sizes" not in ring._cache:
         nil = nilradical(ring).mask
-        atoms, projections = local_factors(ring)
-        counts = []
-        for proj in projections:
-            members = np.flatnonzero(np.bincount(proj))
-            counts.append((len(members), int(np.count_nonzero(nil[members]))))
+        atoms, _, factors = local_factors(ring)
+        counts = [(len(members), int(np.count_nonzero(nil[members]))) for members in factors]
         if nil[list(atoms)].any() or any(k == 0 or size % k for size, k in counts):
             raise InternalDefectError("the nilradical does not split over the local factors")
         sizes = np.array([size // k for size, k in counts], dtype=np.int64)
@@ -930,12 +911,10 @@ def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
 
 
 def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.ndarray:
-    """Mask of the units of R/I, read from the local split and the
-    nilradical N of the parent R alone, for the coset representatives reps
-    and the coset map qmap of quotient_ring: x + I is a unit exactly when
-    e_j*x is not nilpotent for every atom e_j outside I (a live atom), as
-    R/I is the product of the local rings e_jR/e_jI.
-
+    """Mask of the units of R/I, for the coset map (reps, qmap) of I, read
+    from the local split and the nilradical N of the parent R alone: x + I
+    is a unit exactly when e_j*x is not nilpotent for every atom e_j outside
+    I (a live atom), as R/I is the product of the local rings e_jR/e_jI.
     Both sides are certified on the arithmetic of R, never of R/I:
     - a non-unit x lies in m_j = {x : e_j*x in N} for a live e_j.  That is
       an ideal, as N is one, proper, as e_j is not in N, and it holds I
@@ -947,7 +926,7 @@ def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.n
     from .spectrum import nilradical
 
     nil = nilradical(parent).mask
-    atoms, projections = local_factors(parent)
+    atoms, projections, _ = local_factors(parent)
     kernel = qmap == qmap[parent.zero]
     live = ~kernel[list(atoms)]
     factors = projections[live]
@@ -974,8 +953,7 @@ def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, np.ndarray, 
         label = _unit_orbits(ring)
         position = np.empty(ring.carrier_size, dtype=np.int64)  # within the factor
         factors = []
-        for proj in local_factors(ring)[1]:
-            members = np.flatnonzero(np.bincount(proj, minlength=ring.carrier_size))
+        for members in local_factors(ring)[2]:
             reps = members[label[members] == members]
             position[members] = np.arange(len(members))
             rows = np.zeros((len(reps), len(members)), dtype=bool)
@@ -999,7 +977,7 @@ def _principal_cells(ring: FiniteRing) -> np.ndarray:
     if "principal_cells" not in ring._cache:
         label, n = _unit_orbits(ring), ring.carrier_size
         cell, unit = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-        for e, proj, (members, rows, _) in zip(*local_factors(ring), _factor_principals(ring)):
+        for e, proj, (members, rows, _) in zip(*local_factors(ring)[:2], _factor_principals(ring)):
             row = np.searchsorted(members[label[members] == members], label[proj])
             cell = cell * len(rows) + row
             unit &= rows[row, np.searchsorted(members, e)]
@@ -1057,7 +1035,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     if "ideals" in ring._cache:
         return list(ring._cache["ideals"])
     n = ring.carrier_size
-    _, projections = local_factors(ring)
+    _, projections, _ = local_factors(ring)
     # row i of lattice is the mask of one sum of factor ideals
     lattice = np.ones((1, n), dtype=bool)
     for (members, rows, _), proj in zip(_factor_principals(ring), projections):
@@ -1127,8 +1105,53 @@ class SurjectiveHom:
                 f"{spec_to_string(self.target.spec)}>")
 
 
+def _coset_labels(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
+    """label[x], the least member of x + I for the ideal I with the mask.
+    As I is the sum of the e_jI = I ∩ e_jR, x + I is fixed by the cosets of
+    the e_j*x, each labelled on its factor alone and cached per factor
+    ideal, and its least member is the first element with that tuple."""
+    n, key, position = ring.carrier_size, 0, np.empty(ring.carrier_size, dtype=np.int64)
+    _, projections, factors = local_factors(ring)
+    for j, (members, proj) in enumerate(zip(factors, projections)):
+        position[members] = np.arange(len(members))  # within the factor
+        inside = mask[members]
+        cached = ("factor_cosets", j, inside.tobytes())
+        if cached not in ring._cache:
+            elems = members[inside]  # for e_jI = 0, each member is its coset's least
+            least = members if len(elems) == 1 else _least_of_orbits(
+                ring, members, lambda a: ring.add_many(a, elems), len(elems))
+            ring._cache[cached] = position[least]
+            ring._cache[cached].setflags(write=False)
+        key = key * len(members) + ring._cache[cached][position[proj]]  # below n = ∏ |e_jR|
+    first = np.full(n, n)
+    np.minimum.at(first, key, np.arange(n))
+    return first[key]
+
+
+def _coset_map(ring: FiniteRing, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (reps, qmap) of the ideal I with the mask, cached per
+    mask: the sorted least members of the cosets and each element's rank
+    among them.  Certified in O(n): each class has |I| elements inside one
+    coset, so is that coset, and reps[j] is the least member of class j."""
+    key = ("coset_map", np.packbits(mask).tobytes())
+    if key not in ring._cache:
+        every = np.arange(ring.carrier_size)
+        label = _coset_labels(ring, mask)
+        reps = np.flatnonzero(label == every)
+        qmap = np.searchsorted(reps, label)
+        if not (np.bincount(qmap).tolist() == [int(np.count_nonzero(mask))] * len(reps)
+                and mask[ring.add_many(every, ring.neg_many(reps)[qmap])].all()
+                and (qmap[reps] == np.arange(len(reps))).all() and (reps[qmap] <= every).all()):
+            raise InternalDefectError("the coset labels are not the cosets of the ideal")
+        for published in (reps, qmap):
+            published.setflags(write=False)
+        ring._cache[key] = reps, qmap
+    return ring._cache[key]
+
+
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, SurjectiveHom]:
-    """R/I together with the projection hom.  Cached per ideal."""
+    """R/I together with the projection hom, on the certified coset map of
+    I (_coset_map).  Cached per ideal."""
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
     if not ideal.is_proper():
@@ -1136,19 +1159,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
     key = ("quotient", ideal.key)
     if key in ring._cache:
         return ring._cache[key]
-
-    # every coset a + I is labelled with its minimum, certified: a class of
-    # |I| elements in one coset is that coset, and reps[j] is its least member
-    elems = np.flatnonzero(ideal.mask)
-    every = np.arange(ring.carrier_size)
-    rep = _least_of_orbits(ring, lambda a: ring.add_many(a, elems), len(elems))
-    reps = np.flatnonzero(rep == every)
-    qmap = np.searchsorted(reps, rep)
-    if not (np.bincount(qmap).tolist() == [len(elems)] * len(reps)
-            and ideal.mask[ring.add_many(every, ring.neg_many(reps)[qmap])].all()
-            and (qmap[reps] == np.arange(len(reps))).all() and (reps[qmap] <= every).all()):
-        raise InternalDefectError("the coset labels are not the cosets of the ideal")
-
+    reps, qmap = _coset_map(ring, ideal.mask)
     gens = ideal.generators if ideal.generators else (ring.zero,)
     spec = QuotientSpec(ring.spec, tuple(ring.element_expr(g) for g in gens))
     quotient = QuotientRing(spec, ring, reps, qmap, ring.guards)

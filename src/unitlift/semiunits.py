@@ -288,8 +288,7 @@ def is_von_neumann_regular(ring: FiniteRing) -> bool:
     That holds exactly when the ring is reduced, a product of the fields
     e_jR of local_factors; then a^(L+1) = a for L = lcm (|e_jR| - 1), and
     x = a^(L-1) is the partner of a.  Certified by _fermat_identity."""
-    _, projections = local_factors(ring)
-    exponent = math.lcm(*(int(np.count_nonzero(np.bincount(p))) - 1 for p in projections))
+    exponent = math.lcm(*(len(members) - 1 for members in local_factors(ring)[2]))
     return _fermat_identity(ring, exponent, nilradical(ring).mask)
 
 

@@ -20,9 +20,9 @@ still compares the nilpotents of R, carried through the quotient map,
 with the squaring scan of R/I itself.
 
 Congruences are solved on the same split, with no scan of the carrier:
-ideals are comaximal when no atom lies outside both, and a solution is
-built atom by atom, so the least one is the least of its coset modulo the
-intersection of the ideals.
+ideals are comaximal when no atom lies outside both, a solution is built
+atom by atom, and the least one is read from the certified coset map of
+the intersection of the ideals (rings._coset_map).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .rings import (
     Ideal,
     SurjectiveHom,
     _as_set,
+    _coset_map,
     _idempotent_mask,
     check_element,
     ideal_from_mask,
@@ -105,7 +106,7 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
     outside it, so every nonzero class of R/m_j holds a unit: a field."""
     if "maximal_ideals" in ring._cache:
         return ring._cache["maximal_ideals"]
-    atoms, projections = local_factors(ring)
+    atoms, projections, _ = local_factors(ring)
     every = np.arange(ring.carrier_size)
     ideals = []
     for e, proj in zip(atoms, projections):
@@ -186,27 +187,15 @@ def crt_solve(ring: FiniteRing, system: CongruenceSystem | list) -> int:
     return int(solutions[0])
 
 
-def _coset_minima(ring: FiniteRing, x: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The least element of each coset x[i] + J, J given by its members:
-    a row minimum of add_many, blocked so as to stay within BLOCK_WORDS."""
-    out = np.empty(len(x), dtype=np.int64)
-    step = ring.block_rows(len(members))
-    for lo in range(0, len(x), step):
-        out[lo:lo + step] = ring.add_many(x[lo:lo + step, None], members).min(axis=1)
-    return out
-
-
 def _crt_solve_many(ring: FiniteRing, ideals, targets: np.ndarray):
     """crt_solve for k systems over the same ideals: system j asks for
     x = targets[i, j] mod ideals[i], for the (len(ideals), k) array targets.
-
     Comaximality is checked once.  x = the sum of e_j*t over the atoms e_j,
     t the target of the ideal e_j lies outside, solves every congruence:
     x - t_i is a sum of zeros and multiples of atoms in ideals[i].  So the
-    solutions are the coset x + J, J the intersection of the ideals, and
-    _coset_minima takes its least element.  Returns the solutions and, per
-    system, None or the defect of a congruence the solution fails.
-    """
+    solutions are the coset x + J, J the intersection of the ideals, whose
+    least element is reps[qmap[x]] in J's coset map.  Returns the solutions
+    and, per system, None or the defect of a congruence the solution fails."""
     masks = np.array([i.mask for i in ideals], dtype=bool)
     masks = masks.reshape(len(ideals), ring.carrier_size)
     owner = _check_comaximal(ring, masks)
@@ -214,7 +203,8 @@ def _crt_solve_many(ring: FiniteRing, ideals, targets: np.ndarray):
     for proj, i in zip(local_factors(ring)[1], owner.tolist()):
         if i >= 0:
             x = ring.add_many(x, proj[targets[i]])
-    solutions = _coset_minima(ring, x, np.flatnonzero(masks.all(axis=0)))
+    reps, qmap = _coset_map(ring, masks.all(axis=0))
+    solutions = reps[qmap[x]]
     rows = np.arange(len(ideals))[:, None]
     holds = masks[rows, ring.add_many(solutions, ring.neg_many(targets))].all(axis=0)
     return solutions, [None if h else "crt solution fails a congruence"

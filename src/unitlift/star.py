@@ -17,10 +17,10 @@ orbits nor U + I: it cross-checks all three.
 The other three read U + I, built once and shared: SATURATED_SUM saturates
 it, SATURATION_EQUALITY compares it with sat(1 + I), and WITNESS scans only
 the elements outside it.  U + I, the cosets of I that hold a unit, is read
-from the coset map of DIRECT's quotient, which quotient_ring certifies, so
-it is exact for the unit mask.  sat(1 + I), the elements invertible mod I,
-is built from 1 + I alone and WITNESS scans partners, neither reading the
-map.  Where the lifting holds sat(1 + I) is U + I, so a wrong U + I fails
+from the certified coset map (rings._coset_map) of DIRECT's quotient, so it
+is exact for the unit mask.  sat(1 + I), the elements invertible mod I, is
+built from 1 + I alone and WITNESS scans partners, neither reading the map.
+Where the lifting holds sat(1 + I) is U + I, so a wrong U + I fails
 SATURATION_EQUALITY while DIRECT holds; where it fails, a wrong U + I that
 turns any of the three true disagrees with DIRECT.
 
@@ -35,9 +35,11 @@ a = 0 mod I and a = 1 - r mod each exceptional ideal turns any preimage r of
 a unit into a unit preimage r + a.  For products of fields there is an even
 more direct adjustment using the indicator of the vanishing coordinates.
 Both run on batches: the lifts of all units of R/I are one CRT batch, solved
-on the local split, and the adjustments of many pairs are a few array
-operations, with every certificate checked on the whole batch.
-crt_unit_lift and product_fields_adjust are batches of one.
+on the local split, with r and the least a read from the certified coset
+maps of I and of the intersection of the system's ideals, and the
+adjustments of many pairs are a few array operations, with every
+certificate checked on the whole batch.  crt_unit_lift and
+product_fields_adjust are batches of one.
 """
 
 from __future__ import annotations
@@ -297,13 +299,10 @@ def ring_has_star(ring: FiniteRing) -> RingStarReport:
 
 
 def crt_unit_lift(ring: FiniteRing, ideal: Ideal, v: int) -> int:
-    """A unit of R mapping onto the unit v of R/I.
-
-    Exceptional maximal ideals are those not containing I: those of the
-    factors e_jR whose atom e_j lies in I.  Solving a = 0 mod I and
-    a = 1 - r mod each exceptional ideal (always a comaximal system) makes
-    r + a a unit with the same image as r.
-    """
+    """A unit of R mapping onto the unit v of R/I: r + a, for the least
+    preimage r of v and the least a = 0 mod I with a = 1 - r mod each
+    exceptional maximal ideal, those of the factors whose atom lies in I
+    (always a comaximal system)."""
     quotient, _ = quotient_ring(ring, ideal)
     v = check_element(quotient, v)
     if not quotient.is_unit(v):
@@ -316,12 +315,12 @@ def crt_unit_lift(ring: FiniteRing, ideal: Ideal, v: int) -> int:
 
 def _crt_unit_lifts(ring: FiniteRing, ideal: Ideal, units: np.ndarray):
     """crt_unit_lift for every unit of R/I in the index array units, as
-    one CRT system per unit over the same ideals: r is the least preimage
-    of the unit and a the least solution of its system.  Returns the lifts
-    r + a and, per unit, None or what failed, in crt_unit_lift's order:
-    the CRT certificates, then the lift being a unit, then its image."""
-    _, hom = quotient_ring(ring, ideal)
-    r = hom.fibres()[units, 0]
+    one CRT system per unit over the same ideals: r is the unit's
+    representative in R/I and a the least solution of its system.  Returns
+    the lifts r + a and, per unit, None or what failed, in crt_unit_lift's
+    order: the CRT certificates, the lift being a unit, its image."""
+    quotient, hom = quotient_ring(ring, ideal)
+    r = quotient.reps[units]
     maximal = maximal_ideals(ring)
     exceptional = [m for m, e in zip(maximal.ideals, maximal.primitive_idempotents)
                    if ideal.mask[e]]

@@ -136,14 +136,16 @@ def sumset(ring, a, b, add_table=None):
     return frozenset(add(ring, x, y) for x in a for y in b)
 
 
-def quotient_reps(ring, ideal_elements):
-    """(sorted minimal coset representatives, coset rank of every element)."""
+def quotient_reps(ring, ideal_elements, add_table=None):
+    """(sorted minimal coset representatives, coset rank of every element),
+    on the reference arithmetic, or on the add table of a ring it has no
+    arithmetic for."""
     n = ring.carrier_size
     rep = [-1] * n
     for r in range(n):
         if rep[r] == -1:
             for i in ideal_elements:
-                rep[add(ring, r, i)] = r
+                rep[add(ring, r, i) if add_table is None else add_table[r][i]] = r
     reps = [r for r in range(n) if rep[r] == r]
     index_of = {r: k for k, r in enumerate(reps)}
     return reps, [index_of[rep[r]] for r in range(n)]

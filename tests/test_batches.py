@@ -235,18 +235,29 @@ def test_a_corrupted_inverse_row_is_the_certificate_defect(monkeypatch):
         semi_unit_decomposition(ring, 2)
 
 
-def test_a_corrupted_crt_row_is_the_congruence_defect(monkeypatch):
-    # the second unit of Z/12 mod (0) gets the solution 0 + 1, outside the
-    # zero ideal: the first lift counts, the second ends the ring
-    coset_minima = spectrum._coset_minima
+class _SecondRowOff(np.ndarray):
+    """An array whose gathers of more than one entry add 1 to the second."""
 
-    def corrupted(ring, x, members):
-        found = coset_minima(ring, x, members)
-        if len(found) > 1:
+    def __getitem__(self, index):
+        found = np.array(super().__getitem__(index))
+        if found.ndim and len(found) > 1:
             found[1] += 1
         return found
 
-    monkeypatch.setattr(spectrum, "_coset_minima", corrupted)
+
+def test_a_corrupted_crt_row_is_the_congruence_defect(monkeypatch):
+    # the coset map the congruence solver reads gives the second unit of
+    # Z/12 mod (0) the solution 0 + 1, outside the zero ideal: the first
+    # lift counts, the second ends the ring.  Every unit's system is solved
+    # at x = 0, so the corruption is in the gather of the batch, not at an
+    # element; the quotients read their own, uncorrupted map
+    coset_map = spectrum._coset_map
+
+    def corrupted(ring, mask):
+        reps, qmap = coset_map(ring, mask)
+        return reps.view(_SecondRowOff), qmap
+
+    monkeypatch.setattr(spectrum, "_coset_map", corrupted)
     ring = build_ring("Z/12")
     result = criterion_unit_lifting([ring], RunContext())
     assert result.failures == ["Z/12: defect: crt solution fails a congruence"]

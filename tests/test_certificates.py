@@ -21,7 +21,6 @@ from unitlift.semiunits import rho
 from unitlift.spectrum import maximal_ideals, radical_quotient
 from unitlift.star import (
     StarMethod,
-    crt_unit_lift,
     presented_star_check,
     reduce_mod_rad_equiv,
     star_check,
@@ -53,17 +52,19 @@ def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
     {0: 4, 4: 4, 8: 4},  # the class of 0 is labelled 4, not its least member
 ], ids=["outside-its-coset", "wrong-size", "not-least"])
 def test_coset_labels_that_are_not_the_cosets_are_a_defect(relabel, monkeypatch):
-    # the cosets of (4) in Z/12 are {r, r + 4, r + 8} for r = 0..3
+    # the cosets of (4) in Z/12 are {r, r + 4, r + 8} for r = 0..3; the
+    # labels are corrupted after the first-element step, which names every
+    # class by its least member whatever the factor labels say
     ring = build_ring("Z/12")
     ideal = ideal_closure(ring, [4])
-    real = rings._least_of_orbits
+    real = rings._coset_labels
 
     def mislabelled(*args):
         label = real(*args).copy()
         label[list(relabel)] = list(relabel.values())
         return label
 
-    monkeypatch.setattr(rings, "_least_of_orbits", mislabelled)
+    monkeypatch.setattr(rings, "_coset_labels", mislabelled)
     with pytest.raises(InternalDefectError,
                        match="^the coset labels are not the cosets of the ideal$"):
         quotient_ring(ring, ideal)
@@ -112,7 +113,7 @@ def test_fibres_of_unequal_size_are_a_defect(monkeypatch):
     mapping[1] = 0
     monkeypatch.setattr(hom, "mapping", mapping)
     with pytest.raises(InternalDefectError, match="^the fibres of the map differ in size$"):
-        crt_unit_lift(ring, ideal, 1)
+        hom.preimages(1)
 
 
 def test_a_reduction_that_changes_the_verdict_is_a_defect(monkeypatch):

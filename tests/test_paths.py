@@ -30,6 +30,10 @@ Oracles:
   - comaximality, read from the atoms of the split into local factors,
     agrees with a plain-Python pair scan on every pair of ideals of every
     corpus ring of at most 32 elements, tabulated and untabulated
+  - the coset map of every proper ideal, labelled factor by factor, is
+    the plain-Python one, labelled on the whole carrier, on every corpus
+    ring of at most 64 elements, on products of several local factors and
+    on GF(2)[x,y]/(x,y)^2, tabulated and untabulated
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements, on products of several local factors, and on
@@ -261,7 +265,7 @@ def test_saturate_from_principal_table_matches_scan(spec):
 def test_principal_table_rows_are_the_principal_ideals(spec):
     for guards in (Guards(), Guards(table_limit=1)):
         ring = _build(spec, guards)
-        _, projections = local_factors(ring)
+        _, projections, _ = local_factors(ring)
         # the mixed-radix digits of cell, the last factor's the least significant
         digits = _principal_cells(ring).copy()
         for (members, rows, order), proj in reversed(list(zip(_factor_principals(ring),
@@ -619,6 +623,26 @@ def _square_zero_xy_tables():
             [[mul(a, b) for b in range(8)] for a in range(8)])
 
 
+@pytest.mark.parametrize("spec", list(dict.fromkeys(
+    SMALL_SPECS + ["prod(Z/33,Z/35)", "prod(Z/4,GF(3)[x]/(x^2),Z/5,Z/9)", "prod(Z/4,Z/4,Z/2)",
+                   "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)", _SQUARE_ZERO_XY])))
+def test_coset_map_matches_the_oracle_on_every_ideal(spec):
+    # the coset map is labelled factor by factor and combined; the oracle
+    # labels each coset on the whole carrier with the reference arithmetic
+    add_table = _square_zero_xy_tables()[0] if spec == _SQUARE_ZERO_XY else None
+    expected = None
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = _build(spec, guards)
+        ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
+        if expected is None:
+            expected = {i.key: oracle.quotient_reps(ring, i.elements, add_table) for i in ideals}
+        got = {}
+        for ideal in ideals:
+            quotient, hom = quotient_ring(ring, ideal)
+            got[ideal.key] = quotient.reps.tolist(), hom.mapping.tolist()
+        assert got == expected
+
+
 def _sums_in_factor_lattice(ring, monkeypatch):
     """How many sumsets _factor_lattice takes on a local ring."""
     calls = []
@@ -714,6 +738,21 @@ def test_quadratic_scans_stay_within_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+    # the coset map of (Z/2)^16 modulo the first coordinate is labelled on
+    # each factor's two members and combined by gathers over the carrier;
+    # one array of the positions of every e_j*x in its factor would alone
+    # take 8 MiB at 16 factors
+    ring = build_ring("prod(" + ",".join(["Z/2"] * 16) + ")")
+    ideal = ideal_closure(ring, [ring.parse_element("(" + ",".join(["1"] + ["0"] * 15) + ")")])
+    local_factors(ring)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        quotient_ring(ring, ideal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
     # Z/n computes on its residues at every size, so asking Z/1024 for its
     # tables allocates nothing; its int32 mul table alone would take 4 MiB
     ring = build_ring("Z/1024")

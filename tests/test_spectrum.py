@@ -135,7 +135,7 @@ def _oracle_unit(ring):
 @pytest.mark.parametrize("spec", SPLIT_SPECS)
 def test_local_factors_match_oracle(spec, table_limit):
     ring = build_ring(spec, Guards(table_limit=table_limit))
-    atoms, projections = local_factors(ring)
+    atoms, projections, members = local_factors(ring)
     idem = oracle.idempotents(ring)
     assert list(atoms) == sorted(
         e for e in idem if e != ring.zero
@@ -144,6 +144,8 @@ def test_local_factors_match_oracle(spec, table_limit):
     assert projections.tolist() == [[oracle.mul(ring, e, x) for x in ring.elements()]
                                     for e in atoms]
     assert local_factors(ring)[1] is projections
+    assert [m.tolist() for m in members] == [sorted(set(row)) for row in projections.tolist()]
+    assert not any(m.flags.writeable for m in members)
 
     maximal = maximal_ideals(ring)
     assert maximal.primitive_idempotents == atoms
@@ -168,7 +170,7 @@ def test_local_factors_match_oracle(spec, table_limit):
 @pytest.mark.parametrize("spec", SPLIT_SPECS + ["Z/12", "prod(Z/4,Z/9)"])
 def test_a_non_unit_read_as_a_unit_is_a_defect(spec, monkeypatch):
     ring = build_ring(spec)
-    atoms, projections = local_factors(ring)
+    atoms, projections, _ = local_factors(ring)
     e = atoms[0]
     # the largest non-unit y of the first factor, or zero when the factor
     # is a field; e*y + 1 - e then is a non-unit that m_0 is read from

@@ -22,15 +22,17 @@ Quadratic scans run in row blocks (BLOCK_WORDS).
 Inside the library a subset of the carrier is a read-only boolean mask,
 and only public functions that return frozensets build sets: an ideal is
 its mask, and the units and the principal ideals are masks cached per
-ring.  The unit orbits x*U are labelled once with their least elements and
-certified.  As (u*x)R = xR for a unit u, every ring caches, for each local
-factor eR, one row of eR per orbit in it and their containment order: the
-ideal lattice searches from them and saturation closes over them.  A check
-of a property that units preserve runs on one element per orbit.  The
-units of Z/n come from gcds and those of a product from its factors'; R/I
-reads its units from the local split and the nilradical N of R
-(_coset_units), certified on R's arithmetic; every other ring pulls back
-the units of R/N.  A unit u is inverted as u^(|U|-1), certified by u*v = 1.
+ring.  Unit orbits are labelled inside the local factors alone: the orbits
+x*(eU) in each factor eR, certified by the products that give one row of
+eR per orbit, as (u*x)R = xR for a unit u, and their containment order,
+which the ideal lattice and saturation read.  U is certified to be the
+elements whose every factor orbit is a unit's, so x*U is the set of
+elements with x's tuple of factor orbits, and a property that units
+preserve is checked on the first element of each.  The units of Z/n come
+from gcds and those of a product from its factors'; R/I reads its units
+from the local split and the nilradical N of R (_coset_units), certified
+on R's arithmetic; every other ring pulls back the units of R/N.  A unit
+u is inverted as u^(|U|-1), certified by u*v = 1.
 
 Cosets are labelled on the local split: x + I is fixed by the cosets of
 the e_j*x modulo e_jI, each labelled inside its factor and cached per
@@ -728,7 +730,7 @@ def principal(ring: FiniteRing, x: int) -> np.ndarray:
 
 def _least_of_orbits(ring: FiniteRing, members: np.ndarray, orbit_of, width: int) -> np.ndarray:
     """label[i] is the least element of the orbit of members[i], for the
-    sorted members of a union of orbits: the carrier, or one local factor.
+    sorted members of one local factor, a union of orbits.
     orbit_of(xs) maps a (k, 1) index array to the (k, width) array of the
     orbits of xs, each row holding its own x.  Whole orbits of the smallest
     unlabelled members are labelled a block of rows at a time.  An orbit
@@ -753,43 +755,27 @@ def _least_of_orbits(ring: FiniteRing, members: np.ndarray, orbit_of, width: int
 
 
 def _unit_orbits(ring: FiniteRing) -> np.ndarray:
-    """Read-only labels of the unit orbits in the carrier: label[x] is the
-    least element of x*U, for the principal ideals of each local factor, the
-    WITNESS check and the semi-inverse scan; cached per ring.  Labelled over
-    the whole carrier, as no unit mask is made to promise that U is the
-    product of the e_jU.  Certified when built: each representative's orbit,
-    recomputed, holds only its own label and has it as its least element,
-    and the orbits cover the carrier."""
-    if "unit_orbits" in ring._cache:
-        return ring._cache["unit_orbits"]
-    n = ring.carrier_size
-    units = np.flatnonzero(ring.unit_mask())
-    label = _least_of_orbits(ring, np.arange(n), lambda x: ring.mul_many(x, units), len(units))
-    reps = np.flatnonzero(label == np.arange(n))
-    covered = np.zeros(n, dtype=bool)
-    step = ring.block_rows(len(units))
-    for lo in range(0, len(reps), step):
-        rep = reps[lo:lo + step, None]
-        orbits = ring.mul_many(rep, units)
-        if not ((label[orbits] == rep).all() and (orbits.min(axis=1) == rep[:, 0]).all()):
-            raise InternalDefectError("a unit orbit holds a foreign label")
-        covered[orbits] = True
-    if not covered.all():
-        raise InternalDefectError("the unit orbits do not cover the carrier")
-    label.setflags(write=False)
-    ring._cache["unit_orbits"] = label
-    return label
+    """Read-only labels of the unit orbits: label[x] is the least element
+    of x*U, for the WITNESS check and the semi-inverse scan; cached per
+    ring.  As U is the product of the e_jU (certified by _principal_cells),
+    x*U is the product of the factor orbits of the e_j*x (_factor_principals),
+    and its least element is the first element with x's cell."""
+    if "unit_orbits" not in ring._cache:
+        cell, n = _principal_cells(ring), ring.carrier_size
+        first = np.full(n, n)
+        np.minimum.at(first, cell, np.arange(n))
+        ring._cache["unit_orbits"] = first[cell]
+        ring._cache["unit_orbits"].setflags(write=False)
+    return ring._cache["unit_orbits"]
 
 
 def _on_unit_orbits(ring: FiniteRing, xs: np.ndarray, answer) -> np.ndarray:
     """answer, taken on one representative per unit orbit met by xs and
     spread back to xs: for a property that multiplication by a unit
-    preserves, this is answer(xs) at the cost of one row per orbit.
-
-    answer maps the sorted representatives, a 1-d index array, to one entry
-    per representative; each orbit's representative is its label, its least
-    element.
-    """
+    preserves, this is answer(xs) at the cost of one row per orbit.  answer
+    maps the sorted representatives, a 1-d index array, to one entry each;
+    a representative is its orbit's least element, read from the factors'
+    orbits under the certified product form of U (_unit_orbits)."""
     reps, back = np.unique(_unit_orbits(ring)[xs], return_inverse=True)
     return answer(reps)[back]
 
@@ -942,43 +928,57 @@ def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.n
     return unit
 
 
-def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """One read-only (members, rows, order) triple per local factor e_jR,
-    cached per ring: the sorted elements of e_jR, row i marking r_i*R among
-    them for the i-th unit-orbit representative r_i in e_jR, and order[s, t]
-    saying r_s*R lies in r_t*R, that is, r_s lies in r_t*R.  x*R is x times
-    e_jR and x*U = x*(e_jU) for x in e_jR, so the rows take orbits times
-    |e_jR| products, a block of representatives at a time."""
+def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, ...], ...]:
+    """One read-only (members, rows, order, orbit) tuple per local factor
+    e_jR, cached per ring: the sorted elements of e_jR, row i marking r_i*R
+    among them for the least member r_i of the i-th orbit x*(e_jU) = x*U in
+    e_jR, order[s, t] saying r_s*R lies in r_t*R, that is, r_s lies in r_t*R,
+    and orbit[m] the row of members[m].  x*R is x times e_jR, so the rows
+    take orbits times |e_jR| products, a block of representatives at a time;
+    as e_jU lies in e_jR, they hold the orbits too, which certifies the
+    labels: each orbit holds only its own, none less, and they cover e_jR."""
     if "factor_principals" not in ring._cache:
-        label = _unit_orbits(ring)
         position = np.empty(ring.carrier_size, dtype=np.int64)  # within the factor
         factors = []
-        for members in local_factors(ring)[2]:
-            reps = members[label[members] == members]
+        for proj, members in zip(*local_factors(ring)[1:]):
             position[members] = np.arange(len(members))
+            units = np.flatnonzero(np.bincount(proj[ring.unit_mask()], minlength=len(proj)))  # e_jU
+            label = _least_of_orbits(ring, members, lambda x: ring.mul_many(x, units), len(units))
+            reps = members[label == members]
             rows = np.zeros((len(reps), len(members)), dtype=bool)
+            covered = np.zeros(len(members), dtype=bool)
             step = ring.block_rows(len(members))
             for lo in range(0, len(reps), step):
-                products = ring.mul_many(reps[lo:lo + step, None], members)
-                rows[np.arange(lo, lo + len(products))[:, None], position[products]] = True
+                rep = reps[lo:lo + step, None]
+                products = position[ring.mul_many(rep, members)]
+                rows[np.arange(lo, lo + len(products))[:, None], products] = True
+                orbits = products[:, position[units]]
+                if (label[orbits] != rep).any() or (orbits < position[rep]).any():
+                    raise InternalDefectError("a unit orbit holds a foreign label")
+                covered[orbits] = True
+            if not covered.all():
+                raise InternalDefectError("the unit orbits do not cover the carrier")
+            orbit = np.searchsorted(reps, label)
             order = rows[:, position[reps]].T
-            for published in (members, rows, order):
+            for published in (members, rows, order, orbit):
                 published.setflags(write=False)
-            factors.append((members, rows, order))
+            factors.append((members, rows, order, orbit))
         ring._cache["factor_principals"] = tuple(factors)
     return ring._cache["factor_principals"]
 
 
 def _principal_cells(ring: FiniteRing) -> np.ndarray:
-    """Read-only cell[x]: the rows of _factor_principals holding the
-    (e_j*x)R, as one mixed-radix number, factor 0 the most significant
-    digit; cached per ring.  Certified once: the elements whose every row
-    holds its factor's atom e_j, the one of e_jR, are exactly the units."""
+    """Read-only cell[x]: the orbits of _factor_principals holding the
+    e_j*x, which are the rows holding the (e_j*x)R, as one mixed-radix
+    number, factor 0 the most significant digit; cached per ring.  Certified
+    once: the elements whose every row holds its factor's atom e_j, the one
+    of e_jR, are exactly the units, so U is the product of the e_jU."""
     if "principal_cells" not in ring._cache:
-        label, n = _unit_orbits(ring), ring.carrier_size
+        n = ring.carrier_size
         cell, unit = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-        for e, proj, (members, rows, _) in zip(*local_factors(ring)[:2], _factor_principals(ring)):
-            row = np.searchsorted(members[label[members] == members], label[proj])
+        for e, proj, (members, rows, _, orbit) in zip(*local_factors(ring)[:2],
+                                                      _factor_principals(ring)):
+            row = orbit[np.searchsorted(members, proj)]
             cell = cell * len(rows) + row
             unit &= rows[row, np.searchsorted(members, e)]
         if not np.array_equal(unit, ring.unit_mask()):
@@ -1038,7 +1038,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     _, projections, _ = local_factors(ring)
     # row i of lattice is the mask of one sum of factor ideals
     lattice = np.ones((1, n), dtype=bool)
-    for (members, rows, _), proj in zip(_factor_principals(ring), projections):
+    for (members, rows, _, _), proj in zip(_factor_principals(ring), projections):
         local = _factor_lattice(ring, members, rows)[:, proj]
         lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
     out = [ideal_from_mask(ring, m) for m in lattice]

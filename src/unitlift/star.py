@@ -8,11 +8,11 @@ between the four checks is a fatal library defect, never an answer.  Each
 builds its sets as masks over the carrier.  The saturation checks read the
 principal ideals of the local factors e_jR, as DIRECT reads the units of
 R/I from the same split (rings._coset_units); the split is certified (its
-atoms sum to one, its factor sizes multiply to n).  WITNESS reads no
-principal ideal: multiplying a by a unit changes neither whether a is
-invertible mod I nor whether it lies in U + I, so it scans one element per
-certified unit orbit.  DIRECT reads neither the principal ideals, the
-orbits nor U + I: it cross-checks all three.
+atoms sum to one, its factor sizes multiply to n).  Multiplying a by a unit
+changes neither whether a is invertible mod I nor whether it lies in U + I,
+so WITNESS scans one element per unit orbit, labelled in the factors under
+the saturation checks' certificate that U is the product of their units.
+DIRECT reads none of the rows, orbits and U + I, and cross-checks all three.
 
 The other three read U + I, built once and shared: SATURATED_SUM saturates
 it, SATURATION_EQUALITY compares it with sat(1 + I), and WITNESS scans only
@@ -94,13 +94,13 @@ def _saturate_masks(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
     with that factor's order, and read back at every element's cell.
     """
     factors, cell = _factor_principals(ring), _principal_cells(ring)
-    sizes = [len(order) for _, _, order in factors]
+    sizes = [len(order) for _, _, order, _ in factors]
     # each cell holds an element, a sum of one representative per factor,
     # so the elements sorted by cell fall into one nonempty run per cell
     by_cell = np.argsort(cell)
     runs = np.searchsorted(cell[by_cell], np.arange(math.prod(sizes)))
     grid = np.logical_or.reduceat(masks[:, by_cell], runs, axis=1)
-    for j, (_, _, order) in enumerate(factors):
+    for j, (_, _, order, _) in enumerate(factors):
         grid = order.T @ grid.reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
     return grid.reshape(len(masks), len(runs))[:, cell]
 

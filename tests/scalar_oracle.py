@@ -180,14 +180,13 @@ def crt(ring, constraints):
     return None
 
 
-def witness(ring, ideal_elements, units):
-    """The first a invertible mod I but congruent to no unit, or None."""
+def witness(ring, ideal_elements, w):
+    """The first a outside w that is invertible mod I, or None: for w = U + I,
+    the first a invertible mod I but congruent to no unit."""
     for a in ring.elements():
-        if any(sub(ring, ring.one, mul(ring, a, b)) in ideal_elements
-               for b in ring.elements()):
-            if not any(sub(ring, ring.one, mul(ring, a, u)) in ideal_elements
-                       for u in units):
-                return a
+        if a not in w and any(sub(ring, ring.one, mul(ring, a, b)) in ideal_elements
+                              for b in ring.elements()):
+            return a
     return None
 
 

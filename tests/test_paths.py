@@ -13,8 +13,10 @@ Oracles:
     GF(2)[x,y]/(x,y)^2, whose containment order is no chain; each factor's
     rows are its principal ideals, its order is their containment, and a
     flipped cell of one order is reported by the corpus
-  - the unit-orbit labels are the least elements of x*U, and two elements
-    share one exactly when they generate the same principal ideal
+  - the unit-orbit labels, made inside the local factors, are the least
+    elements of x*U, and two elements share one exactly when they generate
+    the same principal ideal, on every corpus ring of at most 64 elements,
+    on products of several local factors and on GF(2)[x,y]/(x,y)^2
   - saturation above the table guard, from the local factors' principal
     ideals, agrees with the definition on orbit representatives and
     sampled elements
@@ -22,9 +24,11 @@ Oracles:
     element per unit orbit, agree with the same scans taken on every
     element, kept here as oracles; so do the partner scans of WITNESS,
     whose answers vary from orbit to orbit, spread back over the carrier and
-    over sampled elements; and on Z/n reporting only 1 and -1 as units,
-    where WITNESS has a witness, it finds the plain-Python oracle's, on
-    one ideal at a time and on every proper ideal in one pass
+    over sampled elements; and given a union of orbits smaller than U + I,
+    where WITNESS has a witness, it finds the plain-Python scan's of every
+    element outside it, on one ideal at a time and on every proper ideal in
+    one pass; on Z/n reporting only 1 and -1 as units, which is no product
+    of the factors' units, DIRECT fails and WITNESS is refused
   - the constructed semi-inverse r^(m-1) is one of the plain-Python
     oracle's semi-inverses of r
   - comaximality, read from the atoms of the split into local factors,
@@ -42,6 +46,8 @@ Oracles:
     it sums none
 """
 
+import functools
+import itertools
 import json
 import math
 import random
@@ -53,9 +59,11 @@ import pytest
 import scalar_oracle as oracle
 from unitlift import rings
 from unitlift.config import Guards
+from unitlift.errors import InternalDefectError
 from unitlift.rings import (
     FiniteRing,
     ModularRing,
+    ProductRing,
     _as_set,
     _on_unit_orbits,
     _factor_principals,
@@ -213,7 +221,7 @@ def test_scans_match_oracle(spec, table_limit):
         assert sat_input == oracle.sumset(ring, units, ideal.elements)
         assert saturate(ring, sat_input) == oracle.saturate(ring, sat_input)
         check = star_check(ring, ideal, StarMethod.WITNESS)
-        assert check.witness == oracle.witness(ring, ideal.elements, units)
+        assert check.witness == oracle.witness(ring, ideal.elements, sat_input)
     for subset in ({ring.one}, rad, set(_sample(ring.elements(), 5, spec))):
         assert saturate(ring, subset) == oracle.saturate(ring, subset)
 
@@ -268,8 +276,8 @@ def test_principal_table_rows_are_the_principal_ideals(spec):
         _, projections, _ = local_factors(ring)
         # the mixed-radix digits of cell, the last factor's the least significant
         digits = _principal_cells(ring).copy()
-        for (members, rows, order), proj in reversed(list(zip(_factor_principals(ring),
-                                                               projections))):
+        for (members, rows, order, _), proj in reversed(list(zip(_factor_principals(ring),
+                                                                  projections))):
             row_of, digits = digits % len(rows), digits // len(rows)
             for x in ring.elements():
                 ideal = np.zeros(ring.carrier_size, dtype=bool)
@@ -287,13 +295,13 @@ def test_a_corrupted_containment_order_is_reported(factor):
     # vanish on that factor
     ring = build_ring("prod(Z/8,Z/9,Z/5)")
     factors = _factor_principals(ring)
-    members, rows, order = factors[factor]
+    members, rows, order, orbit = factors[factor]
     sizes = rows.sum(axis=1)
     whole, zero = sizes.argmax(), sizes.argmin()
     assert not order[whole, zero]
     flipped = order.copy()
     flipped[whole, zero] = True
-    factors = factors[:factor] + ((members, rows, flipped),) + factors[factor + 1:]
+    factors = factors[:factor] + ((members, rows, flipped, orbit),) + factors[factor + 1:]
     ring._cache["factor_principals"] = factors
     ctx = RunContext(gl_samples=0)
     agreement = criterion_star_agreement([ring], ctx)
@@ -302,26 +310,48 @@ def test_a_corrupted_containment_order_is_reported(factor):
             or any("saturating {1} missed the unit group" in f for f in laws.failures))
 
 
+# products of several local factors above 64 elements, and a ring that no
+# spec builds, whose orbits are labelled factor by factor as well
+ORBIT_SPECS = ["prod(Z/33,Z/35)", "prod(Z/4,GF(3)[x]/(x^2),Z/5,Z/9)", "prod(Z/8,Z/8,Z/8,Z/2)",
+               "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)", _SQUARE_ZERO_XY]
+
+
+def _oracle_units(ring, mul):
+    """The elements with an inverse under the reference product mul; those
+    of a product are its factors' units, coordinate by coordinate."""
+    if isinstance(ring, ProductRing):
+        return {ring.encode(c) for c in itertools.product(
+            *(sorted(_oracle_units(f, functools.partial(oracle.mul, f))) for f in ring.factors))}
+    return {a for a in ring.elements() if any(mul(a, b) == ring.one for b in ring.elements())}
+
+
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
-@pytest.mark.parametrize("spec", SMALL_SPECS)
+@pytest.mark.parametrize("spec", SMALL_SPECS + ORBIT_SPECS)
 def test_unit_orbits_match_oracle(spec, table_limit):
-    ring = build_ring(spec, Guards(table_limit=table_limit))
-    units, _ = oracle.units_and_inverses(ring)
+    ring = _build(spec, Guards(table_limit=table_limit))
+    mul_table = _square_zero_xy_tables()[1] if spec == _SQUARE_ZERO_XY else None
+    mul = (lambda a, b: mul_table[a][b]) if mul_table else functools.partial(oracle.mul, ring)
+    units = _oracle_units(ring, mul)
     label = _unit_orbits(ring).tolist()
-    assert label == [min(oracle.mul(ring, x, u) for u in units) for x in ring.elements()]
+    # the orbits x*U partition the carrier, so the first element that no
+    # earlier orbit holds is the least element of its own
+    least = [None] * ring.carrier_size
+    for x in ring.elements():
+        if least[x] is None:
+            for y in {mul(x, u) for u in units}:
+                assert least[y] is None
+                least[y] = x
+    assert label == least
     # in a finite commutative ring xR = yR exactly when y = u*x for a unit
     # u, so the labels are neither finer nor coarser than the ideals
-    labels_of = {}
-    for x in ring.elements():
-        labels_of.setdefault(oracle.principal(ring, x), set()).add(label[x])
-    assert all(len(labels) == 1 for labels in labels_of.values())
-    assert len(labels_of) == len(set(label))
+    reps = sorted(set(label))
+    assert len({frozenset(mul(r, s) for s in ring.elements()) for r in reps}) == len(reps)
     # for x in a factor eR, x*U = x*(eU), so the factor's orbits are the
     # carrier's and keep their labels
     for e in local_factors(ring)[0]:
-        factor_units = {oracle.mul(ring, e, u) for u in units}
-        for x in {oracle.mul(ring, e, y) for y in ring.elements()}:
-            assert label[x] == min(oracle.mul(ring, x, v) for v in factor_units)
+        factor_units = {mul(e, u) for u in units}
+        for x in {mul(e, y) for y in ring.elements()}:
+            assert label[x] == min(mul(x, v) for v in factor_units)
 
 
 @pytest.mark.parametrize("spec, generator", [
@@ -453,10 +483,10 @@ def test_constructed_semi_inverses_match_the_scan(spec):
 
 
 class _SignsAsUnits(ModularRing):
-    """Z/n reporting only 1 and -1 as its units, so its unit orbits are
-    {x, -x}, and an element invertible mod I outside {1, -1} + I is a
-    witness that WITNESS must find.  Its quotients find their own units, so
-    DIRECT finds the least unit of R/I outside {hom(1), hom(-1)}."""
+    """Z/n reporting only 1 and -1 as its units.  Its quotients find their
+    own units, so DIRECT finds the least unit of R/I outside {hom(1),
+    hom(-1)}; {1, -1} is no product of the factors' units, so the unit
+    orbits, which are labelled on the factors, are refused."""
 
     # Z/n keeps no tables; opt back in, so that the generic build fills them
     # from the fixture's arithmetic and gathers run on the broken cells
@@ -466,37 +496,62 @@ class _SignsAsUnits(ModularRing):
         return np.isin(np.arange(self.n), [1, self.n - 1])
 
 
+def _without_orbits(ring, w):
+    """Each row of w, a union of unit orbits, without every other orbit in
+    it, counting down from the one of greatest label: a smaller union of
+    orbits, whose dropped elements WITNESS must find."""
+    label = _unit_orbits(ring)
+    out = w.copy()
+    for row in out:
+        row[np.isin(label, np.unique(label[row])[::-2])] = False
+    return out
+
+
+def _assert_witness_scans_outside(ring, ideals, w):
+    # one first_hits pass over every ideal, each with its row of w, gives
+    # each ideal the witness of a pass over it alone and of the plain-Python
+    # scan of every element outside its row
+    masks = np.array([i.mask for i in ideals])
+    checks = _witness_checks(ring, masks, w)
+    assert checks == [_witness_checks(ring, m[None], row[None])[0] for m, row in zip(masks, w)]
+    assert [c.witness for c in checks] == [
+        oracle.witness(ring, i.elements, _as_set(row)) for i, row in zip(ideals, w)]
+    assert all(c.holds == (c.witness is None) for c in checks)
+    return checks
+
+
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
 @pytest.mark.parametrize("n, generator", [(35, 5), (35, 7), (144, 9), (4096, 2048)])
 def test_witness_is_the_least_bad_element_of_the_full_scan(n, generator, table_limit):
+    ring = build_ring(f"Z/{n}", Guards(table_limit=table_limit))
+    ideal = ideal_closure(ring, [generator])
+    w = _without_orbits(ring, _units_plus_ideals(ring, [ideal]))
+    check, = _assert_witness_scans_outside(ring, [ideal], w)
+    assert not check.holds
+    # R/I is Z/m for m = gcd(n, generator), on the residues 0..m-1
     ring = _SignsAsUnits(ModularSpec(n), Guards(table_limit=table_limit))
     ideal = ideal_closure(ring, [generator])
-    check = star_check(ring, ideal, StarMethod.WITNESS)
-    expected = oracle.witness(ring, ideal.elements, ring.units())
-    assert expected is not None
-    assert (check.holds, check.witness) == (False, expected)
-    assert check.witness == _witness_every_element(ring, ideal)
-    # R/I is Z/m for m = gcd(n, generator), on the residues 0..m-1
     m = math.gcd(n, generator)
     _, hom = quotient_ring(ring, ideal)
     missed = [v for v in range(m) if math.gcd(v, m) == 1 and v not in (hom(1), hom(n - 1))]
     direct = star_check(ring, ideal, StarMethod.DIRECT)
     assert (direct.holds, direct.witness) == (False, missed[0])
+    with pytest.raises(InternalDefectError,
+                       match="^the principal ideals holding one are not the units$"):
+        star_check(ring, ideal, StarMethod.WITNESS)
 
 
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
-@pytest.mark.parametrize("n", [35, 144])
+@pytest.mark.parametrize("n", [35, 144, "prod(Z/4,Z/3,Z/5)"])
 def test_witness_batch_matches_the_oracle_on_every_ideal(n, table_limit):
-    # one first_hits pass over every proper ideal, failing ones among them,
-    # reading the rows of U + I of them all, gives each ideal the witness
-    # that a pass over it alone gives
-    ring = _SignsAsUnits(ModularSpec(n), Guards(table_limit=table_limit))
+    # every other ideal keeps its row of U + I and holds; the others scan
+    # a smaller union of orbits and fail
+    ring = build_ring(n if isinstance(n, str) else f"Z/{n}", Guards(table_limit=table_limit))
     ideals = [i for i in enumerate_ideals(ring) if i.is_proper()]
-    masks = np.array([i.mask for i in ideals])
-    checks = _witness_checks(ring, masks, _units_plus_ideals(ring, ideals))
-    assert checks == [star_check(ring, i, StarMethod.WITNESS) for i in ideals]
-    assert [c.witness for c in checks] == [
-        oracle.witness(ring, i.elements, ring.units()) for i in ideals]
+    w = _units_plus_ideals(ring, ideals)
+    w[::2] = _without_orbits(ring, w[::2])
+    checks = _assert_witness_scans_outside(ring, ideals, w)
+    assert [c.holds for c in checks] == [i % 2 == 1 for i in range(len(ideals))]
     assert sum(not c.holds for c in checks) >= 2
 
 
@@ -654,7 +709,7 @@ def _sums_in_factor_lattice(ring, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(rings, "_sum_mask", counted)
-        (members, rows, _), = rings._factor_principals(ring)
+        (members, rows, _, _), = rings._factor_principals(ring)
         rings._factor_lattice(ring, members, rows)
     return len(calls)
 

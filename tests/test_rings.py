@@ -121,50 +121,71 @@ def test_ring_axioms_catch_broken_arithmetic(kind, n, law, table_limit):
         check_ring_axioms(ring)
 
 
-class _SixTimesThreeIsNine(ModularRing):
-    """Z/n with the one table cell 6 * 3 = 9.  In Z/12, the product of
-    Z/4 and Z/3, both lie in the factor 9R = {0, 3, 6, 9}, so the row of 6
-    in that factor holds its atom 9 although 6 is no unit there."""
+class _OneBrokenProduct(ModularRing):
+    """Z/n with the one table cell a * b = c, for the class attribute cell
+    (a, b, c).  Z/12 is the product of 4R = {0, 4, 8} and 9R = {0, 3, 6,
+    9}, whose units are {9, 3} and whose unit orbits are {0}, {3, 9} and
+    {6}; each fixture breaks one product of 9R."""
 
     # Z/n keeps no tables; opt back in, so that the generic build fills them
     # from the fixture's arithmetic and gathers run on the broken cells
     tables = FiniteRing.tables
 
     def _mul_arrays(self, a, b):
-        return np.where((a == 6) & (b == 3), 9, a * b % self.n)
+        x, y, z = self.cell
+        return np.where((a == x) & (b == y), z, a * b % self.n)
+
+
+class _SixTimesSixIsNine(_OneBrokenProduct):
+    """6 * 6 = 9: the row of 6 in 9R holds its atom 9 although 6 is no unit
+    there, and no orbit reads the cell: orbits multiply by the units 3, 9."""
+
+    cell = (6, 6, 9)
+
+
+class _SixTimesThreeIsNine(_OneBrokenProduct):
+    """6 * 3 = 9: the unit orbit of 6 in 9R, computed through the unit 3,
+    reaches 9, which the orbit of 3 holds."""
+
+    cell = (6, 3, 9)
+
+
+class _ThreeTimesNineIsZero(_OneBrokenProduct):
+    """3 * 9 = 0: the unit orbit of 3 in 9R, {3 * 3, 3 * 9}, reads {9, 0}
+    and misses 3 itself."""
+
+    cell = (3, 9, 0)
 
 
 def test_principal_classes_certify_the_units():
-    ring = _SixTimesThreeIsNine(ModularSpec(12), Guards())
-    assert ring.tables()[1][6, 3] == 9
-    assert ring.units() == {1, 5, 7, 11}
-    with pytest.raises(InternalDefectError, match="not the units"):
-        _principal_cells(ring)
-    with pytest.raises(InternalDefectError, match="not the units"):
-        saturate(ring, {ring.one})
-
-
-class _TwoTimesFiveIsThree(ModularRing):
-    """Z/n with the one cell 2 * 5 = 3, so the unit orbit of 2 computed
-    through 5 reaches 3, which is no unit multiple of 2 in Z/12."""
-
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
-
-    def _mul_arrays(self, a, b):
-        return np.where((a == 2) & (b == 5), 3, a * b % self.n)
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = _SixTimesSixIsNine(ModularSpec(12), guards)
+        assert ring.mul(6, 6) == 9
+        assert ring.units() == {1, 5, 7, 11}
+        with pytest.raises(InternalDefectError, match="not the units"):
+            _principal_cells(ring)
+        with pytest.raises(InternalDefectError, match="not the units"):
+            saturate(ring, {ring.one})
 
 
 def test_unit_orbits_certify_the_labelling():
-    ring = _TwoTimesFiveIsThree(ModularSpec(12), Guards(table_limit=1))
-    assert ring.tables() is None
-    assert ring.mul(2, 5) == 3
-    assert ring.units() == {1, 5, 7, 11}
-    with pytest.raises(InternalDefectError, match="unit orbit"):
-        _unit_orbits(ring)
-    with pytest.raises(InternalDefectError, match="unit orbit"):
-        saturate(ring, {ring.one})
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = _SixTimesThreeIsNine(ModularSpec(12), guards)
+        assert ring.mul(6, 3) == 9
+        assert ring.units() == {1, 5, 7, 11}
+        with pytest.raises(InternalDefectError, match="unit orbit"):
+            _unit_orbits(ring)
+        with pytest.raises(InternalDefectError, match="unit orbit"):
+            saturate(ring, {ring.one})
+
+
+def test_an_orbit_without_its_element_is_a_defect():
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = _ThreeTimesNineIsZero(ModularSpec(12), guards)
+        assert ring.mul(3, 9) == 0
+        with pytest.raises(InternalDefectError,
+                           match="^an element is missing from its own orbit$"):
+            _unit_orbits(ring)
 
 
 class _ThreeSquaredIsZero(ModularRing):

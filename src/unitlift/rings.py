@@ -22,12 +22,17 @@ Quadratic scans run in row blocks (BLOCK_WORDS).
 Inside the library a subset of the carrier is a read-only boolean mask,
 and only public functions that return frozensets build sets: an ideal is
 its mask, and the units and the principal ideals are masks cached per
-ring.  Unit orbits are labelled inside the local factors alone: the orbits
-x*(eU) in each factor eR, certified by the products that give one row of
-eR per orbit, as (u*x)R = xR for a unit u, and their containment order,
-which the ideal lattice and saturation read.  U is certified to be the
-elements whose every factor orbit is a unit's, so x*U is the set of
-elements with x's tuple of factor orbits, and a property that units
+ring.  A closure of generators is grown as an additive subgroup, by joins
+with cyclic subgroups (_join), and certified on a greedy additive basis
+of itself: sums and products with each basis element stay inside, which
+proves closure for every element in O(|I| log |I|) additions.
+
+Unit orbits are labelled inside the local factors alone: the orbits x*(eU)
+in each factor eR, certified by the products that give one row of eR per
+orbit, as (u*x)R = xR for a unit u, and their containment order, which
+the ideal lattice and saturation read.  U is certified to be the elements
+whose every factor orbit is a unit's, so x*U is the set of elements with
+x's tuple of factor orbits, and a property that units
 preserve is checked on the first element of each.  The units of Z/n come
 from gcds and those of a product from its factors'; R/I reads its units
 from the local split and the nilradical N of R (_coset_units), certified
@@ -795,22 +800,60 @@ def sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[in
     return _as_set(_sum_mask(ring, member_mask(ring, a), member_mask(ring, b)))
 
 
+def _join(ring: FiniteRing, span: np.ndarray, h: int) -> np.ndarray:
+    """Mask of span + <h>, for the mask of an additive subgroup span.
+
+    span + <h> is the disjoint union of the span + i*h for i below the order
+    k of h modulo span.  The sets span + {0..2^m - 1}*h double, each the
+    last and its translate by 2^m*h, until that translate adds nothing,
+    which happens at the first 2^m >= k: fewer than 2*|span + <h>| additions
+    when k is a power of two, as in characteristic 2, and 3* otherwise."""
+    span, step = span.copy(), h
+    while True:
+        moved = ring.add_many(np.flatnonzero(span), step)
+        if span[moved].all():
+            return span
+        span[moved] = True
+        step = ring.add(step, step)
+
+
 def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators.
 
-    Built as the sum of the principal ideals of the generators, then verified
-    to be a fixed point of one more closure pass.
+    Built as an additive subgroup: the principal ideal R*g of the least
+    generator, then for each later generator g the joins with <h> (_join)
+    of the least element h of R*g outside the span, until the span holds
+    R*g; each join at least doubles the span, so there are at most
+    log2 |I| of them.
+
+    Certified on every element, from the ring's operations alone: the
+    closure S holds 0; a greedy basis B of S, each b the least element of S
+    outside the joins of the earlier ones, has S inside <B>; and S + b and
+    R*b, taken by mul_many over the carrier, lie in S for every b in B.
+    Then S + <B> lies in S, since in a finite group <B> is the sums of
+    elements of B, repeats allowed, so S = <B> and S + S lies in S; and
+    r*s for s in S is a sum of the r*b, so R*S lies in S.  That is
+    O(|S| log |S|) additions and |B| rows of products, where a check of
+    S + S would be |S|^2 additions.
     """
     gens = sorted({check_element(ring, g) for g in generators})
-    span = principal(ring, ring.zero)
-    for g in gens:
-        span = _sum_mask(ring, span, principal(ring, g))
-    if not np.array_equal(_sum_mask(ring, span, span), span):
-        raise InternalDefectError("ideal closure is not additively closed")
+    span = principal(ring, gens[0] if gens else ring.zero)
+    for g in gens[1:]:
+        row = principal(ring, g)
+        while (rest := row & ~span).any():
+            span = _join(ring, span, int(rest.argmax()))
+    walked = np.zeros(ring.carrier_size, dtype=bool)
+    walked[ring.zero] = True
+    basis = []
+    while (rest := span & ~walked).any():
+        basis.append(int(rest.argmax()))
+        walked = _join(ring, walked, basis[-1])
     elements = np.flatnonzero(span)
-    for g in elements[:: max(1, len(elements) // 8)]:
-        if (principal(ring, g) & ~span).any():
-            raise InternalDefectError("ideal closure is not multiplicatively closed")
+    if not span[ring.zero] or not all(span[ring.add_many(elements, b)].all() for b in basis):
+        raise InternalDefectError("ideal closure is not additively closed")
+    carrier = np.arange(ring.carrier_size)
+    if not all(span[ring.mul_many(carrier, b)].all() for b in basis):
+        raise InternalDefectError("ideal closure is not multiplicatively closed")
     return Ideal(ring, gens, span)
 
 

@@ -11,6 +11,8 @@ their answers straight from the definitions with this arithmetic.  All of it
 is slow on purpose and serves only as a test oracle.
 """
 
+import functools
+
 import numpy as np
 
 from unitlift.rings import ModularRing, PolyQuotientRing, ProductRing, QuotientRing
@@ -134,6 +136,27 @@ def sumset(ring, a, b, add_table=None):
     if add_table is not None:
         return frozenset(add_table[x][y] for x in a for y in b)
     return frozenset(add(ring, x, y) for x in a for y in b)
+
+
+def ideal_closure(ring, generators, add_mul=None):
+    """(elements, sorted distinct generators) of the least ideal holding
+    the generators: the fixed point of sums and products, grown one element
+    at a time, each new element summed with every element found so far and
+    multiplied by every element of the ring, on the reference arithmetic,
+    or on the given (add, mul) tables of a ring it has none for."""
+    if add_mul is None:
+        plus, times = functools.partial(add, ring), functools.partial(mul, ring)
+    else:
+        add_t, mul_t = (np.asarray(t).tolist() for t in add_mul)
+        plus, times = (lambda a, b: add_t[a][b]), (lambda a, b: mul_t[a][b])
+    found, todo = set(), [ring.zero, *generators]
+    while todo:
+        x = todo.pop()
+        if x not in found:
+            found.add(x)
+            todo.extend(plus(x, y) for y in found)
+            todo.extend(times(r, x) for r in ring.elements())
+    return frozenset(found), tuple(sorted(set(generators)))
 
 
 def quotient_reps(ring, ideal_elements, add_table=None):

@@ -96,6 +96,17 @@ def test_a_closure_that_is_not_additively_closed_is_a_defect(monkeypatch):
         ideal_closure(ring, [4])
 
 
+def test_a_closure_that_is_not_multiplicatively_closed_is_a_defect(monkeypatch):
+    # each "principal ideal" is {0, g}: {0, x} of GF(2)[x]/(x^3) is closed
+    # under addition in characteristic 2, but x * x = x^2 lies outside it;
+    # the certificate takes R*x from the ring's products, not from that row
+    ring = build_ring("GF(2)[x]/(x^3)")
+    monkeypatch.setattr(rings, "principal", lambda ring, g: member_mask(ring, {ring.zero, g}))
+    with pytest.raises(InternalDefectError,
+                       match="^ideal closure is not multiplicatively closed$"):
+        ideal_closure(ring, [ring.parse_element("x")])
+
+
 def test_atoms_that_do_not_sum_to_one_are_a_defect(monkeypatch):
     # without the idempotent 9 of Z/12, 4 is the one atom, and 4 is not 1
     ring = build_ring("Z/12")

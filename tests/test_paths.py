@@ -38,6 +38,10 @@ Oracles:
     the plain-Python one, labelled on the whole carrier, on every corpus
     ring of at most 64 elements, on products of several local factors and
     on GF(2)[x,y]/(x,y)^2, tabulated and untabulated
+  - the closure of 0-3 seeded non-unit generators, grown by joins of
+    cyclic subgroups, is the plain-Python fixed point of sums and
+    products, with the same generators, on rings of every spec kind and
+    on GF(2)[x,y]/(x,y)^2, tabulated and untabulated
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements, on products of several local factors, and on
@@ -698,6 +702,26 @@ def test_coset_map_matches_the_oracle_on_every_ideal(spec):
         assert got == expected
 
 
+@pytest.mark.parametrize("spec", ["Z/12", "Z/360", "GF(2)[x]/(x^4+x^2)", "GF(3)[x]/(x^3)",
+                                  "prod(Z/4,Z/4,Z/2)", "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)",
+                                  "quot(prod(Z/8,Z/8,Z/4);(4,0,0))", _SQUARE_ZERO_XY])
+def test_ideal_closure_matches_the_oracle(spec):
+    # the closure joins cyclic subgroups and certifies itself on a basis;
+    # the oracle grows the fixed point of sums and products one element at
+    # a time, on the reference arithmetic; generators are drawn from the
+    # non-units, as one unit generates the whole ring
+    add_mul = _square_zero_xy_tables() if spec == _SQUARE_ZERO_XY else None
+    pick, base = random.Random(spec), _build(spec)
+    non_units = np.flatnonzero(~base.unit_mask()).tolist()
+    gen_sets = [pick.sample(non_units, k) for k in [0, 1, 1, 2, 2, 3, 3] * 3]
+    expected = [oracle.ideal_closure(base, gens, add_mul) for gens in gen_sets]
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = _build(spec, guards)
+        got = [ideal_closure(ring, gens) for gens in gen_sets]
+        assert [(i.elements, i.generators) for i in got] == expected
+    assert len({elements for elements, _ in expected}) > 2
+
+
 def _sums_in_factor_lattice(ring, monkeypatch):
     """How many sumsets _factor_lattice takes on a local ring."""
     calls = []
@@ -808,6 +832,21 @@ def test_quadratic_scans_stay_within_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    # the closures of (2) in Z/65536 and of (x^2) in GF(2)[x]/(x^16) join
+    # cyclic subgroups and are certified on a basis of 1 and 14 elements:
+    # |I| sums and one row of products per basis element, where one block
+    # of the pairs of I would take 1 MiB and the pairs 2^30 and 2^28 sums
+    for spec, generator, size in (("Z/65536", "2", 2**15), ("GF(2)[x]/(x^16)", "x^2", 2**14)):
+        ring = build_ring(spec)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ideal = ideal_closure(ring, [ring.parse_element(generator)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ideal) == size, spec
+        assert peak < 8 * 2**20, spec
     # Z/n computes on its residues at every size, so asking Z/1024 for its
     # tables allocates nothing; its int32 mul table alone would take 4 MiB
     ring = build_ring("Z/1024")

@@ -25,7 +25,11 @@ its mask, and the units and the principal ideals are masks cached per
 ring.  A closure of generators is grown as an additive subgroup, by joins
 with cyclic subgroups (_join), and certified on a greedy additive basis
 of itself: sums and products with each basis element stay inside, which
-proves closure for every element in O(|I| log |I|) additions.
+proves closure for every element in O(|I| log |I|) additions.  A computed
+mask is wrapped with greedy generators, each the least member outside the
+sum of the earlier ones' principal ideals, and certified by that sum being
+the mask; a stack of masks takes them in rounds, in which the masks that
+take the same generator share one sum (_ideals_from_masks).
 
 Unit orbits are labelled inside the local factors alone: the orbits x*(eU)
 in each factor eR, certified by the products that give one row of eR per
@@ -370,15 +374,18 @@ class ModularRing(FiniteRing):
     def __init__(self, spec: ModularSpec, guards: Guards = DEFAULT_GUARDS):
         super().__init__(spec, spec.n, 0, 1 % spec.n, guards)
         self.n = spec.n
+        # for n = 2^k, x mod n is x & (n - 1) in two's complement, negatives
+        # included, and a mask costs a fifth of an int64 %
+        self._low_bits = self.n - 1 if self.n & (self.n - 1) == 0 else None
 
     def _add_arrays(self, a, b):
-        return (a + b) % self.n
+        return (a + b) % self.n if self._low_bits is None else (a + b) & self._low_bits
 
     def _mul_arrays(self, a, b):
-        return a * b % self.n
+        return a * b % self.n if self._low_bits is None else a * b & self._low_bits
 
     def _neg_arrays(self, a):
-        return -a % self.n
+        return -a % self.n if self._low_bits is None else -a & self._low_bits
 
     def tables(self):
         # a gather costs what a * b % n costs, so n^2 cells are never repaid
@@ -786,13 +793,23 @@ def _on_unit_orbits(ring: FiniteRing, xs: np.ndarray, answer) -> np.ndarray:
 
 
 def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of {x + y : x in a, y in b}, for masks a and b."""
-    la, lb = np.flatnonzero(a), np.flatnonzero(b)
-    hit = np.zeros(ring.carrier_size, dtype=bool)
+    """Mask of {x + y : x in a, y in b}, for masks a and b, or the stack of
+    those masks for a stack a of masks, one row each: the (row, x) pairs of
+    a are flat indices row*n + x, summed with b a block at a time."""
+    n, lb = ring.carrier_size, np.flatnonzero(b)
+    flat = np.flatnonzero(a)
+    hit = np.zeros(a.size, dtype=bool)
     step = ring.block_rows(len(lb))
-    for lo in range(0, len(la), step):
-        hit[ring.add_many(la[lo:lo + step, None], lb)] = True
-    return hit
+    for lo in range(0, len(flat), step):
+        pairs = flat[lo:lo + step, None]
+        if a.ndim == 1:
+            hit[ring.add_many(pairs, lb)] = True
+            continue
+        x = pairs % n
+        sums = ring.add_many(x, lb)
+        sums += pairs - x  # back on the pair's row
+        hit[sums] = True
+    return hit.reshape(a.shape)
 
 
 def sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
@@ -857,17 +874,55 @@ def ideal_closure(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     return Ideal(ring, gens, span)
 
 
+def _ideals_from_masks(ring: FiniteRing, masks: np.ndarray) -> list[Ideal]:
+    """Wrap each row of a stack of computed masks that should be ideals,
+    with greedy generators: each the least member outside the span of the
+    earlier ones, the span a sum of their principal ideals.  Raises
+    InternalDefectError when a row's generators span more than the row, no
+    ideal then.
+
+    Rows are taken in blocks of BLOCK_WORDS cells, as the sums index every
+    (row, span member) pair with one word.  A block works in rounds: each
+    unfinished row takes its next generator, and the rows that take the
+    same one add its principal ideal to their spans in one _sum_mask."""
+    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    out = []
+    step = max(1, BLOCK_WORDS // ring.carrier_size)
+    for lo in range(0, len(masks), step):
+        block = masks[lo:lo + step]
+        spans = np.empty(block.shape, dtype=bool)
+        spans[:] = principal(ring, ring.zero)
+        gens = [[] for _ in range(len(block))]
+        while True:
+            # the least member outside each span, or 0 where there is none:
+            # zero is element 0 and lies in every span, unless the ring is
+            # broken, and then its row fails the check below
+            least = (block > spans).argmax(axis=1).tolist()
+            takers: dict[int, list[int]] = {}
+            for row, g in enumerate(least):
+                if g:
+                    gens[row].append(g)
+                    takers.setdefault(g, []).append(row)
+            if not takers:
+                break
+            for g, group in takers.items():
+                # one row, or a run of rows, is a view, any other group a copy
+                if len(group) == 1:
+                    group = group[0]
+                elif group[-1] - group[0] == len(group) - 1:
+                    group = slice(group[0], group[-1] + 1)
+                spans[group] = _sum_mask(ring, spans[group], principal(ring, g))
+        if not (spans == block).all():
+            raise InternalDefectError("a computed set of elements is not an ideal")
+        out += [Ideal(ring, g, mask) for g, mask in zip(gens, block)]
+    return out
+
+
 def ideal_from_mask(ring: FiniteRing, mask: np.ndarray) -> Ideal:
-    """Wrap a computed mask that should be an ideal, with greedy generators:
-    each the least member outside the span of the earlier ones.  Raises
-    InternalDefectError when they span more than the mask, no ideal then."""
-    span, gens = principal(ring, ring.zero), []
-    while (rest := mask & ~span).any():
-        gens.append(int(rest.argmax()))
-        span = _sum_mask(ring, span, principal(ring, gens[-1]))
-    if not np.array_equal(span, mask):
-        raise InternalDefectError("a computed set of elements is not an ideal")
-    return Ideal(ring, gens, mask)
+    """Wrap a computed mask that should be an ideal, with greedy generators
+    (_ideals_from_masks, a batch of one).  Raises InternalDefectError when
+    they span more than the mask, no ideal then."""
+    return _ideals_from_masks(ring, mask)[0]
 
 
 def ideal_from_elements(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
@@ -1069,7 +1124,8 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     e_jR, and x lies in such a sum exactly when e_j*x lies in I_j for every
     j.  Each factor's lattice comes from a breadth-first search over its
     principal ideals, the rows of _factor_principals; a local ring is its
-    own single factor.
+    own single factor.  The masks of the product take their greedy
+    generators and certificates in one batch (_ideals_from_masks).
     """
     if ring.carrier_size > ring.guards.ideal_enum_limit:
         raise GuardExceededError(
@@ -1079,12 +1135,13 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
         return list(ring._cache["ideals"])
     n = ring.carrier_size
     _, projections, _ = local_factors(ring)
-    # row i of lattice is the mask of one sum of factor ideals
+    # row i of lattice is the mask of one sum of factor ideals; np.take keeps
+    # the rows contiguous, where [:, proj] would lay the columns out instead
     lattice = np.ones((1, n), dtype=bool)
     for (members, rows, _, _), proj in zip(_factor_principals(ring), projections):
-        local = _factor_lattice(ring, members, rows)[:, proj]
+        local = np.take(_factor_lattice(ring, members, rows), proj, axis=1)
         lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
-    out = [ideal_from_mask(ring, m) for m in lattice]
+    out = _ideals_from_masks(ring, lattice)
     # among equal sizes, the packed bits descend as the sorted elements ascend
     out.sort(key=lambda i: i.key, reverse=True)
     out.sort(key=len)

@@ -41,10 +41,10 @@ from .rings import (
     Ideal,
     PresentedRing,
     _as_set,
+    _ideals_from_masks,
     _on_unit_orbits,
     _residue_field_sizes,
     check_element,
-    ideal_from_mask,
     local_factors,
     power_many,
 )
@@ -173,8 +173,8 @@ def colon_into_radical(ring: FiniteRing, r: int) -> Ideal:
 def _colon_rows(ring: FiniteRing, rs: np.ndarray):
     """colon_into_radical for every element of rs: the (k, n) array whose
     row i marks the a with a*rs[i] in the radical, and per row its Ideal,
-    or None where the row changes when rs[i] is squared (a defect).
-    ideal_from_mask certifies each distinct row once."""
+    or None where the row changes when rs[i] is squared (a defect).  The
+    distinct rows are certified once, in one batch (_ideals_from_masks)."""
     radical = jacobson_radical(ring).mask
     every = np.arange(ring.carrier_size)
 
@@ -183,17 +183,10 @@ def _colon_rows(ring: FiniteRing, rs: np.ndarray):
 
     rows = colon(rs)
     moved = (rows != colon(ring.mul_many(rs, rs))).any(axis=1)
-    certified: dict[bytes, Ideal] = {}
-    ideals = []
-    for row, m in zip(rows, moved.tolist()):
-        if m:
-            ideals.append(None)
-            continue
-        key = row.tobytes()
-        if key not in certified:
-            certified[key] = ideal_from_mask(ring, row)
-        ideals.append(certified[key])
-    return rows, ideals
+    keys = [None if m else row.tobytes() for row, m in zip(rows, moved.tolist())]
+    at = {k: i for i, k in enumerate(keys) if k is not None}  # one index per distinct row
+    certified = dict(zip(at, _ideals_from_masks(ring, rows[list(at.values())])))
+    return rows, [None if k is None else certified[k] for k in keys]
 
 
 @dataclass(frozen=True)

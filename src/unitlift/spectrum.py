@@ -39,6 +39,7 @@ from .rings import (
     _as_set,
     _coset_map,
     _idempotent_mask,
+    _ideals_from_masks,
     check_element,
     ideal_from_mask,
     local_factors,
@@ -108,14 +109,13 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
         return ring._cache["maximal_ideals"]
     atoms, projections, _ = local_factors(ring)
     every = np.arange(ring.carrier_size)
-    ideals = []
-    for e, proj in zip(atoms, projections):
+    masks = np.empty(projections.shape, dtype=bool)
+    for mask, e, proj in zip(masks, atoms, projections):
         u = ring.add_many(proj, ring.sub(ring.one, e))
-        mask = ~ring.unit_mask()[u]
-        ideals.append(ideal_from_mask(ring, mask))
+        mask[:] = ~ring.unit_mask()[u]
         if mask[ring.one] or not (mask | mask[ring.add_many(every, ring.neg_many(u))]).all():
             raise InternalDefectError("the non-units of a local factor are not maximal")
-    out = MaximalIdealList(ring, tuple(ideals), atoms)
+    out = MaximalIdealList(ring, tuple(_ideals_from_masks(ring, masks)), atoms)
     ring._cache["maximal_ideals"] = out
     return out
 

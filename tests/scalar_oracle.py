@@ -138,17 +138,22 @@ def sumset(ring, a, b, add_table=None):
     return frozenset(add(ring, x, y) for x in a for y in b)
 
 
+def _plus_times(ring, add_mul=None):
+    """(add, mul) on two elements: the reference arithmetic, or lookups in
+    the given (add, mul) tables of a ring it has none for."""
+    if add_mul is None:
+        return functools.partial(add, ring), functools.partial(mul, ring)
+    add_t, mul_t = (np.asarray(t).tolist() for t in add_mul)
+    return (lambda a, b: add_t[a][b]), (lambda a, b: mul_t[a][b])
+
+
 def ideal_closure(ring, generators, add_mul=None):
     """(elements, sorted distinct generators) of the least ideal holding
     the generators: the fixed point of sums and products, grown one element
     at a time, each new element summed with every element found so far and
     multiplied by every element of the ring, on the reference arithmetic,
     or on the given (add, mul) tables of a ring it has none for."""
-    if add_mul is None:
-        plus, times = functools.partial(add, ring), functools.partial(mul, ring)
-    else:
-        add_t, mul_t = (np.asarray(t).tolist() for t in add_mul)
-        plus, times = (lambda a, b: add_t[a][b]), (lambda a, b: mul_t[a][b])
+    plus, times = _plus_times(ring, add_mul)
     found, todo = set(), [ring.zero, *generators]
     while todo:
         x = todo.pop()
@@ -157,6 +162,22 @@ def ideal_closure(ring, generators, add_mul=None):
             todo.extend(plus(x, y) for y in found)
             todo.extend(times(r, x) for r in ring.elements())
     return frozenset(found), tuple(sorted(set(generators)))
+
+
+def greedy_generators(ring, elements, add_mul=None):
+    """The greedy generators of the ideal with the given elements, each the
+    least element outside the span of the earlier ones; the span starts at
+    zero and takes the sums of each new generator's principal ideal with
+    it, one element at a time, on the reference arithmetic, or on the given
+    (add, mul) tables of a ring it has none for."""
+    plus, times = _plus_times(ring, add_mul)
+    elements = frozenset(elements)
+    span, gens = frozenset((ring.zero,)), []
+    while rest := elements - span:
+        gens.append(min(rest))
+        row = {times(r, gens[-1]) for r in ring.elements()}
+        span = frozenset(plus(x, y) for x in span for y in row)
+    return tuple(gens)
 
 
 def quotient_reps(ring, ideal_elements, add_table=None):
@@ -266,9 +287,8 @@ def ideals(ring, add_mul=None):
     """Every ideal as (elements, greedy generators), ordered by (size, sorted
     elements): the principal ideals closed under sums breadth-first, on
     tables filled by the reference arithmetic, or on the given (add, mul)
-    tables of a ring it has none for.  The generators are picked
-    smallest-first, each the least element outside the span of the earlier
-    ones."""
+    tables of a ring it has none for, with greedy_generators on the same
+    tables."""
     add_t, mul_t = (np.asarray(t).tolist() for t in add_mul or tables(ring)[:2])
     elems = ring.elements()
 
@@ -289,11 +309,5 @@ def ideals(ring, add_mul=None):
                 if bigger not in found:
                     found.add(bigger)
                     queue.append(bigger)
-    out = []
-    for elements in sorted(found, key=lambda s: (len(s), sorted(s))):
-        span, gens = frozenset((ring.zero,)), []
-        while span != elements:
-            gens.append(min(elements - span))
-            span = span_sum(span, principal_of(gens[-1]))
-        out.append((elements, tuple(gens)))
-    return out
+    return [(elements, greedy_generators(ring, elements, (add_t, mul_t)))
+            for elements in sorted(found, key=lambda s: (len(s), sorted(s)))]

@@ -42,6 +42,11 @@ Oracles:
     cyclic subgroups, is the plain-Python fixed point of sums and
     products, with the same generators, on rings of every spec kind and
     on GF(2)[x,y]/(x,y)^2, tabulated and untabulated
+  - the greedy generators of every ideal, every maximal ideal and the
+    colon of every element, taken in batches, are the plain-Python ones,
+    grown one element at a time, on every corpus ring of at most 64
+    elements, on products of several local factors, on a quotient and on
+    GF(2)[x,y]/(x,y)^2, tabulated and untabulated
   - the ideal lattice, its order and its generators agree with a
     breadth-first search on the reference arithmetic, on every corpus ring
     of at most 32 elements, on products of several local factors, and on
@@ -83,6 +88,7 @@ from unitlift.rings import (
     sumset,
 )
 from unitlift.semiunits import (
+    _colon_rows,
     _semi_inverse_found,
     _semi_inverse_mask,
     colon_into_radical,
@@ -96,6 +102,7 @@ from unitlift.spectrum import (
     _check_comaximal,
     idempotents,
     jacobson_radical,
+    maximal_ideals,
     nilpotent_elements,
     radical_quotient,
 )
@@ -130,7 +137,10 @@ def test_untabulated_corpus_report_matches_default():
 
 
 @pytest.mark.parametrize("spec", [
+    # Z/2^k reduces by masking the low bits, below and above the table guard
+    "Z/64",
     "Z/2048",
+    "Z/4096",
     "GF(2)[x]/(x^11)",
     "prod(Z/33,Z/35)",
     "quot(Z/4096;2048)",
@@ -722,6 +732,27 @@ def test_ideal_closure_matches_the_oracle(spec):
     assert len({elements for elements, _ in expected}) > 2
 
 
+@pytest.mark.parametrize("spec", list(dict.fromkeys(
+    SMALL_SPECS + ["prod(Z/4,Z/4,Z/2)", "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)",
+                   "quot(prod(Z/8,Z/8,Z/4);(4,0,0))", _SQUARE_ZERO_XY])))
+def test_greedy_generators_match_the_oracle(spec):
+    # the lattice, the maximal ideals and the colon rows of every element
+    # take their generators in batches, rows grouped by generator; the
+    # oracle sums each row's principal ideals one element at a time, on
+    # tables filled by the reference arithmetic
+    add_mul = _square_zero_xy_tables() if spec == _SQUARE_ZERO_XY else None
+    expected = {}
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = _build(spec, guards)
+        if add_mul is None:
+            add_mul = oracle.tables(ring)[:2]
+        _, colons = _colon_rows(ring, np.arange(ring.carrier_size))
+        ideals = [*enumerate_ideals(ring), *maximal_ideals(ring), *colons]
+        for elements in {i.elements for i in ideals} - expected.keys():
+            expected[elements] = oracle.greedy_generators(ring, elements, add_mul)
+        assert [i.generators for i in ideals] == [expected[i.elements] for i in ideals]
+
+
 def _sums_in_factor_lattice(ring, monkeypatch):
     """How many sumsets _factor_lattice takes on a local ring."""
     calls = []
@@ -817,6 +848,21 @@ def test_quadratic_scans_stay_within_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+    # the lattice of prod(Z/2 x12) is 4096 masks of 4096 cells, 16 MiB, and
+    # its ideals copy them; the greedy generators take the masks a block of
+    # BLOCK_WORDS cells at a time, where one batch of them all would hold
+    # every span and the (row, member) pairs of their sums at once
+    ring = build_ring("prod(" + ",".join(["Z/2"] * 12) + ")")
+    local_factors(ring)
+    _factor_principals(ring)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert len(enumerate_ideals(ring)) == 4096
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
     # the coset map of (Z/2)^16 modulo the first coordinate is labelled on
     # each factor's two members and combined by gathers over the carrier;
     # one array of the positions of every e_j*x in its factor would alone

@@ -34,6 +34,7 @@ from unitlift.rings import (
     Ideal,
     ModularRing,
     PolyQuotientRing,
+    _ideals_from_masks,
     _principal_cells,
     _unit_orbits,
     build_ring,
@@ -561,6 +562,15 @@ def test_ideal_from_elements_checks_closure():
         with _time_limit(10), pytest.raises(ValueError, match="not an ideal"):
             ideal_from_elements(ring, bad)
 
+
+def test_a_batch_holding_one_mask_that_is_no_ideal_is_a_defect():
+    # (4) and (6) of Z/12 are ideals and {0, 4} is none, as 4 spans (4) =
+    # {0, 4, 8}; it takes 4 in the same round as (4) and fails the batch
+    ring = build_ring("Z/12")
+    masks = np.array([member_mask(ring, s) for s in ({0, 4, 8}, {0, 4}, {0, 6})])
+    with pytest.raises(InternalDefectError, match="^a computed set of elements is not an ideal$"):
+        _ideals_from_masks(ring, masks)
+    assert [i.generators for i in _ideals_from_masks(ring, masks[[0, 2]])] == [(4,), (6,)]
 
 @pytest.mark.parametrize("elements", [{0, 4, -4}, {0, 12}, {-1}])
 def test_ideal_from_elements_rejects_elements_outside_the_carrier(elements):

@@ -29,7 +29,10 @@ proves closure for every element in O(|I| log |I|) additions.  A computed
 mask is wrapped with greedy generators, each the least member outside the
 sum of the earlier ones' principal ideals, and certified by that sum being
 the mask; a stack of masks takes them in rounds, in which the masks that
-take the same generator share one sum (_ideals_from_masks).
+take the same generator share one sum (_ideals_from_masks).  The ideal
+lattice is the product of the factors' lattices, and enumerate_ideals
+keeps those lattices and each ideal's coordinates in them, one factor
+ideal per factor, for callers that decide an ideal factor by factor.
 
 Unit orbits are labelled inside the local factors alone: the orbits x*(eU)
 in each factor eR, certified by the products that give one row of eR per
@@ -1125,7 +1128,9 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     j.  Each factor's lattice comes from a breadth-first search over its
     principal ideals, the rows of _factor_principals; a local ring is its
     own single factor.  The masks of the product take their greedy
-    generators and certificates in one batch (_ideals_from_masks).
+    generators and certificates in one batch (_ideals_from_masks).  The
+    factor lattices and each ideal's coordinates in them are cached beside
+    the ideals (_ideal_coordinates).
     """
     if ring.carrier_size > ring.guards.ideal_enum_limit:
         raise GuardExceededError(
@@ -1137,16 +1142,38 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     _, projections, _ = local_factors(ring)
     # row i of lattice is the mask of one sum of factor ideals; np.take keeps
     # the rows contiguous, where [:, proj] would lay the columns out instead
-    lattice = np.ones((1, n), dtype=bool)
+    lattice, factor_lattices = np.ones((1, n), dtype=bool), []
     for (members, rows, _, _), proj in zip(_factor_principals(ring), projections):
-        local = np.take(_factor_lattice(ring, members, rows), proj, axis=1)
-        lattice = (lattice[:, None, :] & local[None, :, :]).reshape(-1, n)
+        local = _factor_lattice(ring, members, rows)
+        factor_lattices.append(local[:, members])
+        lattice = (lattice[:, None, :] & np.take(local, proj, axis=1)[None, :, :]).reshape(-1, n)
+    # row i sums the rows of the factor lattices at the mixed-radix digits
+    # of i, factor 0 the most significant
+    coordinates = np.stack(np.unravel_index(np.arange(len(lattice)),
+                                            [len(f) for f in factor_lattices]), axis=1)
     out = _ideals_from_masks(ring, lattice)
     # among equal sizes, the packed bits descend as the sorted elements ascend
-    out.sort(key=lambda i: i.key, reverse=True)
-    out.sort(key=len)
+    order = sorted(range(len(out)), key=lambda i: out[i].key, reverse=True)
+    order.sort(key=lambda i: len(out[i]))
+    out = [out[i] for i in order]
+    coordinates = coordinates[order]
+    for published in (coordinates, *factor_lattices):
+        published.setflags(write=False)
+    ring._cache["factor_lattices"] = tuple(factor_lattices)
+    ring._cache["ideal_coordinates"] = coordinates
     ring._cache["ideals"] = tuple(out)
     return out
+
+
+def _ideal_coordinates(ring: FiniteRing) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The factor lattices of enumerate_ideals, one read-only array per
+    local factor e_jR whose rows are the masks of its ideals over its sorted
+    members, and the read-only (L, k) array whose row i holds the rows of
+    those lattices that sum to the i-th ideal of enumerate_ideals; both
+    cached per ring by enumerate_ideals, which this runs first, guard
+    included."""
+    enumerate_ideals(ring)
+    return ring._cache["factor_lattices"], ring._cache["ideal_coordinates"]
 
 
 # ---------------------------------------------------------------------------
@@ -1214,18 +1241,28 @@ def _coset_labels(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
     _, projections, factors = local_factors(ring)
     for j, (members, proj) in enumerate(zip(factors, projections)):
         position[members] = np.arange(len(members))  # within the factor
-        inside = mask[members]
-        cached = ("factor_cosets", j, inside.tobytes())
-        if cached not in ring._cache:
-            elems = members[inside]  # for e_jI = 0, each member is its coset's least
-            least = members if len(elems) == 1 else _least_of_orbits(
-                ring, members, lambda a: ring.add_many(a, elems), len(elems))
-            ring._cache[cached] = position[least]
-            ring._cache[cached].setflags(write=False)
-        key = key * len(members) + ring._cache[cached][position[proj]]  # below n = ∏ |e_jR|
+        label = _factor_coset_labels(ring, j, mask[members], position)
+        key = key * len(members) + label[position[proj]]  # below n = ∏ |e_jR|
     first = np.full(n, n)
     np.minimum.at(first, key, np.arange(n))
     return first[key]
+
+
+def _factor_coset_labels(ring: FiniteRing, j: int, inside: np.ndarray,
+                         position: np.ndarray) -> np.ndarray:
+    """Read-only label[i], the position among the sorted members of the
+    local factor e_jR of the least member of the coset of its i-th member
+    modulo the ideal whose mask over the members is inside, given each
+    member's position; cached per factor ideal."""
+    cached = ("factor_cosets", j, inside.tobytes())
+    if cached not in ring._cache:
+        members = local_factors(ring)[2][j]
+        elems = members[inside]  # for e_jI = 0, each member is its coset's least
+        least = members if len(elems) == 1 else _least_of_orbits(
+            ring, members, lambda a: ring.add_many(a, elems), len(elems))
+        ring._cache[cached] = position[least]
+        ring._cache[cached].setflags(write=False)
+    return ring._cache[cached]
 
 
 def _coset_map(ring: FiniteRing, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,14 @@ ideal of a ring in one call (star_report and star_check are batches of
 one): one quotient per ideal for DIRECT, whose cache U + I and later
 callers read, one _saturate_masks call and one first_hits pass.
 
+ring_has_star builds no quotient of R.  R/I is the product of the local
+rings e_jR/e_jI, so DIRECT holds for I exactly when it holds for each e_jI
+in e_jR, and one verdict per ideal of each factor, certified on R's
+arithmetic, decides every ideal of R through the factor coordinates that
+enumerate_ideals records.  The whole-ring DIRECT check stays the oracle:
+an ideal whose factor verdict fails takes it for its witness, and a
+whole-ring check that holds there is a defect.
+
 Lifting is constructive: the exceptional maximal ideals (those not
 containing I) are those whose atom lies in I, and a CRT adjustment a with
 a = 0 mod I and a = 1 - r mod each exceptional ideal turns any preimage r of
@@ -60,14 +68,19 @@ from .rings import (
     ProductRing,
     _as_set,
     _check_elements,
+    _factor_coset_labels,
     _factor_principals,
+    _ideal_coordinates,
+    _ideals_from_masks,
     _principal_cells,
+    _residue_field_sizes,
     _unit_orbits,
     check_element,
     enumerate_ideals,
     first_hits,
-    ideal_from_mask,
+    local_factors,
     member_mask,
+    power_many,
     quotient_ring,
 )
 from .spectrum import _crt_solve_many, maximal_ideals, radical_quotient
@@ -281,17 +294,111 @@ class RingStarReport:
     entries: tuple[tuple[Ideal, StarCheck], ...]
 
 
+def _factor_verdicts(ring: FiniteRing) -> list[np.ndarray]:
+    """Per local factor e_jR, one verdict per row of its ideal lattice
+    (_ideal_coordinates): whether every coset of that ideal I_j of e_jR
+    which holds a non-nilpotent element also holds one of e_jU, the image
+    of the unit mask.
+
+    That is DIRECT on e_jR -> e_jR/I_j, certified on R's arithmetic:
+    - U is the product of the e_jU (_principal_cells), so the image of U in
+      R/I = ∏ e_jR/e_jI is the product of the images of the e_jU.
+    - x^(q_j - 1) - e_j is nilpotent for every non-nilpotent x of e_jR
+      (_residue_field_sizes), so x is a unit of e_jR and x + I_j one of
+      e_jR/I_j.  A live I_j, one without e_j, lies in N, so its quotient is
+      no zero ring and its nilpotent cosets are no units: the units of
+      e_jR/I_j are the cosets that hold a non-nilpotent element.
+    So I has the lifting property exactly when every e_jI passes.  Where
+    every non-nilpotent x of e_jR lies in e_jU, every coset passes on x
+    itself, and no coset is labelled (_factor_coset_verdicts)."""
+    from .spectrum import nilradical
+
+    lattices, _ = _ideal_coordinates(ring)
+    _principal_cells(ring)
+    n, nil, units = ring.carrier_size, nilradical(ring).mask, ring.unit_mask()
+    atoms, projections, factors = local_factors(ring)
+    verdicts = []
+    for j, (e, proj, members, q, lattice) in enumerate(zip(
+            atoms, projections, factors, _residue_field_sizes(ring), lattices)):
+        non_nil = ~nil[members]
+        powers = power_many(ring, members[non_nil], int(q) - 1)
+        if not nil[ring.add_many(powers, ring.neg_many(e))].all():
+            raise InternalDefectError(
+                "x^(q - 1) - e is not nilpotent for a non-nilpotent x of a local factor")
+        dead = lattice[:, np.searchsorted(members, e)]
+        if not nil[members[lattice[~dead].any(axis=0)]].all():
+            raise InternalDefectError(
+                "a factor ideal is not inside the maximal ideal of its factor")
+        image = np.zeros(n, dtype=bool)
+        image[proj[units]] = True
+        if (image[members] | ~non_nil).all():
+            verdicts.append(np.ones(len(lattice), dtype=bool))
+        else:
+            verdicts.append(_factor_coset_verdicts(ring, j, dead, non_nil, image[members]))
+    return verdicts
+
+
+def _factor_coset_verdicts(ring: FiniteRing, j: int, dead: np.ndarray,
+                           non_nil: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """_factor_verdicts on the cosets of every ideal of the local factor
+    e_jR, given which rows hold e_j, whole cosets then, and which members
+    are not nilpotent and lie in e_jU: a row fails when some coset holds
+    a non-nilpotent member and none of e_jU.  The cosets are the factor's
+    cached labels (_factor_coset_labels), certified in O(|e_jR|) per row as
+    _coset_map certifies the whole ring's: each class has |I_j| members,
+    each x - rep in I_j, and rep is the least."""
+    lattice, members = _ideal_coordinates(ring)[0][j], local_factors(ring)[2][j]
+    every, rows = np.arange(len(members)), np.arange(len(lattice))[:, None]
+    # each element's position in the factor, or the column past it, in no row
+    position = np.full(ring.carrier_size, len(members))
+    position[members] = every
+    labels = np.array([np.zeros(len(members), dtype=np.int64) if d
+                       else _factor_coset_labels(ring, j, inside, position)
+                       for inside, d in zip(lattice, dead)])
+    padded = np.zeros((len(lattice), len(members) + 1), dtype=bool)
+    padded[:, :-1] = lattice
+    counts = np.bincount((labels + rows * len(members)).ravel(), minlength=labels.size)
+    diffs = ring.add_many(members, ring.neg_many(members[labels]))
+    if not ((counts.reshape(labels.shape)
+             == np.where(labels == every, lattice.sum(axis=1, keepdims=True), 0)).all()
+            and padded[rows, position[diffs]].all() and (labels <= every).all()):
+        raise InternalDefectError("the coset labels are not the cosets of a factor ideal")
+    unmet = np.zeros(labels.shape, dtype=bool)
+    unmet[rows, labels[:, non_nil]] = True
+    unmet[rows, labels[:, image]] = False
+    return ~unmet.any(axis=1)
+
+
 def ring_has_star(ring: FiniteRing) -> RingStarReport:
-    """Direct check over every proper ideal, in canonical enumeration order."""
-    entries = []
-    overall = True
-    for ideal in enumerate_ideals(ring):
+    """DIRECT over every proper ideal, in canonical enumeration order,
+    decided on the local factors: R/I is the product of the e_jR/e_jI, so I
+    has the lifting property exactly when each e_jI has it in e_jR, and one
+    verdict per factor ideal (_factor_verdicts) decides every ideal of R.
+    No quotient of R is built unless a factor verdict fails."""
+    return _ring_star(ring, _factor_verdicts(ring))
+
+
+def _ring_star(ring: FiniteRing, verdicts: Sequence[np.ndarray]) -> RingStarReport:
+    """ring_has_star from one verdict per row of each factor lattice: an
+    ideal holds when the verdicts of its factor ideals all hold.  An ideal
+    that fails takes the whole-ring DIRECT check for its witness, and a
+    DIRECT check that holds there contradicts the factors."""
+    ideals = enumerate_ideals(ring)
+    _, coordinates = _ideal_coordinates(ring)
+    holds = np.logical_and.reduce([v[c] for v, c in zip(verdicts, coordinates.T)])
+    entries, holding = [], StarCheck(StarMethod.DIRECT, True, None)
+    for ideal, h in zip(ideals, holds.tolist()):
         if not ideal.is_proper():
             continue
-        check = star_check(ring, ideal, StarMethod.DIRECT)
-        overall = overall and check.holds
+        if h:
+            check = holding
+        else:
+            check = star_check(ring, ideal, StarMethod.DIRECT)
+            if check.holds:
+                raise InternalDefectError(
+                    "a factor verdict fails where the whole-ring check holds")
         entries.append((ideal, check))
-    return RingStarReport(ring, overall, tuple(entries))
+    return RingStarReport(ring, all(c.holds for _, c in entries), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +503,40 @@ def reduce_mod_rad_equiv(ring: FiniteRing, ideal: Ideal) -> RadicalReductionRepo
     Both verdicts are computed and their equality asserted.  If rad + I were
     the whole ring the reduced map would be degenerate; that cannot happen
     for a proper I (1 + rad consists of units), but the case is reported
-    rather than silently mis-handled.
+    rather than silently mis-handled.  A batch of one of
+    _reduce_mod_rad_many.
     """
-    direct = star_check(ring, ideal, StarMethod.DIRECT).holds
-    reduced, proj = radical_quotient(ring)
-    reduced_ideal = ideal_from_mask(reduced, proj.image(ideal.mask))
-    if not reduced_ideal.is_proper():
-        return RadicalReductionReport(direct, True, True)
-    reduced_verdict = star_check(reduced, reduced_ideal, StarMethod.DIRECT).holds
-    if direct != reduced_verdict:
-        raise InternalDefectError(
-            "reduction modulo the radical changed the lifting verdict")
-    return RadicalReductionReport(direct, reduced_verdict, False)
+    reports, defect = _reduce_mod_rad_many(ring, [ideal])
+    if defect is not None:
+        raise InternalDefectError(defect)
+    return reports[0]
+
+
+def _reduce_mod_rad_many(ring: FiniteRing, ideals: Sequence[Ideal]
+                         ) -> tuple[list[RadicalReductionReport], str | None]:
+    """reduce_mod_rad_equiv on each of the ideals, their images in R/rad(R)
+    wrapped with their generators in one batch (_ideals_from_masks).
+
+    Returns the reports of the ideals before the first one whose verdicts
+    differ or that raises InternalDefectError, and that defect's text, or
+    every report and None, as _star_reports does.
+    """
+    reports = []
+    try:
+        reduced, proj = radical_quotient(ring)
+        images = _ideals_from_masks(reduced, np.array([proj.image(i.mask) for i in ideals]))
+        for ideal, image in zip(ideals, images):
+            direct = star_check(ring, ideal, StarMethod.DIRECT).holds
+            if not image.is_proper():
+                reports.append(RadicalReductionReport(direct, True, True))
+                continue
+            reduced_verdict = star_check(reduced, image, StarMethod.DIRECT).holds
+            if direct != reduced_verdict:
+                return reports, "reduction modulo the radical changed the lifting verdict"
+            reports.append(RadicalReductionReport(direct, reduced_verdict, False))
+    except InternalDefectError as exc:
+        return reports, str(exc)
+    return reports, None
 
 
 # ---------------------------------------------------------------------------

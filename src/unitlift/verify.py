@@ -57,10 +57,10 @@ from .spectrum import is_connected_mod_rad, jacobson_radical
 from .star import (
     _crt_unit_lifts,
     _fields_adjust_many,
+    _reduce_mod_rad_many,
     _saturate_masks,
     _star_reports,
     presented_star_check,
-    reduce_mod_rad_equiv,
     ring_has_star,
 )
 from .specs import PolyQuotSpec, spec_to_string
@@ -250,14 +250,16 @@ def criterion_radical_reduction(rings, ctx: RunContext) -> CriterionResult:
             continue
         name = spec_to_string(ring.spec)
         try:
-            for ideal in _proper_ideals(ring):
-                report = reduce_mod_rad_equiv(ring, ideal)
-                checks += 1
-                if report.verdict != report.reduced_verdict or report.degenerate:
-                    failures.append(f"{name} mod {list(ideal.generators)}: "
-                                    f"{report}")
+            ideals = _proper_ideals(ring)
+            reports, defect = _reduce_mod_rad_many(ring, ideals)
         except InternalDefectError as exc:
-            failures.append(f"{name}: defect: {exc}")
+            ideals, reports, defect = [], [], str(exc)
+        checks += len(reports)
+        failures += [f"{name} mod {list(ideal.generators)}: {report}"
+                     for ideal, report in zip(ideals, reports)
+                     if report.verdict != report.reduced_verdict or report.degenerate]
+        if defect is not None:
+            failures.append(f"{name}: defect: {defect}")
             defects += 1
     return _result("radical-reduction-stable",
                    "Passing to the reduced ring never changes a lifting verdict",

@@ -7,7 +7,7 @@ fire with its own text, before anything downstream reads the bad value."""
 import numpy as np
 import pytest
 
-from unitlift import rings, semiunits, spectrum
+from unitlift import rings, semiunits, spectrum, star
 from unitlift.errors import InternalDefectError
 from unitlift.rings import (
     PresentedRing,
@@ -23,6 +23,7 @@ from unitlift.star import (
     StarMethod,
     presented_star_check,
     reduce_mod_rad_equiv,
+    ring_has_star,
     saturate,
     star_check,
 )
@@ -86,6 +87,55 @@ def test_coset_labels_that_are_not_the_cosets_are_a_defect(relabel, monkeypatch)
     with pytest.raises(InternalDefectError,
                        match="^the coset labels are not the cosets of the ideal$"):
         quotient_ring(ring, ideal)
+
+
+@pytest.mark.parametrize("relabel", [
+    [0, 0, 2, 2],  # the classes {0, 3} and {6, 9}, of 2 elements, are no cosets
+    [0, 1, 2, 1],  # 6 leaves the class of 0 for a class of its own
+    [2, 1, 2, 1],  # the class of 0 is labelled 6, not its least member
+], ids=["outside-its-coset", "wrong-size", "not-least"])
+def test_factor_coset_labels_that_are_not_the_cosets_are_a_defect(relabel, monkeypatch):
+    # the factor 9R = {0, 3, 6, 9} of Z/12 has the ideal {0, 6}, whose
+    # cosets {0, 6} and {3, 9} are labelled [0, 1, 0, 1] by position; they
+    # are read once 9R holds a non-nilpotent outside e_jU, here 3, with 1
+    # and 5 reported as the only units and the cells certificate bypassed
+    ring = build_ring("Z/12")
+    ring._unit_mask = member_mask(ring, {1, 5})
+    monkeypatch.setattr(star, "_principal_cells", lambda ring: None)
+    real = star._factor_coset_labels
+
+    def mislabelled(ring, j, inside, position):
+        label = real(ring, j, inside, position)
+        return np.array(relabel) if label.tolist() == [0, 1, 0, 1] else label
+
+    monkeypatch.setattr(star, "_factor_coset_labels", mislabelled)
+    with pytest.raises(InternalDefectError,
+                       match="^the coset labels are not the cosets of a factor ideal$"):
+        ring_has_star(ring)
+
+
+def test_a_factor_ideal_outside_the_maximal_ideal_is_a_defect():
+    # {0, 3} in the factor 9R = {0, 3, 6, 9} of Z/12 holds the unit 3 of
+    # 9R but not its one, 9, so its quotient would be no local ring
+    ring = build_ring("Z/12")
+    lattices, _ = rings._ideal_coordinates(ring)
+    j = [lattice.shape[1] for lattice in lattices].index(4)
+    doctored = list(lattices)
+    doctored[j] = np.vstack([lattices[j], [True, True, False, False]])
+    ring._cache["factor_lattices"] = tuple(doctored)
+    with pytest.raises(InternalDefectError,
+                       match="^a factor ideal is not inside the maximal ideal of its factor$"):
+        ring_has_star(ring)
+
+
+def test_a_non_nilpotent_that_is_no_unit_of_its_factor_is_a_defect():
+    # without 6 in N, 6 of 9R = {0, 3, 6, 9} passes as non-nilpotent, and
+    # the residue field of 9R as one of 4 elements: 3^3 - 9 = 6 is not in N
+    ring = build_ring("Z/12")
+    ring._cache["nilradical"] = rings.Ideal(ring, (), member_mask(ring, {0}))
+    with pytest.raises(InternalDefectError, match=(
+            r"^x\^\(q - 1\) - e is not nilpotent for a non-nilpotent x of a local factor$")):
+        ring_has_star(ring)
 
 
 def test_a_closure_that_is_not_additively_closed_is_a_defect(monkeypatch):

@@ -276,15 +276,13 @@ def test_units_above_the_table_guard_match_oracle_on_a_sample(spec):
         assert mask[a] == any(oracle.mul(ring, a, b) == ring.one for b in ring.elements())
 
 
-def test_star_ring_builds_no_quotient_tables():
-    # DIRECT reads the units of each R/I from the split of R, so no quotient
-    # needs its tables
+def test_star_ring_builds_no_quotient():
+    # DIRECT is decided once per factor ideal, inside the local factors, so
+    # no quotient of the ring is built, let alone tabulated
     ring = build_ring("Z/1024")
-    ring_has_star(ring)
-    quotients = [v[0] for k, v in ring._cache.items()
-                 if isinstance(k, tuple) and k[0] == "quotient"]
-    assert len(quotients) == 10
-    assert all(q._tables is None for q in quotients)
+    report = ring_has_star(ring)
+    assert len(report.entries) == 10 and report.holds
+    assert [k for k in ring._cache if isinstance(k, tuple) and k[0] == "quotient"] == []
 
 
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])

@@ -31,8 +31,7 @@ sum of the earlier ones' principal ideals, and certified by that sum being
 the mask; a stack of masks takes them in rounds, in which the masks that
 take the same generator share one sum (_ideals_from_masks).  The ideal
 lattice is the product of the factors' lattices, and enumerate_ideals
-keeps those lattices and each ideal's coordinates in them, one factor
-ideal per factor, for callers that decide an ideal factor by factor.
+keeps those lattices, which ring_has_star certifies factor by factor.
 
 Unit orbits are labelled inside the local factors alone: the orbits x*(eU)
 in each factor eR, certified by the products that give one row of eR per
@@ -680,13 +679,16 @@ class Ideal:
 
     ``key`` packs the mask into bytes once, for hashing and as a cache key;
     ``elements`` is a frozenset view, built on first use.
+    A boolean array that is read-only down its whole .base chain is shared,
+    as published arrays are never written; any other mask is copied.
     """
 
     __slots__ = ("ring", "generators", "mask", "key", "_elements")
 
     def __init__(self, ring: FiniteRing, generators: Iterable[int], mask):
-        mask = np.array(mask, dtype=bool)
-        mask.setflags(write=False)
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and _read_only(mask)):
+            mask = np.array(mask, dtype=bool)
+            mask.setflags(write=False)
         self.ring = ring
         self.generators = tuple(generators)
         self.mask = mask
@@ -725,6 +727,16 @@ class Ideal:
     def __repr__(self):
         gens = ",".join(str(self.ring.render(g)) for g in self.generators)
         return f"<Ideal ({gens}) of {spec_to_string(self.ring.spec)}, {len(self)} elements>"
+
+
+def _read_only(array) -> bool:
+    """Whether the array and every array under it (.base) are read-only,
+    and the chain ends in an array that owns its memory."""
+    while array is not None:
+        if not isinstance(array, np.ndarray) or array.flags.writeable:
+            return False
+        array = array.base
+    return True
 
 
 def _as_set(mask: np.ndarray) -> frozenset[int]:
@@ -1128,9 +1140,9 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     j.  Each factor's lattice comes from a breadth-first search over its
     principal ideals, the rows of _factor_principals; a local ring is its
     own single factor.  The masks of the product take their greedy
-    generators and certificates in one batch (_ideals_from_masks).  The
-    factor lattices and each ideal's coordinates in them are cached beside
-    the ideals (_ideal_coordinates).
+    generators and certificates in one batch (_ideals_from_masks), and keep
+    their rows of the frozen lattice without a copy.  The factor lattices
+    are cached beside the ideals (_factor_lattices).
     """
     if ring.carrier_size > ring.guards.ideal_enum_limit:
         raise GuardExceededError(
@@ -1147,33 +1159,27 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
         local = _factor_lattice(ring, members, rows)
         factor_lattices.append(local[:, members])
         lattice = (lattice[:, None, :] & np.take(local, proj, axis=1)[None, :, :]).reshape(-1, n)
-    # row i sums the rows of the factor lattices at the mixed-radix digits
-    # of i, factor 0 the most significant
-    coordinates = np.stack(np.unravel_index(np.arange(len(lattice)),
-                                            [len(f) for f in factor_lattices]), axis=1)
+    lattice.base.setflags(write=False)  # the last product, which lattice views
+    lattice.setflags(write=False)
     out = _ideals_from_masks(ring, lattice)
     # among equal sizes, the packed bits descend as the sorted elements ascend
     order = sorted(range(len(out)), key=lambda i: out[i].key, reverse=True)
     order.sort(key=lambda i: len(out[i]))
     out = [out[i] for i in order]
-    coordinates = coordinates[order]
-    for published in (coordinates, *factor_lattices):
+    for published in factor_lattices:
         published.setflags(write=False)
     ring._cache["factor_lattices"] = tuple(factor_lattices)
-    ring._cache["ideal_coordinates"] = coordinates
     ring._cache["ideals"] = tuple(out)
     return out
 
 
-def _ideal_coordinates(ring: FiniteRing) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _factor_lattices(ring: FiniteRing) -> tuple[np.ndarray, ...]:
     """The factor lattices of enumerate_ideals, one read-only array per
     local factor e_jR whose rows are the masks of its ideals over its sorted
-    members, and the read-only (L, k) array whose row i holds the rows of
-    those lattices that sum to the i-th ideal of enumerate_ideals; both
-    cached per ring by enumerate_ideals, which this runs first, guard
-    included."""
+    members; cached per ring by enumerate_ideals, which this runs first,
+    guard included."""
     enumerate_ideals(ring)
-    return ring._cache["factor_lattices"], ring._cache["ideal_coordinates"]
+    return ring._cache["factor_lattices"]
 
 
 # ---------------------------------------------------------------------------
@@ -1235,34 +1241,25 @@ class SurjectiveHom:
 def _coset_labels(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
     """label[x], the least member of x + I for the ideal I with the mask.
     As I is the sum of the e_jI = I ∩ e_jR, x + I is fixed by the cosets of
-    the e_j*x, each labelled on its factor alone and cached per factor
-    ideal, and its least member is the first element with that tuple."""
+    the e_j*x, each labelled on its factor alone, by the position among
+    the factor's sorted members of its least member, and cached per factor
+    ideal; the least member of x + I is the first element with that tuple."""
     n, key, position = ring.carrier_size, 0, np.empty(ring.carrier_size, dtype=np.int64)
     _, projections, factors = local_factors(ring)
     for j, (members, proj) in enumerate(zip(factors, projections)):
         position[members] = np.arange(len(members))  # within the factor
-        label = _factor_coset_labels(ring, j, mask[members], position)
-        key = key * len(members) + label[position[proj]]  # below n = ∏ |e_jR|
+        inside = mask[members]
+        cached = ("factor_cosets", j, inside.tobytes())
+        if cached not in ring._cache:
+            elems = members[inside]  # for e_jI = 0, each member is its coset's least
+            least = members if len(elems) == 1 else _least_of_orbits(
+                ring, members, lambda a: ring.add_many(a, elems), len(elems))
+            ring._cache[cached] = position[least]
+            ring._cache[cached].setflags(write=False)
+        key = key * len(members) + ring._cache[cached][position[proj]]  # below n = ∏ |e_jR|
     first = np.full(n, n)
     np.minimum.at(first, key, np.arange(n))
     return first[key]
-
-
-def _factor_coset_labels(ring: FiniteRing, j: int, inside: np.ndarray,
-                         position: np.ndarray) -> np.ndarray:
-    """Read-only label[i], the position among the sorted members of the
-    local factor e_jR of the least member of the coset of its i-th member
-    modulo the ideal whose mask over the members is inside, given each
-    member's position; cached per factor ideal."""
-    cached = ("factor_cosets", j, inside.tobytes())
-    if cached not in ring._cache:
-        members = local_factors(ring)[2][j]
-        elems = members[inside]  # for e_jI = 0, each member is its coset's least
-        least = members if len(elems) == 1 else _least_of_orbits(
-            ring, members, lambda a: ring.add_many(a, elems), len(elems))
-        ring._cache[cached] = position[least]
-        ring._cache[cached].setflags(write=False)
-    return ring._cache[cached]
 
 
 def _coset_map(ring: FiniteRing, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,13 +29,12 @@ ideal of a ring in one call (star_report and star_check are batches of
 one): one quotient per ideal for DIRECT, whose cache U + I and later
 callers read, one _saturate_masks call and one first_hits pass.
 
-ring_has_star builds no quotient of R.  R/I is the product of the local
-rings e_jR/e_jI, so DIRECT holds for I exactly when it holds for each e_jI
-in e_jR, and one verdict per ideal of each factor, certified on R's
-arithmetic, decides every ideal of R through the factor coordinates that
-enumerate_ideals records.  The whole-ring DIRECT check stays the oracle:
-an ideal whose factor verdict fails takes it for its witness, and a
-whole-ring check that holds there is a defect.
+ring_has_star builds no quotient of R.  Every surjection out of a finite
+ring lifts units, so it reports DIRECT holding on every proper ideal, once
+that is certified on R's arithmetic: R/I is the product of the local rings
+e_jR/e_jI, U is the product of the e_jU, and every non-nilpotent element
+of each e_jR is the image of a unit.  The whole-ring DIRECT check of
+star_check stays its oracle in the tests.
 
 Lifting is constructive: the exceptional maximal ideals (those not
 containing I) are those whose atom lies in I, and a CRT adjustment a with
@@ -68,9 +67,8 @@ from .rings import (
     ProductRing,
     _as_set,
     _check_elements,
-    _factor_coset_labels,
+    _factor_lattices,
     _factor_principals,
-    _ideal_coordinates,
     _ideals_from_masks,
     _principal_cells,
     _residue_field_sizes,
@@ -83,7 +81,7 @@ from .rings import (
     power_many,
     quotient_ring,
 )
-from .spectrum import _crt_solve_many, maximal_ideals, radical_quotient
+from .spectrum import _crt_solve_many, maximal_ideals, nilradical, radical_quotient
 
 
 def saturate(ring: FiniteRing, subset) -> frozenset[int]:
@@ -294,111 +292,41 @@ class RingStarReport:
     entries: tuple[tuple[Ideal, StarCheck], ...]
 
 
-def _factor_verdicts(ring: FiniteRing) -> list[np.ndarray]:
-    """Per local factor e_jR, one verdict per row of its ideal lattice
-    (_ideal_coordinates): whether every coset of that ideal I_j of e_jR
-    which holds a non-nilpotent element also holds one of e_jU, the image
-    of the unit mask.
-
-    That is DIRECT on e_jR -> e_jR/I_j, certified on R's arithmetic:
+def ring_has_star(ring: FiniteRing) -> RingStarReport:
+    """DIRECT over every proper ideal, in canonical enumeration order: each
+    holds, as every surjection out of a finite ring lifts units.  No
+    quotient of R is built; the theorem is certified on the local split
+    R = ∏ e_jR, as R/I is the product of the local rings e_jR/e_jI:
     - U is the product of the e_jU (_principal_cells), so the image of U in
-      R/I = ∏ e_jR/e_jI is the product of the images of the e_jU.
+      R/I is the product of the images of the e_jU.
     - x^(q_j - 1) - e_j is nilpotent for every non-nilpotent x of e_jR
-      (_residue_field_sizes), so x is a unit of e_jR and x + I_j one of
-      e_jR/I_j.  A live I_j, one without e_j, lies in N, so its quotient is
-      no zero ring and its nilpotent cosets are no units: the units of
-      e_jR/I_j are the cosets that hold a non-nilpotent element.
-    So I has the lifting property exactly when every e_jI passes.  Where
-    every non-nilpotent x of e_jR lies in e_jU, every coset passes on x
-    itself, and no coset is labelled (_factor_coset_verdicts)."""
-    from .spectrum import nilradical
-
-    lattices, _ = _ideal_coordinates(ring)
+      (_residue_field_sizes), so x is a unit of e_jR.  Each factor ideal
+      without e_j lies in N, so its quotient is local, and its units are
+      the cosets that hold a non-nilpotent element; one with e_j is e_jR.
+    - Every non-nilpotent x of e_jR lies in e_jU, so every unit coset of
+      e_jR/e_jI holds the image of a unit, and every unit of R/I does."""
+    ideals = enumerate_ideals(ring)
     _principal_cells(ring)
     n, nil, units = ring.carrier_size, nilradical(ring).mask, ring.unit_mask()
     atoms, projections, factors = local_factors(ring)
-    verdicts = []
-    for j, (e, proj, members, q, lattice) in enumerate(zip(
-            atoms, projections, factors, _residue_field_sizes(ring), lattices)):
+    for e, proj, members, q, lattice in zip(atoms, projections, factors,
+                                            _residue_field_sizes(ring), _factor_lattices(ring)):
         non_nil = ~nil[members]
         powers = power_many(ring, members[non_nil], int(q) - 1)
         if not nil[ring.add_many(powers, ring.neg_many(e))].all():
             raise InternalDefectError(
                 "x^(q - 1) - e is not nilpotent for a non-nilpotent x of a local factor")
-        dead = lattice[:, np.searchsorted(members, e)]
-        if not nil[members[lattice[~dead].any(axis=0)]].all():
+        live = ~lattice[:, np.searchsorted(members, e)]
+        if not nil[members[lattice[live].any(axis=0)]].all():
             raise InternalDefectError(
                 "a factor ideal is not inside the maximal ideal of its factor")
         image = np.zeros(n, dtype=bool)
         image[proj[units]] = True
-        if (image[members] | ~non_nil).all():
-            verdicts.append(np.ones(len(lattice), dtype=bool))
-        else:
-            verdicts.append(_factor_coset_verdicts(ring, j, dead, non_nil, image[members]))
-    return verdicts
-
-
-def _factor_coset_verdicts(ring: FiniteRing, j: int, dead: np.ndarray,
-                           non_nil: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """_factor_verdicts on the cosets of every ideal of the local factor
-    e_jR, given which rows hold e_j, whole cosets then, and which members
-    are not nilpotent and lie in e_jU: a row fails when some coset holds
-    a non-nilpotent member and none of e_jU.  The cosets are the factor's
-    cached labels (_factor_coset_labels), certified in O(|e_jR|) per row as
-    _coset_map certifies the whole ring's: each class has |I_j| members,
-    each x - rep in I_j, and rep is the least."""
-    lattice, members = _ideal_coordinates(ring)[0][j], local_factors(ring)[2][j]
-    every, rows = np.arange(len(members)), np.arange(len(lattice))[:, None]
-    # each element's position in the factor, or the column past it, in no row
-    position = np.full(ring.carrier_size, len(members))
-    position[members] = every
-    labels = np.array([np.zeros(len(members), dtype=np.int64) if d
-                       else _factor_coset_labels(ring, j, inside, position)
-                       for inside, d in zip(lattice, dead)])
-    padded = np.zeros((len(lattice), len(members) + 1), dtype=bool)
-    padded[:, :-1] = lattice
-    counts = np.bincount((labels + rows * len(members)).ravel(), minlength=labels.size)
-    diffs = ring.add_many(members, ring.neg_many(members[labels]))
-    if not ((counts.reshape(labels.shape)
-             == np.where(labels == every, lattice.sum(axis=1, keepdims=True), 0)).all()
-            and padded[rows, position[diffs]].all() and (labels <= every).all()):
-        raise InternalDefectError("the coset labels are not the cosets of a factor ideal")
-    unmet = np.zeros(labels.shape, dtype=bool)
-    unmet[rows, labels[:, non_nil]] = True
-    unmet[rows, labels[:, image]] = False
-    return ~unmet.any(axis=1)
-
-
-def ring_has_star(ring: FiniteRing) -> RingStarReport:
-    """DIRECT over every proper ideal, in canonical enumeration order,
-    decided on the local factors: R/I is the product of the e_jR/e_jI, so I
-    has the lifting property exactly when each e_jI has it in e_jR, and one
-    verdict per factor ideal (_factor_verdicts) decides every ideal of R.
-    No quotient of R is built unless a factor verdict fails."""
-    return _ring_star(ring, _factor_verdicts(ring))
-
-
-def _ring_star(ring: FiniteRing, verdicts: Sequence[np.ndarray]) -> RingStarReport:
-    """ring_has_star from one verdict per row of each factor lattice: an
-    ideal holds when the verdicts of its factor ideals all hold.  An ideal
-    that fails takes the whole-ring DIRECT check for its witness, and a
-    DIRECT check that holds there contradicts the factors."""
-    ideals = enumerate_ideals(ring)
-    _, coordinates = _ideal_coordinates(ring)
-    holds = np.logical_and.reduce([v[c] for v, c in zip(verdicts, coordinates.T)])
-    entries, holding = [], StarCheck(StarMethod.DIRECT, True, None)
-    for ideal, h in zip(ideals, holds.tolist()):
-        if not ideal.is_proper():
-            continue
-        if h:
-            check = holding
-        else:
-            check = star_check(ring, ideal, StarMethod.DIRECT)
-            if check.holds:
-                raise InternalDefectError(
-                    "a factor verdict fails where the whole-ring check holds")
-        entries.append((ideal, check))
-    return RingStarReport(ring, all(c.holds for _, c in entries), tuple(entries))
+        if not (image[members] | ~non_nil).all():
+            raise InternalDefectError(
+                "a non-nilpotent element of a local factor is not the image of a unit")
+    holds = StarCheck(StarMethod.DIRECT, True, None)
+    return RingStarReport(ring, True, tuple((i, holds) for i in ideals if i.is_proper()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from unitlift import rings, semiunits, spectrum, star
+from unitlift.config import Guards
 from unitlift.errors import InternalDefectError
 from unitlift.rings import (
     PresentedRing,
@@ -89,28 +90,17 @@ def test_coset_labels_that_are_not_the_cosets_are_a_defect(relabel, monkeypatch)
         quotient_ring(ring, ideal)
 
 
-@pytest.mark.parametrize("relabel", [
-    [0, 0, 2, 2],  # the classes {0, 3} and {6, 9}, of 2 elements, are no cosets
-    [0, 1, 2, 1],  # 6 leaves the class of 0 for a class of its own
-    [2, 1, 2, 1],  # the class of 0 is labelled 6, not its least member
-], ids=["outside-its-coset", "wrong-size", "not-least"])
-def test_factor_coset_labels_that_are_not_the_cosets_are_a_defect(relabel, monkeypatch):
-    # the factor 9R = {0, 3, 6, 9} of Z/12 has the ideal {0, 6}, whose
-    # cosets {0, 6} and {3, 9} are labelled [0, 1, 0, 1] by position; they
-    # are read once 9R holds a non-nilpotent outside e_jU, here 3, with 1
-    # and 5 reported as the only units and the cells certificate bypassed
-    ring = build_ring("Z/12")
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+def test_a_non_nilpotent_outside_the_image_of_the_units_is_a_defect(table_limit, monkeypatch):
+    # Z/12 is 4R x 9R, copies of Z/3 and Z/4, here reporting 1 and 5 as its
+    # only units, with the cells certificate that refuses them bypassed:
+    # their images in 9R = {0, 3, 6, 9} are {9}, so the non-nilpotent 3 of
+    # 9R is the image of no unit
+    ring = build_ring("Z/12", Guards(table_limit=table_limit))
     ring._unit_mask = member_mask(ring, {1, 5})
     monkeypatch.setattr(star, "_principal_cells", lambda ring: None)
-    real = star._factor_coset_labels
-
-    def mislabelled(ring, j, inside, position):
-        label = real(ring, j, inside, position)
-        return np.array(relabel) if label.tolist() == [0, 1, 0, 1] else label
-
-    monkeypatch.setattr(star, "_factor_coset_labels", mislabelled)
-    with pytest.raises(InternalDefectError,
-                       match="^the coset labels are not the cosets of a factor ideal$"):
+    with pytest.raises(InternalDefectError, match=(
+            "^a non-nilpotent element of a local factor is not the image of a unit$")):
         ring_has_star(ring)
 
 
@@ -118,7 +108,7 @@ def test_a_factor_ideal_outside_the_maximal_ideal_is_a_defect():
     # {0, 3} in the factor 9R = {0, 3, 6, 9} of Z/12 holds the unit 3 of
     # 9R but not its one, 9, so its quotient would be no local ring
     ring = build_ring("Z/12")
-    lattices, _ = rings._ideal_coordinates(ring)
+    lattices = rings._factor_lattices(ring)
     j = [lattice.shape[1] for lattice in lattices].index(4)
     doctored = list(lattices)
     doctored[j] = np.vstack([lattices[j], [True, True, False, False]])

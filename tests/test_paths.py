@@ -31,13 +31,12 @@ Oracles:
     of the factors' units, DIRECT fails and WITNESS is refused
   - the constructed semi-inverse r^(m-1) is one of the plain-Python
     oracle's semi-inverses of r
-  - ring_has_star, one verdict per factor ideal ANDed per ideal, gives the
-    whole-ring DIRECT check of every proper ideal of every corpus ring of
-    at most 256 elements, of products of several local factors, of a
-    quotient and of GF(2)[x,y]/(x,y)^2, tabulated and untabulated; an
-    ideal whose factor verdict fails takes the whole-ring check and its
-    witness, and one that the whole-ring check refutes is a defect; on
-    Z/n reporting only 1 and -1 as units ring_has_star is refused
+  - ring_has_star, certified on the local split, gives the whole-ring
+    DIRECT check of every proper ideal of every corpus ring of at most 256
+    elements, of products of several local factors, of rings whose local
+    factors are no fields, of a quotient and of GF(2)[x,y]/(x,y)^2,
+    tabulated and untabulated; on Z/n reporting only 1 and -1 as units
+    ring_has_star is refused
   - comaximality, read from the atoms of the split into local factors,
     agrees with a plain-Python pair scan on every pair of ideals of every
     corpus ring of at most 32 elements, tabulated and untabulated
@@ -73,7 +72,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from unitlift import rings, star
+from unitlift import rings
 from unitlift.config import Guards
 from unitlift.errors import InternalDefectError
 from unitlift.rings import (
@@ -83,7 +82,6 @@ from unitlift.rings import (
     _as_set,
     _on_unit_orbits,
     _factor_principals,
-    _ideal_coordinates,
     _principal_cells,
     _unit_orbits,
     build_ring,
@@ -91,7 +89,6 @@ from unitlift.rings import (
     first_hits,
     ideal_closure,
     local_factors,
-    member_mask,
     principal,
     quotient_ring,
     sumset,
@@ -116,11 +113,8 @@ from unitlift.spectrum import (
     radical_quotient,
 )
 from unitlift.star import (
-    StarCheck,
     StarMethod,
-    _factor_verdicts,
     _one_plus_ideals,
-    _ring_star,
     _saturate_masks,
     _units_plus_ideals,
     _witness_checks,
@@ -604,10 +598,11 @@ def test_units_plus_ideals_match_the_sumset_oracle(spec):
 @pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings(max_carrier=256)]
                          + ["prod(Z/33,Z/35)", "prod(Z/8,Z/8,Z/8,Z/2)",
                             "quot(prod(Z/8,Z/8,Z/4);(4,0,0))", "Z/720", "GF(2)[x]/(x^7+x^6)",
+                            "GF(2)[x]/(x^4+x^2)", "prod(Z/9,GF(3)[x]/(x^3+x^2))",
                             _SQUARE_ZERO_XY])
 def test_ring_has_star_matches_the_whole_ring_direct_check(spec):
-    # one verdict per factor ideal, ANDed per ideal, against DIRECT on the
-    # quotient of the whole ring by each proper ideal
+    # the certificate on the local split, which reports every proper ideal
+    # holding, against DIRECT on the quotient of the whole ring by each
     for guards in (Guards(), Guards(table_limit=1)):
         ring = _build(spec, guards)
         report = ring_has_star(ring)
@@ -618,72 +613,12 @@ def test_ring_has_star_matches_the_whole_ring_direct_check(spec):
         assert report.holds
 
 
-@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
-def test_factor_verdicts_read_the_cosets_where_a_non_nilpotent_misses_the_units(
-        table_limit, monkeypatch):
-    # Z/12 is 4R x 9R, copies of Z/3 and Z/4, here reporting 1 and 5 as its
-    # only units, with the cells certificate that refuses them bypassed:
-    # their images are {4, 8} and {9}, so 3 of 9R is in none, and 9R's
-    # ideals are decided coset by coset; {1, 5} = {4, 8} + {9} is the
-    # product of its images, so the factors still give whole-ring DIRECT
-    ring = build_ring("Z/12", Guards(table_limit=table_limit))
-    ring._unit_mask = member_mask(ring, {1, 5})
-    monkeypatch.setattr(star, "_principal_cells", lambda ring: None)
-    lattices, _ = _ideal_coordinates(ring)
-    verdicts = _factor_verdicts(ring)
-    nilpotent = oracle.nilpotents(ring)
-    atoms, _, factors = local_factors(ring)
-    for e, members, lattice, verdict in zip(atoms, factors, lattices, verdicts):
-        images = {oracle.mul(ring, e, u) for u in (1, 5)}
-        want = []
-        for inside in lattice:
-            cosets = {frozenset(oracle.add(ring, x, i) for i in members[inside].tolist())
-                      for x in members.tolist()}
-            want.append(all(c <= nilpotent or c & images for c in cosets))
-        assert verdict.tolist() == want
-    assert sorted(v.tolist() for v in verdicts) == [[False, True, True], [True, True]]
-    report = ring_has_star(ring)
-    proper = [i for i in enumerate_ideals(ring) if i.is_proper()]
-    assert report.entries == tuple((i, star_check(ring, i, StarMethod.DIRECT)) for i in proper)
-    assert [c.witness for _, c in report.entries if not c.holds] == [7, 3]
-
-
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
 def test_ring_has_star_refuses_a_unit_set_that_is_no_product(table_limit):
     ring = _SignsAsUnits(ModularSpec(144), Guards(table_limit=table_limit))
     with pytest.raises(InternalDefectError,
                        match="^the principal ideals holding one are not the units$"):
         ring_has_star(ring)
-
-
-@pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
-def test_a_failing_factor_verdict_takes_the_whole_ring_check(table_limit):
-    # Z/144 is Z/9 x Z/16; the factor ideal 0 of Z/9 is made to fail, so
-    # the ideals inside Z/16 take DIRECT on the whole ring, which fails with
-    # its witness on Z/n reporting only 1 and -1 as units, as R/I is Z/d for
-    # a multiple d of 9, with more than two units
-    ring = _SignsAsUnits(ModularSpec(144), Guards(table_limit=table_limit))
-    lattices, coordinates = _ideal_coordinates(ring)
-    j = next(j for j, lattice in enumerate(lattices) if lattice.shape[1] == 9)
-    zero = next(row for row, inside in enumerate(lattices[j]) if inside.sum() == 1)
-    verdicts = [np.ones(len(lattice), dtype=bool) for lattice in lattices]
-    verdicts[j][zero] = False
-    report = _ring_star(ring, verdicts)
-    ideals = enumerate_ideals(ring)
-    want = [(i, star_check(ring, i, StarMethod.DIRECT) if c[j] == zero
-             else StarCheck(StarMethod.DIRECT, True, None))
-            for i, c in zip(ideals, coordinates) if i.is_proper()]
-    assert report.entries == tuple(want)
-    assert [len(i) for i, c in report.entries if not c.holds] == [1, 2, 4, 8, 16]
-    assert all(c.witness is not None for _, c in report.entries if not c.holds)
-    assert not report.holds
-    # on a genuine ring the whole-ring check holds, and contradicts it
-    ring = build_ring("prod(Z/4,Z/9)", Guards(table_limit=table_limit))
-    verdicts = [v.copy() for v in _factor_verdicts(ring)]
-    verdicts[1][0] = False
-    with pytest.raises(InternalDefectError,
-                       match="^a factor verdict fails where the whole-ring check holds$"):
-        _ring_star(ring, verdicts)
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
@@ -947,7 +882,7 @@ def test_quadratic_scans_stay_within_memory_budget():
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
     # the lattice of prod(Z/2 x12) is 4096 masks of 4096 cells, 16 MiB, and
-    # its ideals copy them; the greedy generators take the masks a block of
+    # its ideals share its rows; the greedy generators take the masks a block of
     # BLOCK_WORDS cells at a time, where one batch of them all would hold
     # every span and the (row, member) pairs of their sums at once
     ring = build_ring("prod(" + ",".join(["Z/2"] * 12) + ")")
@@ -960,10 +895,10 @@ def test_quadratic_scans_stay_within_memory_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 28 * 2**20
     # ring_has_star on a cold prod(Z/2 x12) enumerates that lattice and
-    # decides one verdict per factor ideal, two per factor, where one cached
-    # quotient per proper ideal, 4095 of them, would peak at 164 MiB
+    # certifies each factor's two ideals, where one cached quotient per
+    # proper ideal, 4095 of them, would peak at 164 MiB
     ring = build_ring("prod(" + ",".join(["Z/2"] * 12) + ")")
     tracemalloc.start()
     try:
@@ -972,7 +907,7 @@ def test_quadratic_scans_stay_within_memory_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 44 * 2**20
+    assert peak < 28 * 2**20
     # the coset map of (Z/2)^16 modulo the first coordinate is labelled on
     # each factor's two members and combined by gathers over the carrier;
     # one array of the positions of every e_j*x in its factor would alone

@@ -675,6 +675,26 @@ def test_ideal_membership_reads_the_mask():
     assert not three.mask.flags.writeable
 
 
+def test_an_ideal_keeps_its_mask_whatever_is_written_to_the_source():
+    # a writable mask, and a read-only view of one, are copied; a mask that
+    # is read-only down to its memory is kept, as enumerate_ideals keeps
+    # the rows of its lattice
+    ring = build_ring("Z/12")
+    writable = member_mask(ring, {0, 4, 8}).copy()
+    view = writable[:]
+    view.setflags(write=False)
+    for source in (writable, view):
+        ideal = Ideal(ring, (4,), source)
+        writable[1] = True
+        assert list(ideal) == [0, 4, 8] and not ideal.mask.flags.writeable
+        writable[1] = False
+    frozen = writable.copy()
+    frozen.setflags(write=False)
+    assert Ideal(ring, (4,), frozen).mask is frozen
+    lattice = [i.mask for i in enumerate_ideals(ring)]
+    assert all(m.base is not None and not m.base.flags.writeable for m in lattice)
+
+
 def test_principal_mask_is_cached_and_read_only():
     ring = build_ring("Z/12")
     mask = principal(ring, 8)

@@ -38,12 +38,12 @@ in each factor eR, certified by the products that give one row of eR per
 orbit, as (u*x)R = xR for a unit u, and their containment order, which
 the ideal lattice and saturation read.  U is certified to be the elements
 whose every factor orbit is a unit's, so x*U is the set of elements with
-x's tuple of factor orbits, and a property that units
-preserve is checked on the first element of each.  The units of Z/n come
-from gcds and those of a product from its factors'; R/I reads its units
-from the local split and the nilradical N of R (_coset_units), certified
-on R's arithmetic; every other ring pulls back the units of R/N.  A unit
-u is inverted as u^(|U|-1), certified by u*v = 1.
+x's tuple of factor orbits, whose first element WITNESS reads for the
+whole orbit.  The units of Z/n come from gcds and those of a product from
+its factors'; R/I reads its units from the local split and the nilradical
+N of R (_coset_units), certified on R's arithmetic; every other ring pulls
+back the units of R/N.  A unit u is inverted as u^(|U|-1), certified by
+u*v = 1.
 
 Cosets are labelled on the local split: x + I is fixed by the cosets of
 the e_j*x modulo e_jI, each labelled inside its factor and cached per
@@ -783,10 +783,10 @@ def _least_of_orbits(ring: FiniteRing, members: np.ndarray, orbit_of, width: int
 
 def _unit_orbits(ring: FiniteRing) -> np.ndarray:
     """Read-only labels of the unit orbits: label[x] is the least element
-    of x*U, for the WITNESS check and the semi-inverse scan; cached per
-    ring.  As U is the product of the e_jU (certified by _principal_cells),
-    x*U is the product of the factor orbits of the e_j*x (_factor_principals),
-    and its least element is the first element with x's cell."""
+    of x*U, for the WITNESS check; cached per ring.  As U is the product
+    of the e_jU (certified by _principal_cells), x*U is the product of the
+    factor orbits of the e_j*x (_factor_principals), and its least element
+    is the first element with x's cell."""
     if "unit_orbits" not in ring._cache:
         cell, n = _principal_cells(ring), ring.carrier_size
         first = np.full(n, n)
@@ -794,17 +794,6 @@ def _unit_orbits(ring: FiniteRing) -> np.ndarray:
         ring._cache["unit_orbits"] = first[cell]
         ring._cache["unit_orbits"].setflags(write=False)
     return ring._cache["unit_orbits"]
-
-
-def _on_unit_orbits(ring: FiniteRing, xs: np.ndarray, answer) -> np.ndarray:
-    """answer, taken on one representative per unit orbit met by xs and
-    spread back to xs: for a property that multiplication by a unit
-    preserves, this is answer(xs) at the cost of one row per orbit.  answer
-    maps the sorted representatives, a 1-d index array, to one entry each;
-    a representative is its orbit's least element, read from the factors'
-    orbits under the certified product form of U (_unit_orbits)."""
-    reps, back = np.unique(_unit_orbits(ring)[xs], return_inverse=True)
-    return answer(reps)[back]
 
 
 def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -817,9 +806,6 @@ def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     step = ring.block_rows(len(lb))
     for lo in range(0, len(flat), step):
         pairs = flat[lo:lo + step, None]
-        if a.ndim == 1:
-            hit[ring.add_many(pairs, lb)] = True
-            continue
         x = pairs % n
         sums = ring.add_many(x, lb)
         sums += pairs - x  # back on the pair's row
@@ -921,10 +907,8 @@ def _ideals_from_masks(ring: FiniteRing, masks: np.ndarray) -> list[Ideal]:
             if not takers:
                 break
             for g, group in takers.items():
-                # one row, or a run of rows, is a view, any other group a copy
-                if len(group) == 1:
-                    group = group[0]
-                elif group[-1] - group[0] == len(group) - 1:
+                # a run of rows is a view, any other group a copy
+                if group[-1] - group[0] == len(group) - 1:
                     group = slice(group[0], group[-1] + 1)
                 spans[group] = _sum_mask(ring, spans[group], principal(ring, g))
         if not (spans == block).all():

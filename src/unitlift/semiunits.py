@@ -13,10 +13,11 @@ radical, and t in the radical; the construction here follows the algebra
 every claimed property exactly before returning.
 
 Whether r has a semi-inverse is certified on the constructed r^(m-1), for
-m = |U|/|rad|; the full set of semi-inverses, which decompose prints, is a
-scan.  Von Neumann regularity, the independent half of is_semifield, is the
-identity a^(L+1) = a of a product of fields, with L read from the sizes of
-the local factors, and a failure certified by a nonzero nilpotent.
+m = |U|/|rad|, on every element asked about, with no unit orbit read; the
+full set of semi-inverses, which decompose prints, is a scan.  Von
+Neumann regularity, the independent half of is_semifield, is the identity
+a^(L+1) = a of a product of fields, with L read from the sizes of the
+local factors, and a failure certified by a nonzero nilpotent.
 
 Each of these facts is decided for a whole batch of elements at once, one
 row per element: the semi-inverses and the colon ideals are rows of one
@@ -42,7 +43,6 @@ from .rings import (
     PresentedRing,
     _as_set,
     _ideals_from_masks,
-    _on_unit_orbits,
     _residue_field_sizes,
     check_element,
     local_factors,
@@ -80,15 +80,11 @@ def _semi_inverse_found(ring: FiniteRing, rs) -> np.ndarray:
     """Whether s = r^(m-1), m = |U|/|rad|, is a semi-inverse of each r of rs.
     U maps onto U(R/rad) with kernel 1 + rad, so m = |U(R/rad)|, and r^m is
     0 or 1 in each field of R/rad: r(1 - s*r) = r(1 - r^m) lies in rad.
-    Checked on one r per unit orbit: u*r(1 - (u^-1*s)(u*r)) = u*r(1 - s*r)."""
+    Checked on every r of rs, one power chain and one product each."""
     m, rest = divmod(int(np.count_nonzero(ring.unit_mask())), len(jacobson_radical(ring)))
     if rest:
         raise InternalDefectError("|rad| does not divide |U|")
-
-    def found(reps):
-        return _semi_inverse_mask(ring, reps, power_many(ring, reps, m - 1))
-
-    return _on_unit_orbits(ring, rs, found)
+    return _semi_inverse_mask(ring, rs, power_many(ring, rs, m - 1))
 
 
 def _rows(ring: FiniteRing, xs: np.ndarray, row) -> np.ndarray:

@@ -20,15 +20,15 @@ Oracles:
   - saturation above the table guard, from the local factors' principal
     ideals, agrees with the definition on orbit representatives and
     sampled elements
-  - the WITNESS check and the semi-inverse construction, which take one
-    element per unit orbit, agree with the same scans taken on every
-    element, kept here as oracles; so do the partner scans of WITNESS,
-    whose answers vary from orbit to orbit, spread back over the carrier and
-    over sampled elements; and given a union of orbits smaller than U + I,
-    where WITNESS has a witness, it finds the plain-Python scan's of every
-    element outside it, on one ideal at a time and on every proper ideal in
-    one pass; on Z/n reporting only 1 and -1 as units, which is no product
-    of the factors' units, DIRECT fails and WITNESS is refused
+  - the WITNESS check, which takes one element per unit orbit, and the
+    semi-inverse construction agree with the same scans taken on every
+    element, kept here as oracles; the partner scans of WITNESS, whose
+    answers vary from orbit to orbit, are constant on every unit orbit;
+    and given a union of orbits smaller than U + I, where WITNESS has a
+    witness, it finds the plain-Python scan's of every element outside it,
+    on one ideal at a time and on every proper ideal in one pass; on Z/n
+    reporting only 1 and -1 as units, which is no product of the factors'
+    units, DIRECT fails and WITNESS is refused
   - the constructed semi-inverse r^(m-1) is one of the plain-Python
     oracle's semi-inverses of r
   - ring_has_star, certified on the local split, gives the whole-ring
@@ -80,7 +80,6 @@ from unitlift.rings import (
     ModularRing,
     ProductRing,
     _as_set,
-    _on_unit_orbits,
     _factor_principals,
     _principal_cells,
     _unit_orbits,
@@ -438,17 +437,13 @@ def _assert_orbit_scans_match(ring, ideals):
         assert (check.holds, check.witness) == (expected is None, expected)
         # on a finite ring WITNESS finds nothing, but its two scans have
         # answers that vary between orbits: a has a unit partner exactly
-        # when it is in U + I, and some partner when it is invertible mod I
+        # when it is in U + I, and some partner when it is invertible mod I;
+        # WITNESS reads one element per orbit, so each is constant on orbits
         partner = _partner(ring, ideal)
         for cols in (units, every):
             full = first_hits(ring, every, cols, partner) >= 0
             assert 0 < full.sum() < n
-
-            def spread(reps):
-                return first_hits(ring, reps, cols, partner) >= 0
-
-            assert np.array_equal(_on_unit_orbits(ring, every, spread), full)
-            assert np.array_equal(_on_unit_orbits(ring, xs, spread), full[xs])
+            assert np.array_equal(full[_unit_orbits(ring)], full)
     found = _semi_inverse_found_every_element(ring, every)
     assert np.array_equal(_semi_inverse_found(ring, every), found)
     assert np.array_equal(_semi_inverse_found(ring, xs), found[xs])

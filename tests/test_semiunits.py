@@ -26,7 +26,12 @@ from unitlift.semiunits import (
     semi_inverses,
     semi_unit_decomposition,
 )
-from unitlift.spectrum import jacobson_radical
+from unitlift.spectrum import (
+    idempotents,
+    is_connected_mod_rad,
+    jacobson_radical,
+    maximal_ideals,
+)
 
 
 def test_z10_semi_inverses_of_2():
@@ -248,6 +253,23 @@ def test_an_exponent_missing_a_residue_field_is_a_defect():
     ring._cache["residue_field_sizes"] = np.array([3])
     with pytest.raises(InternalDefectError, match="is not nilpotent"):
         is_semifield(ring)
+
+
+@pytest.mark.parametrize("spec", ["Z/4096", "GF(3)[x]/(x^4)", "GF(2)[x]/(x^7+x+1)",
+                                  "prod(Z/4,GF(2)[x]/(x^3),Z/9)", "quot(Z/1024;256)"])
+def test_ring_info_and_rho_table_build_no_principal_rows(spec):
+    # rho and is_semifield certify r^(m-1) on every element, so what
+    # `ring info` and `rho table` compute reads no unit orbit and none of
+    # the factors' principal rows that the orbits are labelled from
+    ring = build_ring(spec)
+    jacobson_radical(ring)
+    idempotents(ring)
+    maximal_ideals(ring)
+    is_connected_mod_rad(ring)
+    is_semifield(ring)
+    rho_table(ring)
+    for key in ("factor_principals", "principal_cells", "unit_orbits"):
+        assert key not in ring._cache
 
 
 def test_presented_rings_are_not_semifields():

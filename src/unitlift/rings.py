@@ -29,21 +29,23 @@ proves closure for every element in O(|I| log |I|) additions.  A computed
 mask is wrapped with greedy generators, each the least member outside the
 sum of the earlier ones' principal ideals, and certified by that sum being
 the mask; a stack of masks takes them in rounds, in which the masks that
-take the same generator share one sum (_ideals_from_masks).  The ideal
-lattice is the product of the factors' lattices, and enumerate_ideals
-keeps those lattices, which ring_has_star certifies factor by factor.
+take the same generator share one sum (_ideals_from_masks).
 
-Unit orbits are labelled inside the local factors alone: the orbits x*(eU)
-in each factor eR, certified by the products that give one row of eR per
-orbit, as (u*x)R = xR for a unit u, and their containment order, which
-the ideal lattice and saturation read.  U is certified to be the elements
-whose every factor orbit is a unit's, so x*U is the set of elements with
-x's tuple of factor orbits, whose first element WITNESS reads for the
-whole orbit.  The units of Z/n come from gcds and those of a product from
-its factors'; R/I reads its units from the local split and the nilradical
-N of R (_coset_units), certified on R's arithmetic; every other ring pulls
-back the units of R/N.  A unit u is inverted as u^(|U|-1), certified by
-u*v = 1.
+The ring is the product of its local rings e_jR (local_factors), given as
+each e_jR's sorted members and each element's position in every factor, by
+which its readers index factor-sized arrays.  The ideal lattice is the
+product of the factors' lattices, which enumerate_ideals keeps and
+ring_has_star certifies factor by factor.  Unit orbits are labelled inside
+the factors alone: the orbits x*(eU) in each factor eR, certified by the
+products that give one row of eR per orbit, as (u*x)R = xR for a unit u,
+and their containment order, which the ideal lattice and saturation read.
+U is certified to be the elements whose every factor orbit is a unit's, so
+x*U is the set of elements with x's tuple of factor orbits, whose first
+element WITNESS reads for the whole orbit.  The units of Z/n come from
+gcds and those of a product from its factors'; R/I reads its units from
+the local split and the nilradical N of R (_coset_units), certified on R's
+arithmetic; every other ring pulls back the units of R/N.  A unit u is
+inverted as u^(|U|-1), certified by u*v = 1.
 
 Cosets are labelled on the local split: x + I is fixed by the cosets of
 the e_j*x modulo e_jI, each labelled inside its factor and cached per
@@ -755,30 +757,32 @@ def principal(ring: FiniteRing, x: int) -> np.ndarray:
     return ring._cache[key]
 
 
-def _least_of_orbits(ring: FiniteRing, members: np.ndarray, orbit_of, width: int) -> np.ndarray:
-    """label[i] is the least element of the orbit of members[i], for the
-    sorted members of one local factor, a union of orbits.
-    orbit_of(xs) maps a (k, 1) index array to the (k, width) array of the
-    orbits of xs, each row holding its own x.  Whole orbits of the smallest
-    unlabelled members are labelled a block of rows at a time.  An orbit
-    holds at most width elements, so the first block takes len(members) //
-    width rows, exactly one per coset when the orbits are cosets, and each
-    later block doubles, up to the block budget, so few rows repeat an orbit
-    an earlier row of the block labels."""
-    label = np.full(ring.carrier_size, -1, dtype=np.int64)
-    widest = ring.block_rows(width)
-    todo = members
-    step = min(widest, max(1, todo.size // width))
+def _least_of_orbits(ring: FiniteRing, members: np.ndarray, pos: np.ndarray, op, by) -> np.ndarray:
+    """label[i] is the position of the least element of the orbit
+    op(members[i], by), for the sorted members of one local factor, a union
+    of orbits, and pos its row of positions (local_factors).  op(xs, by)
+    maps a (k, 1) index array to the (k, width) array of the orbits of xs,
+    width = len(by), each row holding its own x.  Whole orbits of the
+    smallest unlabelled members are labelled a block of rows at a time.  An
+    orbit holds at most width elements, so the first block takes
+    len(members) // width rows, exactly one per coset when the orbits are
+    cosets, and each later block doubles, up to the block budget, so few
+    rows repeat an orbit an earlier row of the block labels."""
+    if len(by) == 1:  # one-element orbits: each row holds its own x
+        return np.arange(len(members))
+    label, widest = np.full(len(members), -1, dtype=np.int64), ring.block_rows(len(by))
+    todo = np.arange(len(members))  # positions, ascending with the members
+    step = min(widest, max(1, todo.size // len(by)))
     while todo.size:
         block = todo[:step]
-        orbits = orbit_of(block[:, None])
+        orbits = pos[op(members[block, None], by)]
         label[orbits] = orbits.min(axis=1, keepdims=True)
         # without x in its own orbit the loop never ends
         if (label[block] < 0).any():
             raise InternalDefectError("an element is missing from its own orbit")
         todo = todo[step:][label[todo[step:]] < 0]
         step = min(widest, 2 * step)
-    return label[members]
+    return label
 
 
 def _unit_orbits(ring: FiniteRing) -> np.ndarray:
@@ -943,13 +947,13 @@ def _idempotent_mask(ring: FiniteRing) -> np.ndarray:
     return ring._cache["idempotents"]
 
 
-def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray, tuple[np.ndarray, ...]]:
+def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], np.ndarray]:
     """The atoms e_1 < ... < e_k of the idempotent lattice, the nonzero
     idempotents e with e*f equal to 0 or e for every idempotent f, the
-    read-only (k, n) array whose row j is x -> e_j*x, and the sorted
-    read-only members of each e_jR; cached per ring.  Certified once: the
-    atoms sum to one and the factor sizes multiply to n, so the ring is the
-    product of the local rings e_jR."""
+    sorted read-only members of each e_jR, and the read-only (k, n) int64
+    array position, position[j, x] the index of e_j*x in members[j] (x's
+    own when x is in e_jR); cached per ring.  Certified once: the atoms sum
+    to one and the factor sizes multiply to n, so R is the product of them."""
     if "local_factors" in ring._cache:
         return ring._cache["local_factors"]
     idx = np.arange(ring.carrier_size)
@@ -961,17 +965,19 @@ def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], np.ndarray, tuple[
 
     atoms = tuple(int(e) for e, b in zip(idem, first_hits(ring, idem, idem, below))
                   if e != ring.zero and b < 0)
-    projections = np.empty((len(atoms), len(idx)), dtype=np.int64)
-    for row, e in zip(projections, atoms):
-        row[:] = ring.mul_many(idx, e)
-    members = tuple(np.flatnonzero(np.bincount(p, minlength=len(idx))) for p in projections)
+    position, members = np.empty((len(atoms), len(idx)), dtype=np.int64), []
+    for row, e in zip(position, atoms):
+        image = ring.mul_many(idx, e)
+        hit = np.bincount(image, minlength=len(idx)) > 0
+        members.append(np.flatnonzero(hit))
+        row[:] = np.cumsum(hit)[image] - 1  # the members below e_j*x
     if (functools.reduce(ring.add, atoms, ring.zero) != ring.one
             or math.prod(map(len, members)) != len(idx)):
         raise InternalDefectError("primitive idempotents do not split the ring")
-    for published in (projections, *members):
+    for published in (position, *members):
         published.setflags(write=False)
-    ring._cache["local_factors"] = atoms, projections, members
-    return atoms, projections, members
+    ring._cache["local_factors"] = atoms, tuple(members), position
+    return ring._cache["local_factors"]
 
 
 def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
@@ -983,8 +989,8 @@ def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
 
     if "residue_field_sizes" not in ring._cache:
         nil = nilradical(ring).mask
-        atoms, _, factors = local_factors(ring)
-        counts = [(len(members), int(np.count_nonzero(nil[members]))) for members in factors]
+        atoms, members, _ = local_factors(ring)
+        counts = [(len(elems), int(np.count_nonzero(nil[elems]))) for elems in members]
         if nil[list(atoms)].any() or any(k == 0 or size % k for size, k in counts):
             raise InternalDefectError("the nilradical does not split over the local factors")
         sizes = np.array([size // k for size, k in counts], dtype=np.int64)
@@ -997,11 +1003,12 @@ def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.n
     """Mask of the units of R/I, for the coset map (reps, qmap) of I, read
     from the local split and the nilradical N of the parent R alone: x + I
     is a unit exactly when e_j*x is not nilpotent for every atom e_j outside
-    I (a live atom), as R/I is the product of the local rings e_jR/e_jI.
-    Both sides are certified on the arithmetic of R, never of R/I:
-    - a non-unit x lies in m_j = {x : e_j*x in N} for a live e_j.  That is
-      an ideal, as N is one, proper, as e_j is not in N, and it holds I
-      (checked: e_j*k is in N for every k in I), so x + I is no unit.
+    I (a live atom), as R/I is the product of the local rings e_jR/e_jI;
+    the mask of m_j = {x : e_j*x in N} is N on e_jR's members, read at each
+    element's position.  Both sides are certified on R's arithmetic alone:
+    - a non-unit x lies in m_j for a live e_j.  That is an ideal, as N is
+      one, proper, as e_j is not in N, and it holds I (checked: e_j*k is
+      in N for every k in I), so x + I is no unit.
     - a unit u has u^L - 1 in N + I for L = lcm (q_j - 1) over the live
       atoms (_residue_field_sizes).  (N + I)/I is nil, so u^L, and with it
       u, is a unit mod I.
@@ -1009,14 +1016,13 @@ def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.n
     from .spectrum import nilradical
 
     nil = nilradical(parent).mask
-    atoms, projections, _ = local_factors(parent)
+    atoms, members, position = local_factors(parent)
     kernel = qmap == qmap[parent.zero]
     live = ~kernel[list(atoms)]
-    factors = projections[live]
-    if not nil[factors[:, kernel]].all():
-        raise InternalDefectError(
-            "the kernel is not inside the maximal ideal of a local factor")
-    unit = ~nil[factors[:, reps]].any(axis=0)
+    maximal = np.array([nil[elems][pos] for elems, pos in zip(members, position)])[live]
+    if not maximal[:, kernel].all():
+        raise InternalDefectError("the kernel is not inside the maximal ideal of a local factor")
+    unit = ~maximal[:, reps].any(axis=0)
     exponent = math.lcm(*(int(q) - 1 for q in _residue_field_sizes(parent)[live]))
     one_plus_nil = np.zeros(len(reps), dtype=bool)
     one_plus_nil[qmap[parent.add_many(parent.one, np.flatnonzero(nil))]] = True
@@ -1026,40 +1032,39 @@ def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.n
 
 
 def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, ...], ...]:
-    """One read-only (members, rows, order, orbit) tuple per local factor
-    e_jR, cached per ring: the sorted elements of e_jR, row i marking r_i*R
-    among them for the least member r_i of the i-th orbit x*(e_jU) = x*U in
-    e_jR, order[s, t] saying r_s*R lies in r_t*R, that is, r_s lies in r_t*R,
-    and orbit[m] the row of members[m].  x*R is x times e_jR, so the rows
+    """One read-only (rows, order, orbit) tuple per local factor e_jR of
+    local_factors, cached per ring: row i marks r_i*R among the members of
+    e_jR for the least member r_i of the i-th orbit x*(e_jU) = x*U in e_jR,
+    order[s, t] says r_s*R lies in r_t*R, that is, r_s lies in r_t*R, and
+    orbit[m] is the row of members[m].  x*R is x times e_jR, so the rows
     take orbits times |e_jR| products, a block of representatives at a time;
     as e_jU lies in e_jR, they hold the orbits too, which certifies the
     labels: each orbit holds only its own, none less, and they cover e_jR."""
     if "factor_principals" not in ring._cache:
-        position = np.empty(ring.carrier_size, dtype=np.int64)  # within the factor
         factors = []
-        for proj, members in zip(*local_factors(ring)[1:]):
-            position[members] = np.arange(len(members))
-            units = np.flatnonzero(np.bincount(proj[ring.unit_mask()], minlength=len(proj)))  # e_jU
-            label = _least_of_orbits(ring, members, lambda x: ring.mul_many(x, units), len(units))
-            reps = members[label == members]
-            rows = np.zeros((len(reps), len(members)), dtype=bool)
-            covered = np.zeros(len(members), dtype=bool)
-            step = ring.block_rows(len(members))
-            for lo in range(0, len(reps), step):
-                rep = reps[lo:lo + step, None]
-                products = position[ring.mul_many(rep, members)]
+        _, members, position = local_factors(ring)
+        for elems, pos in zip(members, position):
+            unit_pos = np.flatnonzero(np.bincount(pos[ring.unit_mask()], minlength=len(elems)))
+            label = _least_of_orbits(ring, elems, pos, ring.mul_many, elems[unit_pos])  # e_jU
+            first = np.flatnonzero(label == np.arange(len(elems)))  # the orbits' least members
+            rows = np.zeros((len(first), len(elems)), dtype=bool)
+            covered = np.zeros(len(elems), dtype=bool)
+            step = ring.block_rows(len(elems))
+            for lo in range(0, len(first), step):
+                lead = first[lo:lo + step, None]
+                products = pos[ring.mul_many(elems[lead], elems)]
                 rows[np.arange(lo, lo + len(products))[:, None], products] = True
-                orbits = products[:, position[units]]
-                if (label[orbits] != rep).any() or (orbits < position[rep]).any():
+                orbits = products[:, unit_pos]
+                if (label[orbits] != lead).any() or (orbits < lead).any():
                     raise InternalDefectError("a unit orbit holds a foreign label")
                 covered[orbits] = True
             if not covered.all():
                 raise InternalDefectError("the unit orbits do not cover the carrier")
-            orbit = np.searchsorted(reps, label)
-            order = rows[:, position[reps]].T
-            for published in (members, rows, order, orbit):
+            orbit = np.searchsorted(first, label)
+            order = rows[:, first].T
+            for published in (rows, order, orbit):
                 published.setflags(write=False)
-            factors.append((members, rows, order, orbit))
+            factors.append((rows, order, orbit))
         ring._cache["factor_principals"] = tuple(factors)
     return ring._cache["factor_principals"]
 
@@ -1071,13 +1076,12 @@ def _principal_cells(ring: FiniteRing) -> np.ndarray:
     once: the elements whose every row holds its factor's atom e_j, the one
     of e_jR, are exactly the units, so U is the product of the e_jU."""
     if "principal_cells" not in ring._cache:
-        n = ring.carrier_size
-        cell, unit = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-        for e, proj, (members, rows, _, orbit) in zip(*local_factors(ring)[:2],
-                                                      _factor_principals(ring)):
-            row = orbit[np.searchsorted(members, proj)]
+        cell, unit = 0, True  # the empty product, an array from the first factor on
+        atoms, _, position = local_factors(ring)
+        for e, pos, (rows, _, orbit) in zip(atoms, position, _factor_principals(ring)):
+            row = orbit[pos]
             cell = cell * len(rows) + row
-            unit &= rows[row, np.searchsorted(members, e)]
+            unit &= rows[row, pos[e]]
         if not np.array_equal(unit, ring.unit_mask()):
             raise InternalDefectError("the principal ideals holding one are not the units")
         cell.setflags(write=False)
@@ -1086,8 +1090,8 @@ def _principal_cells(ring: FiniteRing) -> np.ndarray:
 
 
 def _factor_lattice(ring: FiniteRing, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Membership masks of the ideals of R inside the factor eR, from its
-    members and the rows of its principal ideals (_factor_principals).
+    """Masks over the sorted members of the factor eR of the ideals of R
+    inside it, from the rows of its principal ideals (_factor_principals).
 
     Breadth-first augmentation: each known ideal is summed with each
     principal ideal x*R, x in eR, comparable with it in neither direction,
@@ -1111,7 +1115,7 @@ def _factor_lattice(ring: FiniteRing, members: np.ndarray, rows: np.ndarray) -> 
             if key not in known:
                 known[key] = bigger
                 queue.append(bigger)
-    return np.array(list(known.values()))
+    return np.array(list(known.values()))[:, members]
 
 
 def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -1135,14 +1139,13 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     if "ideals" in ring._cache:
         return list(ring._cache["ideals"])
     n = ring.carrier_size
-    _, projections, _ = local_factors(ring)
+    _, members, position = local_factors(ring)
     # row i of lattice is the mask of one sum of factor ideals; np.take keeps
-    # the rows contiguous, where [:, proj] would lay the columns out instead
-    lattice, factor_lattices = np.ones((1, n), dtype=bool), []
-    for (members, rows, _, _), proj in zip(_factor_principals(ring), projections):
-        local = _factor_lattice(ring, members, rows)
-        factor_lattices.append(local[:, members])
-        lattice = (lattice[:, None, :] & np.take(local, proj, axis=1)[None, :, :]).reshape(-1, n)
+    # the rows contiguous, where [:, pos] would lay the columns out instead
+    lattice, local = np.ones((1, n), dtype=bool), []
+    for elems, pos, (rows, _, _) in zip(members, position, _factor_principals(ring)):
+        local.append(_factor_lattice(ring, elems, rows))
+        lattice = (lattice[:, None, :] & np.take(local[-1], pos, axis=1)[None]).reshape(-1, n)
     lattice.base.setflags(write=False)  # the last product, which lattice views
     lattice.setflags(write=False)
     out = _ideals_from_masks(ring, lattice)
@@ -1150,9 +1153,9 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     order = sorted(range(len(out)), key=lambda i: out[i].key, reverse=True)
     order.sort(key=lambda i: len(out[i]))
     out = [out[i] for i in order]
-    for published in factor_lattices:
+    for published in local:
         published.setflags(write=False)
-    ring._cache["factor_lattices"] = tuple(factor_lattices)
+    ring._cache["factor_lattices"] = tuple(local)
     ring._cache["ideals"] = tuple(out)
     return out
 
@@ -1228,19 +1231,15 @@ def _coset_labels(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
     the e_j*x, each labelled on its factor alone, by the position among
     the factor's sorted members of its least member, and cached per factor
     ideal; the least member of x + I is the first element with that tuple."""
-    n, key, position = ring.carrier_size, 0, np.empty(ring.carrier_size, dtype=np.int64)
-    _, projections, factors = local_factors(ring)
-    for j, (members, proj) in enumerate(zip(factors, projections)):
-        position[members] = np.arange(len(members))  # within the factor
-        inside = mask[members]
+    n, key = ring.carrier_size, 0
+    _, members, position = local_factors(ring)
+    for j, (elems, pos) in enumerate(zip(members, position)):
+        inside = mask[elems]
         cached = ("factor_cosets", j, inside.tobytes())
         if cached not in ring._cache:
-            elems = members[inside]  # for e_jI = 0, each member is its coset's least
-            least = members if len(elems) == 1 else _least_of_orbits(
-                ring, members, lambda a: ring.add_many(a, elems), len(elems))
-            ring._cache[cached] = position[least]
+            ring._cache[cached] = _least_of_orbits(ring, elems, pos, ring.add_many, elems[inside])
             ring._cache[cached].setflags(write=False)
-        key = key * len(members) + ring._cache[cached][position[proj]]  # below n = ∏ |e_jR|
+        key = key * len(elems) + ring._cache[cached][pos]  # below n = ∏ |e_jR|
     first = np.full(n, n)
     np.minimum.at(first, key, np.arange(n))
     return first[key]

@@ -277,7 +277,8 @@ def is_von_neumann_regular(ring: FiniteRing) -> bool:
     That holds exactly when the ring is reduced, a product of the fields
     e_jR of local_factors; then a^(L+1) = a for L = lcm (|e_jR| - 1), and
     x = a^(L-1) is the partner of a.  Certified by _fermat_identity."""
-    exponent = math.lcm(*(len(members) - 1 for members in local_factors(ring)[2]))
+    _, members, _ = local_factors(ring)
+    exponent = math.lcm(*(len(elems) - 1 for elems in members))
     return _fermat_identity(ring, exponent, nilradical(ring).mask)
 
 

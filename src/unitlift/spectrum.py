@@ -107,11 +107,11 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
     outside it, so every nonzero class of R/m_j holds a unit: a field."""
     if "maximal_ideals" in ring._cache:
         return ring._cache["maximal_ideals"]
-    atoms, projections, _ = local_factors(ring)
+    atoms, members, position = local_factors(ring)
     every = np.arange(ring.carrier_size)
-    masks = np.empty(projections.shape, dtype=bool)
-    for mask, e, proj in zip(masks, atoms, projections):
-        u = ring.add_many(proj, ring.sub(ring.one, e))
+    masks = np.empty(position.shape, dtype=bool)
+    for mask, e, elems, pos in zip(masks, atoms, members, position):
+        u = ring.add_many(elems, ring.sub(ring.one, e))[pos]  # e_j*x + 1 - e_j
         mask[:] = ~ring.unit_mask()[u]
         if mask[ring.one] or not (mask | mask[ring.add_many(every, ring.neg_many(u))]).all():
             raise InternalDefectError("the non-units of a local factor are not maximal")
@@ -200,9 +200,10 @@ def _crt_solve_many(ring: FiniteRing, ideals, targets: np.ndarray):
     masks = masks.reshape(len(ideals), ring.carrier_size)
     owner = _check_comaximal(ring, masks)
     x = np.full(targets.shape[1], ring.zero, dtype=np.int64)
-    for proj, i in zip(local_factors(ring)[1], owner.tolist()):
+    _, members, position = local_factors(ring)
+    for elems, pos, i in zip(members, position, owner.tolist()):
         if i >= 0:
-            x = ring.add_many(x, proj[targets[i]])
+            x = ring.add_many(x, elems[pos[targets[i]]])
     reps, qmap = _coset_map(ring, masks.all(axis=0))
     solutions = reps[qmap[x]]
     rows = np.arange(len(ideals))[:, None]

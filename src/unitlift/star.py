@@ -105,13 +105,13 @@ def _saturate_masks(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
     with that factor's order, and read back at every element's cell.
     """
     factors, cell = _factor_principals(ring), _principal_cells(ring)
-    sizes = [len(order) for _, _, order, _ in factors]
+    sizes = [len(order) for _, order, _ in factors]
     # each cell holds an element, a sum of one representative per factor,
     # so the elements sorted by cell fall into one nonempty run per cell
     by_cell = np.argsort(cell)
     runs = np.searchsorted(cell[by_cell], np.arange(math.prod(sizes)))
     grid = np.logical_or.reduceat(masks[:, by_cell], runs, axis=1)
-    for j, (_, _, order, _) in enumerate(factors):
+    for j, (_, order, _) in enumerate(factors):
         grid = order.T @ grid.reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
     return grid.reshape(len(masks), len(runs))[:, cell]
 
@@ -307,22 +307,21 @@ def ring_has_star(ring: FiniteRing) -> RingStarReport:
       e_jR/e_jI holds the image of a unit, and every unit of R/I does."""
     ideals = enumerate_ideals(ring)
     _principal_cells(ring)
-    n, nil, units = ring.carrier_size, nilradical(ring).mask, ring.unit_mask()
-    atoms, projections, factors = local_factors(ring)
-    for e, proj, members, q, lattice in zip(atoms, projections, factors,
-                                            _residue_field_sizes(ring), _factor_lattices(ring)):
-        non_nil = ~nil[members]
-        powers = power_many(ring, members[non_nil], int(q) - 1)
+    nil, units = nilradical(ring).mask, ring.unit_mask()
+    atoms, members, position = local_factors(ring)
+    for e, elems, pos, q, lattice in zip(atoms, members, position,
+                                         _residue_field_sizes(ring), _factor_lattices(ring)):
+        non_nil = ~nil[elems]
+        powers = power_many(ring, elems[non_nil], int(q) - 1)
         if not nil[ring.add_many(powers, ring.neg_many(e))].all():
             raise InternalDefectError(
                 "x^(q - 1) - e is not nilpotent for a non-nilpotent x of a local factor")
-        live = ~lattice[:, np.searchsorted(members, e)]
-        if not nil[members[lattice[live].any(axis=0)]].all():
+        live = ~lattice[:, pos[e]]
+        if not nil[elems[lattice[live].any(axis=0)]].all():
             raise InternalDefectError(
                 "a factor ideal is not inside the maximal ideal of its factor")
-        image = np.zeros(n, dtype=bool)
-        image[proj[units]] = True
-        if not (image[members] | ~non_nil).all():
+        image = np.bincount(pos[units], minlength=len(elems)) > 0  # e_jU, by position
+        if not (image | ~non_nil).all():
             raise InternalDefectError(
                 "a non-nilpotent element of a local factor is not the image of a unit")
     holds = StarCheck(StarMethod.DIRECT, True, None)

@@ -32,9 +32,10 @@ from unitlift.star import (
 
 def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
     # Z/12 is the product of 4R = {0, 4, 8} and 9R = {0, 3, 6, 9}; 6 of 9R,
-    # labelled 0 in its factor, is no orbit's representative and in no
-    # orbit; the quotient, whose U + I WITNESS reads, is built before the
-    # patch, so that the patch reaches the factors' unit orbits alone
+    # labelled 0 in its factor (position 0 is the element 0), is no orbit's
+    # representative and in no orbit; the quotient, whose U + I WITNESS
+    # reads, is built before the patch, so that the patch reaches the
+    # factors' unit orbits alone
     ring = build_ring("Z/12")
     ideal = ideal_closure(ring, [4])
     quotient_ring(ring, ideal)
@@ -51,14 +52,15 @@ def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
 
 
 def test_orbits_labelled_above_their_least_member_are_a_defect(monkeypatch):
-    # the orbit {3, 9} of 9R in Z/12 is labelled 9, not its least member 3;
-    # each of its elements still carries the one label of the orbit
+    # the orbit {3, 9} of 9R = {0, 3, 6, 9} in Z/12 is labelled 9, at
+    # position 3, not its least member 3, at position 1; each of its
+    # elements still carries the one label of the orbit
     ring = build_ring("Z/12")
     real = rings._least_of_orbits
 
     def mislabelled(ring, members, *args):
         label = real(ring, members, *args).copy()
-        label[np.isin(members, [3, 9])] = 9
+        label[np.isin(members, [3, 9])] = np.searchsorted(members, 9)
         return label
 
     monkeypatch.setattr(rings, "_least_of_orbits", mislabelled)

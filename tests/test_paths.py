@@ -293,16 +293,16 @@ def test_saturate_from_principal_table_matches_scan(spec):
 def test_principal_table_rows_are_the_principal_ideals(spec):
     for guards in (Guards(), Guards(table_limit=1)):
         ring = _build(spec, guards)
-        _, projections, _ = local_factors(ring)
+        _, members, position = local_factors(ring)
         # the mixed-radix digits of cell, the last factor's the least significant
         digits = _principal_cells(ring).copy()
-        for (members, rows, order, _), proj in reversed(list(zip(_factor_principals(ring),
-                                                                  projections))):
+        for elems, pos, (rows, order, _) in reversed(list(zip(members, position,
+                                                              _factor_principals(ring)))):
             row_of, digits = digits % len(rows), digits // len(rows)
             for x in ring.elements():
                 ideal = np.zeros(ring.carrier_size, dtype=bool)
-                ideal[members] = rows[row_of[x]]
-                assert np.array_equal(ideal, principal(ring, proj[x]))
+                ideal[elems] = rows[row_of[x]]
+                assert np.array_equal(ideal, principal(ring, elems[pos[x]]))
             assert len({row.tobytes() for row in rows}) == len(rows)
             assert np.array_equal(order, ~(rows[:, None] & ~rows[None]).any(axis=2))
         assert not digits.any()
@@ -315,13 +315,13 @@ def test_a_corrupted_containment_order_is_reported(factor):
     # vanish on that factor
     ring = build_ring("prod(Z/8,Z/9,Z/5)")
     factors = _factor_principals(ring)
-    members, rows, order, orbit = factors[factor]
+    rows, order, orbit = factors[factor]
     sizes = rows.sum(axis=1)
     whole, zero = sizes.argmax(), sizes.argmin()
     assert not order[whole, zero]
     flipped = order.copy()
     flipped[whole, zero] = True
-    factors = factors[:factor] + ((members, rows, flipped, orbit),) + factors[factor + 1:]
+    factors = factors[:factor] + ((rows, flipped, orbit),) + factors[factor + 1:]
     ring._cache["factor_principals"] = factors
     ctx = RunContext(gl_samples=0)
     agreement = criterion_star_agreement([ring], ctx)
@@ -792,7 +792,8 @@ def _sums_in_factor_lattice(ring, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(rings, "_sum_mask", counted)
-        (members, rows, _, _), = rings._factor_principals(ring)
+        _, (members,), _ = rings.local_factors(ring)
+        (rows, _, _), = rings._factor_principals(ring)
         rings._factor_lattice(ring, members, rows)
     return len(calls)
 

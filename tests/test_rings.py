@@ -44,6 +44,7 @@ from unitlift.rings import (
     gf_polynomial_ring,
     ideal_closure,
     ideal_from_elements,
+    local_factors,
     member_mask,
     principal,
     quotient_ring,
@@ -308,6 +309,25 @@ def test_a_kernel_outside_the_maximal_ideals_is_a_defect(table_limit):
     ring = build_ring("GF(2)[x]/(x^2)", Guards(table_limit=table_limit))
     quotient, _ = quotient_ring(ring, Ideal(ring, (3,), np.isin(np.arange(4), [0, 3])))
     with pytest.raises(InternalDefectError, match="not inside the maximal ideal"):
+        quotient.unit_mask()
+
+
+@pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
+@pytest.mark.parametrize("spec, kernel", [
+    ("prod(Z/2,GF(2)[x]/(x^2))", ["(0,0)", "(1,0)", "(0,x+1)", "(1,x+1)"]),
+    ("prod(Z/2,Z/2,GF(2)[x]/(x^2))", ["(0,0,0)", "(1,0,0)", "(0,0,x+1)", "(1,0,x+1)"]),
+], ids=["one-live-factor", "two-live-factors"])
+def test_a_kernel_outside_a_later_live_factor_is_a_defect(spec, kernel, table_limit):
+    # an additive subgroup that holds the least atom, whose factor is dead,
+    # and the unit x+1 of the last factor, which is live: only that factor's
+    # maximal ideal can miss it; in the second ring a live factor passes first
+    ring = build_ring(spec, Guards(table_limit=table_limit))
+    kernel = [ring.parse_element(t) for t in kernel]
+    atoms, _, _ = local_factors(ring)
+    assert atoms[0] == kernel[1]
+    quotient, _ = quotient_ring(ring, Ideal(ring, (), member_mask(ring, kernel)))
+    with pytest.raises(InternalDefectError,
+                       match="^the kernel is not inside the maximal ideal of a local factor$"):
         quotient.unit_mask()
 
 

@@ -5,6 +5,8 @@ by powering, maximality by inspecting the full ideal lattice, CRT solutions
 by scanning the carrier.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -135,17 +137,20 @@ def _oracle_unit(ring):
 @pytest.mark.parametrize("spec", SPLIT_SPECS)
 def test_local_factors_match_oracle(spec, table_limit):
     ring = build_ring(spec, Guards(table_limit=table_limit))
-    atoms, projections, members = local_factors(ring)
+    atoms, members, position = local_factors(ring)
     idem = oracle.idempotents(ring)
     assert list(atoms) == sorted(
         e for e in idem if e != ring.zero
         and all(oracle.mul(ring, e, f) in (ring.zero, e) for f in idem))
-    assert not projections.flags.writeable
-    assert projections.tolist() == [[oracle.mul(ring, e, x) for x in ring.elements()]
-                                    for e in atoms]
-    assert local_factors(ring)[1] is projections
-    assert [m.tolist() for m in members] == [sorted(set(row)) for row in projections.tolist()]
+    images = [[oracle.mul(ring, e, x) for x in ring.elements()] for e in atoms]
+    assert position.dtype == np.int64 and position.shape == (len(atoms), ring.carrier_size)
+    assert [elems[pos].tolist() for elems, pos in zip(members, position)] == images
+    assert [m.tolist() for m in members] == [sorted(set(row)) for row in images]
+    for elems, pos in zip(members, position):
+        assert pos[elems].tolist() == list(range(len(elems)))
+    assert not position.flags.writeable
     assert not any(m.flags.writeable for m in members)
+    assert local_factors(ring)[2] is position
 
     maximal = maximal_ideals(ring)
     assert maximal.primitive_idempotents == atoms
@@ -167,21 +172,46 @@ def test_local_factors_match_oracle(spec, table_limit):
         oracle.idempotents(reduced) == {reduced.zero, reduced.one})
 
 
-@pytest.mark.parametrize("spec", SPLIT_SPECS + ["Z/12", "prod(Z/4,Z/9)"])
+NOT_MAXIMAL = "the non-units of a local factor are not maximal"
+RADICAL_MISMATCH = ("radical mismatch: intersection of maximal ideals differs from the "
+                    "nilpotent set")
+# the certificate each spec's flipped unit first fails
+FLIPPED_UNIT_DEFECTS = {
+    "Z/12": NOT_MAXIMAL,
+    "GF(2)[x]/(x^7+x^6)": NOT_MAXIMAL,
+    "GF(2)[x]/(x^11+x^2+1)": NOT_MAXIMAL,
+    "prod(Z/4,GF(2)[x]/(x^3),Z/9)": RADICAL_MISMATCH,
+    "quot(prod(Z/8,Z/8,Z/4);(4,0,0))": RADICAL_MISMATCH,
+    "prod(Z/4,Z/9)": RADICAL_MISMATCH,
+    "Z/1089": "a computed set of elements is not an ideal",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FLIPPED_UNIT_DEFECTS))
 def test_a_non_unit_read_as_a_unit_is_a_defect(spec, monkeypatch):
     ring = build_ring(spec)
-    atoms, projections, _ = local_factors(ring)
+    atoms, (factor, *_), _ = local_factors(ring)
     e = atoms[0]
     # the largest non-unit y of the first factor, or zero when the factor
     # is a field; e*y + 1 - e then is a non-unit that m_0 is read from
-    factor = np.unique(projections[0])
     y = factor[~ring.unit_mask()[ring.add_many(factor, ring.sub(ring.one, e))]].max()
     flipped = ring.unit_mask().copy()
     v = ring.add(ring.mul(e, int(y)), ring.sub(ring.one, e))
     assert not flipped[v]
     flipped[v] = True
     monkeypatch.setattr(ring, "_unit_mask", flipped)
-    with pytest.raises(InternalDefectError):
+    with pytest.raises(InternalDefectError, match=f"^{re.escape(FLIPPED_UNIT_DEFECTS[spec])}$"):
+        jacobson_radical(ring)
+
+
+@pytest.mark.parametrize("spec", sorted(FLIPPED_UNIT_DEFECTS))
+def test_one_read_as_a_non_unit_is_a_defect(spec, monkeypatch):
+    # then u = e_j*1 + 1 - e_j = 1 is no unit, so every m_j holds one
+    ring = build_ring(spec)
+    flipped = ring.unit_mask().copy()
+    flipped[ring.one] = False
+    monkeypatch.setattr(ring, "_unit_mask", flipped)
+    with pytest.raises(InternalDefectError, match=f"^{NOT_MAXIMAL}$"):
         jacobson_radical(ring)
 
 

@@ -17,14 +17,19 @@ a batch helper returns with a None defect is certified and only counted.
 The star methods are decided a whole ring at a time (_star_reports), with
 the checks count and defect text of one ideal at a time, and each ring's
 eight saturation subsets are saturated as one stack of masks, drawn from
-the seeded generator in the same order as one subset at a time.
+the seeded generator in the same order as one subset at a time.  The
+determinism criterion runs its two reduced replicas at once, one of them
+in a child forked with os.fork (POSIX).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -594,17 +599,67 @@ def _render_matrix_set(matrices) -> str:
 
 
 def criterion_determinism(rings, ctx: RunContext) -> CriterionResult:
-    """Two identical reduced runner invocations, compared byte for byte."""
+    """Two identical reduced runner invocations, compared byte for byte.
+
+    The two replicas run at once, one in this process and one in a child
+    forked from it (_in_two_processes), so both start from the same process
+    state, the one the other criteria left.  No module-level state could
+    carry from one replica to the other: the only module-level caches are
+    cli._build_parser and the read-only matrices._permutations."""
     def run_once() -> str:
         report = run_corpus(max_carrier=48, seed=ctx.seed, gl_samples=120,
                             with_determinism=False, guards=ctx.guards)
         return json.dumps(report_to_dict(report), sort_keys=True)
 
-    first, second = run_once(), run_once()
+    first, second = _in_two_processes(run_once)
     failures = [] if first == second else ["stable report sections differ"]
     return _result("deterministic-reports",
                    "Identical invocations produce byte-identical stable reports",
                    2, failures, {"reportBytes": len(first)})
+
+
+def _in_two_processes(run):
+    """(run() here, run() in a forked child), the two run at the same time.
+
+    The child sends its result, or the exception it raised, pickled through
+    a pipe, and leaves by os._exit: it never returns into the caller's
+    stack, runs no atexit handler and flushes none of the caller's stdio
+    buffers.  An exception of the child's run is raised here with its type
+    and text, a child that ends without a result raises RuntimeError, and
+    whatever this process raises, the child is killed and reaped first, so
+    no process outlives the call."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, run())
+            except Exception as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    status = None
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            here = run()
+            sent = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError("the determinism replica's child process ended "
+                           f"without a result, wait status {status}")
+    returned, there = pickle.loads(sent)
+    if not returned:
+        raise there
+    return here, there
 
 
 CRITERIA = (

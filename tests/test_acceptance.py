@@ -9,10 +9,13 @@ idempotence clause cannot hold.  A separate test pins the failure to
 exactly that clause so any other regression still surfaces.
 """
 
+import os
 import time
 
 import pytest
 
+from unitlift import verify
+from unitlift.errors import InternalDefectError
 from unitlift.verify import (
     RunContext,
     corpus_rings,
@@ -32,6 +35,8 @@ from unitlift.verify import (
     criterion_semi_inverse_coset,
     criterion_star_agreement,
     criterion_unit_lifting,
+    report_to_dict,
+    run_corpus,
 )
 
 
@@ -167,3 +172,80 @@ def test_14_failure_is_exactly_the_idempotence_clause(saturation_result):
 def test_15_deterministic_reports(corpus, ctx, capfd):
     result = _run(criterion_determinism, corpus, ctx, capfd)
     assert result.passed, result.failures
+
+
+# The two replicas of criterion 15 run at once, one in a forked child.  Each
+# case below also asserts that the call leaves this process no child.
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_15_replicas_that_differ_fail_the_criterion(corpus, ctx, monkeypatch):
+    # the two replicas run in two processes, so a report that names its
+    # process differs between them
+    monkeypatch.setattr(verify, "report_to_dict",
+                        lambda report: {**report_to_dict(report), "pid": os.getpid()})
+    result = criterion_determinism(corpus, ctx)
+    _assert_no_child_left()
+    assert not result.passed
+    assert result.failures == ["stable report sections differ"]
+    assert result.checks == 2
+    assert result.defects == 0
+
+
+def _replica(in_child):
+    """A stand-in for the reduced run_corpus call of the two replicas: a tiny
+    corpus in this process, in_child() in the forked child."""
+    parent = os.getpid()
+
+    def run(**kwargs):
+        if os.getpid() != parent:
+            in_child()
+        return run_corpus(max_carrier=3, seed=0, gl_samples=2, with_determinism=False)
+    return run
+
+
+def test_15_an_exception_of_the_child_replica_is_raised_in_the_caller(corpus, ctx,
+                                                                       monkeypatch):
+    def fail():
+        raise InternalDefectError("raised in the child replica only")
+
+    monkeypatch.setattr(verify, "run_corpus", _replica(fail))
+    with pytest.raises(InternalDefectError) as raised:
+        criterion_determinism(corpus, ctx)
+    assert type(raised.value) is InternalDefectError
+    assert str(raised.value) == "raised in the child replica only"
+    _assert_no_child_left()
+
+
+def test_15_a_child_replica_that_ends_without_a_result_is_a_runtime_error(corpus, ctx,
+                                                                            monkeypatch):
+    monkeypatch.setattr(verify, "run_corpus", _replica(lambda: os._exit(3)))
+    with pytest.raises(RuntimeError, match="without a result, wait status") as raised:
+        criterion_determinism(corpus, ctx)
+    assert not isinstance(raised.value, InternalDefectError)
+    _assert_no_child_left()
+
+
+class _Interrupted(BaseException):
+    pass
+
+
+def test_15_a_base_exception_of_the_caller_replica_kills_the_child(corpus, ctx,
+                                                                   monkeypatch):
+    parent = os.getpid()
+
+    def run(**kwargs):
+        if os.getpid() == parent:
+            raise _Interrupted
+        time.sleep(60)  # killed long before it wakes
+
+    monkeypatch.setattr(verify, "run_corpus", run)
+    start = time.perf_counter()
+    with pytest.raises(_Interrupted):
+        criterion_determinism(corpus, ctx)
+    _assert_no_child_left()
+    assert time.perf_counter() - start < 30

@@ -810,12 +810,9 @@ def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     step = ring.block_rows(len(lb))
     for lo in range(0, len(flat), step):
         pairs = flat[lo:lo + step, None]
-        if a.ndim == 1:  # one mask: each flat index is its element
-            sums = ring.add_many(pairs, lb)
-        else:
-            x = pairs % n
-            sums = ring.add_many(x, lb)
-            sums += pairs - x  # back on the pair's row
+        x = pairs % n
+        sums = ring.add_many(x, lb)
+        sums += pairs - x  # back on the pair's row
         hit[sums] = True
     return hit.reshape(a.shape)
 

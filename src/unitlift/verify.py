@@ -19,7 +19,8 @@ the checks count and defect text of one ideal at a time, and each ring's
 eight saturation subsets are saturated as one stack of masks, drawn from
 the seeded generator in the same order as one subset at a time.  The
 determinism criterion runs its two reduced replicas at once, one of them
-in a child forked with os.fork (POSIX).
+in a child forked with os.fork (POSIX), whose global generators of random
+and numpy are reseeded from the OS before its replica runs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import pickle
 import random
 import signal
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -605,7 +607,16 @@ def criterion_determinism(rings, ctx: RunContext) -> CriterionResult:
     forked from it (_in_two_processes), so both start from the same process
     state, the one the other criteria left.  No module-level state could
     carry from one replica to the other: the only module-level caches are
-    cli._build_parser and the read-only matrices._permutations."""
+    cli._build_parser and the read-only matrices._permutations.
+
+    The global generators of random and numpy are reseeded from the OS in
+    the child, so a report that reads unseeded global randomness differs
+    between the replicas, as between two invocations.  A report whose
+    order follows object addresses does not: the child is a copy of this
+    process, heap included, so both replicas allocate at the same
+    addresses, where two invocations would not.  No report reads such an
+    order today: the sets of ideals and matrices, hashed by id(ring), are
+    only tested for membership or rendered sorted."""
     def run_once() -> str:
         report = run_corpus(max_carrier=48, seed=ctx.seed, gl_samples=120,
                             with_determinism=False, guards=ctx.guards)
@@ -621,18 +632,21 @@ def criterion_determinism(rings, ctx: RunContext) -> CriterionResult:
 def _in_two_processes(run):
     """(run() here, run() in a forked child), the two run at the same time.
 
-    The child sends its result, or the exception it raised, pickled through
-    a pipe, and leaves by os._exit: it never returns into the caller's
-    stack, runs no atexit handler and flushes none of the caller's stdio
-    buffers.  An exception of the child's run is raised here with its type
-    and text, a child that ends without a result raises RuntimeError, and
-    whatever this process raises, the child is killed and reaped first, so
-    no process outlives the call."""
+    The child reseeds numpy's global generator from the OS (random reseeds
+    its own in any forked child), runs, sends its result, or the exception
+    it raised, pickled through a pipe, and leaves by os._exit: it never
+    returns into the caller's stack, runs no atexit handler and flushes
+    none of the caller's stdio buffers.  An exception of the child's run is
+    raised here with its type and text, a child that ends without a result
+    raises RuntimeError, and whatever this process raises, the child is
+    killed and reaped first, so no process outlives the call."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_end)
+            if "numpy.random" in sys.modules:  # else its first draw seeds afresh
+                np.random.seed()  # from the OS; random reseeds itself at a fork
             try:
                 outcome = (True, run())
             except Exception as exc:

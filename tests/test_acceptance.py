@@ -10,8 +10,10 @@ exactly that clause so any other regression still surfaces.
 """
 
 import os
+import random
 import time
 
+import numpy as np
 import pytest
 
 from unitlift import verify
@@ -194,6 +196,21 @@ def test_15_replicas_that_differ_fail_the_criterion(corpus, ctx, monkeypatch):
     assert result.failures == ["stable report sections differ"]
     assert result.checks == 2
     assert result.defects == 0
+
+
+@pytest.mark.parametrize("draw", [random.random, lambda: float(np.random.random())],
+                         ids=["random", "numpy"])
+def test_15_unseeded_global_randomness_fails_the_criterion(corpus, ctx, monkeypatch,
+                                                           draw):
+    # the forked child starts from a copy of this process's generators; a
+    # report that reads one must still differ, as between two invocations
+    draw()
+    monkeypatch.setattr(verify, "report_to_dict",
+                        lambda report: {**report_to_dict(report), "draw": draw()})
+    result = criterion_determinism(corpus, ctx)
+    _assert_no_child_left()
+    assert not result.passed
+    assert result.failures == ["stable report sections differ"]
 
 
 def _replica(in_child):

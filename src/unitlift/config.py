@@ -20,8 +20,9 @@ class Guards:
     matrix_space_limit: int = 65536
     # largest matrix dimension for determinants and lifts
     matrix_dim_limit: int = 3
-    # largest carrier for cached numpy operation tables (int32); Z/n builds
-    # none at any size, as a gather costs what a * b % n costs
+    # largest carrier for cached numpy operation tables (int32), which only
+    # polynomial quotients and products build, from their structure; Z/n
+    # and quotients R/I compute on their encoding at every size
     table_limit: int = 1024
 
 

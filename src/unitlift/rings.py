@@ -8,16 +8,16 @@ factor indices, and the ranks of the sorted least coset members of R/I.
 
 Each ring kind has one arithmetic: add_many, mul_many and neg_many on
 broadcast int64 index arrays, of which the scalar add, mul and neg are
-single cells; every exhaustive scan is written against them.  Z/n computes
-on its residues at every size, as a gather from an n x n table costs what
-a * b % n costs.  Any other ring within the table guard gathers from
-tables built from structure: polynomial quotients step x as the companion
-matrix of f, products combine their factors' tables digit by digit, and
-quotients gather from the parent in row blocks.  Above the guard each kind
-computes on its encoding: digit vectors for odd p, the index as a bit
-vector for GF(2) (add is XOR), the factors' operations by mixed radix for
-products, and the parent's operations on coset members for quotients.
-Quadratic scans run in row blocks (BLOCK_WORDS).
+single cells; every exhaustive scan is written against them.  Only the two
+kinds that build tables from their structure gather from them, within the
+table guard: polynomial quotients step x as the companion matrix of f, and
+products combine their factors' tables digit by digit.  Every other ring,
+and those two above the guard, computes on its encoding: residues for Z/n,
+as a gather from an n x n table costs what a * b % n costs, digit vectors
+for odd p, the index as a bit vector for GF(2) (add is XOR), the factors'
+operations by mixed radix for products, and the parent's operations on
+coset members for quotients, whose scans read few of the n^2 cells a table
+would fill.  Quadratic scans run in row blocks (BLOCK_WORDS).
 
 Inside the library a subset of the carrier is a read-only boolean mask,
 and only public functions that return frozensets build sets: an ideal is
@@ -219,6 +219,7 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self.guards = guards
+        self._tabulated = self._build_tables is not None and carrier_size <= guards.table_limit
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._unit_mask: np.ndarray | None = None
         self._units: frozenset[int] | None = None
@@ -244,23 +245,20 @@ class FiniteRing:
 
     def add_many(self, a, b) -> np.ndarray:
         """a + b elementwise on broadcast index arrays."""
-        tabs = self.tables()
-        if tabs is not None:
-            return tabs[0][a, b]
+        if self._tabulated:
+            return self.tables()[0][a, b]
         return self._add_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def mul_many(self, a, b) -> np.ndarray:
         """a * b elementwise on broadcast index arrays."""
-        tabs = self.tables()
-        if tabs is not None:
-            return tabs[1][a, b]
+        if self._tabulated:
+            return self.tables()[1][a, b]
         return self._mul_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def neg_many(self, a) -> np.ndarray:
         """-a elementwise on an index array."""
-        tabs = self.tables()
-        if tabs is not None:
-            return tabs[2][a]
+        if self._tabulated:
+            return self.tables()[2][a]
         return self._neg_arrays(np.asarray(a, dtype=np.int64))
 
     # the kind's arithmetic on int64 index arrays, overridden per kind
@@ -275,8 +273,9 @@ class FiniteRing:
 
     @property
     def op_width(self) -> int:
-        """int64 words per cell that add_many/mul_many/neg_many hold at once."""
-        return 1 if self.carrier_size <= self.guards.table_limit else self._width
+        """int64 words per cell that add_many/mul_many/neg_many hold at once:
+        one for a gather from tables."""
+        return 1 if self._tabulated else self._width
 
     def block_rows(self, ncols: int) -> int:
         """Rows per block of a scan over ncols columns, so that each
@@ -285,28 +284,18 @@ class FiniteRing:
 
     # ----- cached numpy operation tables -------------------------------
 
+    # the kind's builder of (add, mul, neg) tables from its structure, or
+    # None: a kind without one computes on its encoding at every size
+    _build_tables = None
+
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(add, mul, neg) arrays, or None when the carrier exceeds the guard
-        or the kind keeps none."""
-        if self._tables is None:
-            if self.carrier_size > self.guards.table_limit:
-                return None
+        """(add, mul, neg) arrays, built once from the kind's structure, or
+        None when the kind has no builder or the carrier exceeds the guard."""
+        if self._tables is None and self._tabulated:
             self._tables = self._build_tables()
             for t in self._tables:
                 t.setflags(write=False)
         return self._tables
-
-    def _build_tables(self):
-        n = self.carrier_size
-        idx = np.arange(n)
-        add = np.empty((n, n), dtype=_TABLE_DTYPE)
-        mul = np.empty((n, n), dtype=_TABLE_DTYPE)
-        step = max(1, BLOCK_WORDS // (n * self._width))
-        for lo in range(0, n, step):
-            rows = idx[lo:lo + step, None]
-            add[lo:lo + step] = self._add_arrays(rows, idx)
-            mul[lo:lo + step] = self._mul_arrays(rows, idx)
-        return add, mul, self._neg_arrays(idx).astype(_TABLE_DTYPE)
 
     # ----- units --------------------------------------------------------
 
@@ -390,10 +379,6 @@ class ModularRing(FiniteRing):
 
     def _neg_arrays(self, a):
         return -a % self.n if self._low_bits is None else -a & self._low_bits
-
-    def tables(self):
-        # a gather costs what a * b % n costs, so n^2 cells are never repaid
-        return None
 
     def _find_units(self):
         return np.gcd(np.arange(self.n), self.n) == 1
@@ -1384,7 +1369,7 @@ def check_ring_axioms(ring: FiniteRing):
     """Exhaustively verify the commutative-ring laws; raises on violation.
 
     One path on the array operations: a tabulated ring gathers from its
-    tables, a larger one computes on its encoding.  Blocks of columns c hold
+    tables, any other computes on its encoding.  Blocks of columns c hold
     b + c and b * c for every b, so for each a, (a + b) + c and (a * b) * c
     are rows of those blocks."""
     n = ring.carrier_size

@@ -35,7 +35,7 @@ from unitlift.matrices import (
     matrix_inverse,
     two_sided_saturate,
 )
-from unitlift.rings import FiniteRing, ModularRing, SurjectiveHom, build_ring, \
+from unitlift.rings import ModularRing, QuotientRing, SurjectiveHom, build_ring, \
     ideal_closure, quotient_ring
 from unitlift.specs import ModularSpec
 from unitlift.verify import RunContext, _draw_lifts, criterion_matrix_lifts
@@ -190,10 +190,6 @@ class _TwoSquaredIsTwo(ModularRing):
     """Z/3 with 2 * 2 = 2: broken on purpose, so that the adjugate candidate
     of some 3x3 matrices inverts them on one side only."""
 
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
-
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 2), 2, a * b % self.n)
 
@@ -260,7 +256,7 @@ ARRAY_PATH_RINGS = [
 def test_matrix_arithmetic_matches_oracle(spec, table_limit, n):
     ring = build_ring(spec, Guards(table_limit=table_limit) if table_limit else Guards())
     assert (ring.tables() is None) == (table_limit is not None or ring.carrier_size > 1024
-                                       or isinstance(ring, ModularRing))
+                                       or isinstance(ring, (ModularRing, QuotientRing)))
     rng = random.Random(f"{spec}:{n}")
     ident = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
                   for i in range(n))
@@ -617,10 +613,6 @@ def test_space_scans_stay_within_memory_budget(spec, n):
 class _ZeroSquaredIsOne(ModularRing):
     """Z/2 with 0 * 0 = 1: broken on purpose, so that M_2 over it has the
     one-sided inverse pair X = [0,0;0,1], Y = [0,0;1,0]."""
-
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
 
     def _mul_arrays(self, a, b):
         return np.where((a == 0) & (b == 0), 1, a * b % self.n)

@@ -79,6 +79,7 @@ from unitlift.rings import (
     FiniteRing,
     ModularRing,
     ProductRing,
+    QuotientRing,
     _as_set,
     _factor_principals,
     _principal_cells,
@@ -96,6 +97,7 @@ from unitlift.semiunits import (
     _colon_rows,
     _semi_inverse_found,
     _semi_inverse_mask,
+    _semi_inverse_rows,
     colon_into_radical,
     is_semifield,
     is_von_neumann_regular,
@@ -124,6 +126,7 @@ from unitlift.star import (
 from unitlift.verify import (
     RunContext,
     corpus_rings,
+    criterion_rings_lift_units,
     criterion_saturation_laws,
     criterion_star_agreement,
     report_to_dict,
@@ -159,6 +162,12 @@ def test_untabulated_corpus_report_matches_default():
     "GF(2)[x]/(x^12+x^3+1)",
     "GF(2)[x]/(x^16+x^5+x^3+x^2+1)",
     "GF(3)[x]/(x^10)",
+    # quotients compute through their parent at every size, over a parent
+    # that computes on bits, on residues, by mixed radix and on digits
+    "quot(GF(2)[x]/(x^11);x^9)",
+    "quot(Z/1024;256)",
+    "quot(prod(Z/8,Z/8,Z/4);(4,0,0))",
+    "quot(GF(3)[x]/(x^7);x^6)",
 ])
 def test_array_ops_match_scalar_ops(spec):
     ring = build_ring(spec)
@@ -185,23 +194,6 @@ def test_array_ops_match_scalar_ops(spec):
         assert got == (oracle.add(ring, x, y), oracle.mul(ring, x, y), oracle.neg(ring, x))
 
 
-def test_quotient_of_untabulated_parent_tabulates_from_parent():
-    ring = build_ring("quot(GF(2)[x]/(x^11);x^9)")
-    parent = ring.parent
-    assert parent.tables() is None
-    add, mul, neg = ring.tables()
-    n = ring.carrier_size
-    assert add.shape == mul.shape == (n, n)
-    reps, qmap = ring.reps, ring.qmap
-    # the generic double loop, through the parent's reference arithmetic
-    assert neg.tolist() == [qmap[oracle.neg(parent, reps[a])] for a in range(n)]
-    for a in [0, 1, n - 1] + random.Random(9).sample(range(n), 9):
-        assert add[a].tolist() == [qmap[oracle.add(parent, reps[a], reps[b])]
-                                   for b in range(n)]
-        assert mul[a].tolist() == [qmap[oracle.mul(parent, reps[a], reps[b])]
-                                   for b in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # every scan against the plain-Python oracle
 
@@ -217,8 +209,8 @@ def _sample(items, k, seed):
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_scans_match_oracle(spec, table_limit):
     ring = build_ring(spec, Guards(table_limit=table_limit))
-    # Z/n computes on its residues at every size
-    assert (ring.tables() is None) == (isinstance(ring, ModularRing)
+    # Z/n and quotients compute on their encoding at every size
+    assert (ring.tables() is None) == (isinstance(ring, (ModularRing, QuotientRing))
                                        or ring.carrier_size > table_limit)
 
     units, inverses = oracle.units_and_inverses(ring)
@@ -504,10 +496,6 @@ class _SignsAsUnits(ModularRing):
     hom(-1)}; {1, -1} is no product of the factors' units, so the unit
     orbits, which are labelled on the factors, are refused."""
 
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
-
     def _find_units(self):
         return np.isin(np.arange(self.n), [1, self.n - 1])
 
@@ -614,6 +602,15 @@ def test_ring_has_star_refuses_a_unit_set_that_is_no_product(table_limit):
     with pytest.raises(InternalDefectError,
                        match="^the principal ideals holding one are not the units$"):
         ring_has_star(ring)
+
+
+def test_rings_lift_units_counts_a_defect_per_ring():
+    # a defect of one ring is counted, and the rings after it still checked
+    result = criterion_rings_lift_units(
+        [_SignsAsUnits(ModularSpec(144)), build_ring("Z/8")], RunContext())
+    assert result.defects == 1
+    assert result.checks == 3
+    assert result.failures == ["Z/144: defect: the principal ideals holding one are not the units"]
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/8", "prod(Z/2,GF(2)[x]/(x^2))",
@@ -847,6 +844,21 @@ def test_quadratic_scans_stay_within_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, spec
+    # a quotient computes through its parent, so GF(3)[x]/(x^7) modulo (x^6)
+    # holds 7 digits per cell and sizes its blocks by them: the semi-inverses
+    # of its 486 semi-units, each against all 729 elements; blocks of one
+    # word per cell would peak at 22 MiB
+    ring = build_ring("quot(GF(3)[x]/(x^7);x^6)")
+    semi_units = np.flatnonzero(~jacobson_radical(ring).mask)
+    assert len(semi_units) == 486
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _semi_inverse_rows(ring, semi_units)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
     # prod(Z/2 x12) and prod(Z/2 x16) have one principal ideal per element,
     # 4096 and 65536 of them, but each factor Z/2 has only two: the
     # factors' tables take a few bytes, where one packed row of the carrier

@@ -30,10 +30,10 @@ from unitlift.config import Guards
 from unitlift.errors import GuardExceededError, InternalDefectError
 from unitlift.rings import (
     INTEGERS,
-    FiniteRing,
     Ideal,
     ModularRing,
     PolyQuotientRing,
+    QuotientRing,
     _ideals_from_masks,
     _principal_cells,
     _unit_orbits,
@@ -74,20 +74,12 @@ def test_ring_axioms(spec):
 class _NoncommutativeMultiplication(ModularRing):
     """Z/n with 2 * 3 = 0 but 3 * 2 = 6."""
 
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
-
     def _mul_arrays(self, a, b):
         return np.where((a == 2) & (b == 3), 0, a * b % self.n)
 
 
 class _NonassociativeAddition(ModularRing):
     """Z/n with 1 + 1 = 3, still commutative, with 0 and negatives intact."""
-
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
 
     def _add_arrays(self, a, b):
         return np.where((a == 1) & (b == 1), 3, (a + b) % self.n)
@@ -97,10 +89,6 @@ class _NondistributiveMultiplication(ModularRing):
     """The addition of Z/4 with the bitwise AND as multiplication, whose one
     is 3: commutative and associative, but 1 * (1 + 1) = 0 while
     1 * 1 + 1 * 1 = 2."""
-
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
 
     def __init__(self, spec, guards):
         super().__init__(spec, guards)
@@ -118,7 +106,7 @@ class _NondistributiveMultiplication(ModularRing):
 ])
 def test_ring_axioms_catch_broken_arithmetic(kind, n, law, table_limit):
     ring = kind(ModularSpec(n), Guards(table_limit=table_limit))
-    assert (ring.tables() is None) == (table_limit == 2)
+    assert ring.tables() is None
     with pytest.raises(InternalDefectError, match=law):
         check_ring_axioms(ring)
 
@@ -128,10 +116,6 @@ class _OneBrokenProduct(ModularRing):
     (a, b, c).  Z/12 is the product of 4R = {0, 4, 8} and 9R = {0, 3, 6,
     9}, whose units are {9, 3} and whose unit orbits are {0}, {3, 9} and
     {6}; each fixture breaks one product of 9R."""
-
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
 
     def _mul_arrays(self, a, b):
         x, y, z = self.cell
@@ -194,10 +178,6 @@ class _ThreeSquaredIsZero(ModularRing):
     """Z/n with the one cell 3 * 3 = 0, so the nilpotents of Z/12 read
     {0, 3, 6}, which is no ideal: 7 * 3 = 9 lies outside it."""
 
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
-
     def _mul_arrays(self, a, b):
         return np.where((a == 3) & (b == 3), 0, a * b % self.n)
 
@@ -207,7 +187,7 @@ def test_a_computed_mask_that_is_no_ideal_is_a_defect(table_limit, monkeypatch, 
     # a computed mask that is no ideal is a defect of the library, not bad
     # input: the corpus counts it as a defect, and the CLI exits 70, not 64
     ring = _ThreeSquaredIsZero(ModularSpec(12), Guards(table_limit=table_limit))
-    assert (ring.tables() is None) == (table_limit == 1)
+    assert ring.tables() is None
     assert ring.mul(3, 3) == 0
     with pytest.raises(InternalDefectError, match="not an ideal"):
         nilradical(ring)
@@ -482,10 +462,10 @@ def test_published_caches_do_not_change_under_their_callers(table_limit):
     hom.preimages(1).append(2)
     assert hom.preimages(1) == [1, 5, 9]
     assert hom.mapping is quot.qmap
-    # Z/n keeps no tables at any size; its quotient builds them from Z/n's
-    # arithmetic within the guard
-    assert ring.tables() is None
-    tables = quot.tables()
+    # neither Z/n nor its quotients keep tables at any size; Z/4 x Z/3, the
+    # same ring as a product, builds them within the guard
+    assert ring.tables() is None and quot.tables() is None
+    tables = build_ring("prod(Z/4,Z/3)", Guards(table_limit=table_limit)).tables()
     assert (tables is None) == (table_limit == 1)
     for published in (hom.mapping, quot.reps, *(tables or ())):
         assert not published.flags.writeable
@@ -499,10 +479,6 @@ def test_published_caches_do_not_change_under_their_callers(table_limit):
 
 class _BrokenAddition(ModularRing):
     """Z/n whose sums are never zero, so 0 + 0 != 0."""
-
-    # Z/n keeps no tables; opt back in, so that the generic build fills them
-    # from the fixture's arithmetic and gathers run on the broken cells
-    tables = FiniteRing.tables
 
     def _add_arrays(self, a, b):
         return np.maximum((a + b) % self.n, 1)
@@ -764,8 +740,9 @@ def test_build_guard():
 def test_scalar_path_matches_tabulated(spec):
     fast = build_ring(spec)
     slow = build_ring(spec, Guards(table_limit=2))
-    # Z/n computes on its residues at every size, so it has no fast path
-    assert (fast.tables() is None) == isinstance(fast, ModularRing)
+    # Z/n and quotients compute on their encoding at every size, so they
+    # have no fast path
+    assert (fast.tables() is None) == isinstance(fast, (ModularRing, QuotientRing))
     assert slow.tables() is None
     check_ring_axioms(slow)
     assert slow.units() == fast.units()

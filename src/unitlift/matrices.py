@@ -29,7 +29,7 @@ import itertools
 import numpy as np
 
 from .errors import GuardExceededError, InternalDefectError
-from .rings import FiniteRing, SurjectiveHom, first_hits
+from .rings import FiniteRing, SurjectiveHom, _freeze, first_hits
 from .spectrum import jacobson_radical
 
 
@@ -60,8 +60,7 @@ class Matrix:
         return cls.__new__(cls)._store(ring, array)
 
     def _store(self, ring, array):
-        self.ring, self.array = ring, np.array(array, dtype=np.int64)
-        self.array.setflags(write=False)
+        self.ring, self.array = ring, _freeze(np.array(array, dtype=np.int64))
         self.key, self.n, self._entries = self.array.tobytes(), len(self.array), None
         return self
 
@@ -120,9 +119,7 @@ def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n! permutations of range(n) as rows, and which of them are odd."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     odd = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2)) % 2 == 1
-    for shared in (perms, odd):
-        shared.setflags(write=False)
-    return perms, odd
+    return _freeze((perms, odd))
 
 
 def _det(ring: FiniteRing, a: np.ndarray) -> np.ndarray:

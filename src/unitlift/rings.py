@@ -10,7 +10,7 @@ Each ring kind has one arithmetic: add_many, mul_many and neg_many on
 broadcast int64 index arrays, of which the scalar add, mul and neg are
 single cells; every exhaustive scan is written against them.  Only the two
 kinds that build tables from their structure gather from them, within the
-table guard: polynomial quotients step x as the companion matrix of f, and
+table guard: polynomial quotients step x on digit vectors (_times_x), and
 products combine their factors' tables digit by digit.  Every other ring,
 and those two above the guard, computes on its encoding: residues for Z/n,
 as a gather from an n x n table costs what a * b % n costs, digit vectors
@@ -55,11 +55,12 @@ ideal and certified in O(n); quotients and the congruence solver read it,
 and a quotient ring (qmap) and its projection hom (mapping) share one
 read-only array, from which the hom computes images, pullbacks and fibres.
 
-Cached data is immutable once published: arrays are read-only, and the
-ideal list is a tuple no caller holds, so sharing rings across threads is
-safe.  A batch of elements is checked as check_element checks one, with one
-type test per distinct type and one vectorised range test.  The tests hold
-every operation and scan to a plain-Python oracle with its own arithmetic.
+A ring caches a derived fact through _memo alone, which freezes it before
+publication: arrays are read-only, and the ideal list is a tuple no caller
+holds, so sharing rings across threads is safe.  A batch of elements is
+checked as check_element checks one, with one type test per distinct type
+and one vectorised range test.  The tests hold every operation and scan to
+a plain-Python oracle with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -92,6 +93,41 @@ _TABLE_DTYPE = np.int32
 # int64 words that one temporary of a blocked scan may hold (1 MiB): a block
 # of cells costs cells * op_width words, so digit-vector rings take fewer cells
 BLOCK_WORDS = 1 << 17
+
+
+def _freeze(value):
+    """value, with every ndarray in it, alone or nested in tuples, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    return value
+
+
+def _memo(ring: "FiniteRing", key, build, *args):
+    """ring._cache[key], built by build(ring, *args) on first use and frozen
+    (_freeze) before it is published; the one place where a ring caches."""
+    try:
+        return ring._cache[key]
+    except KeyError:
+        pass  # built outside the handler, so its errors chain no KeyError
+    return ring._cache.setdefault(key, _freeze(build(ring, *args)))
+
+
+def _memoized(key):
+    """_memo for a function of the ring alone, cached under key; a hit is
+    one dict lookup."""
+    def decorate(build):
+        @functools.wraps(build)
+        def cached(ring):
+            try:
+                return ring._cache[key]
+            except KeyError:
+                pass
+            return _memo(ring, key, build)
+        return cached
+    return decorate
 
 
 def check_element(ring: "FiniteRing", a) -> int:
@@ -221,9 +257,7 @@ class FiniteRing:
         self.guards = guards
         self._tabulated = self._build_tables is not None and carrier_size <= guards.table_limit
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._unit_mask: np.ndarray | None = None
-        self._units: frozenset[int] | None = None
-        self._cache: dict = {}
+        self._cache: dict = {}  # derived facts, each published by _memo
 
     # scalar operations: one cell of the array operations
     def add(self, a: int, b: int) -> int:
@@ -292,26 +326,20 @@ class FiniteRing:
         """(add, mul, neg) arrays, built once from the kind's structure, or
         None when the kind has no builder or the carrier exceeds the guard."""
         if self._tables is None and self._tabulated:
-            self._tables = self._build_tables()
-            for t in self._tables:
-                t.setflags(write=False)
+            self._tables = _freeze(self._build_tables())
         return self._tables
 
     # ----- units --------------------------------------------------------
 
+    @_memoized("unit_mask")
     def unit_mask(self) -> np.ndarray:
         """Read-only membership mask of the unit group; cached."""
-        if self._unit_mask is None:
-            mask = self._find_units()
-            mask.setflags(write=False)
-            self._unit_mask = mask
-        return self._unit_mask
+        return self._find_units()
 
+    @_memoized("units")
     def units(self) -> frozenset[int]:
         """The unit group, a frozenset view of unit_mask built once."""
-        if self._units is None:
-            self._units = _as_set(self.unit_mask())
-        return self._units
+        return _as_set(self.unit_mask())
 
     def _find_units(self) -> np.ndarray:
         """The pullback of the units of R/N, for the nilradical N: 1 + N
@@ -459,18 +487,15 @@ class PolyQuotientRing(FiniteRing):
         r = np.arange(p, dtype=_TABLE_DTYPE)
         add = _digitwise([p] * d, [(r[:, None] + r[None, :]) % p] * d)
         neg = _digitwise([p] * d, [(-r) % p] * d)
-        # a*b = sum_k a_k (x^k b): x acts on the coefficient vectors of all b
-        # as the companion matrix of f, and the row of a_k p^k + (lower digits)
-        # is the add-table sum of the row of a_k x^k and the lower digits' row
-        place = p ** np.arange(d)
-        coeffs = (np.arange(n)[:, None] // place) % p
-        companion = np.eye(d, k=-1, dtype=np.int64)
-        companion[:, -1] = [(-c) % p for c in self.modulus[:d]]
+        # a*b = sum_k a_k (x^k b): x^k b is stepped on the digits of all b, as
+        # in _mul_arrays, and the row of a_k p^k + (lower digits) is the
+        # add-table sum of the row of a_k x^k and the lower digits' row
+        shifted = self._digits(np.arange(n))
         mul = np.zeros((1, n), dtype=_TABLE_DTYPE)
         for _ in range(d):
-            monomial_rows = (r[:, None, None] * coeffs % p) @ place
+            monomial_rows = self._encode_digits(r[:, None, None] * shifted)
             mul = add[monomial_rows[:, None, :], mul[None, :, :]].reshape(-1, n)
-            coeffs = coeffs @ companion.T % p
+            shifted = self._times_x(shifted)
         return add, mul, neg
 
     def render(self, a):
@@ -674,8 +699,7 @@ class Ideal:
 
     def __init__(self, ring: FiniteRing, generators: Iterable[int], mask):
         if not (isinstance(mask, np.ndarray) and mask.dtype == bool and _read_only(mask)):
-            mask = np.array(mask, dtype=bool)
-            mask.setflags(write=False)
+            mask = _freeze(np.array(mask, dtype=bool))
         self.ring = ring
         self.generators = tuple(generators)
         self.mask = mask
@@ -733,13 +757,13 @@ def _as_set(mask: np.ndarray) -> frozenset[int]:
 def principal(ring: FiniteRing, x: int) -> np.ndarray:
     """Read-only membership mask of the principal ideal R*x, which is already
     closed under addition; cached per ring."""
-    key = ("principal", int(x))
-    if key not in ring._cache:
-        hit = np.zeros(ring.carrier_size, dtype=bool)
-        hit[ring.mul_many(np.arange(ring.carrier_size), x)] = True
-        hit.setflags(write=False)
-        ring._cache[key] = hit
-    return ring._cache[key]
+    return _memo(ring, ("principal", int(x)), _principal_mask, x)
+
+
+def _principal_mask(ring: FiniteRing, x: int) -> np.ndarray:
+    hit = np.zeros(ring.carrier_size, dtype=bool)
+    hit[ring.mul_many(np.arange(ring.carrier_size), x)] = True
+    return hit
 
 
 def _least_of_orbits(ring: FiniteRing, members: np.ndarray, pos: np.ndarray, op, by) -> np.ndarray:
@@ -770,19 +794,17 @@ def _least_of_orbits(ring: FiniteRing, members: np.ndarray, pos: np.ndarray, op,
     return label
 
 
+@_memoized("unit_orbits")
 def _unit_orbits(ring: FiniteRing) -> np.ndarray:
     """Read-only labels of the unit orbits: label[x] is the least element
     of x*U, for the WITNESS check; cached per ring.  As U is the product
     of the e_jU (certified by _principal_cells), x*U is the product of the
     factor orbits of the e_j*x (_factor_principals), and its least element
     is the first element with x's cell."""
-    if "unit_orbits" not in ring._cache:
-        cell, n = _principal_cells(ring), ring.carrier_size
-        first = np.full(n, n)
-        np.minimum.at(first, cell, np.arange(n))
-        ring._cache["unit_orbits"] = first[cell]
-        ring._cache["unit_orbits"].setflags(write=False)
-    return ring._cache["unit_orbits"]
+    cell, n = _principal_cells(ring), ring.carrier_size
+    first = np.full(n, n)
+    np.minimum.at(first, cell, np.arange(n))
+    return first[cell]
 
 
 def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -921,17 +943,15 @@ def ideal_from_elements(ring: FiniteRing, elements: Iterable[int]) -> Ideal:
         raise ValueError("the elements are not an ideal") from None
 
 
+@_memoized("idempotents")
 def _idempotent_mask(ring: FiniteRing) -> np.ndarray:
     """Read-only mask of the idempotents, from one squaring of the carrier;
     cached per ring, for local_factors and spectrum.idempotents."""
-    if "idempotents" not in ring._cache:
-        idx = np.arange(ring.carrier_size)
-        mask = ring.mul_many(idx, idx) == idx
-        mask.setflags(write=False)
-        ring._cache["idempotents"] = mask
-    return ring._cache["idempotents"]
+    idx = np.arange(ring.carrier_size)
+    return ring.mul_many(idx, idx) == idx
 
 
+@_memoized("local_factors")
 def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], np.ndarray]:
     """The atoms e_1 < ... < e_k of the idempotent lattice, the nonzero
     idempotents e with e*f equal to 0 or e for every idempotent f, the
@@ -939,8 +959,6 @@ def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], tuple[np.ndarray, 
     array position, position[j, x] the index of e_j*x in members[j] (x's
     own when x is in e_jR); cached per ring.  Certified once: the atoms sum
     to one and the factor sizes multiply to n, so R is the product of them."""
-    if "local_factors" in ring._cache:
-        return ring._cache["local_factors"]
     idx = np.arange(ring.carrier_size)
     idem = np.flatnonzero(_idempotent_mask(ring))
 
@@ -959,12 +977,10 @@ def local_factors(ring: FiniteRing) -> tuple[tuple[int, ...], tuple[np.ndarray, 
     if (functools.reduce(ring.add, atoms, ring.zero) != ring.one
             or math.prod(map(len, members)) != len(idx)):
         raise InternalDefectError("primitive idempotents do not split the ring")
-    for published in (position, *members):
-        published.setflags(write=False)
-    ring._cache["local_factors"] = atoms, tuple(members), position
-    return ring._cache["local_factors"]
+    return atoms, tuple(members), position
 
 
+@_memoized("residue_field_sizes")
 def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
     """q_j = |e_jR| / |N ∩ e_jR| for each atom e_j of local_factors and the
     nilradical N: the size of the residue field of the local ring e_jR,
@@ -972,16 +988,12 @@ def _residue_field_sizes(ring: FiniteRing) -> np.ndarray:
     lies in N, and |N ∩ e_jR| divides |e_jR|."""
     from .spectrum import nilradical
 
-    if "residue_field_sizes" not in ring._cache:
-        nil = nilradical(ring).mask
-        atoms, members, _ = local_factors(ring)
-        counts = [(len(elems), int(np.count_nonzero(nil[elems]))) for elems in members]
-        if nil[list(atoms)].any() or any(k == 0 or size % k for size, k in counts):
-            raise InternalDefectError("the nilradical does not split over the local factors")
-        sizes = np.array([size // k for size, k in counts], dtype=np.int64)
-        sizes.setflags(write=False)
-        ring._cache["residue_field_sizes"] = sizes
-    return ring._cache["residue_field_sizes"]
+    nil = nilradical(ring).mask
+    atoms, members, _ = local_factors(ring)
+    counts = [(len(elems), int(np.count_nonzero(nil[elems]))) for elems in members]
+    if nil[list(atoms)].any() or any(k == 0 or size % k for size, k in counts):
+        raise InternalDefectError("the nilradical does not split over the local factors")
+    return np.array([size // k for size, k in counts], dtype=np.int64)
 
 
 def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.ndarray:
@@ -1016,6 +1028,7 @@ def _coset_units(parent: FiniteRing, reps: np.ndarray, qmap: np.ndarray) -> np.n
     return unit
 
 
+@_memoized("factor_principals")
 def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, ...], ...]:
     """One read-only (rows, order, orbit) tuple per local factor e_jR of
     local_factors, cached per ring: row i marks r_i*R among the members of
@@ -1025,53 +1038,45 @@ def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, ...], ...]:
     take orbits times |e_jR| products, a block of representatives at a time;
     as e_jU lies in e_jR, they hold the orbits too, which certifies the
     labels: each orbit holds only its own, none less, and they cover e_jR."""
-    if "factor_principals" not in ring._cache:
-        factors = []
-        _, members, position = local_factors(ring)
-        for elems, pos in zip(members, position):
-            unit_pos = np.flatnonzero(np.bincount(pos[ring.unit_mask()], minlength=len(elems)))
-            label = _least_of_orbits(ring, elems, pos, ring.mul_many, elems[unit_pos])  # e_jU
-            first = np.flatnonzero(label == np.arange(len(elems)))  # the orbits' least members
-            rows = np.zeros((len(first), len(elems)), dtype=bool)
-            covered = np.zeros(len(elems), dtype=bool)
-            step = ring.block_rows(len(elems))
-            for lo in range(0, len(first), step):
-                lead = first[lo:lo + step, None]
-                products = pos[ring.mul_many(elems[lead], elems)]
-                rows[np.arange(lo, lo + len(products))[:, None], products] = True
-                orbits = products[:, unit_pos]
-                if (label[orbits] != lead).any() or (orbits < lead).any():
-                    raise InternalDefectError("a unit orbit holds a foreign label")
-                covered[orbits] = True
-            if not covered.all():
-                raise InternalDefectError("the unit orbits do not cover the carrier")
-            orbit = np.searchsorted(first, label)
-            order = rows[:, first].T
-            for published in (rows, order, orbit):
-                published.setflags(write=False)
-            factors.append((rows, order, orbit))
-        ring._cache["factor_principals"] = tuple(factors)
-    return ring._cache["factor_principals"]
+    factors = []
+    _, members, position = local_factors(ring)
+    for elems, pos in zip(members, position):
+        unit_pos = np.flatnonzero(np.bincount(pos[ring.unit_mask()], minlength=len(elems)))
+        label = _least_of_orbits(ring, elems, pos, ring.mul_many, elems[unit_pos])  # e_jU
+        first = np.flatnonzero(label == np.arange(len(elems)))  # the orbits' least members
+        rows = np.zeros((len(first), len(elems)), dtype=bool)
+        covered = np.zeros(len(elems), dtype=bool)
+        step = ring.block_rows(len(elems))
+        for lo in range(0, len(first), step):
+            lead = first[lo:lo + step, None]
+            products = pos[ring.mul_many(elems[lead], elems)]
+            rows[np.arange(lo, lo + len(products))[:, None], products] = True
+            orbits = products[:, unit_pos]
+            if (label[orbits] != lead).any() or (orbits < lead).any():
+                raise InternalDefectError("a unit orbit holds a foreign label")
+            covered[orbits] = True
+        if not covered.all():
+            raise InternalDefectError("the unit orbits do not cover the carrier")
+        factors.append((rows, rows[:, first].T, np.searchsorted(first, label)))
+    return tuple(factors)
 
 
+@_memoized("principal_cells")
 def _principal_cells(ring: FiniteRing) -> np.ndarray:
     """Read-only cell[x]: the orbits of _factor_principals holding the
     e_j*x, which are the rows holding the (e_j*x)R, as one mixed-radix
     number, factor 0 the most significant digit; cached per ring.  Certified
     once: the elements whose every row holds its factor's atom e_j, the one
     of e_jR, are exactly the units, so U is the product of the e_jU."""
-    if "principal_cells" not in ring._cache:
-        cell, unit = 0, True  # the empty product, an array from the first factor on
-        atoms, _, position = local_factors(ring)
-        for e, pos, (rows, _, orbit) in zip(atoms, position, _factor_principals(ring)):
-            row = orbit[pos]
-            cell = cell * len(rows) + row
-            unit &= rows[row, pos[e]]
-        if not np.array_equal(unit, ring.unit_mask()):
-            raise InternalDefectError("the principal ideals holding one are not the units")
-        cell.setflags(write=False)
-        ring._cache["principal_cells"] = cell
-    return ring._cache["principal_cells"]
+    cell, unit = 0, True  # the empty product, an array from the first factor on
+    atoms, _, position = local_factors(ring)
+    for e, pos, (rows, _, orbit) in zip(atoms, position, _factor_principals(ring)):
+        row = orbit[pos]
+        cell = cell * len(rows) + row
+        unit &= rows[row, pos[e]]
+    if not np.array_equal(unit, ring.unit_mask()):
+        raise InternalDefectError("the principal ideals holding one are not the units")
+    return cell
 
 
 def _factor_lattice(ring: FiniteRing, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -1121,37 +1126,36 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
         raise GuardExceededError(
             f"carrier {ring.carrier_size} exceeds the ideal enumeration guard "
             f"{ring.guards.ideal_enum_limit}")
-    if "ideals" in ring._cache:
-        return list(ring._cache["ideals"])
+    return list(_memo(ring, "ideals", _sorted_ideals))
+
+
+def _sorted_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     n = ring.carrier_size
-    _, members, position = local_factors(ring)
     # row i of lattice is the mask of one sum of factor ideals; np.take keeps
     # the rows contiguous, where [:, pos] would lay the columns out instead
-    lattice, local = np.ones((1, n), dtype=bool), []
-    for elems, pos, (rows, _, _) in zip(members, position, _factor_principals(ring)):
-        local.append(_factor_lattice(ring, elems, rows))
-        lattice = (lattice[:, None, :] & np.take(local[-1], pos, axis=1)[None]).reshape(-1, n)
-    lattice.base.setflags(write=False)  # the last product, which lattice views
-    lattice.setflags(write=False)
-    out = _ideals_from_masks(ring, lattice)
+    lattice = np.ones((1, n), dtype=bool)
+    for pos, local in zip(local_factors(ring)[2], _local_lattices(ring)):
+        lattice = (lattice[:, None, :] & np.take(local, pos, axis=1)[None]).reshape(-1, n)
+    _freeze((lattice.base, lattice))  # lattice views the last product
     # among equal sizes, the packed bits descend as the sorted elements ascend
-    order = sorted(range(len(out)), key=lambda i: out[i].key, reverse=True)
-    order.sort(key=lambda i: len(out[i]))
-    out = [out[i] for i in order]
-    for published in local:
-        published.setflags(write=False)
-    ring._cache["factor_lattices"] = tuple(local)
-    ring._cache["ideals"] = tuple(out)
-    return out
+    out = sorted(_ideals_from_masks(ring, lattice), key=lambda i: i.key, reverse=True)
+    return tuple(sorted(out, key=len))
+
+
+@_memoized("factor_lattices")
+def _local_lattices(ring: FiniteRing) -> tuple[np.ndarray, ...]:
+    _, members, _ = local_factors(ring)
+    return tuple(_factor_lattice(ring, elems, rows)
+                 for elems, (rows, _, _) in zip(members, _factor_principals(ring)))
 
 
 def _factor_lattices(ring: FiniteRing) -> tuple[np.ndarray, ...]:
     """The factor lattices of enumerate_ideals, one read-only array per
     local factor e_jR whose rows are the masks of its ideals over its sorted
-    members; cached per ring by enumerate_ideals, which this runs first,
-    guard included."""
+    members; cached per ring beside the ideals, which this enumerates
+    first, guard included."""
     enumerate_ideals(ring)
-    return ring._cache["factor_lattices"]
+    return _local_lattices(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -1172,8 +1176,7 @@ class SurjectiveHom:
                  mapping: Sequence[int], kernel: Ideal):
         self.source = source
         self.target = target
-        self.mapping = np.asarray(mapping, dtype=np.int64)
-        self.mapping.setflags(write=False)
+        self.mapping = _freeze(np.asarray(mapping, dtype=np.int64))
         self.kernel = kernel
         self._fibres: np.ndarray | None = None
 
@@ -1190,12 +1193,10 @@ class SurjectiveHom:
         """The read-only (|target|, |kernel|) array whose row t holds the
         preimages of t, ascending; built once."""
         if self._fibres is None:
-            order = np.argsort(self.mapping, kind="stable")
-            order = order.reshape(self.target.carrier_size, -1)
+            order = np.argsort(self.mapping, kind="stable").reshape(self.target.carrier_size, -1)
             if not (self.mapping[order] == np.arange(len(order))[:, None]).all():
                 raise InternalDefectError("the fibres of the map differ in size")
-            order.setflags(write=False)
-            self._fibres = order
+            self._fibres = _freeze(order)
         return self._fibres
 
     def preimages(self, t: int) -> list[int]:
@@ -1220,11 +1221,9 @@ def _coset_labels(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
     _, members, position = local_factors(ring)
     for j, (elems, pos) in enumerate(zip(members, position)):
         inside = mask[elems]
-        cached = ("factor_cosets", j, inside.tobytes())
-        if cached not in ring._cache:
-            ring._cache[cached] = _least_of_orbits(ring, elems, pos, ring.add_many, elems[inside])
-            ring._cache[cached].setflags(write=False)
-        key = key * len(elems) + ring._cache[cached][pos]  # below n = ∏ |e_jR|
+        label = _memo(ring, ("factor_cosets", j, inside.tobytes()), _least_of_orbits,
+                      elems, pos, ring.add_many, elems[inside])
+        key = key * len(elems) + label[pos]  # below n = ∏ |e_jR|
     first = np.full(n, n)
     np.minimum.at(first, key, np.arange(n))
     return first[key]
@@ -1235,20 +1234,19 @@ def _coset_map(ring: FiniteRing, mask: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mask: the sorted least members of the cosets and each element's rank
     among them.  Certified in O(n): each class has |I| elements inside one
     coset, so is that coset, and reps[j] is the least member of class j."""
-    key = ("coset_map", np.packbits(mask).tobytes())
-    if key not in ring._cache:
-        every = np.arange(ring.carrier_size)
-        label = _coset_labels(ring, mask)
-        reps = np.flatnonzero(label == every)
-        qmap = np.searchsorted(reps, label)
-        if not (np.bincount(qmap).tolist() == [int(np.count_nonzero(mask))] * len(reps)
-                and mask[ring.add_many(every, ring.neg_many(reps)[qmap])].all()
-                and (qmap[reps] == np.arange(len(reps))).all() and (reps[qmap] <= every).all()):
-            raise InternalDefectError("the coset labels are not the cosets of the ideal")
-        for published in (reps, qmap):
-            published.setflags(write=False)
-        ring._cache[key] = reps, qmap
-    return ring._cache[key]
+    return _memo(ring, ("coset_map", np.packbits(mask).tobytes()), _certified_cosets, mask)
+
+
+def _certified_cosets(ring: FiniteRing, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    every = np.arange(ring.carrier_size)
+    label = _coset_labels(ring, mask)
+    reps = np.flatnonzero(label == every)
+    qmap = np.searchsorted(reps, label)
+    if not (np.bincount(qmap).tolist() == [int(np.count_nonzero(mask))] * len(reps)
+            and mask[ring.add_many(every, ring.neg_many(reps)[qmap])].all()
+            and (qmap[reps] == np.arange(len(reps))).all() and (reps[qmap] <= every).all()):
+        raise InternalDefectError("the coset labels are not the cosets of the ideal")
+    return reps, qmap
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, SurjectiveHom]:
@@ -1258,16 +1256,15 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, Surjectiv
         raise ValueError("ideal belongs to a different ring")
     if not ideal.is_proper():
         raise ValueError("cannot quotient by an improper ideal")
-    key = ("quotient", ideal.key)
-    if key in ring._cache:
-        return ring._cache[key]
+    return _memo(ring, ("quotient", ideal.key), _quotient, ideal)
+
+
+def _quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, SurjectiveHom]:
     reps, qmap = _coset_map(ring, ideal.mask)
-    gens = ideal.generators if ideal.generators else (ring.zero,)
-    spec = QuotientSpec(ring.spec, tuple(ring.element_expr(g) for g in gens))
+    gens = ideal.generators or (ring.zero,)
+    spec = QuotientSpec(ring.spec, tuple(map(ring.element_expr, gens)))
     quotient = QuotientRing(spec, ring, reps, qmap, ring.guards)
-    hom = SurjectiveHom(ring, quotient, quotient.qmap, ideal)
-    ring._cache[key] = (quotient, hom)
-    return quotient, hom
+    return quotient, SurjectiveHom(ring, quotient, quotient.qmap, ideal)
 
 
 # ---------------------------------------------------------------------------

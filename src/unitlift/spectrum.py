@@ -40,6 +40,7 @@ from .rings import (
     _coset_map,
     _idempotent_mask,
     _ideals_from_masks,
+    _memoized,
     check_element,
     ideal_from_mask,
     local_factors,
@@ -67,11 +68,10 @@ def _nilpotent_mask(ring: FiniteRing) -> np.ndarray:
     return v == ring.zero
 
 
+@_memoized("nilradical")
 def nilradical(ring: FiniteRing) -> Ideal:
     """The ideal of the nilpotent elements; one scan per ring, cached."""
-    if "nilradical" not in ring._cache:
-        ring._cache["nilradical"] = ideal_from_mask(ring, _nilpotent_mask(ring))
-    return ring._cache["nilradical"]
+    return ideal_from_mask(ring, _nilpotent_mask(ring))
 
 
 def idempotents(ring: FiniteRing) -> frozenset[int]:
@@ -100,13 +100,12 @@ class MaximalIdealList:
         return iter(self.ideals)
 
 
+@_memoized("maximal_ideals")
 def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
     """m_j = {x : u = e_j*x + 1 - e_j is no unit}, per atom e_j: u is a unit
     exactly when e_j*x is one in the local ring e_jR.  Certified: m_j is an
     ideal without one, and x - u = (1 - e_j)(x - 1) lies in m_j for every x
-    outside it, so every nonzero class of R/m_j holds a unit: a field."""
-    if "maximal_ideals" in ring._cache:
-        return ring._cache["maximal_ideals"]
+    outside it, so every nonzero class of R/m_j holds a unit: a field; cached."""
     atoms, members, position = local_factors(ring)
     every = np.arange(ring.carrier_size)
     masks = np.empty(position.shape, dtype=bool)
@@ -115,22 +114,19 @@ def maximal_ideals(ring: FiniteRing) -> MaximalIdealList:
         mask[:] = ~ring.unit_mask()[u]
         if mask[ring.one] or not (mask | mask[ring.add_many(every, ring.neg_many(u))]).all():
             raise InternalDefectError("the non-units of a local factor are not maximal")
-    out = MaximalIdealList(ring, tuple(_ideals_from_masks(ring, masks)), atoms)
-    ring._cache["maximal_ideals"] = out
-    return out
+    return MaximalIdealList(ring, tuple(_ideals_from_masks(ring, masks)), atoms)
 
 
+@_memoized("radical")
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """Intersection of the maximal ideals, cross-checked against the
-    nilpotent set (the two agree on finite commutative rings)."""
-    if "radical" not in ring._cache:
-        masks = [m.mask for m in maximal_ideals(ring).ideals]
-        if not np.array_equal(np.logical_and.reduce(masks), nilradical(ring).mask):
-            raise InternalDefectError(
-                "radical mismatch: intersection of maximal ideals differs from "
-                "the nilpotent set")
-        ring._cache["radical"] = nilradical(ring)
-    return ring._cache["radical"]
+    nilpotent set (the two agree on finite commutative rings); cached."""
+    masks = [m.mask for m in maximal_ideals(ring).ideals]
+    if not np.array_equal(np.logical_and.reduce(masks), nilradical(ring).mask):
+        raise InternalDefectError(
+            "radical mismatch: intersection of maximal ideals differs from "
+            "the nilpotent set")
+    return nilradical(ring)
 
 
 def is_connected_mod_rad(ring: FiniteRing) -> bool:

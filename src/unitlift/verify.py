@@ -234,21 +234,25 @@ def criterion_polynomial_unit_images(rings, ctx: RunContext) -> CriterionResult:
 
 
 def criterion_product_radical(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures = 0, []
+    checks, failures, defects = 0, [], 0
     for ring in rings:
         if not isinstance(ring, ProductRing):
             continue
+        name = spec_to_string(ring.spec)
+        try:
+            rad = jacobson_radical(ring).elements
+            factor_rads = [sorted(jacobson_radical(f).elements) for f in ring.factors]
+        except InternalDefectError as exc:
+            failures.append(f"{name}: defect: {exc}")
+            defects += 1
+            continue
         checks += 1
-        rad = jacobson_radical(ring).elements
-        factor_rads = [sorted(jacobson_radical(f).elements) for f in ring.factors]
-        expected = frozenset(
-            ring.encode(combo) for combo in itertools.product(*factor_rads))
+        expected = frozenset(ring.encode(combo) for combo in itertools.product(*factor_rads))
         if rad != expected:
-            failures.append(f"{spec_to_string(ring.spec)}: radical is not "
-                            "the product of the factor radicals")
+            failures.append(f"{name}: radical is not the product of the factor radicals")
     return _result("product-radical-splits",
                    "The radical of a product is the product of the radicals",
-                   checks, failures)
+                   checks, failures, defects=defects)
 
 
 def criterion_radical_reduction(rings, ctx: RunContext) -> CriterionResult:
@@ -531,23 +535,28 @@ def criterion_dedekind(rings, ctx: RunContext) -> CriterionResult:
 
 def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
     rng = random.Random(f"{ctx.seed}:saturation")
-    checks, failures = 0, []
+    checks, failures, defects = 0, [], 0
     for ring in rings:
         name = spec_to_string(ring.spec)
         n = ring.carrier_size
-        rad = np.flatnonzero(jacobson_radical(ring).mask)
-        subsets = [(), (ring.one,), np.flatnonzero(ring.unit_mask()),
-                   ring.add_many(ring.one, rad)]
-        for _ in range(4):
-            k = rng.randint(0, min(n, 24))
-            subsets.append(rng.sample(range(n), k))
-        extras = [rng.sample(range(n), rng.randint(0, min(n, 8))) for _ in subsets]
-        # the eight subsets, then each widened by its extra elements, as one
-        # mask array, and the eight saturations saturated again
-        w = np.array([member_mask(ring, s) for s in subsets])
-        wider = w | np.array([member_mask(ring, e) for e in extras])
-        sat, sat_wider = np.split(_saturate_masks(ring, np.concatenate([w, wider])), 2)
-        again = _saturate_masks(ring, sat)
+        try:
+            rad = np.flatnonzero(jacobson_radical(ring).mask)
+            subsets = [(), (ring.one,), np.flatnonzero(ring.unit_mask()),
+                       ring.add_many(ring.one, rad)]
+            for _ in range(4):
+                k = rng.randint(0, min(n, 24))
+                subsets.append(rng.sample(range(n), k))
+            extras = [rng.sample(range(n), rng.randint(0, min(n, 8))) for _ in subsets]
+            # the eight subsets, then each widened by its extra elements, as one
+            # mask array, and the eight saturations saturated again
+            w = np.array([member_mask(ring, s) for s in subsets])
+            wider = w | np.array([member_mask(ring, e) for e in extras])
+            sat, sat_wider = np.split(_saturate_masks(ring, np.concatenate([w, wider])), 2)
+            again = _saturate_masks(ring, sat)
+        except InternalDefectError as exc:
+            failures.append(f"{name}: defect: {exc}")
+            defects += 1
+            continue
         for subset, closed, twice, closed_wider in zip(w, sat, again, sat_wider):
             checks += 1
             if (subset & ~closed).any():
@@ -594,7 +603,7 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
     return _result("saturation-closure-laws",
                    "Saturation is a closure operation and {1} saturates to "
                    "the units, in both variants",
-                   checks, failures)
+                   checks, failures, defects=defects)
 
 
 def _render_matrix_set(matrices) -> str:

@@ -295,7 +295,7 @@ def test_a_disagreeing_ideal_ends_its_ring(monkeypatch):
     assert quotient.carrier_size == 4
     flipped = quotient.unit_mask().copy()
     flipped[2] = True
-    monkeypatch.setattr(quotient, "_unit_mask", flipped)
+    monkeypatch.setitem(quotient._cache, "unit_mask", flipped)
     _assert_star_defect(ring, 2, (
         f"star methods disagree on {ring!r} / {ideal!r}: "
         "direct=False, saturatedSum=True, satEquality=True, witness=True"))
@@ -308,7 +308,7 @@ def test_a_direct_defect_ends_its_ring(monkeypatch):
     def broken():
         raise InternalDefectError("the quotient lost its units")
 
-    monkeypatch.setattr(quotient, "_unit_mask", None)
+    monkeypatch.delitem(quotient._cache, "unit_mask", raising=False)
     monkeypatch.setattr(quotient, "_find_units", broken)
     _assert_star_defect(ring, 3, "the quotient lost its units")
 

@@ -28,6 +28,7 @@ from unitlift.star import (
     saturate,
     star_check,
 )
+from unitlift.verify import RunContext, criterion_product_radical, criterion_saturation_laws
 
 
 def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
@@ -99,7 +100,7 @@ def test_a_non_nilpotent_outside_the_image_of_the_units_is_a_defect(table_limit,
     # their images in 9R = {0, 3, 6, 9} are {9}, so the non-nilpotent 3 of
     # 9R is the image of no unit
     ring = build_ring("Z/12", Guards(table_limit=table_limit))
-    ring._unit_mask = member_mask(ring, {1, 5})
+    ring._cache["unit_mask"] = member_mask(ring, {1, 5})
     monkeypatch.setattr(star, "_principal_cells", lambda ring: None)
     with pytest.raises(InternalDefectError, match=(
             "^a non-nilpotent element of a local factor is not the image of a unit$")):
@@ -128,6 +129,22 @@ def test_a_non_nilpotent_that_is_no_unit_of_its_factor_is_a_defect():
     with pytest.raises(InternalDefectError, match=(
             r"^x\^\(q - 1\) - e is not nilpotent for a non-nilpotent x of a local factor$")):
         ring_has_star(ring)
+
+
+def test_a_radical_mismatch_ends_its_ring_in_the_criteria_reading_the_radical():
+    # with N doctored to {0}, the maximal ideals of Z/4 x Z/3 meet in
+    # 2Z/4 x 0 instead: one defect for that ring, and the next ring is
+    # checked as it is alone; a result shows its first eight failures
+    doctored = build_ring("prod(Z/4,Z/3)")
+    doctored._cache["nilradical"] = rings.Ideal(doctored, (), member_mask(doctored, {0}))
+    text = "radical mismatch: intersection of maximal ideals differs from the nilpotent set"
+    for criterion in (criterion_product_radical, criterion_saturation_laws):
+        alone = criterion([build_ring("prod(Z/2,Z/3)")], RunContext())
+        result = criterion([doctored, build_ring("prod(Z/2,Z/3)")], RunContext())
+        assert result.failures[0] == f"prod(Z/4,Z/3): defect: {text}"
+        assert result.failures[1:8] == alone.failures[:7]
+        assert (result.defects, alone.defects) == (1, 0)
+        assert result.checks == alone.checks > 0
 
 
 def test_a_closure_that_is_not_additively_closed_is_a_defect(monkeypatch):
@@ -195,7 +212,7 @@ def test_a_reduction_that_changes_the_verdict_is_a_defect(monkeypatch):
     reduced, proj = radical_quotient(ring)
     quotient, _ = quotient_ring(reduced, ideal_from_mask(reduced, proj.image(ideal.mask)))
     assert quotient.carrier_size == 2
-    monkeypatch.setattr(quotient, "_unit_mask", np.ones(2, dtype=bool))
+    monkeypatch.setitem(quotient._cache, "unit_mask", np.ones(2, dtype=bool))
     with pytest.raises(InternalDefectError,
                        match="^reduction modulo the radical changed the lifting verdict$"):
         reduce_mod_rad_equiv(ring, ideal)

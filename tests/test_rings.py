@@ -30,12 +30,19 @@ from unitlift.config import Guards
 from unitlift.errors import GuardExceededError, InternalDefectError
 from unitlift.rings import (
     INTEGERS,
+    FiniteRing,
     Ideal,
     ModularRing,
     PolyQuotientRing,
     QuotientRing,
+    SurjectiveHom,
+    _coset_map,
+    _factor_lattices,
+    _factor_principals,
+    _idempotent_mask,
     _ideals_from_masks,
     _principal_cells,
+    _residue_field_sizes,
     _unit_orbits,
     build_ring,
     check_element,
@@ -51,8 +58,16 @@ from unitlift.rings import (
     sumset,
 )
 from unitlift.specs import ModularSpec, spec_to_string
-from unitlift.star import ring_has_star, saturate
-from unitlift.spectrum import nilradical
+from unitlift.semiunits import is_semifield
+from unitlift.star import ring_has_star, saturate, star_report
+from unitlift.spectrum import (
+    MaximalIdealList,
+    idempotents,
+    is_connected_mod_rad,
+    jacobson_radical,
+    maximal_ideals,
+    nilradical,
+)
 from unitlift.verify import RunContext, corpus_rings, criterion_rho_laws
 
 AXIOM_SPECS = [
@@ -697,6 +712,52 @@ def test_principal_mask_is_cached_and_read_only():
     assert principal(ring, 8) is mask
     assert not mask.flags.writeable
     assert np.flatnonzero(mask).tolist() == [0, 4, 8]
+
+
+def _published_arrays(value):
+    """The arrays a cache entry publishes, down through the values that
+    hold them; a value of any other kind fails the walk."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _published_arrays(item)
+    elif isinstance(value, Ideal):
+        yield value.mask
+    elif isinstance(value, MaximalIdealList):
+        yield from _published_arrays(value.ideals)
+    elif isinstance(value, QuotientRing):
+        yield from (value.reps, value.qmap)
+        for entry in value._cache.values():
+            yield from _published_arrays(entry)
+    elif isinstance(value, SurjectiveHom):
+        yield value.mapping
+    else:
+        assert isinstance(value, (int, frozenset)), f"unexpected cache entry {value!r}"
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "GF(2)[x]/(x^4+x^3)", "GF(3)[x]/(x^2)",
+                                  "prod(Z/4,GF(2)[x]/(x^3),Z/9)", "quot(Z/1024;256)"])
+def test_every_published_cache_entry_is_read_only_and_stable(spec):
+    ring = build_ring(spec)
+    # what `ring info`, `ring ideals`, `star ring` and `star check` compute
+    jacobson_radical(ring), idempotents(ring), ring.units()
+    maximal_ideals(ring), is_connected_mod_rad(ring), is_semifield(ring)
+    ideal = [i for i in enumerate_ideals(ring) if i.is_proper()][-1]
+    ring_has_star(ring), quotient_ring(ring, ideal), star_report(ring, ideal)
+    cached = [FiniteRing.unit_mask, FiniteRing.units, nilradical, jacobson_radical, maximal_ideals,
+              local_factors, _idempotent_mask, _residue_field_sizes, _factor_principals,
+              _principal_cells, _unit_orbits, _factor_lattices,
+              lambda ring: principal(ring, ring.one),
+              lambda ring: _coset_map(ring, ideal.mask),
+              lambda ring: quotient_ring(ring, ideal)]
+    for function in cached:
+        assert function(ring) is function(ring), function
+    first, again = enumerate_ideals(ring), enumerate_ideals(ring)
+    assert first is not again and all(a is b for a, b in zip(first, again, strict=True))
+    arrays = [a for entry in ring._cache.values() for a in _published_arrays(entry)]
+    assert len(arrays) > 20
+    assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("spec", ["prod(Z/8,Z/8,Z/8,Z/2)",

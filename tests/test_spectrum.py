@@ -199,7 +199,7 @@ def test_a_non_unit_read_as_a_unit_is_a_defect(spec, monkeypatch):
     v = ring.add(ring.mul(e, int(y)), ring.sub(ring.one, e))
     assert not flipped[v]
     flipped[v] = True
-    monkeypatch.setattr(ring, "_unit_mask", flipped)
+    monkeypatch.setitem(ring._cache, "unit_mask", flipped)
     with pytest.raises(InternalDefectError, match=f"^{re.escape(FLIPPED_UNIT_DEFECTS[spec])}$"):
         jacobson_radical(ring)
 
@@ -210,7 +210,7 @@ def test_one_read_as_a_non_unit_is_a_defect(spec, monkeypatch):
     ring = build_ring(spec)
     flipped = ring.unit_mask().copy()
     flipped[ring.one] = False
-    monkeypatch.setattr(ring, "_unit_mask", flipped)
+    monkeypatch.setitem(ring._cache, "unit_mask", flipped)
     with pytest.raises(InternalDefectError, match=f"^{NOT_MAXIMAL}$"):
         jacobson_radical(ring)
 

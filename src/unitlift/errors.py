@@ -22,9 +22,9 @@ class InternalDefectError(RuntimeError):
     """Two independent computations of the same fact disagreed, or a
     certified construction failed its own certificate.
 
-    Nothing recovers from it.  Seven criteria of the verification corpus
-    (verify.py) catch it only to count it as a defect, and ``unitlift
-    corpus run`` exits 70 when any was counted, the exit code the CLI gives
-    an uncaught one.  Reaching it means the library, not the input, is
-    wrong.
+    Nothing recovers from it.  The verification corpus (verify.py) catches
+    it only at its one per-ring boundary, to count it as a defect of that
+    ring, and ``unitlift corpus run`` exits 70 when any was counted, the
+    exit code the CLI gives an uncaught one.  Reaching it means the
+    library, not the input, is wrong.
     """

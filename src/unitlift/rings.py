@@ -824,11 +824,6 @@ def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hit.reshape(a.shape)
 
 
-def sumset(ring: FiniteRing, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
-    """{x + y : x in a, y in b}."""
-    return _as_set(_sum_mask(ring, member_mask(ring, a), member_mask(ring, b)))
-
-
 def _join(ring: FiniteRing, span: np.ndarray, h: int) -> np.ndarray:
     """Mask of span + <h>, for the mask of an additive subgroup span.
 

@@ -99,14 +99,15 @@ def _rows(ring: FiniteRing, xs: np.ndarray, row) -> np.ndarray:
 
 
 def _semi_inverse_rows(ring: FiniteRing, rs: np.ndarray) -> np.ndarray:
-    """Row i marks the semi-inverses of rs[i]; ValueError names the first
-    element that has none."""
+    """Row i marks the semi-inverses of rs[i], elements outside the radical;
+    one that has none is a defect (r^(m-1) of _semi_inverse_found is one)."""
     every = np.arange(ring.carrier_size)
     rows = _rows(ring, rs, lambda r: _semi_inverse_mask(ring, r, every))
     found = rows.any(axis=1)
     if not found.all():
         r = int(rs[np.argmin(found)])
-        raise ValueError(f"{ring.render(r)} has no semi-inverse")
+        raise InternalDefectError(
+            f"element {ring.render(r)} of a finite ring has no semi-inverse")
     return rows
 
 

@@ -10,21 +10,31 @@ kinds at a range of carriers; the selection is part of the corpus contract
 and never depends on the seed.
 
 Each criterion is one function returning a CriterionResult; the runner
-executes them all.  Seeds influence only the sampled checks (random matrix
-lifts, random saturation subsets), never the exhaustive ones.  Matrix lifts
-are checked as arrays, the sampled ones drawn a batch at a time.  A row that
-a batch helper returns with a None defect is certified and only counted.
-The star methods are decided a whole ring at a time (_star_reports), with
-the checks count and defect text of one ideal at a time, and each ring's
-eight saturation subsets are saturated as one stack of masks, drawn from
-the seeded generator in the same order as one subset at a time.  The
-determinism criterion runs its two reduced replicas at once, one of them
-in a child forked with os.fork (POSIX), whose global generators of random
-and numpy are reseeded from the OS before its replica runs.
+executes them all.  A criterion that loops over corpus rings checks each
+ring inside one defect boundary (_Tally.ring): an InternalDefectError raised
+there ends that ring's check as one failure "<spec>: defect: <text>" and one
+defect, after the checks the ring had already counted, and the next ring is
+still checked.  semi-inverse-coset and decomposition-certificates count a
+defect per element, "<spec>, element <r>: defect: <text>", without ending
+the ring.  A defect outside any ring loop is not caught: it ends run_corpus,
+and `unitlift corpus run` exits 70.
+
+Seeds influence only the sampled checks (random matrix lifts, random
+saturation subsets), never the exhaustive ones.  Matrix lifts are checked as
+arrays, the sampled ones drawn a batch at a time.  A row that a batch helper
+returns with a None defect is certified and only counted.  The star methods
+are decided a whole ring at a time (_star_reports), with the checks count
+and defect text of one ideal at a time, and each ring's eight saturation
+subsets are saturated as one stack of masks, drawn from the seeded generator
+in the same order as one subset at a time.  The determinism criterion runs
+its two reduced replicas at once, one of them in a child forked with os.fork
+(POSIX), whose global generators of random and numpy are reseeded from the
+OS before its replica runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -142,13 +152,46 @@ class CriterionResult:
         return f"[{mark}] {self.key}: {self.title} ({self.checks} checks){extra}"
 
 
-def _result(key, title, checks, failures, info=None, defects=0) -> CriterionResult:
-    failures = list(failures)
-    shown = failures[:8]
-    if len(failures) > 8:
-        shown.append(f"... and {len(failures) - 8} more")
-    return CriterionResult(key, title, not failures, checks, shown, info or {},
-                           defects)
+class _Tally:
+    """One criterion's checks, failures and defects, and the per-ring defect
+    boundary of every criterion that loops over corpus rings.
+
+    The boundary is a context manager, so that each criterion's body stays
+    inline in its own loop, where filters and continue read as in any loop;
+    a generator over the rings could not catch the exception its consumer
+    raises."""
+
+    def __init__(self, key: str, title: str):
+        self.key, self.title = key, title
+        self.checks, self.failures, self.defects = 0, [], 0
+
+    @contextlib.contextmanager
+    def ring(self, ring):
+        """Yield the ring's name; an InternalDefectError raised in the body
+        ends the ring as one defect, and the caller goes on to the next."""
+        name = spec_to_string(ring.spec)
+        try:
+            yield name
+        except InternalDefectError as exc:
+            self.defect(name, exc)
+
+    def defect(self, where: str, text) -> None:
+        self.failures.append(f"{where}: defect: {text}")
+        self.defects += 1
+
+    def count(self, checks: int, defect: str | None) -> None:
+        """Count the checks certified before defect, which ends the ring."""
+        self.checks += checks
+        if defect is not None:
+            raise InternalDefectError(defect)
+
+    def result(self, info: dict | None = None) -> CriterionResult:
+        """The result, showing the first eight failures."""
+        shown = self.failures[:8]
+        if len(self.failures) > 8:
+            shown.append(f"... and {len(self.failures) - 8} more")
+        return CriterionResult(self.key, self.title, not self.failures, self.checks,
+                               shown, info or {}, self.defects)
 
 
 def _proper_ideals(ring):
@@ -161,146 +204,116 @@ def _proper_ideals(ring):
 
 def criterion_star_agreement(rings, ctx: RunContext) -> CriterionResult:
     """All four lifting checks give one verdict on every proper quotient."""
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("star-methods-agree",
+                   "Four lifting checks agree on every proper quotient")
     for ring in rings:
-        name = spec_to_string(ring.spec)
-        try:
+        with tally.ring(ring) as name:
             reports, defect = _star_reports(ring, _proper_ideals(ring))
-        except InternalDefectError as exc:
-            reports, defect = [], str(exc)
-        checks += len(reports)
-        failures += [f"{name} mod {list(r.ideal.generators)}: all methods false"
-                     for r in reports if not r.holds]
-        if defect is not None:
-            failures.append(f"{name}: defect: {defect}")
-            defects += 1
-    return _result("star-methods-agree",
-                   "Four lifting checks agree on every proper quotient",
-                   checks, failures, defects=defects)
+            tally.failures += [f"{name} mod {list(r.ideal.generators)}: all methods false"
+                               for r in reports if not r.holds]
+            tally.count(len(reports), defect)
+    return tally.result()
 
 
 def criterion_rings_lift_units(rings, ctx: RunContext) -> CriterionResult:
-    """ring_has_star certifies every proper quotient or raises; a defect is
-    counted per ring, and the other rings are still checked."""
-    checks, failures, defects = 0, [], 0
+    """ring_has_star certifies every proper quotient or raises."""
+    tally = _Tally("rings-lift-units",
+                   "Every corpus ring lifts units along all of its quotients")
     for ring in rings:
-        try:
-            checks += len(ring_has_star(ring).entries)
-        except InternalDefectError as exc:
-            failures.append(f"{spec_to_string(ring.spec)}: defect: {exc}")
-            defects += 1
-    return _result("rings-lift-units",
-                   "Every corpus ring lifts units along all of its quotients",
-                   checks, failures, defects=defects)
+        with tally.ring(ring):
+            tally.checks += len(ring_has_star(ring).entries)
+    return tally.result()
 
 
 def criterion_integer_unit_images(rings, ctx: RunContext) -> CriterionResult:
+    tally = _Tally("integer-unit-images",
+                   "Reduction from the integers hits every unit only for "
+                   "moduli 2, 3, 4, 6")
     expected = frozenset((2, 3, 4, 6))
     true_moduli = set()
-    checks = 0
     for n in range(2, 51):
         if presented_star_check(INTEGERS, n, ctx.guards).has_star:
             true_moduli.add(n)
-        checks += 1
-    failures = []
+        tally.checks += 1
     if true_moduli != expected:
-        failures.append(f"true moduli {sorted(true_moduli)} != {sorted(expected)}")
+        tally.failures.append(f"true moduli {sorted(true_moduli)} != {sorted(expected)}")
     primes = {n for n in range(2, 51) if all(n % d for d in range(2, n))}
     if true_moduli & primes != {2, 3}:
-        failures.append(f"true primes {sorted(true_moduli & primes)} != [2, 3]")
-    return _result("integer-unit-images",
-                   "Reduction from the integers hits every unit only for "
-                   "moduli 2, 3, 4, 6",
-                   checks, failures,
-                   {"trueModuli": sorted(true_moduli)})
+        tally.failures.append(f"true primes {sorted(true_moduli & primes)} != [2, 3]")
+    return tally.result({"trueModuli": sorted(true_moduli)})
 
 
 def criterion_polynomial_unit_images(rings, ctx: RunContext) -> CriterionResult:
+    tally = _Tally("polynomial-unit-images",
+                   "GF(2)[x]: reduction mod x lifts units, mod x^2 misses x+1")
     gf2x = gf_polynomial_ring(2)
-    failures = []
+    tally.checks = 2
     linear = presented_star_check(gf2x, (0, 1), ctx.guards)
     if not linear.has_star:
-        failures.append("reduction mod x should lift all units")
+        tally.failures.append("reduction mod x should lift all units")
     squared = presented_star_check(gf2x, (0, 0, 1), ctx.guards)
     if squared.has_star:
-        failures.append("reduction mod x^2 should miss a unit")
+        tally.failures.append("reduction mod x^2 should miss a unit")
     else:
         witness = squared.quotient.render(squared.witness)
         if witness != "x+1":
-            failures.append(f"expected the missed unit x+1, got {witness}")
-    return _result("polynomial-unit-images",
-                   "GF(2)[x]: reduction mod x lifts units, mod x^2 misses x+1",
-                   2, failures)
+            tally.failures.append(f"expected the missed unit x+1, got {witness}")
+    return tally.result()
 
 
 def criterion_product_radical(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("product-radical-splits",
+                   "The radical of a product is the product of the radicals")
     for ring in rings:
         if not isinstance(ring, ProductRing):
             continue
-        name = spec_to_string(ring.spec)
-        try:
+        with tally.ring(ring) as name:
             rad = jacobson_radical(ring).elements
             factor_rads = [sorted(jacobson_radical(f).elements) for f in ring.factors]
-        except InternalDefectError as exc:
-            failures.append(f"{name}: defect: {exc}")
-            defects += 1
-            continue
-        checks += 1
-        expected = frozenset(ring.encode(combo) for combo in itertools.product(*factor_rads))
-        if rad != expected:
-            failures.append(f"{name}: radical is not the product of the factor radicals")
-    return _result("product-radical-splits",
-                   "The radical of a product is the product of the radicals",
-                   checks, failures, defects=defects)
+            tally.checks += 1
+            expected = frozenset(ring.encode(combo) for combo in itertools.product(*factor_rads))
+            if rad != expected:
+                tally.failures.append(
+                    f"{name}: radical is not the product of the factor radicals")
+    return tally.result()
 
 
 def criterion_radical_reduction(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("radical-reduction-stable",
+                   "Passing to the reduced ring never changes a lifting verdict")
     for ring in rings:
         if ring.carrier_size > 256:
             continue
-        name = spec_to_string(ring.spec)
-        try:
+        with tally.ring(ring) as name:
             ideals = _proper_ideals(ring)
             reports, defect = _reduce_mod_rad_many(ring, ideals)
-        except InternalDefectError as exc:
-            ideals, reports, defect = [], [], str(exc)
-        checks += len(reports)
-        failures += [f"{name} mod {list(ideal.generators)}: {report}"
-                     for ideal, report in zip(ideals, reports)
-                     if report.verdict != report.reduced_verdict or report.degenerate]
-        if defect is not None:
-            failures.append(f"{name}: defect: {defect}")
-            defects += 1
-    return _result("radical-reduction-stable",
-                   "Passing to the reduced ring never changes a lifting verdict",
-                   checks, failures, defects=defects)
+            tally.failures += [
+                f"{name} mod {list(ideal.generators)}: {report}"
+                for ideal, report in zip(ideals, reports)
+                if report.verdict != report.reduced_verdict or report.degenerate]
+            tally.count(len(reports), defect)
+    return tally.result()
 
 
 def criterion_rho_laws(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("rho-laws",
+                   "rho is 0 exactly on the radical, 1 on all units, with "
+                   "equality marking connectedness")
     for ring in rings:
         if ring.carrier_size > 256:
             continue
-        name = spec_to_string(ring.spec)
-        try:
+        with tally.ring(ring) as name:
             table = rho_table(ring)
-        except InternalDefectError as exc:
-            failures.append(f"{name}: defect: {exc}")
-            defects += 1
-            continue
-        checks += 1
-        zeros = frozenset(r for r, v in enumerate(table) if v is Rho.ZERO)
-        ones = frozenset(r for r, v in enumerate(table) if v is Rho.ONE)
-        rad = jacobson_radical(ring).elements
-        if zeros != rad:
-            failures.append(f"{name}: rho 0 set differs from the radical")
-        if not ring.units() <= ones:
-            failures.append(f"{name}: some unit has rho != 1")
-        if (ones == ring.units()) != is_connected_mod_rad(ring):
-            failures.append(f"{name}: rho/units equality disagrees with "
-                            "connectedness of the reduced ring")
+            tally.checks += 1
+            zeros = frozenset(r for r, v in enumerate(table) if v is Rho.ZERO)
+            ones = frozenset(r for r, v in enumerate(table) if v is Rho.ONE)
+            if zeros != jacobson_radical(ring).elements:
+                tally.failures.append(f"{name}: rho 0 set differs from the radical")
+            if not ring.units() <= ones:
+                tally.failures.append(f"{name}: some unit has rho != 1")
+            if (ones == ring.units()) != is_connected_mod_rad(ring):
+                tally.failures.append(f"{name}: rho/units equality disagrees with "
+                                      "connectedness of the reduced ring")
     presented = [
         (INTEGERS, 0, Rho.ZERO), (INTEGERS, 1, Rho.ONE), (INTEGERS, -1, Rho.ONE),
         (INTEGERS, 2, Rho.INFINITE), (INTEGERS, -6, Rho.INFINITE),
@@ -311,105 +324,92 @@ def criterion_rho_laws(rings, ctx: RunContext) -> CriterionResult:
         (gf_polynomial_ring(3), (1, 1), Rho.INFINITE),
     ]
     for ring, elem, expected in presented:
-        checks += 1
+        tally.checks += 1
         got = rho(ring, elem)
         if got is not expected:
-            failures.append(f"{ring!r}: rho({elem!r}) = {got}, expected {expected}")
-    return _result("rho-laws",
-                   "rho is 0 exactly on the radical, 1 on all units, with "
-                   "equality marking connectedness",
-                   checks, failures, defects=defects)
+            tally.failures.append(f"{ring!r}: rho({elem!r}) = {got}, expected {expected}")
+    return tally.result()
 
 
 def criterion_semi_inverse_coset(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("semi-inverse-coset",
+                   "Semi-inverses form one coset of the colon ideal into the "
+                   "radical, stable under squaring")
     for ring in rings:
         if ring.carrier_size > 100:
             continue
-        name = spec_to_string(ring.spec)
-        rs = np.flatnonzero(~jacobson_radical(ring).mask)
-        k = len(rs)
-        inverses = _semi_inverse_rows(ring, rs)
-        # the colons of r and of r^2 in one batch, so that each distinct
-        # colon ideal is certified once
-        colons, ideals = _colon_rows(ring, np.concatenate([rs, ring.mul_many(rs, rs)]))
-        colon = colons[:k]
-        # s lies in base + colon exactly when s - base lies in the colon
-        base = inverses.argmax(axis=1)
-        shifted = ring.add_many(np.arange(ring.carrier_size), ring.neg_many(base)[:, None])
-        coset = (inverses == np.take_along_axis(colon, shifted, axis=1)).all(axis=1)
-        stable = (colon == colons[k:]).all(axis=1)
-        for r, ideal, ideal_sq, is_coset, is_stable in zip(
-                rs.tolist(), ideals[:k], ideals[k:], coset.tolist(), stable.tolist()):
-            if ideal is None or ideal_sq is None:
-                failures.append(f"{name}, element {ring.render(r)}: defect: "
-                                "colon ideal changed when squaring r")
-                defects += 1
-                continue
-            checks += 1
-            if not is_coset:
-                failures.append(f"{name}: semi-inverses of {ring.render(r)} "
-                                "are not one colon-ideal coset")
-            if not is_stable:
-                failures.append(f"{name}: colon ideal moved when squaring "
-                                f"{ring.render(r)}")
-    return _result("semi-inverse-coset",
-                   "Semi-inverses form one coset of the colon ideal into the "
-                   "radical, stable under squaring",
-                   checks, failures, defects=defects)
+        with tally.ring(ring) as name:
+            rs = np.flatnonzero(~jacobson_radical(ring).mask)
+            k = len(rs)
+            inverses = _semi_inverse_rows(ring, rs)
+            # the colons of r and of r^2 in one batch, so that each distinct
+            # colon ideal is certified once
+            colons, ideals = _colon_rows(ring, np.concatenate([rs, ring.mul_many(rs, rs)]))
+            colon = colons[:k]
+            # s lies in base + colon exactly when s - base lies in the colon
+            base = inverses.argmax(axis=1)
+            shifted = ring.add_many(np.arange(ring.carrier_size), ring.neg_many(base)[:, None])
+            coset = (inverses == np.take_along_axis(colon, shifted, axis=1)).all(axis=1)
+            stable = (colon == colons[k:]).all(axis=1)
+            for r, ideal, ideal_sq, is_coset, is_stable in zip(
+                    rs.tolist(), ideals[:k], ideals[k:], coset.tolist(), stable.tolist()):
+                if ideal is None or ideal_sq is None:
+                    tally.defect(f"{name}, element {ring.render(r)}",
+                                 "colon ideal changed when squaring r")
+                    continue
+                tally.checks += 1
+                if not is_coset:
+                    tally.failures.append(f"{name}: semi-inverses of {ring.render(r)} "
+                                          "are not one colon-ideal coset")
+                if not is_stable:
+                    tally.failures.append(f"{name}: colon ideal moved when squaring "
+                                          f"{ring.render(r)}")
+    return tally.result()
 
 
 def criterion_decomposition(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("decomposition-certificates",
+                   "Every semi-unit decomposes as unit*idempotent + radical, "
+                   "with certificates")
     for ring in rings:
         if ring.carrier_size > 100:
             continue
-        name = spec_to_string(ring.spec)
-        rs = np.flatnonzero(~jacobson_radical(ring).mask)
-        why = _decompositions(ring, rs)[3]
-        for r, defect in zip(rs.tolist(), why):
-            if defect is None:
-                checks += 1
-            else:
-                failures.append(f"{name}, element {ring.render(r)}: defect: {defect}")
-                defects += 1
+        with tally.ring(ring) as name:
+            rs = np.flatnonzero(~jacobson_radical(ring).mask)
+            why = _decompositions(ring, rs)[3]
+            for r, defect in zip(rs.tolist(), why):
+                if defect is None:
+                    tally.checks += 1
+                else:
+                    tally.defect(f"{name}, element {ring.render(r)}", defect)
     ten = build_ring("Z/10", ctx.guards)
     dec = semi_unit_decomposition(ten, 2)
-    checks += 1
+    tally.checks += 1
     if (dec.u, dec.e, dec.t) != (7, 6, 0):
-        failures.append(f"Z/10 element 2: expected (7, 6, 0), got "
-                        f"({dec.u}, {dec.e}, {dec.t})")
-    return _result("decomposition-certificates",
-                   "Every semi-unit decomposes as unit*idempotent + radical, "
-                   "with certificates",
-                   checks, failures, defects=defects)
+        tally.failures.append(f"Z/10 element 2: expected (7, 6, 0), got "
+                              f"({dec.u}, {dec.e}, {dec.t})")
+    return tally.result()
 
 
-def _first_defect(defects) -> int:
-    """The index of the first defect in a batch's list, or its length."""
-    return next((i for i, d in enumerate(defects) if d is not None), len(defects))
+def _first_defect(why) -> tuple[int, str | None]:
+    """The number of certified rows before the first defect of a batch's
+    list, and that defect, or None."""
+    done = next((i for i, d in enumerate(why) if d is not None), len(why))
+    return done, why[done] if done < len(why) else None
 
 
 def criterion_unit_lifting(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("quotient-unit-lifting",
+                   "Every unit of every proper quotient lifts by CRT adjustment")
     for ring in rings:
         if ring.carrier_size > 256:
             continue
-        name = spec_to_string(ring.spec)
-        try:
+        with tally.ring(ring):
             for ideal in _proper_ideals(ring):
                 quotient, _ = quotient_ring(ring, ideal)
                 why = _crt_unit_lifts(ring, ideal, np.flatnonzero(quotient.unit_mask()))[1]
-                done = _first_defect(why)
-                checks += done
-                if done < len(why):
-                    raise InternalDefectError(why[done])
-        except InternalDefectError as exc:
-            failures.append(f"{name}: defect: {exc}")
-            defects += 1
-    return _result("quotient-unit-lifting",
-                   "Every unit of every proper quotient lifts by CRT adjustment",
-                   checks, failures, defects=defects)
+                tally.count(*_first_defect(why))
+    return tally.result()
 
 
 def _is_product_of_small_fields(ring) -> bool:
@@ -429,29 +429,20 @@ def _adjustment_pairs(ring):
 
 
 def criterion_field_product_adjustment(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("field-product-adjustment",
+                   "The vanishing-coordinate adjustment produces units in "
+                   "products of fields")
     eligible = 0
     for ring in rings:
         if not _is_product_of_small_fields(ring):
             continue
         eligible += 1
-        name = spec_to_string(ring.spec)
-        try:
+        with tally.ring(ring):
             for ideal, pairs in _adjustment_pairs(ring):
-                why = _fields_adjust_many(ring, ideal, *pairs.T)[1]
-                done = _first_defect(why)
-                checks += done
-                if done < len(why):
-                    raise InternalDefectError(why[done])
-        except InternalDefectError as exc:
-            failures.append(f"{name}: defect: {exc}")
-            defects += 1
+                tally.count(*_first_defect(_fields_adjust_many(ring, ideal, *pairs.T)[1]))
     if eligible < 3:
-        failures.append(f"only {eligible} products of small fields in the corpus")
-    return _result("field-product-adjustment",
-                   "The vanishing-coordinate adjustment produces units in "
-                   "products of fields",
-                   checks, failures, {"rings": eligible}, defects=defects)
+        tally.failures.append(f"only {eligible} products of small fields in the corpus")
+    return tally.result({"rings": eligible})
 
 
 def _every_matrix(size: int, dim: int) -> np.ndarray:
@@ -484,23 +475,25 @@ def _draw_lifts(rng: random.Random, proj, dim: int, count: int):
 
 
 def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures, defects = 0, [], 0
+    tally = _Tally("matrix-entrywise-lifts",
+                   "Entrywise lifts of invertible matrices stay invertible "
+                   "when the kernel is radical")
     # exhaustive: Z/4 -> Z/2, dimension 2, every invertible matrix, every lift
     four = build_ring("Z/4", ctx.guards)
     target, hom = quotient_ring(four, ideal_closure(four, [2]))
     matrices = _every_matrix(target.carrier_size, 2)
     invertible = matrices[target.unit_mask()[_det(target, matrices)]]
     if len(invertible) != 6:
-        failures.append(f"expected 6 invertible 2x2 matrices over the "
-                        f"two-element field, found {len(invertible)}")
+        tally.failures.append(f"expected 6 invertible 2x2 matrices over the "
+                              f"two-element field, found {len(invertible)}")
     # lifts[i, c] takes preimage c[k] of entry k of invertible matrix i
     fibres = hom.fibres()
     lifts = fibres[invertible[:, None], _every_matrix(fibres.shape[1], 2)]
     bad = ~four.unit_mask()[_det(four, lifts)]
-    checks += bad.size
+    tally.checks += bad.size
     for i, c in np.argwhere(bad).tolist():
-        failures.append(f"non-invertible lift {Matrix._of(four, lifts[i, c]).render()} "
-                        f"of {Matrix._of(target, invertible[i]).render()}")
+        tally.failures.append(f"non-invertible lift {Matrix._of(four, lifts[i, c]).render()} "
+                              f"of {Matrix._of(target, invertible[i]).render()}")
     # sampled: local towers, dimensions 2 and 3
     rng = random.Random(f"{ctx.seed}:matrix-lifts")
     for source_spec, gen in (("Z/8", 2), ("Z/9", 3), ("Z/25", 5)):
@@ -511,35 +504,31 @@ def criterion_matrix_lifts(rings, ctx: RunContext) -> CriterionResult:
             targets, lifts = _draw_lifts(rng, proj, dim, ctx.gl_samples)
             for defect in _lift_defects(proj, targets, lifts):
                 if defect is not None:
-                    failures.append(f"{source_spec} dim {dim}: defect: {defect}")
-                    defects += 1
-            checks += ctx.gl_samples
-    return _result("matrix-entrywise-lifts",
-                   "Entrywise lifts of invertible matrices stay invertible "
-                   "when the kernel is radical",
-                   checks, failures, defects=defects)
+                    tally.defect(f"{source_spec} dim {dim}", defect)
+            tally.checks += ctx.gl_samples
+    return tally.result()
 
 
 def criterion_dedekind(rings, ctx: RunContext) -> CriterionResult:
-    checks, failures = 0, []
+    tally = _Tally("dedekind-finiteness",
+                   "One-sided matrix inverses over small fields are two-sided")
     for spec in ("Z/2", "Z/3"):
         ring = build_ring(spec, ctx.guards)
         space = MatrixSpace(ring, 2)
-        checks += space.size ** 2
+        tally.checks += space.size ** 2
         if not dedekind_finite_check(space):
-            failures.append(f"one-sided inverse over {spec} is not two-sided")
-    return _result("dedekind-finiteness",
-                   "One-sided matrix inverses over small fields are two-sided",
-                   checks, failures)
+            tally.failures.append(f"one-sided inverse over {spec} is not two-sided")
+    return tally.result()
 
 
 def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
+    tally = _Tally("saturation-closure-laws",
+                   "Saturation is a closure operation and {1} saturates to "
+                   "the units, in both variants")
     rng = random.Random(f"{ctx.seed}:saturation")
-    checks, failures, defects = 0, [], 0
     for ring in rings:
-        name = spec_to_string(ring.spec)
         n = ring.carrier_size
-        try:
+        with tally.ring(ring) as name:
             rad = np.flatnonzero(jacobson_radical(ring).mask)
             subsets = [(), (ring.one,), np.flatnonzero(ring.unit_mask()),
                        ring.add_many(ring.one, rad)]
@@ -553,21 +542,17 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
             wider = w | np.array([member_mask(ring, e) for e in extras])
             sat, sat_wider = np.split(_saturate_masks(ring, np.concatenate([w, wider])), 2)
             again = _saturate_masks(ring, sat)
-        except InternalDefectError as exc:
-            failures.append(f"{name}: defect: {exc}")
-            defects += 1
-            continue
-        for subset, closed, twice, closed_wider in zip(w, sat, again, sat_wider):
-            checks += 1
-            if (subset & ~closed).any():
-                failures.append(f"{name}: saturation is not extensive")
-            if not np.array_equal(twice, closed):
-                failures.append(f"{name}: saturation is not idempotent")
-            if (closed & ~closed_wider).any():
-                failures.append(f"{name}: saturation is not monotone")
-        # the second subset is {1}
-        if not np.array_equal(sat[1], ring.unit_mask()):
-            failures.append(f"{name}: saturating {{1}} missed the unit group")
+            for subset, closed, twice, closed_wider in zip(w, sat, again, sat_wider):
+                tally.checks += 1
+                if (subset & ~closed).any():
+                    tally.failures.append(f"{name}: saturation is not extensive")
+                if not np.array_equal(twice, closed):
+                    tally.failures.append(f"{name}: saturation is not idempotent")
+                if (closed & ~closed_wider).any():
+                    tally.failures.append(f"{name}: saturation is not monotone")
+            # the second subset is {1}
+            if not np.array_equal(sat[1], ring.unit_mask()):
+                tally.failures.append(f"{name}: saturating {{1}} missed the unit group")
     # two-sided variant over 2x2 matrices mod 2
     two = build_ring("Z/2", ctx.guards)
     space = MatrixSpace(two, 2)
@@ -575,8 +560,8 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
     ident = space.identity()
     invertible = frozenset(m for m in members if matrix_inverse(m) is not None)
     if two_sided_saturate(space, [ident]) != invertible:
-        failures.append("two-sided saturation of {1} is not the invertible set")
-    checks += 1
+        tally.failures.append("two-sided saturation of {1} is not the invertible set")
+    tally.checks += 1
     # deterministic singletons first: they carry the minimal idempotence
     # counterexamples (see the two_sided_saturate docstring), then seeded
     # random subsets
@@ -586,24 +571,21 @@ def criterion_saturation_laws(rings, ctx: RunContext) -> CriterionResult:
         subsets.append(frozenset(rng.sample(members, rng.randint(0, len(members)))))
     for w in subsets:
         sat = two_sided_saturate(space, w)
-        checks += 1
+        tally.checks += 1
         if not w <= sat:
-            failures.append("two-sided saturation is not extensive for "
-                            f"{{{_render_matrix_set(w)}}}")
+            tally.failures.append("two-sided saturation is not extensive for "
+                                  f"{{{_render_matrix_set(w)}}}")
         again = two_sided_saturate(space, sat)
         if again != sat:
-            failures.append(
+            tally.failures.append(
                 "two-sided saturation is not idempotent: W = "
                 f"{{{_render_matrix_set(w)}}} saturates to {len(sat)} matrices, "
                 f"saturating again adds {_render_matrix_set(again - sat)}")
         extra = frozenset(rng.sample(members, rng.randint(0, 4)))
         if not sat <= two_sided_saturate(space, w | extra):
-            failures.append("two-sided saturation is not monotone at "
-                            f"{{{_render_matrix_set(w)}}}")
-    return _result("saturation-closure-laws",
-                   "Saturation is a closure operation and {1} saturates to "
-                   "the units, in both variants",
-                   checks, failures, defects=defects)
+            tally.failures.append("two-sided saturation is not monotone at "
+                                  f"{{{_render_matrix_set(w)}}}")
+    return tally.result()
 
 
 def _render_matrix_set(matrices) -> str:
@@ -632,11 +614,13 @@ def criterion_determinism(rings, ctx: RunContext) -> CriterionResult:
                             with_determinism=False, guards=ctx.guards)
         return json.dumps(report_to_dict(report), sort_keys=True)
 
+    tally = _Tally("deterministic-reports",
+                   "Identical invocations produce byte-identical stable reports")
     first, second = _in_two_processes(run_once)
-    failures = [] if first == second else ["stable report sections differ"]
-    return _result("deterministic-reports",
-                   "Identical invocations produce byte-identical stable reports",
-                   2, failures, {"reportBytes": len(first)})
+    tally.checks = 2
+    if first != second:
+        tally.failures.append("stable report sections differ")
+    return tally.result({"reportBytes": len(first)})
 
 
 def _in_two_processes(run):

@@ -7,7 +7,7 @@ fire with its own text, before anything downstream reads the bad value."""
 import numpy as np
 import pytest
 
-from unitlift import rings, semiunits, spectrum, star
+from unitlift import cli, rings, semiunits, spectrum, star, verify
 from unitlift.config import Guards
 from unitlift.errors import InternalDefectError
 from unitlift.rings import (
@@ -18,7 +18,7 @@ from unitlift.rings import (
     member_mask,
     quotient_ring,
 )
-from unitlift.semiunits import rho
+from unitlift.semiunits import rho, semi_inverses
 from unitlift.spectrum import maximal_ideals, radical_quotient
 from unitlift.star import (
     StarMethod,
@@ -28,7 +28,22 @@ from unitlift.star import (
     saturate,
     star_check,
 )
-from unitlift.verify import RunContext, criterion_product_radical, criterion_saturation_laws
+from unitlift.verify import (
+    CRITERIA,
+    RunContext,
+    criterion_decomposition,
+    criterion_dedekind,
+    criterion_determinism,
+    criterion_field_product_adjustment,
+    criterion_integer_unit_images,
+    criterion_matrix_lifts,
+    criterion_polynomial_unit_images,
+    criterion_rho_laws,
+    criterion_rings_lift_units,
+    criterion_semi_inverse_coset,
+    criterion_star_agreement,
+    criterion_unit_lifting,
+)
 
 
 def test_orbits_that_miss_an_element_are_a_defect(monkeypatch):
@@ -133,18 +148,66 @@ def test_a_non_nilpotent_that_is_no_unit_of_its_factor_is_a_defect():
 
 def test_a_radical_mismatch_ends_its_ring_in_the_criteria_reading_the_radical():
     # with N doctored to {0}, the maximal ideals of Z/4 x Z/3 meet in
-    # 2Z/4 x 0 instead: one defect for that ring, and the next ring is
-    # checked as it is alone; a result shows its first eight failures
+    # 2Z/4 x 0 instead: one defect for that ring, named by the first
+    # certificate its criterion reaches, and the next ring is checked as it
+    # is alone; a result shows its first eight failures.  The criteria
+    # without a ring loop never read the doctored ring, nor does
+    # field-product-adjustment, which takes products of fields only
     doctored = build_ring("prod(Z/4,Z/3)")
     doctored._cache["nilradical"] = rings.Ideal(doctored, (), member_mask(doctored, {0}))
-    text = "radical mismatch: intersection of maximal ideals differs from the nilpotent set"
-    for criterion in (criterion_product_radical, criterion_saturation_laws):
+    mismatch = "radical mismatch: intersection of maximal ideals differs from the nilpotent set"
+    coset_unit = "u^L - 1 is not in N + I for a unit u of R/I"
+    texts = {
+        criterion_star_agreement: coset_unit,
+        criterion_rings_lift_units: (
+            "x^(q - 1) - e is not nilpotent for a non-nilpotent x of a local factor"),
+        criterion_unit_lifting: coset_unit,
+    }
+    untouched = {criterion_integer_unit_images, criterion_polynomial_unit_images,
+                 criterion_field_product_adjustment, criterion_matrix_lifts,
+                 criterion_dedekind}
+    for criterion in CRITERIA:
+        if criterion is criterion_determinism:
+            continue
         alone = criterion([build_ring("prod(Z/2,Z/3)")], RunContext())
         result = criterion([doctored, build_ring("prod(Z/2,Z/3)")], RunContext())
-        assert result.failures[0] == f"prod(Z/4,Z/3): defect: {text}"
-        assert result.failures[1:8] == alone.failures[:7]
+        if criterion in untouched:
+            assert (result.failures, result.defects) == (alone.failures, 0)
+        else:
+            text = texts.get(criterion, mismatch)
+            assert result.failures[0] == f"prod(Z/4,Z/3): defect: {text}", result.key
+            assert result.failures[1:8] == alone.failures[:7]
+            assert (result.defects, alone.defects) == (1, 0)
+        assert result.checks == alone.checks > 0
+
+
+def test_a_radical_that_does_not_divide_the_units_ends_its_ring():
+    # (4) = {0, 4, 8} passed off as the radical of Z/12, whose 4 units it
+    # cannot divide; 2, outside it, then has no s with 2(1 - 2s) in it
+    ring = build_ring("Z/12")
+    ring._cache["radical"] = ideal_closure(ring, [4])
+    no_semi_inverse = "element 2 of a finite ring has no semi-inverse"
+    with pytest.raises(InternalDefectError, match=f"^{no_semi_inverse}$"):
+        semi_inverses(ring, 2)
+    for criterion, text in ((criterion_rho_laws, "|rad| does not divide |U|"),
+                            (criterion_semi_inverse_coset, no_semi_inverse),
+                            (criterion_decomposition, no_semi_inverse)):
+        alone = criterion([build_ring("Z/6")], RunContext())
+        result = criterion([ring, build_ring("Z/6")], RunContext())
+        assert result.failures == [f"Z/12: defect: {text}"] + alone.failures
         assert (result.defects, alone.defects) == (1, 0)
         assert result.checks == alone.checks > 0
+
+
+def test_a_defect_outside_the_ring_loops_ends_the_corpus_run(monkeypatch, capsys):
+    # the Z/10 landmark of decomposition-certificates is checked after its
+    # ring loop, outside any ring's boundary, so nothing counts the defect
+    def planted(ring, r):
+        raise InternalDefectError("planted")
+
+    monkeypatch.setattr(verify, "semi_unit_decomposition", planted)
+    assert cli.main(["corpus", "run", "--max-carrier", "2", "--gl-samples", "1"]) == cli.EX_DEFECT
+    assert capsys.readouterr().err.endswith("internal defect: planted\n")
 
 
 def test_a_closure_that_is_not_additively_closed_is_a_defect(monkeypatch):

@@ -409,9 +409,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         spec_text, result, code = handler(args)
-    except SpecSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_GUARD

@@ -40,12 +40,12 @@ the factors alone: the orbits x*(eU) in each factor eR, certified by the
 products that give one row of eR per orbit, as (u*x)R = xR for a unit u,
 and their containment order, which the ideal lattice and saturation read.
 U is certified to be the elements whose every factor orbit is a unit's, so
-x*U is the set of elements with x's tuple of factor orbits, whose first
-element WITNESS reads for the whole orbit.  The units of Z/n come from
-gcds and those of a product from its factors'; R/I reads its units from
-the local split and the nilradical N of R (_coset_units), certified on R's
-arithmetic; every other ring pulls back the units of R/N.  A unit u is
-inverted as u^(|U|-1), certified by u*v = 1.
+x*U is the cell of elements with x's tuple of factor orbits; the carrier is
+grouped by cell once, and saturation and WITNESS read that grouping.  The
+units of Z/n come from gcds and those of a product from its factors'; R/I
+reads its units from the local split and the nilradical N of R
+(_coset_units), certified on R's arithmetic; every other ring pulls back
+the units of R/N.  A unit u is inverted as u^(|U|-1), certified by u*v = 1.
 
 Cosets are labelled on the local split: x + I is fixed by the cosets of
 the e_j*x modulo e_jI, each labelled inside its factor and cached per
@@ -72,7 +72,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_GUARDS, Guards
-from .errors import GuardExceededError, InternalDefectError, SpecSyntaxError
+from .errors import GuardExceededError, InternalDefectError
 from .specs import (
     ModularSpec,
     PolyQuotSpec,
@@ -794,19 +794,6 @@ def _least_of_orbits(ring: FiniteRing, members: np.ndarray, pos: np.ndarray, op,
     return label
 
 
-@_memoized("unit_orbits")
-def _unit_orbits(ring: FiniteRing) -> np.ndarray:
-    """Read-only labels of the unit orbits: label[x] is the least element
-    of x*U, for the WITNESS check; cached per ring.  As U is the product
-    of the e_jU (certified by _principal_cells), x*U is the product of the
-    factor orbits of the e_j*x (_factor_principals), and its least element
-    is the first element with x's cell."""
-    cell, n = _principal_cells(ring), ring.carrier_size
-    first = np.full(n, n)
-    np.minimum.at(first, cell, np.arange(n))
-    return first[cell]
-
-
 def _sum_mask(ring: FiniteRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of {x + y : x in a, y in b}, for masks a and b, or the stack of
     those masks for a stack a of masks, one row each: the (row, x) pairs of
@@ -1057,21 +1044,26 @@ def _factor_principals(ring: FiniteRing) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 @_memoized("principal_cells")
-def _principal_cells(ring: FiniteRing) -> np.ndarray:
-    """Read-only cell[x]: the orbits of _factor_principals holding the
-    e_j*x, which are the rows holding the (e_j*x)R, as one mixed-radix
-    number, factor 0 the most significant digit; cached per ring.  Certified
-    once: the elements whose every row holds its factor's atom e_j, the one
-    of e_jR, are exactly the units, so U is the product of the e_jU."""
-    cell, unit = 0, True  # the empty product, an array from the first factor on
+def _principal_cells(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The carrier grouped by unit orbit, as read-only (cell, order, runs),
+    cached per ring.  cell[x] is the orbits of _factor_principals holding
+    the e_j*x as one mixed-radix number, factor 0 the most significant
+    digit.  Certified once: the elements whose every row holds its factor's
+    atom e_j, the one of e_jR, are exactly the units, so U is the product of
+    the e_jU and x*U is x's cell.  order is a stable argsort of cell and
+    runs[c] the start of cell c's run in it, so order[runs] is each orbit's
+    least element; no cell is empty, as each holds a sum of one
+    representative per factor."""
+    cell, unit, count = 0, True, 1  # the empty product, an array from the first factor on
     atoms, _, position = local_factors(ring)
     for e, pos, (rows, _, orbit) in zip(atoms, position, _factor_principals(ring)):
         row = orbit[pos]
-        cell = cell * len(rows) + row
+        cell, count = cell * len(rows) + row, count * len(rows)
         unit &= rows[row, pos[e]]
     if not np.array_equal(unit, ring.unit_mask()):
         raise InternalDefectError("the principal ideals holding one are not the units")
-    return cell
+    order = np.argsort(cell, kind="stable")
+    return cell, order, np.searchsorted(cell[order], np.arange(count))
 
 
 def _factor_lattice(ring: FiniteRing, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -1115,7 +1107,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     own single factor.  The masks of the product take their greedy
     generators and certificates in one batch (_ideals_from_masks), and keep
     their rows of the frozen lattice without a copy.  The factor lattices
-    are cached beside the ideals (_factor_lattices).
+    are cached beside the ideals (_local_lattices).
     """
     if ring.carrier_size > ring.guards.ideal_enum_limit:
         raise GuardExceededError(
@@ -1139,18 +1131,11 @@ def _sorted_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
 
 @_memoized("factor_lattices")
 def _local_lattices(ring: FiniteRing) -> tuple[np.ndarray, ...]:
+    """The factor lattices of enumerate_ideals, whose guard callers pass
+    first: per local factor, the masks of its ideals over its members."""
     _, members, _ = local_factors(ring)
     return tuple(_factor_lattice(ring, elems, rows)
                  for elems, (rows, _, _) in zip(members, _factor_principals(ring)))
-
-
-def _factor_lattices(ring: FiniteRing) -> tuple[np.ndarray, ...]:
-    """The factor lattices of enumerate_ideals, one read-only array per
-    local factor e_jR whose rows are the masks of its ideals over its sorted
-    members; cached per ring beside the ideals, which this enumerates
-    first, guard included."""
-    enumerate_ideals(ring)
-    return _local_lattices(ring)
 
 
 # ---------------------------------------------------------------------------

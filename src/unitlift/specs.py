@@ -80,12 +80,12 @@ def poly_degree(a) -> int:
 
 
 def poly_mod(a, f, p: int) -> tuple[int, ...]:
-    """Remainder of a modulo the monic polynomial f."""
+    """Remainder of a modulo the monic f, every coefficient reduced mod p."""
     assert f and f[-1] == 1, "modulus must be monic"
-    r = list(a)
+    r = [c % p for c in a]
     d = len(f) - 1
     for k in range(len(r) - 1, d - 1, -1):
-        c = r[k] % p
+        c = r[k]
         if c:
             for i in range(d):
                 r[k - d + i] = (r[k - d + i] - c * f[i]) % p

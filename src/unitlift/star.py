@@ -10,8 +10,9 @@ principal ideals of the local factors e_jR, as DIRECT reads the units of
 R/I from the same split (rings._coset_units); the split is certified (its
 atoms sum to one, its factor sizes multiply to n).  Multiplying a by a unit
 changes neither whether a is invertible mod I nor whether it lies in U + I,
-so WITNESS scans one element per unit orbit, labelled in the factors under
-the saturation checks' certificate that U is the product of their units.
+so WITNESS scans one element per unit orbit: the least of each principal
+cell, read under the saturation checks' certificate that U is the product
+of the factors' units (rings._principal_cells).
 DIRECT reads none of the rows, orbits and U + I, and cross-checks all three.
 
 The other three read U + I, built once and shared: SATURATED_SUM saturates
@@ -67,12 +68,11 @@ from .rings import (
     ProductRing,
     _as_set,
     _check_elements,
-    _factor_lattices,
     _factor_principals,
     _ideals_from_masks,
+    _local_lattices,
     _principal_cells,
     _residue_field_sizes,
-    _unit_orbits,
     check_element,
     enumerate_ideals,
     first_hits,
@@ -100,19 +100,15 @@ def _saturate_masks(ring: FiniteRing, masks: np.ndarray) -> np.ndarray:
     some w in W lies in r*R.  As R = ∏ e_jR, that is when (e_j*w)R lies in
     (e_j*r)R for every j: sat(W) is the up-closure of W in the product of
     the factors' containment orders (_factor_principals).  Each subset is
-    ORed into a grid with one axis per factor at its elements' cells
-    (_principal_cells), closed upward an axis at a time by a boolean matmul
-    with that factor's order, and read back at every element's cell.
+    ORed over the runs of the carrier by cell (_principal_cells) into a grid
+    with one axis per factor, closed upward an axis at a time by a boolean
+    matmul with that factor's order, and read back at every element's cell.
     """
-    factors, cell = _factor_principals(ring), _principal_cells(ring)
-    sizes = [len(order) for _, order, _ in factors]
-    # each cell holds an element, a sum of one representative per factor,
-    # so the elements sorted by cell fall into one nonempty run per cell
-    by_cell = np.argsort(cell)
-    runs = np.searchsorted(cell[by_cell], np.arange(math.prod(sizes)))
-    grid = np.logical_or.reduceat(masks[:, by_cell], runs, axis=1)
-    for j, (_, order, _) in enumerate(factors):
-        grid = order.T @ grid.reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
+    factors, (cell, order, runs) = _factor_principals(ring), _principal_cells(ring)
+    sizes = [len(up) for _, up, _ in factors]
+    grid = np.logical_or.reduceat(masks[:, order], runs, axis=1)
+    for j, (_, up, _) in enumerate(factors):
+        grid = up.T @ grid.reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
     return grid.reshape(len(masks), len(runs))[:, cell]
 
 
@@ -202,19 +198,20 @@ def _saturation_checks(ring: FiniteRing, masks: np.ndarray, w: np.ndarray):
 def _witness_checks(ring: FiniteRing, masks: np.ndarray, w: np.ndarray) -> list[StarCheck]:
     """WITNESS: everything invertible mod I is congruent mod I to a unit.
 
-    (u*a)(u^-1*b) = a*b and u(U + I) = U + I, so one a per unit orbit
-    decides the orbit, and the least bad element is the label of its orbit.
-    An a outside row j of w, the rows of U + I, is bad exactly when it is
-    invertible mod I_j: when some b puts 1 - a*b in I_j.  Every ideal is
-    decided in one first_hits pass, whose rows are those pairs (ideal j,
-    orbit representative a), encoded as j*n + a.  A cell holds a*b, 1 - a*b,
-    its flat index in the ideal masks and the membership bit: four words,
-    counted so that they stay within BLOCK_WORDS together.
+    (u*a)(u^-1*b) = a*b and u(U + I) = U + I, so one a per unit orbit, a
+    cell of _principal_cells, decides the orbit: its least element, of
+    order[runs].  An a outside row j of w, the rows of U + I, is bad exactly
+    when it is invertible mod I_j: when some b puts 1 - a*b in I_j.  Every
+    ideal is decided in one first_hits pass, whose rows are those pairs
+    (ideal j, representative a), encoded as j*n + a; each element reads its
+    orbit's verdict back by its cell.  A cell of the pass holds a*b,
+    1 - a*b, its flat index in the ideal masks and the membership bit: four
+    words, counted so that they stay within BLOCK_WORDS together.
     """
     n = ring.carrier_size
     every = np.arange(n)
-    label = _unit_orbits(ring)
-    reps = np.flatnonzero(label == every)
+    cell, order, runs = _principal_cells(ring)
+    reps = order[runs]
     members = masks.ravel()
     one_minus = ring.add_many(ring.one, ring.neg_many(every))
 
@@ -226,8 +223,7 @@ def _witness_checks(ring: FiniteRing, masks: np.ndarray, w: np.ndarray) -> list[
     rows = (np.arange(len(masks))[:, None] * n + reps).ravel()
     bad = ~w[:, reps].ravel()
     bad[bad] = first_hits(ring, rows[bad], every, partner, cell_words=4) >= 0
-    failing = bad.reshape(len(masks), len(reps))[:, np.searchsorted(reps, label)]
-    return _checks(StarMethod.WITNESS, failing)
+    return _checks(StarMethod.WITNESS, bad.reshape(len(masks), len(reps))[:, cell])
 
 
 def star_check(ring: FiniteRing, ideal: Ideal, method: StarMethod) -> StarCheck:
@@ -310,7 +306,7 @@ def ring_has_star(ring: FiniteRing) -> RingStarReport:
     nil, units = nilradical(ring).mask, ring.unit_mask()
     atoms, members, position = local_factors(ring)
     for e, elems, pos, q, lattice in zip(atoms, members, position,
-                                         _residue_field_sizes(ring), _factor_lattices(ring)):
+                                         _residue_field_sizes(ring), _local_lattices(ring)):
         non_nil = ~nil[elems]
         powers = power_many(ring, elems[non_nil], int(q) - 1)
         if not nil[ring.add_many(powers, ring.neg_many(e))].all():
@@ -448,6 +444,7 @@ def _reduce_mod_rad_many(ring: FiniteRing, ideals: Sequence[Ideal]
     differ or that raises InternalDefectError, and that defect's text, or
     every report and None, as _star_reports does.
     """
+    _check_ideals(ring, ideals)
     reports = []
     try:
         reduced, proj = radical_quotient(ring)

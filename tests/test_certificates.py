@@ -13,6 +13,7 @@ from unitlift.errors import InternalDefectError
 from unitlift.rings import (
     PresentedRing,
     build_ring,
+    enumerate_ideals,
     ideal_closure,
     ideal_from_mask,
     member_mask,
@@ -126,7 +127,8 @@ def test_a_factor_ideal_outside_the_maximal_ideal_is_a_defect():
     # {0, 3} in the factor 9R = {0, 3, 6, 9} of Z/12 holds the unit 3 of
     # 9R but not its one, 9, so its quotient would be no local ring
     ring = build_ring("Z/12")
-    lattices = rings._factor_lattices(ring)
+    enumerate_ideals(ring)
+    lattices = rings._local_lattices(ring)
     j = [lattice.shape[1] for lattice in lattices].index(4)
     doctored = list(lattices)
     doctored[j] = np.vstack([lattices[j], [True, True, False, False]])

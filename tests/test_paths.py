@@ -83,7 +83,6 @@ from unitlift.rings import (
     _as_set,
     _factor_principals,
     _principal_cells,
-    _unit_orbits,
     build_ring,
     enumerate_ideals,
     first_hits,
@@ -285,7 +284,7 @@ def test_principal_table_rows_are_the_principal_ideals(spec):
         ring = _build(spec, guards)
         _, members, position = local_factors(ring)
         # the mixed-radix digits of cell, the last factor's the least significant
-        digits = _principal_cells(ring).copy()
+        digits = _principal_cells(ring)[0].copy()
         for elems, pos, (rows, order, _) in reversed(list(zip(members, position,
                                                               _factor_principals(ring)))):
             row_of, digits = digits % len(rows), digits // len(rows)
@@ -326,6 +325,13 @@ ORBIT_SPECS = ["prod(Z/33,Z/35)", "prod(Z/4,GF(3)[x]/(x^2),Z/5,Z/9)", "prod(Z/8,
                "prod(Z/2,Z/2,Z/2,Z/2,Z/2,Z/2)", _SQUARE_ZERO_XY]
 
 
+def _orbit_labels(ring):
+    """label[x], the least element of x*U, read from the grouping of the
+    carrier by principal cell: order[runs] is each cell's least element."""
+    cell, order, runs = _principal_cells(ring)
+    return order[runs][cell]
+
+
 def _oracle_units(ring, mul):
     """The elements with an inverse under the reference product mul; those
     of a product are its factors' units, coordinate by coordinate."""
@@ -342,7 +348,7 @@ def test_unit_orbits_match_oracle(spec, table_limit):
     mul_table = _square_zero_xy_tables()[1] if spec == _SQUARE_ZERO_XY else None
     mul = (lambda a, b: mul_table[a][b]) if mul_table else functools.partial(oracle.mul, ring)
     units = _oracle_units(ring, mul)
-    label = _unit_orbits(ring).tolist()
+    label = _orbit_labels(ring).tolist()
     # the orbits x*U partition the carrier, so the first element that no
     # earlier orbit holds is the least element of its own
     least = [None] * ring.carrier_size
@@ -380,7 +386,7 @@ def test_saturate_by_orbits_matches_definition(spec, generator):
                _as_set(_units_plus_ideals(ring, [ideal])[0]),
                _as_set(_one_plus_ideals(ring, ideal.mask[None])[0])]
     sats = [saturate(ring, w) for w in subsets]
-    reps = np.flatnonzero(_unit_orbits(ring) == np.arange(n)).tolist()
+    reps = np.flatnonzero(_orbit_labels(ring) == np.arange(n)).tolist()
     for r in sorted(set(reps) | set(random.Random(spec).sample(range(n), 64))):
         # r is in sat(W) when some s has s*r in W
         products = oracle.principal(ring, r)
@@ -433,7 +439,7 @@ def _assert_orbit_scans_match(ring, ideals):
         for cols in (units, every):
             full = first_hits(ring, every, cols, partner) >= 0
             assert 0 < full.sum() < n
-            assert np.array_equal(full[_unit_orbits(ring)], full)
+            assert np.array_equal(full[_orbit_labels(ring)], full)
     found = _semi_inverse_found_every_element(ring, every)
     assert np.array_equal(_semi_inverse_found(ring, every), found)
     assert np.array_equal(_semi_inverse_found(ring, xs), found[xs])
@@ -502,7 +508,7 @@ def _without_orbits(ring, w):
     """Each row of w, a union of unit orbits, without every other orbit in
     it, counting down from the one of greatest label: a smaller union of
     orbits, whose dropped elements WITNESS must find."""
-    label = _unit_orbits(ring)
+    label = _orbit_labels(ring)
     out = w.copy()
     for row in out:
         row[np.isin(label, np.unique(label[row])[::-2])] = False

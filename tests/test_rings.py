@@ -37,13 +37,12 @@ from unitlift.rings import (
     QuotientRing,
     SurjectiveHom,
     _coset_map,
-    _factor_lattices,
     _factor_principals,
     _idempotent_mask,
     _ideals_from_masks,
+    _local_lattices,
     _principal_cells,
     _residue_field_sizes,
-    _unit_orbits,
     build_ring,
     check_element,
     check_ring_axioms,
@@ -56,7 +55,7 @@ from unitlift.rings import (
     principal,
     quotient_ring,
 )
-from unitlift.specs import ModularSpec, spec_to_string
+from unitlift.specs import ModularSpec, QuotientSpec, parse_ring_spec, spec_to_string
 from unitlift.semiunits import is_semifield
 from unitlift.star import ring_has_star, saturate, star_report
 from unitlift.spectrum import (
@@ -174,7 +173,7 @@ def test_unit_orbits_certify_the_labelling():
         assert ring.mul(6, 3) == 9
         assert ring.units() == {1, 5, 7, 11}
         with pytest.raises(InternalDefectError, match="unit orbit"):
-            _unit_orbits(ring)
+            _principal_cells(ring)
         with pytest.raises(InternalDefectError, match="unit orbit"):
             saturate(ring, {ring.one})
 
@@ -185,7 +184,7 @@ def test_an_orbit_without_its_element_is_a_defect():
         assert ring.mul(3, 9) == 0
         with pytest.raises(InternalDefectError,
                            match="^an element is missing from its own orbit$"):
-            _unit_orbits(ring)
+            _principal_cells(ring)
 
 
 class _ThreeSquaredIsZero(ModularRing):
@@ -655,6 +654,22 @@ def test_ideal_membership_refuses_non_integers(table_limit):
     assert np.int64(8) in ideal
 
 
+def test_polynomial_literals_reduce_every_coefficient_mod_p():
+    # 5 = 2 and 4 = 1 in GF(3): (5,) is the constant 2 and (1, 4) is x+1
+    ring = build_ring("GF(3)[x]/(x^2+1)")
+    assert ring.element_from_expr((5,)) == ring.parse_element("2")
+    assert ring.element_from_expr((1, 4)) == ring.parse_element("x+1")
+    product = build_ring("prod(Z/4,GF(3)[x]/(x^2+1))")
+    assert product.element_from_expr((5, (1, 4))) == product.parse_element("(1,x+1)")
+    # x+1 is a unit of the field GF(9), and spans the ideal (x+1) of
+    # GF(3)[x]/((x+1)^2), whose quotient is GF(3)
+    with pytest.raises(ValueError, match="improper ideal"):
+        build_ring(QuotientSpec(ring.spec, ((1, 4),)))
+    local = parse_ring_spec("GF(3)[x]/(x^2+2x+1)")
+    assert build_ring(QuotientSpec(local, ((1, 4),))).carrier_size == 3
+    assert build_ring(QuotientSpec(local, ((4, 1),))).carrier_size == 3
+
+
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
 def test_ideals_of_another_ring_are_refused(table_limit):
     # Z/6's ideal (2) is {0, 2, 4}; read as a mask of Z/12 it would give
@@ -740,7 +755,7 @@ def test_every_published_cache_entry_is_read_only_and_stable(spec):
     ring_has_star(ring), quotient_ring(ring, ideal), star_report(ring, ideal)
     cached = [FiniteRing.unit_mask, FiniteRing.units, nilradical, jacobson_radical, maximal_ideals,
               local_factors, _idempotent_mask, _residue_field_sizes, _factor_principals,
-              _principal_cells, _unit_orbits, _factor_lattices,
+              _principal_cells, _local_lattices,
               lambda ring: principal(ring, ring.one),
               lambda ring: _coset_map(ring, ideal.mask),
               lambda ring: quotient_ring(ring, ideal)]

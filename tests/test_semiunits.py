@@ -268,7 +268,7 @@ def test_ring_info_and_rho_table_build_no_principal_rows(spec):
     is_connected_mod_rad(ring)
     is_semifield(ring)
     rho_table(ring)
-    for key in ("factor_principals", "principal_cells", "unit_orbits"):
+    for key in ("factor_principals", "principal_cells"):
         assert key not in ring._cache
 
 

@@ -154,6 +154,14 @@ def test_poly_mod_reduction():
     assert poly_mod((0, 0, 1), (1, 1, 1), 2) == (1, 1)
 
 
+def test_poly_mod_reduces_every_coefficient():
+    # over GF(3) modulo x^2+1: 5 = 2, 4 = 1 and -1 = 2, also below the degree
+    assert poly_mod((5,), (1, 0, 1), 3) == (2,)
+    assert poly_mod((1, 4), (1, 0, 1), 3) == (1, 1)
+    assert poly_mod((-1, 3), (1, 0, 1), 3) == (2,)
+    assert poly_mod((3, 0, 1), (1, 0, 1), 3) == (2,)
+
+
 def test_trim_and_degree():
     assert poly_trim((1, 0, 0)) == (1,)
     assert poly_degree(()) == -1

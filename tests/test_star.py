@@ -245,6 +245,16 @@ def test_radical_reduction_preserves_verdicts(spec):
         assert not report.degenerate
 
 
+@pytest.mark.parametrize("other, generator", [("Z/8", "2"), ("prod(Z/4,Z/3)", "(2,0)")])
+def test_radical_reduction_refuses_an_ideal_of_another_ring(other, generator):
+    # Z/8 has another carrier size; prod(Z/4,Z/3) has Z/12's, and its ideal
+    # {(0,0), (2,0)}, read as the mask {0, 2} of Z/12, is no ideal there
+    ring, foreign = build_ring("Z/12"), build_ring(other)
+    ideal = ideal_closure(foreign, [foreign.parse_element(generator)])
+    with pytest.raises(ValueError, match="^ideal belongs to a different ring$"):
+        reduce_mod_rad_equiv(ring, ideal)
+
+
 # ---------------------------------------------------------------------------
 # presented rings
 

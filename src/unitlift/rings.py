@@ -11,11 +11,16 @@ broadcast int64 index arrays, of which the scalar add, mul and neg are
 single cells; every exhaustive scan is written against them.  Only the two
 kinds that build tables from their structure gather from them, within the
 table guard: polynomial quotients step x on digit vectors (_times_x), and
-products combine their factors' tables digit by digit.  Every other ring,
-and those two above the guard, computes on its encoding: residues for Z/n,
-as a gather from an n x n table costs what a * b % n costs, digit vectors
-for odd p, the index as a bit vector for GF(2) (add is XOR), the factors'
-operations by mixed radix for products, and the parent's operations on
+products combine their factors' tables digit by digit.  Above the guard a
+product gathers from chunk tables instead (ProductRing._chunks): runs of
+consecutive factors of at most max(largest factor, ceil(sqrt(n))) elements,
+within the guard, each with its own O(n)-cell tables read through every
+element's precomputed chunk digit and row, so an operation is one gather
+per chunk and no division; a factor above the guard is a chunk of its own,
+on its own arithmetic.  Every other ring, and polynomial quotients above the
+guard, computes on its encoding: residues for Z/n, as a gather from an
+n x n table costs what a * b % n costs, digit vectors for odd p, the index
+as a bit vector for GF(2) (add is XOR), and the parent's operations on
 coset members for quotients, whose scans read few of the n^2 cells a table
 would fill.  Quadratic scans run in row blocks (BLOCK_WORDS).
 
@@ -130,14 +135,21 @@ def _memoized(key):
     return decorate
 
 
+def _integer(value, what: str = "element") -> int:
+    """value as a Python int; bool and non-integers are refused, as Matrix
+    refuses them."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def check_element(ring: "FiniteRing", a) -> int:
     """a as a Python int, once it is known to name an element of the
-    carrier; bool and non-integers are refused, as Matrix refuses them."""
-    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-        raise ValueError(f"element {a!r} is not an integer")
+    carrier."""
+    a = _integer(a)
     if not 0 <= a < ring.carrier_size:
         raise ValueError(f"element {a} outside the carrier")
-    return int(a)
+    return a
 
 
 def _check_elements(ring: "FiniteRing", elements) -> np.ndarray:
@@ -235,6 +247,25 @@ def _digitwise(radices: Sequence[int], tables: Sequence[np.ndarray]) -> np.ndarr
         stride *= size
         out = out.reshape((stride,) * table.ndim)
     return out
+
+
+def _factor_tables(factors: Sequence["FiniteRing"]) -> tuple[np.ndarray, ...]:
+    """The (add, mul, neg) tables of the product of the factors, from each
+    factor's operations over its own carrier, combined digit by digit."""
+    ops = []
+    for f in factors:
+        idx = np.arange(f.carrier_size)
+        ops.append([f.add_many(idx[:, None], idx), f.mul_many(idx[:, None], idx),
+                    f.neg_many(idx)])
+    return tuple(_digitwise([f.carrier_size for f in factors],
+                            [t[k].astype(_TABLE_DTYPE) for t in ops]) for k in range(3))
+
+
+def _plus(out, cells):
+    """out + cells, summed into the fresh array cells; cells if out is None."""
+    if out is not None:
+        cells += out
+    return cells
 
 
 class FiniteRing:
@@ -352,8 +383,7 @@ class FiniteRing:
 
     def is_unit(self, a: int) -> bool:
         # refuses what Ideal.__contains__ refuses; integers outside are not units
-        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-            raise ValueError(f"element {a!r} is not an integer")
+        a = _integer(a)
         return 0 <= a < self.carrier_size and bool(self.unit_mask()[a])
 
     def inverse(self, a: int) -> int:
@@ -418,9 +448,7 @@ class ModularRing(FiniteRing):
         return int(a)
 
     def element_from_expr(self, expr):
-        if not isinstance(expr, int):
-            raise ValueError(f"expected an integer literal, got {expr!r}")
-        return expr % self.n
+        return _integer(expr) % self.n
 
 
 class PolyQuotientRing(FiniteRing):
@@ -507,7 +535,8 @@ class PolyQuotientRing(FiniteRing):
     def element_from_expr(self, expr):
         if not isinstance(expr, tuple):
             raise ValueError(f"expected polynomial coefficients, got {expr!r}")
-        return self.encode(poly_mod(expr, self.modulus, self.p))
+        coeffs = [_integer(c, "coefficient") for c in expr]
+        return self.encode(poly_mod(coeffs, self.modulus, self.p))
 
 
 class BinaryPolyQuotientRing(PolyQuotientRing):
@@ -540,7 +569,13 @@ class BinaryPolyQuotientRing(PolyQuotientRing):
 
 
 class ProductRing(FiniteRing):
-    """Direct product with little-endian mixed-radix element encoding."""
+    """Direct product with little-endian mixed-radix element encoding.
+
+    Within the table guard it gathers from whole-ring tables, built from the
+    factors' tables digit by digit.  Above it, and under any guard smaller
+    than its factors, it sums one result per chunk of consecutive factors
+    (_chunks): a gather from the chunk's own tables, or a factor above the
+    guard computing on its own encoding."""
 
     def __init__(self, spec: ProductSpec, factors: Sequence[FiniteRing],
                  guards: Guards = DEFAULT_GUARDS):
@@ -569,34 +604,73 @@ class ProductRing(FiniteRing):
 
     @property
     def _width(self):
-        # a factor's operation runs beside two decoded component arrays
-        return max(f.op_width for f in self.factors) + 2
+        # a chunk's gather holds the sum, its index and the gathered cells; a
+        # factor computing on its own holds the sum and two digit arrays
+        # beside its own temporaries
+        return max([3] + [f.op_width + 3 for f in self.factors
+                          if f.carrier_size > self.guards.table_limit])
 
-    def _componentwise(self, op, *args):
-        out = 0
-        for f, size, stride in zip(self.factors, self.sizes, self.strides):
-            out = out + getattr(f, op)(*(x // stride % size for x in args)) * stride
+    @_memoized("chunks")
+    def _chunks(self):
+        """The arithmetic above the table guard, by chunks of consecutive
+        factors of at most min(table_limit, max(largest factor, ceil(sqrt(n))))
+        elements, so that the chunk tables hold O(n) cells.  Per chunk, each
+        element's chunk digit and the chunk's operations, pre-multiplied by its
+        stride: a chunk within the guard as (digit, row, (add, mul)), flat
+        tables read at row[a] + digit[b] for row = digit * chunk size, and a
+        factor above the guard as (digit, stride, its (add_many, mul_many));
+        and -1, by which neg multiplies."""
+        n, limit = self.carrier_size, self.guards.table_limit
+        cap = min(limit, max(max(self.sizes), math.isqrt(n - 1) + 1))
+        runs, size = [], cap + 1  # the open chunk's size; cap + 1 closes it
+        for i, s in enumerate(self.sizes):
+            if s <= limit and size * s <= cap:
+                runs[-1].append(i)
+                size *= s
+            else:
+                # a factor above the guard is a chunk of its own
+                runs.append([i])
+                size = s if s <= limit else cap + 1
+        gathers, own = [], []
+        for run in runs:
+            factors = [self.factors[i] for i in run]
+            stride, size = self.strides[run[0]], math.prod(f.carrier_size for f in factors)
+            digit = np.arange(n)
+            digit //= stride
+            digit %= size
+            if size > limit:
+                own.append((digit, stride, (factors[0].add_many, factors[0].mul_many)))
+            else:
+                add, mul, _ = _factor_tables(factors)
+                tables = tuple(np.multiply(t.ravel(), stride, dtype=np.int64) for t in (add, mul))
+                gathers.append((digit, digit * size, tables))
+        minus_one = self.encode([int(f.neg_many(f.one)) for f in self.factors])
+        return tuple(gathers), tuple(own), minus_one
+
+    def _chunkwise(self, k, a, b):
+        """Operation k (0 add, 1 mul) on index arrays, as the sum of the
+        chunks' results: no division, and one gather per chunk within the
+        guard."""
+        gathers, own, _ = self._chunks()
+        out = None
+        for digit, row, tables in gathers:
+            out = _plus(out, tables[k][row[a] + digit[b]])
+        for digit, stride, ops in own:
+            out = _plus(out, ops[k](digit[a], digit[b]) * stride)
         return out
 
     def _add_arrays(self, a, b):
-        return self._componentwise("add_many", a, b)
+        return self._chunkwise(0, a, b)
 
     def _mul_arrays(self, a, b):
-        return self._componentwise("mul_many", a, b)
+        return self._chunkwise(1, a, b)
 
     def _neg_arrays(self, a):
-        return self._componentwise("neg_many", a)
+        # -a = (-1)a, one gather per chunk as for mul
+        return self._chunkwise(1, self._chunks()[2], a)
 
     def _build_tables(self):
-        # each factor's operations over its own carrier, no larger than the
-        # product's, combined digit by digit
-        ops = []
-        for f in self.factors:
-            idx = np.arange(f.carrier_size)
-            ops.append([f.add_many(idx[:, None], idx), f.mul_many(idx[:, None], idx),
-                        f.neg_many(idx)])
-        return tuple(_digitwise(self.sizes, [t[k].astype(_TABLE_DTYPE) for t in ops])
-                     for k in range(3))
+        return _factor_tables(self.factors)
 
     def _find_units(self):
         # componentwise: a tuple is invertible iff every component is; row
@@ -715,8 +789,7 @@ class Ideal:
     def __contains__(self, a: int) -> bool:
         # refuses what check_element refuses, but an integer outside the
         # carrier is simply not a member
-        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-            raise ValueError(f"element {a!r} is not an integer")
+        a = _integer(a)
         return 0 <= a < len(self.mask) and bool(self.mask[a])
 
     def __len__(self) -> int:
@@ -1284,15 +1357,10 @@ class PresentedRing:
 
     def canonical(self, elem):
         if self.kind == "integers":
-            if isinstance(elem, bool) or not isinstance(elem, (int, np.integer)):
-                raise ValueError(f"element {elem!r} is not an integer")
-            return int(elem)
+            return _integer(elem)
         if not isinstance(elem, tuple):
             raise ValueError(f"expected coefficient tuple, got {elem!r}")
-        for c in elem:
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-                raise ValueError(f"coefficient {c!r} is not an integer")
-        return poly_trim(int(c) % self.p for c in elem)
+        return poly_trim(_integer(c, "coefficient") % self.p for c in elem)
 
     def is_unit(self, elem) -> bool:
         return self.canonical(elem) in self.unit_list()

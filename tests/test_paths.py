@@ -4,7 +4,10 @@ Oracles:
   - a corpus run with tables refused everywhere gives the same stable
     report as one with the default guards
   - add_many/mul_many/neg_many agree with the reference arithmetic in
-    scalar_oracle
+    scalar_oracle; a product above the table guard, gathering from chunk
+    tables, gives the arrays of every factor on its own encoding, and
+    regrouping its factors into nested products changes none of them; the
+    chunk tables of a 65536-element product take O(n) memory
   - every scan agrees with the plain-Python loops in scalar_oracle, on every
     corpus ring of at most 64 elements, tabulated and untabulated
   - saturation from the local factors' principal ideals agrees with the
@@ -143,6 +146,10 @@ def test_untabulated_corpus_report_matches_default():
 # the array operations
 
 
+def _prod(factors):
+    return "prod(" + ",".join(factors) + ")"
+
+
 @pytest.mark.parametrize("spec", [
     # Z/2^k reduces by masking the low bits, below and above the table guard
     "Z/64",
@@ -161,11 +168,20 @@ def test_untabulated_corpus_report_matches_default():
     "GF(2)[x]/(x^16+x^5+x^3+x^2+1)",
     "GF(3)[x]/(x^10)",
     # quotients compute through their parent at every size, over a parent
-    # that computes on bits, on residues, by mixed radix and on digits
+    # that computes on bits, on residues, by chunk tables and on digits
     "quot(GF(2)[x]/(x^11);x^9)",
     "quot(Z/1024;256)",
     "quot(prod(Z/8,Z/8,Z/4);(4,0,0))",
     "quot(GF(3)[x]/(x^7);x^6)",
+    # products gather from the tables of chunks of factors: many factors to
+    # a chunk, factors of every kind, a factor above the guard in a chunk of
+    # its own, a product as a factor, and a quotient through its parent
+    _prod(["Z/2"] * 12),
+    _prod(["Z/3"] * 7),
+    "prod(Z/4,GF(2)[x]/(x^3),Z/9,Z/5)",
+    "prod(Z/2048,Z/3)",
+    "prod(prod(Z/2,Z/3),Z/5,Z/7,Z/11)",
+    "quot(" + _prod(["Z/2"] * 12) + ";(1," + ",".join(["0"] * 11) + "))",
 ])
 def test_array_ops_match_scalar_ops(spec):
     ring = build_ring(spec)
@@ -179,6 +195,11 @@ def test_array_ops_match_scalar_ops(spec):
     assert ring.mul_many(np.array(a), np.array(b)).tolist() == [
         oracle.mul(ring, x, y) for x, y in zip(a, b)]
     assert ring.neg_many(np.array(a)).tolist() == [oracle.neg(ring, x) for x in a]
+    # every factor on its own encoding gives the same arrays
+    own = build_ring(spec, Guards(table_limit=1))
+    for op in ("add_many", "mul_many"):
+        assert np.array_equal(getattr(ring, op)(np.array(a), np.array(b)),
+                              getattr(own, op)(np.array(a), np.array(b))), op
     # a block of rows against columns broadcasts to the same cells
     rows, cols = np.array(a[:7])[:, None], np.array(b[:50])[None, :]
     assert np.array_equal(ring.mul_many(rows, cols),
@@ -190,6 +211,20 @@ def test_array_ops_match_scalar_ops(spec):
         got = ring.add(x, y), ring.mul(x, y), ring.neg(x)
         assert [type(v) for v in got] == [int] * 3
         assert got == (oracle.add(ring, x, y), oracle.mul(ring, x, y), oracle.neg(ring, x))
+
+
+def test_regrouped_products_have_the_same_arithmetic():
+    # the mixed radix of prod(prod(Z/2 x6),prod(Z/2 x6)) is that of (Z/2)^12,
+    # though the one gathers from two chunks of one factor and the other from
+    # two chunks of six
+    nested = build_ring(_prod([_prod(["Z/2"] * 6)] * 2))
+    flat = build_ring(_prod(["Z/2"] * 12))
+    rows, cols = np.arange(flat.carrier_size)[::37, None], np.arange(flat.carrier_size)[None, :]
+    for ring in (nested, flat):
+        assert ring.tables() is None
+    for op in ("add_many", "mul_many"):
+        assert np.array_equal(getattr(nested, op)(rows, cols), getattr(flat, op)(rows, cols)), op
+    assert np.array_equal(nested.neg_many(cols), flat.neg_many(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -976,3 +1011,21 @@ def test_quadratic_scans_stay_within_memory_budget():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, spec
+
+
+def test_chunk_tables_stay_linear_in_the_carrier():
+    # (Z/2)^16 and prod(Z/4 x8) gather from two chunks of 256 elements: per
+    # chunk an add and a mul table of 256^2 cells and the digit and row of each
+    # of the 65536 elements, all int64, 4 MiB in all; a split into chunks of
+    # 1024 and 64 would take 16 MiB of tables, and one n x n table 32 GiB
+    for factors in (["Z/2"] * 16, ["Z/4"] * 8):
+        ring = build_ring(_prod(factors))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gathers, own, _ = ring._chunks()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(tables[1]) for _, _, tables in gathers] == [256 ** 2] * 2 and not own
+        assert peak < 5 * 2**20, factors

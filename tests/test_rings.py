@@ -670,6 +670,24 @@ def test_polynomial_literals_reduce_every_coefficient_mod_p():
     assert build_ring(QuotientSpec(local, ((4, 1),))).carrier_size == 3
 
 
+def test_element_literals_refuse_bools_and_non_integers():
+    # True once read as 1, (True, 2) as 9 and the coefficient 1.5 came back
+    # as the element 1.5; the quotient by (True, 1) was built, of 3 elements
+    cases = [("Z/12", True), ("Z/12", 3.0), ("Z/12", "3"),
+             ("prod(Z/4,Z/3)", (True, 2)), ("prod(Z/4,Z/3)", (1, np.float64(2.0))),
+             ("GF(3)[x]/(x^2+1)", (1.5,)), ("GF(3)[x]/(x^2+1)", (1, False)),
+             ("quot(Z/12;4)", True)]
+    for spec, expr in cases:
+        with pytest.raises(ValueError, match="is not an integer"):
+            build_ring(spec).element_from_expr(expr)
+    with pytest.raises(ValueError, match="coefficient True is not an integer"):
+        build_ring(QuotientSpec(parse_ring_spec("GF(3)[x]/(x^2+2x+1)"), ((True, 1),)))
+    # numpy integers are integers, as check_element takes them
+    assert build_ring("Z/12").element_from_expr(np.int64(15)) == 3
+    assert build_ring("prod(Z/4,Z/3)").element_from_expr((np.int32(1), 2)) == 9
+    assert build_ring("GF(3)[x]/(x^2+1)").element_from_expr((np.int64(4), 1)) == 4
+
+
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
 def test_ideals_of_another_ring_are_refused(table_limit):
     # Z/6's ideal (2) is {0, 2, 4}; read as a mask of Z/12 it would give

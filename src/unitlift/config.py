@@ -20,11 +20,12 @@ class Guards:
     matrix_space_limit: int = 65536
     # largest matrix dimension for determinants and lifts
     matrix_dim_limit: int = 3
-    # largest carrier for cached numpy operation tables (int32), which only
-    # polynomial quotients and products build, from their structure; Z/n
-    # and quotients R/I compute on their encoding at every size.  Above it a
-    # product gathers from the tables of chunks of its factors, none larger
-    # than this, and a factor above it computes on its own encoding
+    # largest carrier for cached numpy operation tables (int32).  Only
+    # polynomial quotients build whole-ring tables, from their structure;
+    # Z/n and quotients R/I compute on their encoding at every size.  A
+    # product has one arithmetic at every size: it gathers from the tables
+    # of chunks of its factors, none larger than this, and a factor above
+    # it computes on its own encoding
     table_limit: int = 1024
 
 

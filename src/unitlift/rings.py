@@ -8,21 +8,22 @@ factor indices, and the ranks of the sorted least coset members of R/I.
 
 Each ring kind has one arithmetic: add_many, mul_many and neg_many on
 broadcast int64 index arrays, of which the scalar add, mul and neg are
-single cells; every exhaustive scan is written against them.  Only the two
-kinds that build tables from their structure gather from them, within the
-table guard: polynomial quotients step x on digit vectors (_times_x), and
-products combine their factors' tables digit by digit.  Above the guard a
-product gathers from chunk tables instead (ProductRing._chunks): runs of
-consecutive factors of at most max(largest factor, ceil(sqrt(n))) elements,
-within the guard, each with its own O(n)-cell tables read through every
-element's precomputed chunk digit and row, so an operation is one gather
-per chunk and no division; a factor above the guard is a chunk of its own,
-on its own arithmetic.  Every other ring, and polynomial quotients above the
-guard, computes on its encoding: residues for Z/n, as a gather from an
-n x n table costs what a * b % n costs, digit vectors for odd p, the index
-as a bit vector for GF(2) (add is XOR), and the parent's operations on
-coset members for quotients, whose scans read few of the n^2 cells a table
-would fill.  Quadratic scans run in row blocks (BLOCK_WORDS).
+single cells; every exhaustive scan is written against them.  Only
+polynomial quotients build whole-ring tables, within the table guard, by
+stepping x on digit vectors (_times_x), and gather from them.  A product
+has one arithmetic at every size: it gathers from chunk tables
+(ProductRing._chunks), runs of consecutive factors of at most
+min(table guard, max(largest factor, ceil(sqrt(n)))) elements, each with
+its own O(n)-cell tables combined from its factors' operations digit by
+digit and read through every element's precomputed chunk digit and row, so
+an operation is one gather per chunk and no division; a factor above the
+guard is a chunk of its own, on its own arithmetic.  Every other ring, and
+polynomial quotients above the guard, computes on its encoding: residues
+for Z/n, as a gather from an n x n table costs what a * b % n costs, digit
+vectors for odd p, the index as a bit vector for GF(2) (add is XOR), and
+the parent's operations on coset members for quotients, whose scans read
+few of the n^2 cells a table would fill.  Quadratic scans run in row
+blocks (BLOCK_WORDS).
 
 Inside the library a subset of the carrier is a read-only boolean mask,
 and only public functions that return frozensets build sets: an ideal is
@@ -232,33 +233,27 @@ def power_many(ring: "FiniteRing", xs, k: int) -> np.ndarray:
 
 
 def _digitwise(radices: Sequence[int], tables: Sequence[np.ndarray]) -> np.ndarray:
-    """The table of an operation acting digit by digit on the little-endian
-    mixed-radix carrier with the given radices, from one table per digit:
-    2-D for a binary operation, 1-D for a unary one."""
-    binary = tables[0].ndim == 2
-    out = np.zeros((1, 1) if binary else 1, dtype=_TABLE_DTYPE)
+    """The table of a binary operation acting digit by digit on the
+    little-endian mixed-radix carrier with the given radices, from one 2-D
+    table per digit."""
+    out = np.zeros((1, 1), dtype=_TABLE_DTYPE)
     stride = 1
     for size, table in zip(radices, tables):
         # index (digit, lower digits) of the carrier with one more digit
-        if binary:
-            out = table[:, None, :, None] * stride + out[None, :, None, :]
-        else:
-            out = table[:, None] * stride + out[None, :]
+        out = table[:, None, :, None] * stride + out[None, :, None, :]
         stride *= size
-        out = out.reshape((stride,) * table.ndim)
+        out = out.reshape(stride, stride)
     return out
 
 
-def _factor_tables(factors: Sequence["FiniteRing"]) -> tuple[np.ndarray, ...]:
-    """The (add, mul, neg) tables of the product of the factors, from each
+def _factor_tables(factors: Sequence["FiniteRing"]) -> tuple[np.ndarray, np.ndarray]:
+    """The (add, mul) tables of the product of the factors, from each
     factor's operations over its own carrier, combined digit by digit."""
-    ops = []
-    for f in factors:
-        idx = np.arange(f.carrier_size)
-        ops.append([f.add_many(idx[:, None], idx), f.mul_many(idx[:, None], idx),
-                    f.neg_many(idx)])
-    return tuple(_digitwise([f.carrier_size for f in factors],
-                            [t[k].astype(_TABLE_DTYPE) for t in ops]) for k in range(3))
+    sizes = [f.carrier_size for f in factors]
+    cells = [np.arange(size) for size in sizes]
+    add = [f.add_many(c[:, None], c).astype(_TABLE_DTYPE) for f, c in zip(factors, cells)]
+    mul = [f.mul_many(c[:, None], c).astype(_TABLE_DTYPE) for f, c in zip(factors, cells)]
+    return _digitwise(sizes, add), _digitwise(sizes, mul)
 
 
 def _plus(out, cells):
@@ -514,7 +509,6 @@ class PolyQuotientRing(FiniteRing):
         p, d, n = self.p, self.degree, self.carrier_size
         r = np.arange(p, dtype=_TABLE_DTYPE)
         add = _digitwise([p] * d, [(r[:, None] + r[None, :]) % p] * d)
-        neg = _digitwise([p] * d, [(-r) % p] * d)
         # a*b = sum_k a_k (x^k b): x^k b is stepped on the digits of all b, as
         # in _mul_arrays, and the row of a_k p^k + (lower digits) is the
         # add-table sum of the row of a_k x^k and the lower digits' row
@@ -524,7 +518,8 @@ class PolyQuotientRing(FiniteRing):
             monomial_rows = self._encode_digits(r[:, None, None] * shifted)
             mul = add[monomial_rows[:, None, :], mul[None, :, :]].reshape(-1, n)
             shifted = self._times_x(shifted)
-        return add, mul, neg
+        # -b = (-1)*b, the row of the constant p - 1
+        return add, mul, mul[p - 1]
 
     def render(self, a):
         return poly_to_string(self.decode(a))
@@ -571,11 +566,10 @@ class BinaryPolyQuotientRing(PolyQuotientRing):
 class ProductRing(FiniteRing):
     """Direct product with little-endian mixed-radix element encoding.
 
-    Within the table guard it gathers from whole-ring tables, built from the
-    factors' tables digit by digit.  Above it, and under any guard smaller
-    than its factors, it sums one result per chunk of consecutive factors
-    (_chunks): a gather from the chunk's own tables, or a factor above the
-    guard computing on its own encoding."""
+    One arithmetic at every size, with no whole-ring tables: it sums one
+    result per chunk of consecutive factors (_chunks), a gather from the
+    chunk's own tables, or a factor above the guard computing on its own
+    encoding."""
 
     def __init__(self, spec: ProductSpec, factors: Sequence[FiniteRing],
                  guards: Guards = DEFAULT_GUARDS):
@@ -612,7 +606,7 @@ class ProductRing(FiniteRing):
 
     @_memoized("chunks")
     def _chunks(self):
-        """The arithmetic above the table guard, by chunks of consecutive
+        """The product's arithmetic at every size, by chunks of consecutive
         factors of at most min(table_limit, max(largest factor, ceil(sqrt(n))))
         elements, so that the chunk tables hold O(n) cells.  Per chunk, each
         element's chunk digit and the chunk's operations, pre-multiplied by its
@@ -641,8 +635,8 @@ class ProductRing(FiniteRing):
             if size > limit:
                 own.append((digit, stride, (factors[0].add_many, factors[0].mul_many)))
             else:
-                add, mul, _ = _factor_tables(factors)
-                tables = tuple(np.multiply(t.ravel(), stride, dtype=np.int64) for t in (add, mul))
+                tables = tuple(np.multiply(t.ravel(), stride, dtype=np.int64)
+                               for t in _factor_tables(factors))
                 gathers.append((digit, digit * size, tables))
         minus_one = self.encode([int(f.neg_many(f.one)) for f in self.factors])
         return tuple(gathers), tuple(own), minus_one
@@ -668,9 +662,6 @@ class ProductRing(FiniteRing):
     def _neg_arrays(self, a):
         # -a = (-1)a, one gather per chunk as for mul
         return self._chunkwise(1, self._chunks()[2], a)
-
-    def _build_tables(self):
-        return _factor_tables(self.factors)
 
     def _find_units(self):
         # componentwise: a tuple is invertible iff every component is; row

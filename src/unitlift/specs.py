@@ -143,7 +143,7 @@ class _Cursor:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise SpecSyntaxError("expected an integer", start)
@@ -163,7 +163,7 @@ def _parse_poly(cur: _Cursor, p: int) -> tuple[int, ...]:
         cur.skip_ws()
         start = cur.pos
         coeff = None
-        if cur.peek().isdigit():
+        if cur.peek().isdecimal():
             coeff = cur.parse_int()
             cur.match("*")
         if cur.match("x"):

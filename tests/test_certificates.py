@@ -4,6 +4,8 @@ Each test corrupts one computation a certificate checks and reaches the
 certificate through a public entry point, so the certificate is seen to
 fire with its own text, before anything downstream reads the bad value."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from unitlift.rings import (
     member_mask,
     quotient_ring,
 )
-from unitlift.semiunits import rho, semi_inverses
+from unitlift.semiunits import colon_into_radical, is_semifield, rho, semi_inverses
 from unitlift.spectrum import maximal_ideals, radical_quotient
 from unitlift.star import (
     StarMethod,
@@ -297,3 +299,42 @@ def test_a_radical_whose_size_does_not_divide_the_units_is_a_defect(monkeypatch)
     monkeypatch.setattr(semiunits, "jacobson_radical", lambda ring: wrong)
     with pytest.raises(InternalDefectError, match=r"^\|rad\| does not divide \|U\|$"):
         rho(ring, 5)
+
+
+def test_a_non_unit_passed_off_as_a_unit_fails_its_inverse_certificate():
+    # with 2 among the units of Z/12, |U| reads 5, and 2 * 2^4 = 8 is not 1
+    ring = build_ring("Z/12")
+    ring._cache["unit_mask"] = member_mask(ring, {1, 2, 5, 7, 11})
+    text = "u^(|U|-1) is not the inverse of a unit u"
+    with pytest.raises(InternalDefectError, match=f"^{re.escape(text)}$"):
+        ring.inverse(2)
+
+
+def test_a_colon_ideal_that_moves_when_r_is_squared_is_a_defect():
+    # with the radical of Z/4 passed off as {0}, the a with 2a in it are
+    # {0, 2}, but 2 * 2 = 0 takes every a into it
+    ring = build_ring("Z/4")
+    ring._cache["radical"] = ideal_closure(ring, [0])
+    with pytest.raises(InternalDefectError, match="^colon ideal changed when squaring r$"):
+        colon_into_radical(ring, 2)
+
+
+def test_a_fermat_identity_with_a_non_nilpotent_difference_is_a_defect():
+    # Z/6 with both residue fields read as GF(2): L = 1, and 2^2 - 2 = 2 on
+    # the reduced ring Z/6 is not nilpotent
+    ring = build_ring("Z/6")
+    ring._cache["residue_field_sizes"] = np.array([2, 2])
+    text = "a^(L+1) - a is not nilpotent"
+    with pytest.raises(InternalDefectError, match=f"^{re.escape(text)}$"):
+        is_semifield(ring)
+
+
+def test_semi_field_verdicts_that_disagree_are_a_defect(monkeypatch):
+    # Z/6 is a product of fields, so regular; the direct scan is made to find
+    # no semi-inverse at all
+    monkeypatch.setattr(semiunits, "_semi_inverse_found",
+                        lambda ring, rs: np.zeros(len(rs), dtype=bool))
+    with pytest.raises(InternalDefectError, match=(
+            "^semi-field verdicts disagree between the direct scan and the "
+            "regularity of the reduced ring$")):
+        is_semifield(build_ring("Z/6"))

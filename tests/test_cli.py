@@ -163,6 +163,18 @@ def test_usage_errors_exit_64():
     assert run_cli("star", "presented", "Q", "5").returncode == 64
 
 
+@pytest.mark.parametrize("args, message", [
+    (("ring", "info", "Z/\u00b2"), "expected an integer (at position 2)"),
+    (("ring", "info", "GF(2)[x]/(x^\u00b2+1)"), "expected an integer (at position 12)"),
+    (("decompose", "Z/12", "1\u00b2"), "unexpected trailing input (at position 1)"),
+])
+def test_digits_that_int_refuses_exit_64_with_a_position(args, message):
+    # a superscript two once reached int(), whose error named no position
+    proc = run_cli(*args)
+    assert proc.returncode == 64
+    assert message in proc.stderr
+
+
 def test_element_error_positions_count_from_the_start_of_the_argument():
     # the position was once counted within the failing generator: 3, not 9
     proc = run_cli("star", "check", "prod(Z/4,Z/9)", "--ideal", "(2,0),(0,x)")

@@ -35,7 +35,7 @@ from unitlift.matrices import (
     matrix_inverse,
     two_sided_saturate,
 )
-from unitlift.rings import ModularRing, QuotientRing, SurjectiveHom, build_ring, \
+from unitlift.rings import ModularRing, PolyQuotientRing, SurjectiveHom, build_ring, \
     ideal_closure, quotient_ring
 from unitlift.specs import ModularSpec
 from unitlift.verify import RunContext, _draw_lifts, criterion_matrix_lifts
@@ -240,8 +240,8 @@ def test_lift_defects_rank_a_failed_certificate_before_the_map_back(monkeypatch)
         "adjugate inverse failed its certificate", None]
 
 
-# tabulated rings, the same rings computed on their encodings, and rings
-# above the table guard
+# rings within the table guard, the same rings under a guard of 2, and
+# rings above the guard
 ARRAY_PATH_RINGS = [
     ("Z/6", None), ("GF(2)[x]/(x^2+x+1)", None), ("prod(Z/2,Z/4)", None),
     ("quot(Z/12;4)", None), ("GF(3)[x]/(x^2)", None),
@@ -255,8 +255,9 @@ ARRAY_PATH_RINGS = [
 @pytest.mark.parametrize("spec, table_limit", ARRAY_PATH_RINGS)
 def test_matrix_arithmetic_matches_oracle(spec, table_limit, n):
     ring = build_ring(spec, Guards(table_limit=table_limit) if table_limit else Guards())
+    # only polynomial quotients build tables, within the guard
     assert (ring.tables() is None) == (table_limit is not None or ring.carrier_size > 1024
-                                       or isinstance(ring, (ModularRing, QuotientRing)))
+                                       or not isinstance(ring, PolyQuotientRing))
     rng = random.Random(f"{spec}:{n}")
     ident = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
                   for i in range(n))

@@ -81,8 +81,8 @@ from unitlift.errors import InternalDefectError
 from unitlift.rings import (
     FiniteRing,
     ModularRing,
+    PolyQuotientRing,
     ProductRing,
-    QuotientRing,
     _as_set,
     _factor_principals,
     _principal_cells,
@@ -216,15 +216,19 @@ def test_array_ops_match_scalar_ops(spec):
 def test_regrouped_products_have_the_same_arithmetic():
     # the mixed radix of prod(prod(Z/2 x6),prod(Z/2 x6)) is that of (Z/2)^12,
     # though the one gathers from two chunks of one factor and the other from
-    # two chunks of six
-    nested = build_ring(_prod([_prod(["Z/2"] * 6)] * 2))
-    flat = build_ring(_prod(["Z/2"] * 12))
-    rows, cols = np.arange(flat.carrier_size)[::37, None], np.arange(flat.carrier_size)[None, :]
-    for ring in (nested, flat):
-        assert ring.tables() is None
-    for op in ("add_many", "mul_many"):
-        assert np.array_equal(getattr(nested, op)(rows, cols), getattr(flat, op)(rows, cols)), op
-    assert np.array_equal(nested.neg_many(cols), flat.neg_many(cols))
+    # two chunks of six; within the table guard, prod(prod(Z/2 x3),prod(Z/2 x3))
+    # and (Z/2)^6 gather from two chunks of one factor and of three
+    for half, step in ((6, 37), (3, 1)):
+        nested = build_ring(_prod([_prod(["Z/2"] * half)] * 2))
+        flat = build_ring(_prod(["Z/2"] * (2 * half)))
+        n = flat.carrier_size
+        rows, cols = np.arange(n)[::step, None], np.arange(n)[None, :]
+        for ring in (nested, flat):
+            assert ring.tables() is None
+        for op in ("add_many", "mul_many"):
+            assert np.array_equal(getattr(nested, op)(rows, cols),
+                                  getattr(flat, op)(rows, cols)), (half, op)
+        assert np.array_equal(nested.neg_many(cols), flat.neg_many(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +246,9 @@ def _sample(items, k, seed):
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_scans_match_oracle(spec, table_limit):
     ring = build_ring(spec, Guards(table_limit=table_limit))
-    # Z/n and quotients compute on their encoding at every size
-    assert (ring.tables() is None) == (isinstance(ring, (ModularRing, QuotientRing))
+    # only polynomial quotients build tables, within the guard; every other
+    # ring computes on its encoding, or a product on its chunks, at every size
+    assert (ring.tables() is None) == (not isinstance(ring, PolyQuotientRing)
                                        or ring.carrier_size > table_limit)
 
     units, inverses = oracle.units_and_inverses(ring)

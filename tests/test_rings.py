@@ -111,11 +111,54 @@ class _NondistributiveMultiplication(ModularRing):
         return a & b
 
 
+class _OneIsZero(ModularRing):
+    def __init__(self, spec, guards):
+        super().__init__(spec, guards)
+        self.one = 0
+
+
+class _ZeroPlusOneIsTwo(ModularRing):
+    def _add_arrays(self, a, b):
+        return np.where((a == 0) & (b == 1), 2, (a + b) % self.n)
+
+
+class _OneIsTwo(ModularRing):
+    def __init__(self, spec, guards):
+        super().__init__(spec, guards)
+        self.one = 2
+
+
+class _NegationIsIdentity(ModularRing):
+    def _neg_arrays(self, a):
+        return a.copy()
+
+
+class _NoncommutativeAddition(ModularRing):
+    """Z/n with 2 + 3 = 0 but 3 + 2 = 5; on Z/7 0 and negatives stay intact."""
+
+    def _add_arrays(self, a, b):
+        return np.where((a == 2) & (b == 3), 0, (a + b) % self.n)
+
+
+class _NonassociativeMultiplication(ModularRing):
+    """Z/n with 2 * 2 = 0, still commutative, with one intact: (2 * 2) * 3 = 0
+    but 2 * (2 * 3) = 2 on Z/5."""
+
+    def _mul_arrays(self, a, b):
+        return np.where((a == 2) & (b == 2), 0, a * b % self.n)
+
+
 @pytest.mark.parametrize("table_limit", [2, Guards().table_limit])
 @pytest.mark.parametrize("kind, n, law", [
     (_NoncommutativeMultiplication, 5, "multiplication is not commutative"),
     (_NonassociativeAddition, 5, "addition not associative at 1"),
     (_NondistributiveMultiplication, 4, "distributivity fails at 1"),
+    (_OneIsZero, 5, "one equals zero"),
+    (_ZeroPlusOneIsTwo, 5, "zero is not an additive identity"),
+    (_OneIsTwo, 5, "one is not a multiplicative identity"),
+    (_NegationIsIdentity, 5, "negation is not an additive inverse"),
+    (_NoncommutativeAddition, 7, "addition is not commutative"),
+    (_NonassociativeMultiplication, 5, "multiplication not associative at 2"),
 ])
 def test_ring_axioms_catch_broken_arithmetic(kind, n, law, table_limit):
     ring = kind(ModularSpec(n), Guards(table_limit=table_limit))
@@ -475,18 +518,21 @@ def test_published_caches_do_not_change_under_their_callers(table_limit):
     hom.preimages(1).append(2)
     assert hom.preimages(1) == [1, 5, 9]
     assert hom.mapping is quot.qmap
-    # neither Z/n nor its quotients keep tables at any size; Z/4 x Z/3, the
-    # same ring as a product, builds them within the guard
-    assert ring.tables() is None and quot.tables() is None
-    tables = build_ring("prod(Z/4,Z/3)", Guards(table_limit=table_limit)).tables()
-    assert (tables is None) == (table_limit == 1)
-    for published in (hom.mapping, quot.reps, *(tables or ())):
+    # neither Z/n, nor its quotients, nor Z/4 x Z/3, the same ring as a
+    # product, keep tables at any size; the product publishes chunk tables
+    # within the guard
+    product = build_ring("prod(Z/4,Z/3)", Guards(table_limit=table_limit))
+    assert ring.tables() is None and quot.tables() is None and product.tables() is None
+    gathers, _, _ = product._chunks()
+    assert bool(gathers) == (table_limit > 1)
+    chunks = [array for digit, row, tables in gathers for array in (digit, row, *tables)]
+    for published in (hom.mapping, quot.reps, *chunks):
         assert not published.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         hom.mapping[0] = 3
-    if tables is not None:
+    if gathers:
         with pytest.raises(ValueError, match="read-only"):
-            tables[0][0, 1] = 2
+            gathers[0][2][0][1] = 2
     assert hom(0) == 0 and type(hom(5)) is int
 
 
@@ -827,9 +873,9 @@ def test_build_guard():
 def test_scalar_path_matches_tabulated(spec):
     fast = build_ring(spec)
     slow = build_ring(spec, Guards(table_limit=2))
-    # Z/n and quotients compute on their encoding at every size, so they
-    # have no fast path
-    assert (fast.tables() is None) == isinstance(fast, (ModularRing, QuotientRing))
+    # only polynomial quotients tabulate; a product gathers from chunk
+    # tables under both guards, whose factors above 2 compute on their own
+    assert (fast.tables() is None) == (not isinstance(fast, PolyQuotientRing))
     assert slow.tables() is None
     check_ring_axioms(slow)
     assert slow.units() == fast.units()
@@ -857,15 +903,19 @@ OTHER_SPECS = ["Z/2", "Z/12", "Z/64", "prod(Z/2,Z/3)", "prod(Z/4,GF(2)[x]/(x^2+x
                "prod(GF(3)[x]/(x^2),Z/2,GF(2)[x]/(x^2))", "prod(Z/6,Z/10)"]
 
 
-def _tables_or_carrier_ops(ring):
-    """The ring's tables; for Z/n, which builds none at any size, its array
-    operations over the whole carrier in their place."""
-    tables = ring.tables()
-    assert (tables is None) == isinstance(ring, ModularRing)
-    if tables is not None:
-        return tables
-    idx = np.arange(ring.carrier_size)
+def _carrier_ops(ring, dtype=np.int64):
+    """add_many and mul_many over every pair of the carrier, and neg_many
+    over the carrier, on index arrays of the given dtype."""
+    idx = np.arange(ring.carrier_size, dtype=dtype)
     return ring.add_many(idx[:, None], idx), ring.mul_many(idx[:, None], idx), ring.neg_many(idx)
+
+
+def _tables_or_carrier_ops(ring):
+    """The ring's tables; for Z/n and products, which build none at any
+    size, their array operations over the whole carrier in their place."""
+    tables = ring.tables()
+    assert (tables is None) == (not isinstance(ring, PolyQuotientRing))
+    return _carrier_ops(ring) if tables is None else tables
 
 
 @pytest.mark.parametrize(
@@ -875,26 +925,25 @@ def test_tables_match_scalar_build(spec):
     ring = build_ring(spec)
     reference = oracle.tables(ring)
     for table, ref in zip(_tables_or_carrier_ops(ring), reference):
-        assert isinstance(ring, ModularRing) or table.dtype == ref.dtype
+        assert not isinstance(ring, PolyQuotientRing) or table.dtype == ref.dtype
         assert np.array_equal(table, ref)
 
 
 @pytest.mark.parametrize("n", [182, 183])
 def test_modular_mul_table_does_not_overflow_its_dtype(n, monkeypatch):
     # (n-1)^2 overflows int16 above n = 182; with int16 tables, Z/n's
-    # array operations on int16 index arrays, and the tables of a product
-    # built from them, must still hold the reference arithmetic
+    # array operations on int16 index arrays, and the arithmetic of a
+    # product gathered from chunk tables built from them, must still hold
+    # the reference arithmetic
     monkeypatch.setattr(rings, "_TABLE_DTYPE", np.int16)
     ring = build_ring(f"Z/{n}")
     assert ring.tables() is None
-    idx = np.arange(n, dtype=np.int16)
-    ops = (ring.add_many(idx[:, None], idx), ring.mul_many(idx[:, None], idx),
-           ring.neg_many(idx))
-    for table, ref in zip(ops, oracle.tables(ring)):
+    for table, ref in zip(_carrier_ops(ring, np.int16), oracle.tables(ring)):
         assert np.array_equal(table, ref)
     product = build_ring(f"prod(Z/{n},Z/2)")
-    for table, ref in zip(product.tables(), oracle.tables(product)):
-        assert table.dtype == np.int16
+    assert product.tables() is None
+    assert all(t.dtype == np.int16 for t in rings._factor_tables(product.factors))
+    for table, ref in zip(_carrier_ops(product), oracle.tables(product)):
         assert np.array_equal(table, ref)
 
 
@@ -907,12 +956,13 @@ def test_residue_arithmetic_and_product_tables_at_the_guard_tops():
     assert (ring.mul(n - 1, n - 1), ring.add(n - 1, n - 1), ring.neg(1)) == (1, n - 2, n - 1)
     top = np.array([n - 1, n - 1])
     assert ring.mul_many(top, top).tolist() == [1, 1]
-    # products of Z/n still tabulate, from their factors' residue
-    # arithmetic, in int32 up to the table guard
+    # products of Z/n build no tables either, up to the top of the table
+    # guard: they gather from chunk tables of their factors' residue
+    # arithmetic
     for spec in ("prod(Z/6,Z/10)", "prod(Z/32,Z/32)"):
         ring = build_ring(spec)
-        for table, ref in zip(ring.tables(), oracle.tables(ring)):
-            assert table.dtype == ref.dtype == np.int32
+        assert ring.tables() is None
+        for table, ref in zip(_carrier_ops(ring), oracle.tables(ring)):
             assert np.array_equal(table, ref)
 
 

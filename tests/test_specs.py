@@ -107,6 +107,31 @@ def test_syntax_error_carries_position():
     assert err.value.position == 3
 
 
+# str.isdigit holds for a superscript two, which int() refuses; these once
+# escaped as int()'s ValueError, with no position
+@pytest.mark.parametrize("text, position", [
+    ("Z/\u00b2", 2),
+    ("GF(2)[x]/(x^\u00b2+1)", 12),  # an exponent
+    ("GF(2)[x]/(\u00b2*x+1)", 10),  # a coefficient, read by the term parser
+])
+def test_digits_that_int_refuses_are_syntax_errors(text, position):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_ring_spec(text)
+    assert err.value.position == position
+
+
+def test_element_digits_that_int_refuses_are_syntax_errors():
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_element_text("1\u00b2", ModularSpec(12))
+    assert err.value.position == 1
+
+
+def test_decimal_digits_of_every_script_still_parse():
+    # int() takes every character str.isdecimal holds for
+    assert parse_ring_spec("Z/\u0661\u0662") == ModularSpec(12)
+    assert parse_element_text("\u0667", ModularSpec(12)) == 7
+
+
 # ---------------------------------------------------------------------------
 # element literals
 

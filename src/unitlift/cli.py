@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import re
 import sys
 import time
@@ -123,11 +125,13 @@ def _ideal_from_arg(ring, text: str):
     return ideal_closure(ring, _elements_from_arg(ring, text))
 
 
-def _ideal_json(ring, ideal) -> dict:
-    return {
-        "generators": [ring.render(g) for g in ideal.generators],
-        "size": len(ideal),
-    }
+def _ideals_json(ring, ideals) -> list[dict]:
+    """Each ideal's generators and size; the generators of all of them are
+    rendered in one render_many call."""
+    names = iter(ring.render_many([g for ideal in ideals for g in ideal.generators]))
+    return [{"generators": list(itertools.islice(names, len(ideal.generators))),
+             "size": len(ideal)}
+            for ideal in ideals]
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +155,9 @@ def _cmd_ring_info(args):
         "isSemifield": is_semifield(ring),
     }
     if ring.carrier_size <= 64:
-        result["units"] = [ring.render(u) for u in sorted(ring.units())]
-        result["rad"] = [ring.render(r) for r in rad]
-        result["idempotents"] = [ring.render(e) for e in sorted(idem)]
+        result["units"] = ring.render_many(np.flatnonzero(ring.unit_mask()))
+        result["rad"] = ring.render_many(np.flatnonzero(rad.mask))
+        result["idempotents"] = ring.render_many(sorted(idem))
     return spec_to_string(ring.spec), result, EX_OK
 
 
@@ -163,11 +167,11 @@ def _cmd_ring_ideals(args):
     maximal = set(maximal_ideals(ring).ideals)
     items = [
         {
-            **_ideal_json(ring, ideal),
+            **shown,
             "isProper": ideal.is_proper(),
             "isMaximal": ideal in maximal,
         }
-        for ideal in ideals
+        for ideal, shown in zip(ideals, _ideals_json(ring, ideals))
     ]
     return spec_to_string(ring.spec), {"count": len(items), "ideals": items}, EX_OK
 
@@ -175,12 +179,12 @@ def _cmd_ring_ideals(args):
 def _cmd_rho_table(args):
     ring = build_ring(args.spec)
     table = rho_table(ring)
-    counts = {str(v.json()): 0 for v in Rho}
-    rows = []
-    for r, v in zip(ring.elements(), table):
-        value = v.json()
-        counts[str(value)] += 1
-        rows.append({"element": ring.render(r), "rho": value})
+    counts = {str(v.json()): table.count(v) for v in Rho}
+    # each value's JSON once, looked up by id: an Enum member hashes in
+    # Python, an int in C
+    values = {id(v): v.json() for v in Rho}
+    rows = [{"element": e, "rho": values[id(v)]}
+            for e, v in zip(ring.render_many(np.arange(ring.carrier_size)), table)]
     result = {"carrier": ring.carrier_size, "counts": counts, "table": rows}
     return spec_to_string(ring.spec), result, EX_OK
 
@@ -225,7 +229,7 @@ def _cmd_star_check(args):
         witnesses.append({"method": check.method.value, "witness": shown})
     result = {
         "ring": spec_to_string(ring.spec),
-        "ideal": _ideal_json(ring, ideal),
+        "ideal": _ideals_json(ring, [ideal])[0],
         "holds": report.holds,
         "methods": {c.method.value: c.holds for c in report.checks},
         "witnesses": witnesses,
@@ -248,9 +252,10 @@ def _cmd_star_check(args):
 def _cmd_star_ring(args):
     ring = build_ring(args.spec)
     report = ring_has_star(ring)
+    shown = _ideals_json(ring, [ideal for ideal, _ in report.entries])
     items = [
-        {**_ideal_json(ring, ideal), "holds": check.holds}
-        for ideal, check in report.entries
+        {**item, "holds": check.holds}
+        for item, (_, check) in zip(shown, report.entries)
     ]
     result = {
         "holds": report.holds,
@@ -295,7 +300,7 @@ def _cmd_gl_lift(args):
     matrix = Matrix(quotient, rows)
     lifted = gl_lift(hom, matrix)
     result = {
-        "ideal": _ideal_json(ring, ideal),
+        "ideal": _ideals_json(ring, [ideal])[0],
         "quotient": spec_to_string(quotient.spec),
         "targetMatrix": matrix.render(),
         "lift": lifted.render(),
@@ -437,10 +442,12 @@ def _dump(value) -> str:
 
     With indent set, the stdlib never uses its C encoder, so this walks
     dicts, lists and tuples itself, encodes strings with the C string
-    encoder and writes ints, bools and None directly.  Every other value,
-    subclasses included, and a dict with a key that is not a str, goes to
-    the stdlib: a scalar's encoding does not depend on indent, and a
-    subtree's only through the indent of its lines.
+    encoder and writes ints, bools and None directly; a list of records,
+    such as a rho table's rows, is written column by column from one row
+    template (_write_records).  Every other value, subclasses included, and
+    a dict with a key that is not a str, goes to the stdlib: a scalar's
+    encoding does not depend on indent, and a subtree's only through the
+    indent of its lines.
     """
     chunks: list[str] = []
     _write(value, "\n", chunks)
@@ -472,6 +479,8 @@ def _write(value, newline: str, chunks: list[str]) -> None:
             separator = "," + inner
         chunks.append(newline + "}" if value else "{}")
     elif kind is list or kind is tuple:
+        if len(value) > 1 and _write_records(value, newline, chunks):
+            return
         inner = newline + "  "
         separator = "[" + inner
         for item in value:
@@ -481,6 +490,51 @@ def _write(value, newline: str, chunks: list[str]) -> None:
         chunks.append(newline + "]" if value else "[]")
     else:
         chunks.append(_stdlib_dump(value, newline))
+
+
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+def _write_records(rows, newline: str, chunks: list[str]) -> bool:
+    """_write's fast path for rows that are dicts with one key set of str
+    keys and only str, int, bool or None values, such as a rho table's: the
+    row template, the literal text before each value of a row, is laid
+    between the values of each column, encoded in one pass, and the whole
+    list is joined once.  False, with nothing appended, for any other
+    value; the first row's types are read first, so most others are turned
+    away before the rows are scanned."""
+    first = rows[0]
+    if not (type(first) is dict and set(map(type, first)) == {str}
+            and set(map(type, first.values())) <= _SCALARS
+            and set(map(type, rows)) == {dict} and set(map(len, rows)) == {len(first)}):
+        return False
+    # with equal sizes, every row holding the first row's keys has its key set
+    keys = sorted(first)
+    inner, count, width = newline + "  ", len(rows), 2 * len(keys)
+    field = inner + "  "
+    pieces = [None] * (count * width)
+    for j, key in enumerate(keys):
+        try:
+            column = list(map(operator.itemgetter(key), rows))
+        except KeyError:
+            return False
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            pieces[2 * j + 1::width] = map(_encode_str, column)
+        elif kinds == {int}:
+            pieces[2 * j + 1::width] = map(repr, column)
+        elif kinds <= _SCALARS:
+            pieces[2 * j + 1::width] = map(_dump, column)
+        else:
+            return False
+        pieces[2 * j::width] = ["," + field + _encode_str(key) + ": "] * count
+    # a row's first key opens the row, and closes the one before
+    opening = inner + "{" + field + _encode_str(keys[0]) + ": "
+    pieces[width::width] = [inner + "}," + opening] * (count - 1)
+    pieces[0] = "[" + opening
+    pieces.append(inner + "}" + newline + "]")
+    chunks.append("".join(pieces))
+    return True
 
 
 def _stdlib_dump(value, newline: str) -> str:

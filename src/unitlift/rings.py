@@ -67,6 +67,12 @@ holds, so sharing rings across threads is safe.  A batch of elements is
 checked as check_element checks one, with one type test per distinct type
 and one vectorised range test.  The tests hold every operation and scan to
 a plain-Python oracle with its own arithmetic.
+
+An element is shown by render, and a batch by render_many, which gives the
+same values in one pass over the checked index array: Z/n's residues as
+they are, a polynomial's terms picked per degree by its base-p digits, a
+product's factor strings picked by its mixed-radix digits, and a
+quotient's through its parent at the coset representatives.
 """
 
 from __future__ import annotations
@@ -147,6 +153,8 @@ def _integer(value, what: str = "element") -> int:
 def check_element(ring: "FiniteRing", a) -> int:
     """a as a Python int, once it is known to name an element of the
     carrier."""
+    if type(a) is int and 0 <= a < ring.carrier_size:
+        return a  # the common case, without _integer's type tests
     a = _integer(a)
     if not 0 <= a < ring.carrier_size:
         raise ValueError(f"element {a} outside the carrier")
@@ -402,6 +410,11 @@ class FiniteRing:
         """Canonical display value: int for modular rings, str otherwise."""
         raise NotImplementedError
 
+    def render_many(self, indices) -> list:
+        """[render(a) for a in indices], with the index array checked once; a
+        kind overrides it with one pass over the whole array."""
+        return [self.render(a) for a in _check_elements(self, indices).tolist()]
+
     def element_expr(self, a: int):
         """The element literal (as used in quot specs) for index a."""
         raise NotImplementedError
@@ -437,10 +450,13 @@ class ModularRing(FiniteRing):
         return np.gcd(np.arange(self.n), self.n) == 1
 
     def render(self, a):
-        return int(a)
+        return check_element(self, a)
+
+    def render_many(self, indices):
+        return _check_elements(self, indices).tolist()
 
     def element_expr(self, a):
-        return int(a)
+        return check_element(self, a)
 
     def element_from_expr(self, expr):
         return _integer(expr) % self.n
@@ -522,16 +538,39 @@ class PolyQuotientRing(FiniteRing):
         return add, mul, mul[p - 1]
 
     def render(self, a):
-        return poly_to_string(self.decode(a))
+        return poly_to_string(self.decode(check_element(self, a)))
+
+    def render_many(self, indices):
+        # poly_to_string on digit columns: each digit c of degree k picks the
+        # term "c*x^k+" ("" for c = 0), highest degree first; the trailing
+        # "+" is dropped, and no term at all is "0"
+        digits = self._digits(_check_elements(self, indices))
+        out = ""
+        for k in reversed(range(self.degree)):
+            out = out + _terms(self.p, k)[digits[:, k]]
+        return [s[:-1] or "0" for s in out.tolist()]
 
     def element_expr(self, a):
-        return self.decode(a)
+        return self.decode(check_element(self, a))
 
     def element_from_expr(self, expr):
         if not isinstance(expr, tuple):
             raise ValueError(f"expected polynomial coefficients, got {expr!r}")
         coeffs = [_integer(c, "coefficient") for c in expr]
         return self.encode(poly_mod(coeffs, self.modulus, self.p))
+
+
+def _terms(p: int, k: int) -> np.ndarray:
+    """The term of degree k that poly_to_string writes for each coefficient
+    c mod p, followed by "+", as an object array; "" for c = 0."""
+    x = "x" if k == 1 else f"x^{k}"
+    terms = [str(c) if k == 0 else x if c == 1 else f"{c}*{x}" for c in range(1, p)]
+    return np.array([""] + [t + "+" for t in terms], dtype=object)
+
+
+def _strings(prefix: str, values) -> np.ndarray:
+    """prefix + str(v) for each value, as an object array."""
+    return np.array([prefix + str(v) for v in values], dtype=object)
 
 
 class BinaryPolyQuotientRing(PolyQuotientRing):
@@ -672,11 +711,28 @@ class ProductRing(FiniteRing):
         return out
 
     def render(self, a):
-        parts = [str(f.render(c)) for f, c in zip(self.factors, self.decode(a))]
+        parts = [str(f.render(c))
+                 for f, c in zip(self.factors, self.decode(check_element(self, a)))]
         return "(" + ",".join(parts) + ")"
 
+    def render_many(self, indices):
+        # each factor renders its mixed-radix digit column in one pass, or,
+        # when it is no larger than the batch, its own carrier once for each
+        # digit to pick from; the strings are summed as object arrays
+        a = _check_elements(self, indices)
+        out, separator = "", "("
+        for f, stride, size in zip(self.factors, self.strides, self.sizes):
+            digit = a // stride % size
+            if size <= len(a):
+                names = _strings(separator, f.render_many(np.arange(size)))[digit]
+            else:
+                names = _strings(separator, f.render_many(digit))
+            out, separator = out + names, ","
+        return (out + ")").tolist()
+
     def element_expr(self, a):
-        return tuple(f.element_expr(c) for f, c in zip(self.factors, self.decode(a)))
+        return tuple(f.element_expr(c)
+                     for f, c in zip(self.factors, self.decode(check_element(self, a))))
 
     def element_from_expr(self, expr):
         if not isinstance(expr, tuple) or len(expr) != len(self.factors):
@@ -716,10 +772,13 @@ class QuotientRing(FiniteRing):
         return _coset_units(self.parent, self.reps, self.qmap)
 
     def render(self, a):
-        return self.parent.render(int(self.reps[a]))
+        return self.parent.render(int(self.reps[check_element(self, a)]))
+
+    def render_many(self, indices):
+        return self.parent.render_many(self.reps[_check_elements(self, indices)])
 
     def element_expr(self, a):
-        return self.parent.element_expr(int(self.reps[a]))
+        return self.parent.element_expr(int(self.reps[check_element(self, a)]))
 
     def element_from_expr(self, expr):
         return int(self.qmap[self.parent.element_from_expr(expr)])

@@ -8,6 +8,10 @@ Oracles:
     tables, gives the arrays of every factor on its own encoding, and
     regrouping its factors into nested products changes none of them; the
     chunk tables of a 65536-element product take O(n) memory
+  - render_many gives the scalar render of each element, on the whole
+    carrier and on unsorted indices with repeats, for every ring kind,
+    nested products and quotients of quotients included, tabulated and
+    untabulated, and through FiniteRing's loop on GF(2)[x,y]/(x,y)^2
   - every scan agrees with the plain-Python loops in scalar_oracle, on every
     corpus ring of at most 64 elements, tabulated and untabulated
   - saturation from the local factors' principal ideals agrees with the
@@ -294,6 +298,41 @@ def _build(spec, guards=Guards()):
     if spec == _SQUARE_ZERO_XY:
         return _SquareZeroXY(guards)
     return build_ring(spec, guards)
+
+
+@pytest.mark.parametrize("spec", [
+    "Z/12",
+    "Z/4096",
+    # GF(2) and odd-p polynomial quotients, the first odd one a field
+    "GF(2)[x]/(x^3)",
+    "GF(2)[x]/(x^11+x^2+1)",
+    "GF(3)[x]/(x^2+1)",
+    "GF(5)[x]/(x^3)",
+    "GF(11)[x]/(x^3)",
+    # flat and nested products, and a factor above the table guard
+    "prod(Z/2,Z/3)",
+    "prod(Z/4,GF(2)[x]/(x^3),Z/9,Z/5)",
+    "prod(prod(Z/2,GF(3)[x]/(x^2)),Z/5)",
+    "prod(Z/2048,Z/3)",
+    # quotients, of a product and of quotients, and one as a factor
+    "quot(prod(Z/8,Z/8,Z/4);(4,0,0))",
+    "quot(quot(Z/48;8);4)",
+    "quot(quot(GF(2)[x]/(x^6);x^4);x^2)",
+    "prod(GF(3)[x]/(x^2),quot(Z/12;4),Z/5)",
+    # FiniteRing's render_many, one render per element
+    _SQUARE_ZERO_XY,
+])
+def test_render_many_renders_each_element(spec):
+    for guards in (Guards(), Guards(table_limit=1)):
+        ring = _build(spec, guards)
+        n = ring.carrier_size
+        # unsorted, with repeats; as an array, a list and an empty array
+        some = np.random.default_rng(n).integers(0, n, 300)
+        for indices in (np.arange(n), some, some.tolist(), some[:0]):
+            got = ring.render_many(indices)
+            want = [ring.render(a) for a in indices]
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
 
 
 @pytest.mark.parametrize("spec", [spec_to_string(r.spec) for r in corpus_rings()]
@@ -736,6 +775,9 @@ class _SquareZeroXY(FiniteRing):
     def element_expr(self, a):
         # its index, so that quotient_ring can name an ideal's generators
         return int(a)
+
+    def render(self, a):
+        return f"{a & 1}+{a >> 1 & 1}*x+{a >> 2 & 1}*y"
 
     def __repr__(self):
         return "<FiniteRing GF(2)[x,y]/(x,y)^2>"

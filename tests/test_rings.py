@@ -734,6 +734,32 @@ def test_element_literals_refuse_bools_and_non_integers():
     assert build_ring("GF(3)[x]/(x^2+1)").element_from_expr((np.int64(4), 1)) == 4
 
 
+def test_render_and_element_expr_refuse_what_check_element_refuses():
+    # each once showed another element: 7 as (1,0), 9 as 1, -1 as 3, 2.5
+    # as 2 and True as 1
+    cases = [("prod(Z/2,Z/3)", 7, "element 7 outside the carrier"),
+             ("GF(2)[x]/(x^3)", 9, "element 9 outside the carrier"),
+             ("quot(Z/12;4)", -1, "element -1 outside the carrier"),
+             ("Z/12", 2.5, "element 2.5 is not an integer"),
+             ("GF(3)[x]/(x^2)", True, "element True is not an integer")]
+    for spec, a, message in cases:
+        ring = build_ring(spec)
+        for show in (ring.render, ring.element_expr, lambda a: ring.render_many([a])):
+            with pytest.raises(ValueError, match=message):
+                show(a)
+    # render_many checks its index array once: an integer dtype, in [0, n)
+    ring = build_ring("prod(Z/2,Z/3)")
+    for indices, message in ((np.array([1, 6]), "element 6 outside"),
+                             (np.array([-1]), "element -1 outside"),
+                             (np.array([1.0]), "is not an integer"),
+                             (np.array([True]), "is not an integer")):
+        with pytest.raises(ValueError, match=message):
+            ring.render_many(indices)
+    assert ring.render(np.int64(5)) == "(1,2)"
+    assert ring.render_many(np.array([5, 0], dtype=np.uint8)) == ["(1,2)", "(0,0)"]
+    assert build_ring("Z/12").render(np.int32(11)) == 11
+
+
 @pytest.mark.parametrize("table_limit", [1, Guards().table_limit])
 def test_ideals_of_another_ring_are_refused(table_limit):
     # Z/6's ideal (2) is {0, 2, 4}; read as a mask of Z/12 it would give
